@@ -22,6 +22,7 @@ from .lrcore import (
     LieRinehart,
     LRModule,
     ce_differential,
+    dual_module,
     lr_validate,
     trivial_coefficients,
 )
@@ -65,22 +66,19 @@ class BialgebraReport:
 
 
 def dual_module_action(lr: LieRinehart, m: LRModule) -> LRModule:
-    """The action on coordinate forms: (x . phi)(v) = x(phi(v)) - phi(x . v).
+    """The action on coordinate forms, (x . phi)(v) = x(phi(v)) - phi(x . v),
+    of a flat action only.
 
-    On basis entries the table transposes with a sign.  The result of a
-    flat input is flat again, and the defining identity is re-checked on
-    all basis triples rather than trusted.
+    The table is ``lrcore.dual_module``.  The result of a flat input is
+    flat again, and the defining identity is re-checked on all basis
+    triples rather than trusted.
     """
     if m.lr != lr:
         raise ValueError("module parent mismatch")
     if not m.is_flat():
         raise ValueError("dual of a non-flat action is not defined here")
     r = m.rank
-    table = [
-        [tuple(-m.action[i][k][j] for k in range(r)) for j in range(r)]
-        for i in range(lr.rank)
-    ]
-    dual = LRModule(lr, r, table)
+    dual = dual_module(m)
     for i in range(lr.rank):
         for j in range(r):
             for k in range(r):
@@ -123,11 +121,13 @@ def semidirect_product(lr: LieRinehart, m: LRModule) -> LieRinehart:
     return out
 
 
-def _transport_differential(source: LieRinehart, target: LieRinehart, w: Multivector) -> Multivector:
+def _transport_differential(
+    source: LieRinehart, triv: LRModule, target: LieRinehart, w: Multivector
+) -> Multivector:
     """Apply the differential of `source` to a multivector over `target`,
     reading wedges over the target as forms on the source through the
-    Kronecker pairing, degree by degree."""
-    triv = trivial_coefficients(source)
+    Kronecker pairing, degree by degree; `triv` is the trivial module of
+    `source`, built once by the caller."""
     by_degree: Dict[int, Dict] = {}
     for key, c in w.values.items():
         by_degree.setdefault(len(key), {})[key] = (c,)
@@ -149,6 +149,7 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
     coincide; a disagreement is an internal error, not a report.
     """
     l, d = p.l, p.d
+    triv_l, triv_d = trivial_coefficients(l), trivial_coefficients(d)
     n = l.rank
     holds1 = True
     witness1: Optional[Tuple] = None
@@ -157,9 +158,9 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
             x = Multivector.basis(l, i)
             y = Multivector.basis(l, j)
             br = Multivector.from_lelem(l.bracket_elem(i, j))
-            lhs = _transport_differential(d, l, br)
-            rhs = _transport_differential(d, l, x)
-            rhs = schouten_bracket(rhs, y).add(schouten_bracket(x, _transport_differential(d, l, y)))
+            lhs = _transport_differential(d, triv_d, l, br)
+            rhs = _transport_differential(d, triv_d, l, x)
+            rhs = schouten_bracket(rhs, y).add(schouten_bracket(x, _transport_differential(d, triv_d, l, y)))
             diff = lhs.sub(rhs)
             if not diff.is_zero():
                 key = sorted(diff.values)[0]
@@ -176,10 +177,10 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
         for s2 in wedges:
             x = Multivector(d, {s1: d.alg.one()})
             y = Multivector(d, {s2: d.alg.one()})
-            lhs = _transport_differential(l, d, schouten_bracket(x, y))
+            lhs = _transport_differential(l, triv_l, d, schouten_bracket(x, y))
             sgn = 1 if len(s1) % 2 == 0 else -1
-            rhs = schouten_bracket(_transport_differential(l, d, x), y).sub(
-                schouten_bracket(x, _transport_differential(l, d, y)).scale(sgn)
+            rhs = schouten_bracket(_transport_differential(l, triv_l, d, x), y).sub(
+                schouten_bracket(x, _transport_differential(l, triv_l, d, y)).scale(sgn)
             )
             diff = lhs.sub(rhs)
             if not diff.is_zero():

@@ -216,10 +216,6 @@ def alg_validate(alg: CommAlg) -> List[Violation]:
     return out
 
 
-def alg_mul(a: AElem, b: AElem) -> AElem:
-    return a * b
-
-
 def derivation_validate(alg: CommAlg, d: Derivation) -> List[Violation]:
     """Leibniz rule on all basis pairs; derivations also kill the unit."""
     if d.alg != alg:

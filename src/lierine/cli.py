@@ -654,8 +654,20 @@ def _resolve_name(inst: InstanceSet, command: str, name: Optional[str]) -> str:
     raise KeyError(f"the file defines nothing usable with {command}")
 
 
+def _base_algebra(inst: InstanceSet, name: str) -> CommAlg:
+    """The base algebra under a named instance of any kind."""
+    for refs in (inst.twilleds, inst.connections, inst.bialgebras):
+        if name in refs:
+            name = refs[name][0]
+    return inst.lr(name).alg
+
+
 def run_command(command: str, inst: InstanceSet, path: str, name: Optional[str], max_degree: Optional[int]) -> Report:
     resolved = _resolve_name(inst, command, name)
+    if command != "check-lr":  # check-lr reports the algebra axioms as a verdict
+        bad = alg_validate(_base_algebra(inst, resolved))
+        if bad:
+            raise ValueError(f"base algebra fails validation: {bad[0]}")
     report = Report(command, path, resolved)
     if command == "check-lr":
         _cmd_check_lr(inst, resolved, report)
@@ -686,6 +698,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--format", choices=("text", "json-like"), default="text")
     try:
         args = parser.parse_args(argv)
+        if args.max_degree is not None and args.max_degree < 0:
+            parser.error(f"--max-degree must be nonnegative, got {args.max_degree}")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -17,6 +17,8 @@ RatVec = Tuple[Fraction, ...]
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed; use Fraction or int")
     return Fraction(x)

@@ -107,15 +107,6 @@ class Multivector:
         cc = _frac(c)
         return Multivector(self.lr, {k: v * cc for k, v in self.values.items()})
 
-    def to_lelem(self) -> LElem:
-        """Degree-1 part as an element of L; errors on other degrees."""
-        if any(len(k) != 1 for k in self.values):
-            raise ValueError("not a degree-1 multivector")
-        coeffs = [self.lr.alg.zero()] * self.lr.rank
-        for k, c in self.values.items():
-            coeffs[k[0]] = c
-        return LElem(self.lr, coeffs)
-
     def is_zero(self) -> bool:
         return not self.values
 

@@ -69,9 +69,6 @@ class LieRinehart:
     def lelem(self, coeffs: Sequence[AElem]) -> "LElem":
         return LElem(self, coeffs)
 
-    def zero_l(self) -> "LElem":
-        return LElem(self, (self.alg.zero(),) * self.rank)
-
     def basis_l(self, i: int) -> "LElem":
         c = [self.alg.zero()] * self.rank
         c[i] = self.alg.one()
@@ -79,9 +76,6 @@ class LieRinehart:
 
     def bracket_elem(self, i: int, j: int) -> "LElem":
         return LElem(self, self.bracket[i][j])
-
-    def anchor_basis(self, i: int, a: AElem) -> AElem:
-        return self.anchor[i].apply(a)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieRinehart):
@@ -378,6 +372,58 @@ def trivial_coefficients(lr: LieRinehart) -> LRModule:
     return LRModule(lr, 1, tuple(zero for _ in range(lr.rank)))
 
 
+def dual_module(m: LRModule) -> LRModule:
+    """The connection on coordinate forms, (x . phi)(v) = x(phi(v)) - phi(x . v).
+
+    On basis entries the action table transposes with a sign.  Nothing is
+    assumed or checked about flatness: the dual of a connection is a
+    connection, and the dual of a flat table is flat.
+    """
+    r = m.rank
+    table = [[tuple(-row[k][j] for k in range(r)) for j in range(r)] for row in m.action]
+    return LRModule(m.lr, r, table)
+
+
+def exterior_power(m: LRModule, p: int) -> LRModule:
+    """Lambda^p of a connection on the basis f_S = f_S0 ^ .. ^ f_S(p-1), one
+    vector per sorted p-subset S in ``combinations`` order:
+
+        x . f_S = sum_pos f_S0 ^ .. ^ (x . f_S(pos)) ^ .. ^ f_S(p-1).
+
+    Lambda^0 is the trivial module and Lambda^1 is m itself.
+    """
+    subsets = list(combinations(range(m.rank), p))
+    index = {s: pos for pos, s in enumerate(subsets)}
+    zero = m.lr.alg.zero()
+    table = []
+    for row in m.action:
+        entries = []
+        for s in subsets:
+            vec = [zero] * len(subsets)
+            for pos, j in enumerate(s):
+                for k, c in enumerate(row[j]):
+                    if c.is_zero():
+                        continue
+                    moved = sort_with_sign(s[:pos] + (k,) + s[pos + 1 :])
+                    if moved is None:
+                        continue
+                    t = index[moved[0]]
+                    vec[t] = vec[t] + c if moved[1] == 1 else vec[t] - c
+            entries.append(vec)
+        table.append(entries)
+    return LRModule(m.lr, len(subsets), table)
+
+
+def tensor_line(m: LRModule, omega: Sequence[AElem]) -> LRModule:
+    """m tensored with the line whose connection is omega: e_i . f_j gains
+    omega(e_i) f_j."""
+    table = [
+        [tuple(c + omega[i] if j == k else c for k, c in enumerate(vec)) for j, vec in enumerate(row)]
+        for i, row in enumerate(m.action)
+    ]
+    return LRModule(m.lr, m.rank, table)
+
+
 class AltForm:
     """Alternating form on L with values in a module.
 
@@ -469,8 +515,9 @@ def ce_differential(lr: LieRinehart, module: LRModule, w: AltForm, formal: bool 
                         + sum_{i<j} (-1)^{i+j} w([x_i,x_j], ..no x_i, x_j..)
 
     evaluated on sorted basis tuples; bracket arguments are expanded
-    A-linearly back into basis evaluations.  With a non-flat action table
-    this is only a formal operator and must be requested with formal=True.
+    A-linearly back into basis evaluations, and keys absent from w are
+    skipped.  With a non-flat action table this is only a formal operator
+    and must be requested with formal=True.
     """
     if w.lr != lr or w.module != module:
         raise ValueError("parent mismatch")
@@ -480,33 +527,37 @@ def ce_differential(lr: LieRinehart, module: LRModule, w: AltForm, formal: bool 
     n = lr.rank
     if q + 1 > n:
         return zero_form(lr, module, q + 1)
+    values = w.values
     out: Dict[Tuple[int, ...], Tuple[AElem, ...]] = {}
     for key in combinations(range(n), q + 1):
-        total = list(module.zero_vec())
+        total: Optional[List[AElem]] = None
         for i, xi in enumerate(key):
-            rest = key[:i] + key[i + 1 :]
-            vec = w.value(rest)
-            if any(not c.is_zero() for c in vec):
-                step = module.act_basis(xi, vec)
-                if i % 2 == 0:
-                    total = [a + b for a, b in zip(total, step)]
-                else:
-                    total = [a - b for a, b in zip(total, step)]
+            vec = values.get(key[:i] + key[i + 1 :])
+            if vec is not None:
+                total = _accumulate(total, module.act_basis(xi, vec), i % 2 == 0)
         for i in range(q + 1):
             for j in range(i + 1, q + 1):
-                rest = tuple(x for t, x in enumerate(key) if t != i and t != j)
-                sgn = 1 if (i + j) % 2 == 0 else -1
+                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
                 for k, ck in enumerate(lr.bracket[key[i]][key[j]]):
                     if ck.is_zero() or k in rest:
                         continue
-                    vec = w.eval_indices((k,) + rest)
-                    if any(not c.is_zero() for c in vec):
-                        if sgn == 1:
-                            total = [a + ck * b for a, b in zip(total, vec)]
-                        else:
-                            total = [a - ck * b for a, b in zip(total, vec)]
-        out[key] = tuple(total)
+                    rkey, sign = sort_with_sign((k,) + rest)
+                    vec = values.get(rkey)
+                    if vec is not None:
+                        positive = ((i + j) % 2 == 0) == (sign == 1)
+                        total = _accumulate(total, [ck * b for b in vec], positive)
+        if total is not None:
+            out[key] = tuple(total)
     return AltForm(lr, module, q + 1, out)
+
+
+def _accumulate(total: Optional[List[AElem]], vec: Sequence[AElem], positive: bool) -> List[AElem]:
+    """total + vec or total - vec, with None standing for zero."""
+    if total is None:
+        return list(vec) if positive else [-b for b in vec]
+    if positive:
+        return [a + b for a, b in zip(total, vec)]
+    return [a - b for a, b in zip(total, vec)]
 
 
 def basis_forms(lr: LieRinehart, module: LRModule, q: int):

@@ -13,7 +13,16 @@ and to the crossed bracket on Alt(L'', Lambda L') being compatible with
 d''.  Every equivalence here is checked in both directions on concrete
 instances, never assumed.
 
-Conventions fixed by the degenerate cases: with L'' = 0 the operator d'
+Each differential is lrcore's cochain differential of one constituent,
+applied to a bigraded element read as a form on that constituent with
+values in a module over it:
+
+    d'' on forms          L'' with values in Lambda^p(dual of L' over L'')
+    d'' on multivectors   L'' with values in Lambda^p(L' over L'')
+    d'                    L'  with values in Lambda^q(dual of L'' over L'),
+                          optionally tensored with a line, times (-1)^q
+
+where p is the inner and q the outer degree.  Conventions fixed by the degenerate cases: with L'' = 0 the operator d'
 is the plain cochain differential of L' (so d' carries the global sign
 (-1)^q past the q external slots), and d'' uses the Lie-derivative
 action on inner form slots.  The total-complex dimension comparison
@@ -30,16 +39,21 @@ from .calgebra import AElem
 from .exactla import RatMatrix, _frac, mat_rank
 from .gerst import GeneratorOp, generator_to_connection
 from .lrcore import (
+    AltForm,
     LElem,
     LieRinehart,
     LRModule,
+    ce_differential,
     cohomology_dims,
+    dual_module,
+    exterior_power,
     lr_bracket,
     lr_validate,
+    tensor_line,
     trivial_coefficients,
 )
 from .reporting import Violation
-from .signs import merge_sign, sort_with_sign
+from .signs import merge_sign
 
 
 class AlmostTwilled:
@@ -48,10 +62,11 @@ class AlmostTwilled:
     act_p_on_s[i][j] = e'_i . e''_j as a coefficient tuple over the
     L''-basis; act_s_on_p[i][j] = e''_i . e'_j over the L'-basis.  The
     tables are connection data; flatness of either action is a computed
-    property, not an assumption.
+    property, not an assumption.  The coefficient modules of the
+    differentials are built on first use and kept on the pair.
     """
 
-    __slots__ = ("alg", "lprime", "lsecond", "act_p_on_s", "act_s_on_p")
+    __slots__ = ("alg", "lprime", "lsecond", "act_p_on_s", "act_s_on_p", "_modules")
 
     def __init__(
         self,
@@ -65,8 +80,9 @@ class AlmostTwilled:
         self.alg = lprime.alg
         self.lprime = lprime
         self.lsecond = lsecond
-        self.act_p_on_s = _check_table(lprime, lsecond.rank, act_p_on_s)
-        self.act_s_on_p = _check_table(lsecond, lprime.rank, act_s_on_p)
+        self.act_p_on_s = LRModule(lprime, lsecond.rank, act_p_on_s).action
+        self.act_s_on_p = LRModule(lsecond, lprime.rank, act_s_on_p).action
+        self._modules: Dict[Tuple, LRModule] = {}
 
     def module_on_second(self) -> LRModule:
         """L'' as a connection over L'."""
@@ -88,26 +104,6 @@ class AlmostTwilled:
 
     def __repr__(self) -> str:
         return f"AlmostTwilled(rank'={self.lprime.rank}, rank''={self.lsecond.rank})"
-
-
-def _check_table(source: LieRinehart, target_rank: int, table: Sequence) -> Tuple:
-    if len(table) != source.rank:
-        raise ValueError("action table has wrong outer length")
-    rows = []
-    for i in range(source.rank):
-        if len(table[i]) != target_rank:
-            raise ValueError(f"action row {i} has wrong length")
-        row = []
-        for j in range(target_rank):
-            vec = tuple(table[i][j])
-            if len(vec) != target_rank:
-                raise ValueError(f"action entry ({i},{j}) has wrong length")
-            for c in vec:
-                if not isinstance(c, AElem) or c.alg != source.alg:
-                    raise ValueError("action coefficients must live in the base algebra")
-            row.append(vec)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def twilled_sum(t: AlmostTwilled) -> LieRinehart:
@@ -251,9 +247,15 @@ def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
     if u.t != v.t:
         raise ValueError("parent mismatch")
     out: Dict = {}
-    cross = 1 if (u.pdeg * v.qdeg) % 2 == 0 else -1
-    for (ss1, sp1), a in u.values.items():
-        for (ss2, sp2), b in v.values.items():
+    _product_into(u.values, v.values, 1, out)
+    return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, out)
+
+
+def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:
+    """out += sign * left . right for term dicts {(outer, inner): coefficient},
+    each term pair carrying (-1)^{p_left q_right} times the merge signs."""
+    for (ss1, sp1), a in left.items():
+        for (ss2, sp2), b in right.items():
             mo = merge_sign(ss1, ss2)
             if mo is None:
                 continue
@@ -262,201 +264,95 @@ def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
                 continue
             kss, so = mo
             ksp, si = mi
-            c = a * b
-            s = cross * so * si
+            cross = 1 if (len(sp1) * len(ss2)) % 2 == 0 else -1
+            val = a * b
             key = (kss, ksp)
             cur = out.get(key)
-            out[key] = (c if s == 1 else -c) if cur is None else cur + (c if s == 1 else -c)
-    return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, out)
+            add = val if sign * cross * so * si == 1 else -val
+            out[key] = add if cur is None else cur + add
 
 
-def _eval_at(values: Dict, ss_indices, sp_indices) -> Tuple[Optional[Tuple], int]:
-    """Sort both index tuples, returning the dict key and sign, or None
-    on a repeated index."""
-    so = sort_with_sign(ss_indices)
-    if so is None:
-        return None, 0
-    si = sort_with_sign(sp_indices)
-    if si is None:
-        return None, 0
-    return (so[0], si[0]), so[1] * si[1]
+def _cached_module(t: AlmostTwilled, key: Tuple, build) -> LRModule:
+    """Coefficient modules are built once per pair and kept on it."""
+    m = t._modules.get(key)
+    if m is None:
+        m = t._modules[key] = build()
+    return m
+
+
+def _ce_bigraded(t: AlmostTwilled, w: Bigraded, outer: bool, module: LRModule) -> Bigraded:
+    """Apply ce_differential to w read as an alternating form with values
+    in `module`, whose basis is the sorted subsets of the other slot.
+
+    With outer=True the form lives on L'' (outer subsets) and the inner
+    subsets index the module basis; with outer=False the roles swap.
+    """
+    if outer:
+        lr, form_deg, slot_rank, slot_deg = t.lsecond, w.qdeg, t.lprime.rank, w.pdeg
+    else:
+        lr, form_deg, slot_rank, slot_deg = t.lprime, w.pdeg, t.lsecond.rank, w.qdeg
+    slots = list(combinations(range(slot_rank), slot_deg))
+    index = {s: pos for pos, s in enumerate(slots)}
+    zero = t.alg.zero()
+    vals: Dict = {}
+    for (ss, sp), c in w.values.items():
+        key, slot = (ss, sp) if outer else (sp, ss)
+        vals.setdefault(key, [zero] * len(slots))[index[slot]] = c
+    form = AltForm(lr, module, form_deg, vals)
+    out: Dict = {}
+    for key, vec in ce_differential(lr, module, form, formal=True).values.items():
+        for slot, c in zip(slots, vec):
+            if not c.is_zero():
+                out[(key, slot) if outer else (slot, key)] = c
+    if outer:
+        return Bigraded(t, w.qdeg + 1, w.pdeg, out)
+    return Bigraded(t, w.qdeg, w.pdeg + 1, out)
 
 
 def dsecond_form(t: AlmostTwilled, w: Bigraded) -> Bigraded:
-    """Raise the outer degree by one, treating inner values as a form on
-    L' carried along by the Lie-derivative action of L''."""
-    q, p = w.qdeg, w.pdeg
-    ns, np = t.lsecond.rank, t.lprime.rank
-    alg = t.alg
-    out: Dict = {}
-    for new_ss in combinations(range(ns), q + 1):
-        for sp in combinations(range(np), p):
-            total = alg.zero()
-            for i, xi in enumerate(new_ss):
-                rest = new_ss[:i] + new_ss[i + 1 :]
-                sgn = 1 if i % 2 == 0 else -1
-                base = w.values.get((rest, sp))
-                if base is not None:
-                    contrib = t.lsecond.anchor[xi].apply(base)
-                    total = total + contrib if sgn == 1 else total - contrib
-                for pos in range(p):
-                    for m, cm in enumerate(t.act_s_on_p[xi][sp[pos]]):
-                        if cm.is_zero():
-                            continue
-                        key, s2 = _eval_at(w.values, rest, sp[:pos] + (m,) + sp[pos + 1 :])
-                        if key is None:
-                            continue
-                        val = w.values.get(key)
-                        if val is None:
-                            continue
-                        contrib = cm * val
-                        if sgn * s2 == 1:
-                            total = total - contrib
-                        else:
-                            total = total + contrib
-            for i in range(q + 1):
-                for j in range(i + 1, q + 1):
-                    rest = tuple(x for z, x in enumerate(new_ss) if z != i and z != j)
-                    sgn = 1 if (i + j) % 2 == 0 else -1
-                    for k, ck in enumerate(t.lsecond.bracket[new_ss[i]][new_ss[j]]):
-                        if ck.is_zero():
-                            continue
-                        key, s2 = _eval_at(w.values, (k,) + rest, sp)
-                        if key is None:
-                            continue
-                        val = w.values.get(key)
-                        if val is None:
-                            continue
-                        contrib = ck * val
-                        total = total + contrib if sgn * s2 == 1 else total - contrib
-            if not total.is_zero():
-                out[(new_ss, sp)] = total
-    return Bigraded(t, q + 1, p, out)
+    """Raise the outer degree by one: the differential of L'' with values in
+    Lambda^p of the dual of L' over L'', so inner values are forms on L'
+    carried along by the Lie-derivative action of L''."""
+    p = w.pdeg
+    module = _cached_module(
+        t, ("form", p), lambda: exterior_power(dual_module(t.module_on_prime()), p)
+    )
+    return _ce_bigraded(t, w, True, module)
+
+
+def _dprime_module(t: AlmostTwilled, q: int, line: Optional[Sequence[AElem]] = None) -> LRModule:
+    """Coefficients of d' on outer degree q: Lambda^q of the dual of L''
+    over L', tensored with the optional line connection."""
+
+    def build() -> LRModule:
+        m = exterior_power(dual_module(t.module_on_second()), q)
+        return m if line is None else tensor_line(m, line)
+
+    return _cached_module(t, ("dprime", q, None if line is None else tuple(line)), build)
 
 
 def dprime_form(t: AlmostTwilled, w: Bigraded, line: Optional[Sequence[AElem]] = None) -> Bigraded:
-    """Raise the inner degree by one with the global sign (-1)^q.
+    """Raise the inner degree by one: (-1)^q times the differential of L'
+    with values in Lambda^q of the dual of L'' over L', tensored with the
+    optional line connection.
 
-    The action of a basis vector of L' reaches three places: the value
-    (through the anchor, twisted by the optional line connection), the
-    outer L''-slots (through the first action table), and the bracket
-    terms of L'.  With no outer slots and no line this is exactly the
-    plain differential of L'.
+    The action of a basis vector of L' thus reaches the value (through
+    the anchor, twisted by the line), the outer L''-slots (through the
+    first action table), and the bracket terms of L'.  With no outer
+    slots and no line this is exactly the plain differential of L'.
     """
-    q, p = w.qdeg, w.pdeg
-    ns, np = t.lsecond.rank, t.lprime.rank
-    alg = t.alg
-    gsign = 1 if q % 2 == 0 else -1
-    out: Dict = {}
-    for ss in combinations(range(ns), q):
-        for new_sp in combinations(range(np), p + 1):
-            total = alg.zero()
-            for i, yi in enumerate(new_sp):
-                rest = new_sp[:i] + new_sp[i + 1 :]
-                sgn = 1 if i % 2 == 0 else -1
-                base = w.values.get((ss, rest))
-                if base is not None:
-                    contrib = t.lprime.anchor[yi].apply(base)
-                    if line is not None:
-                        contrib = contrib + line[yi] * base
-                    total = total + contrib if sgn == 1 else total - contrib
-                for pos in range(q):
-                    for m, cm in enumerate(t.act_p_on_s[yi][ss[pos]]):
-                        if cm.is_zero():
-                            continue
-                        key, s2 = _eval_at(w.values, ss[:pos] + (m,) + ss[pos + 1 :], rest)
-                        if key is None:
-                            continue
-                        val = w.values.get(key)
-                        if val is None:
-                            continue
-                        contrib = cm * val
-                        if sgn * s2 == 1:
-                            total = total - contrib
-                        else:
-                            total = total + contrib
-            for i in range(p + 1):
-                for j in range(i + 1, p + 1):
-                    rest = tuple(x for z, x in enumerate(new_sp) if z != i and z != j)
-                    sgn = 1 if (i + j) % 2 == 0 else -1
-                    for k, ck in enumerate(t.lprime.bracket[new_sp[i]][new_sp[j]]):
-                        if ck.is_zero():
-                            continue
-                        key, s2 = _eval_at(w.values, ss, (k,) + rest)
-                        if key is None:
-                            continue
-                        val = w.values.get(key)
-                        if val is None:
-                            continue
-                        contrib = ck * val
-                        total = total + contrib if sgn * s2 == 1 else total - contrib
-            if not total.is_zero():
-                out[(ss, new_sp)] = total if gsign == 1 else -total
-    return Bigraded(t, q, p + 1, out)
-
-
-def build_dprime_dsecond(t: AlmostTwilled):
-    """The two formal differentials on bigraded forms, as callables."""
-
-    def dp(w: Bigraded) -> Bigraded:
-        return dprime_form(t, w)
-
-    def ds(w: Bigraded) -> Bigraded:
-        return dsecond_form(t, w)
-
-    return dp, ds
+    q = w.qdeg
+    d = _ce_bigraded(t, w, False, _dprime_module(t, q, line))
+    return d if q % 2 == 0 else d.neg()
 
 
 def dsecond_multi(t: AlmostTwilled, w: Bigraded) -> Bigraded:
-    """Outer differential on the multivector carrier: inner subsets are
+    """Outer differential on the multivector carrier: the differential of
+    L'' with values in Lambda^p of L' over L'', so inner subsets are
     exterior factors moved covariantly by the second action table."""
-    q, p = w.qdeg, w.pdeg
-    ns = t.lsecond.rank
-    alg = t.alg
-    out: Dict = {}
-
-    def add(key, c: AElem) -> None:
-        if c.is_zero():
-            return
-        cur = out.get(key)
-        out[key] = c if cur is None else cur + c
-
-    for new_ss in combinations(range(ns), q + 1):
-        for i, xi in enumerate(new_ss):
-            rest = new_ss[:i] + new_ss[i + 1 :]
-            sgn = 1 if i % 2 == 0 else -1
-            for (ss, sp), a in w.values.items():
-                if ss != rest:
-                    continue
-                contrib = t.lsecond.anchor[xi].apply(a)
-                add((new_ss, sp), contrib if sgn == 1 else -contrib)
-                for pos in range(p):
-                    for m, cm in enumerate(t.act_s_on_p[xi][sp[pos]]):
-                        if cm.is_zero():
-                            continue
-                        sorted_sp = sort_with_sign(sp[:pos] + (m,) + sp[pos + 1 :])
-                        if sorted_sp is None:
-                            continue
-                        ksp, s2 = sorted_sp
-                        c = a * cm
-                        add((new_ss, ksp), c if sgn * s2 == 1 else -c)
-        for i in range(q + 1):
-            for j in range(i + 1, q + 1):
-                rest = tuple(x for z, x in enumerate(new_ss) if z != i and z != j)
-                sgn = 1 if (i + j) % 2 == 0 else -1
-                for k, ck in enumerate(t.lsecond.bracket[new_ss[i]][new_ss[j]]):
-                    if ck.is_zero():
-                        continue
-                    outer = sort_with_sign((k,) + rest)
-                    if outer is None:
-                        continue
-                    kss, s2 = outer
-                    for (ss, sp), a in w.values.items():
-                        if ss != kss:
-                            continue
-                        c = ck * a
-                        add((new_ss, sp), c if sgn * s2 == 1 else -c)
-    return Bigraded(t, q + 1, p, out)
+    p = w.pdeg
+    module = _cached_module(t, ("multi", p), lambda: exterior_power(t.module_on_prime(), p))
+    return _ce_bigraded(t, w, True, module)
 
 
 def _accum(out: Dict, terms: Dict, sign: int) -> None:
@@ -466,56 +362,17 @@ def _accum(out: Dict, terms: Dict, sign: int) -> None:
         out[k] = add if cur is None else cur + add
 
 
-def _product_into(t: AlmostTwilled, a: AElem, ss, sp, terms: Dict, sign: int, out: Dict) -> None:
-    """out += sign * (a e''*_ss (x) e'_sp) . terms, with the bigraded
-    cross sign folded in per term."""
-    p1 = len(sp)
-    for (ss2, sp2), c in terms.items():
-        cross = 1 if (p1 * len(ss2)) % 2 == 0 else -1
-        mo = merge_sign(ss, ss2)
-        if mo is None:
-            continue
-        mi = merge_sign(sp, sp2)
-        if mi is None:
-            continue
-        kss, so = mo
-        ksp, si = mi
-        val = a * c
-        s = sign * cross * so * si
-        key = (kss, ksp)
-        cur = out.get(key)
-        add = val if s == 1 else -val
-        out[key] = add if cur is None else cur + add
-
-
-def _lie_term(t: AlmostTwilled, a: AElem, i: int, b: AElem, ss2, out: Dict, sign: int) -> None:
-    """out += sign * a * (e'_i . (b e''*_{ss2})) (x) 1, the Lie derivative
-    of an outer form along a basis vector of L'."""
-    q2 = len(ss2)
-    ns = t.lsecond.rank
-    base = a * t.lprime.anchor[i].apply(b)
-    if not base.is_zero():
-        key = (tuple(ss2), ())
-        cur = out.get(key)
-        add = base if sign == 1 else -base
-        out[key] = add if cur is None else cur + add
-    for T in combinations(range(ns), q2):
-        total = t.alg.zero()
-        for pos in range(q2):
-            for m, cm in enumerate(t.act_p_on_s[i][T[pos]]):
-                if cm.is_zero():
-                    continue
-                sorted_T = sort_with_sign(T[:pos] + (m,) + T[pos + 1 :])
-                if sorted_T is None or sorted_T[0] != tuple(ss2):
-                    continue
-                contrib = cm * b
-                total = total - contrib if sorted_T[1] == 1 else total + contrib
-        if not total.is_zero():
-            val = a * total
+def _lie_term(t: AlmostTwilled, a: AElem, i: int, b: AElem, ss2, out: Dict) -> None:
+    """out += a * (e'_i . (b e''*_{ss2})) (x) 1, the Lie derivative of an
+    outer form along a basis vector of L': the action on d' coefficients."""
+    slots = list(combinations(range(t.lsecond.rank), len(ss2)))
+    vec = [t.alg.zero()] * len(slots)
+    vec[slots.index(tuple(ss2))] = b
+    for T, c in zip(slots, _dprime_module(t, len(ss2)).act_basis(i, vec)):
+        if not c.is_zero():
             key = (T, ())
             cur = out.get(key)
-            add = val if sign == 1 else -val
-            out[key] = add if cur is None else cur + add
+            out[key] = a * c if cur is None else cur + a * c
 
 
 def _cb_term(t: AlmostTwilled, a: AElem, ss1, sp1, b: AElem, ss2, sp2, out: Dict) -> None:
@@ -536,42 +393,42 @@ def _cb_term(t: AlmostTwilled, a: AElem, ss1, sp1, b: AElem, ss2, sp2, out: Dict
     if q1 > 0:
         tmp1: Dict = {}
         _cb_term(t, t.alg.one(), (), sp1, b, ss2, sp2, tmp1)
-        _product_into(t, a, ss1, (), tmp1, 1, out)
+        _product_into({(ss1, ()): a}, tmp1, 1, out)
         tmp2: Dict = {}
         _cb_term(t, a, ss1, (), b, ss2, sp2, tmp2)
         sign = 1 if (q1 * p1) % 2 == 0 else -1
-        _product_into(t, t.alg.one(), (), sp1, tmp2, sign, out)
+        _product_into({((), sp1): t.alg.one()}, tmp2, sign, out)
         return
     if p1 >= 2:
         head, rest = (sp1[0],), sp1[1:]
         tmp1 = {}
         _cb_term(t, t.alg.one(), (), rest, b, ss2, sp2, tmp1)
-        _product_into(t, a, (), head, tmp1, 1, out)
+        _product_into({((), head): a}, tmp1, 1, out)
         tmp2 = {}
         _cb_term(t, a, (), head, b, ss2, sp2, tmp2)
         sign = 1 if (p1 - 1) % 2 == 0 else -1
-        _product_into(t, t.alg.one(), (), rest, tmp2, sign, out)
+        _product_into({((), rest): t.alg.one()}, tmp2, sign, out)
         return
     i = sp1[0]
     if p2 == 0:
-        _lie_term(t, a, i, b, ss2, out, 1)
+        _lie_term(t, a, i, b, ss2, out)
         return
     if q2 > 0:
         tmp1 = {}
         _cb_term(t, a, (), (i,), b, ss2, (), tmp1)
-        _product_into_right(t, tmp1, t.alg.one(), (), sp2, 1, out)
+        _product_into(tmp1, {((), sp2): t.alg.one()}, 1, out)
         tmp2 = {}
         _cb_term(t, a, (), (i,), t.alg.one(), (), sp2, tmp2)
-        _product_into(t, b, ss2, (), tmp2, 1, out)
+        _product_into({(ss2, ()): b}, tmp2, 1, out)
         return
     if p2 >= 2:
         head, rest = (sp2[0],), sp2[1:]
         tmp1 = {}
         _cb_term(t, a, (), (i,), b, (), head, tmp1)
-        _product_into_right(t, tmp1, t.alg.one(), (), rest, 1, out)
+        _product_into(tmp1, {((), rest): t.alg.one()}, 1, out)
         tmp2 = {}
         _cb_term(t, a, (), (i,), t.alg.one(), (), rest, tmp2)
-        _product_into(t, b, (), head, tmp2, 1, out)
+        _product_into({((), head): b}, tmp2, 1, out)
         return
     j = sp2[0]
     lp = t.lprime
@@ -586,27 +443,6 @@ def _cb_term(t: AlmostTwilled, a: AElem, ss1, sp1, b: AElem, ss2, sp2, out: Dict
         key = ((), (k,))
         cur = out.get(key)
         out[key] = c if cur is None else cur + c
-
-
-def _product_into_right(t: AlmostTwilled, terms: Dict, b: AElem, ss, sp, sign: int, out: Dict) -> None:
-    """out += sign * terms . (b e''*_ss (x) e'_sp)."""
-    q2 = len(ss)
-    for (ss1, sp1), c in terms.items():
-        cross = 1 if (len(sp1) * q2) % 2 == 0 else -1
-        mo = merge_sign(ss1, ss)
-        if mo is None:
-            continue
-        mi = merge_sign(sp1, sp)
-        if mi is None:
-            continue
-        kss, so = mo
-        ksp, si = mi
-        val = c * b
-        s = sign * cross * so * si
-        key = (kss, ksp)
-        cur = out.get(key)
-        add = val if s == 1 else -val
-        out[key] = add if cur is None else cur + add
 
 
 def crossed_bracket(t: AlmostTwilled, u: Bigraded, v: Bigraded) -> Bigraded:
@@ -626,18 +462,18 @@ def bicomplex_square_check(t: AlmostTwilled) -> Dict:
     """Squares and anticommutation of d', d'' on every basis form,
     against twilledness of the sum; the two sides of the equivalence are
     computed independently."""
-    dp, ds = build_dprime_dsecond(t)
     flags = {"dprime_square": True, "dsecond_square": True, "anticommute": True}
     witnesses: Dict[str, Tuple] = {}
     for ta, ss, sp in bigraded_labels(t):
         w = _label_elem(t, ta, ss, sp)
-        if flags["dprime_square"] and not dp(dp(w)).is_zero():
+        dp, ds = dprime_form(t, w), dsecond_form(t, w)
+        if flags["dprime_square"] and not dprime_form(t, dp).is_zero():
             flags["dprime_square"] = False
             witnesses["dprime_square"] = (ta, ss, sp)
-        if flags["dsecond_square"] and not ds(ds(w)).is_zero():
+        if flags["dsecond_square"] and not dsecond_form(t, ds).is_zero():
             flags["dsecond_square"] = False
             witnesses["dsecond_square"] = (ta, ss, sp)
-        if flags["anticommute"] and not dp(ds(w)).add(ds(dp(w))).is_zero():
+        if flags["anticommute"] and not dprime_form(t, ds).add(dsecond_form(t, dp)).is_zero():
             flags["anticommute"] = False
             witnesses["anticommute"] = (ta, ss, sp)
     twilled = is_twilled(t)
@@ -653,6 +489,17 @@ def bicomplex_square_check(t: AlmostTwilled) -> Dict:
     if twilled:
         report["twilled_witness"] = (twilled[0].axiom, twilled[0].witness)
     return report
+
+
+def _dg_report(t: AlmostTwilled, square: bool, derivation: bool, witnesses: Dict) -> Dict:
+    twilled = not is_twilled(t)
+    return {
+        "square": square,
+        "derivation": derivation,
+        "twilled": twilled,
+        "equivalent": (square and derivation) == twilled,
+        "witnesses": witnesses,
+    }
 
 
 def dg_lie_check(t: AlmostTwilled) -> Dict:
@@ -696,15 +543,7 @@ def dg_lie_check(t: AlmostTwilled) -> Dict:
                         break
                 if not derivation:
                     break
-    twilled = is_twilled(t)
-    dg = square and derivation
-    return {
-        "square": square,
-        "derivation": derivation,
-        "twilled": not twilled,
-        "equivalent": dg == (not twilled),
-        "witnesses": witnesses,
-    }
+    return _dg_report(t, square, derivation, witnesses)
 
 
 def dg_gerstenhaber_check(t: AlmostTwilled) -> Dict:
@@ -736,15 +575,7 @@ def dg_gerstenhaber_check(t: AlmostTwilled) -> Dict:
                 derivation = False
                 witnesses["derivation"] = (ta1, ss1, sp1, ta2, ss2, sp2)
                 break
-    twilled = is_twilled(t)
-    dg = square and derivation
-    return {
-        "square": square,
-        "derivation": derivation,
-        "twilled": not twilled,
-        "equivalent": dg == (not twilled),
-        "witnesses": witnesses,
-    }
+    return _dg_report(t, square, derivation, witnesses)
 
 
 def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> Dict:
@@ -753,29 +584,21 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
     bad = is_twilled(t)
     if bad:
         raise ValueError(f"not twilled: {bad[0]}")
-    dp, ds = build_dprime_dsecond(t)
     ns, np = t.lsecond.rank, t.lprime.rank
     top = min(max_total_degree, ns + np)
 
-    def labels_at(k: int):
-        for q in range(ns + 1):
-            p = k - q
-            if p < 0 or p > np:
-                continue
-            for ss in combinations(range(ns), q):
-                for sp in combinations(range(np), p):
-                    for ta in range(t.alg.dim):
-                        yield ta, ss, sp
+    def labels_at(k: int) -> List[Tuple]:
+        return [lab for lab in bigraded_labels(t) if len(lab[1]) + len(lab[2]) == k]
 
     def diff_matrix(k: int) -> RatMatrix:
-        cols = list(labels_at(k))
-        rows = list(labels_at(k + 1))
+        cols = labels_at(k)
+        rows = labels_at(k + 1)
         index = {lab: pos for pos, lab in enumerate(rows)}
         entries = [Fraction(0)] * (len(rows) * len(cols))
         for cpos, (ta, ss, sp) in enumerate(cols):
             w = _label_elem(t, ta, ss, sp)
-            image = dp(w).values.items()
-            image2 = ds(w).values.items()
+            image = dprime_form(t, w).values.items()
+            image2 = dsecond_form(t, w).values.items()
             for (kss, ksp), val in list(image) + list(image2):
                 for tt in range(t.alg.dim):
                     c = val.coeffs[tt]
@@ -787,7 +610,7 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
     dims_total = []
     ranks = [mat_rank(diff_matrix(k)) for k in range(top + 1)]
     for k in range(top + 1):
-        size = len(list(labels_at(k)))
+        size = len(labels_at(k))
         below = ranks[k - 1] if k > 0 else 0
         dims_total.append(size - ranks[k] - below)
     s = twilled_sum(t)

@@ -151,6 +151,23 @@ class TestBialgebraCheck:
         assert lr_validate(pair.d) == []
         assert bialgebra_check(pair, 4).holds
 
+    def test_flatness_checked_at_most_once_per_structure(self, monkeypatch):
+        import lierine.lrcore as lrcore
+
+        seen = []
+        original = lrcore.module_validate
+
+        def counting(lr, m):
+            seen.append(lr)
+            return original(lr, m)
+
+        monkeypatch.setattr(lrcore, "module_validate", counting)
+        pair = semidirect_dual_pair(book_double())
+        seen.clear()
+        assert bialgebra_check(pair, 4).holds
+        assert len(seen) <= 2
+        assert not any(a is b for i, a in enumerate(seen) for b in seen[i + 1 :])
+
     def test_flat_broken_pair_fails_with_witness(self):
         pair = semidirect_dual_pair(flat_broken())
         r = bialgebra_check(pair, 3)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lierine.calgebra import (
     CommAlg,
     Derivation,
-    alg_mul,
     alg_validate,
     der_bracket,
     derivation_validate,
@@ -149,9 +148,3 @@ def test_product_commutes(a, b):
 @given(qx3_elem(), qx3_elem(), qx3_elem())
 def test_product_associates(a, b, c):
     assert (a * b) * c == a * (b * c)
-
-
-@settings(max_examples=50, deadline=None)
-@given(qx3_elem(), qx3_elem())
-def test_alg_mul_matches_operator(a, b):
-    assert alg_mul(a, b) == a * b

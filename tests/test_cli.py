@@ -279,6 +279,39 @@ class TestCommands:
         rc = main(["check-lr", "--input", fixture("sl2.lri"), "--frob"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("cohomology", "--input", "sl2.lri", "--name", "sl2"),
+            ("check-bialgebra", "--input", "matched_pair.lri"),
+        ],
+    )
+    def test_negative_max_degree_is_usage_error(self, capsys, args):
+        command, flag, path, *rest = args
+        rc = main([command, flag, fixture(path), *rest, "--max-degree", "-1"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "--max-degree must be nonnegative" in err
+
+    @pytest.mark.parametrize("command", ["cohomology", "bracket"])
+    def test_invalid_base_algebra_is_not_usable(self, capsys, tmp_path, command):
+        # unit = 2 with e0*e0 = e0 breaks the unit law
+        p = tmp_path / "bad_unit.lri"
+        p.write_text(
+            "algebra Q\n  dim 1\n  unit = 2\n  mult 0 0 = 1\nend\n"
+            "lie_rinehart g\n  algebra Q\n  rank 1\nend\n"
+        )
+        rc = main([command, "--input", str(p)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "input not usable: base algebra fails validation: unit at (0)" in err
+        # check-lr keeps reporting the algebra axioms as a verdict
+        rc, out = run_cli(capsys, "check-lr", "--input", str(p))
+        assert rc == 1
+        assert "verdict algebra: fail witness=('unit', (0,))" in out
+
     def test_json_format_matches_text_verdicts(self, capsys):
         rc, out = run_cli(
             capsys, "check-twilled", "--input", fixture("matched_pair.lri"), "--format", "json-like"

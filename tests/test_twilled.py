@@ -46,7 +46,6 @@ from lierine.twilled import (
     bigraded_generator_validate,
     bigraded_labels,
     bigraded_product,
-    build_dprime_dsecond,
     bv_commutator_check,
     crossed_bracket,
     dg_gerstenhaber_check,
