@@ -9,13 +9,14 @@ and the `lierine` command line in `cli`.
 """
 
 from .calgebra import AElem, CommAlg, Derivation, alg_validate, derivation_validate
-from .exactla import RatMatrix, mat_kernel_basis, mat_rank, mat_solve
+from .exactla import RatMatrix, SparseMatrix, mat_kernel_basis, mat_rank, mat_solve
 from .reporting import Violation
 from .lrcore import (
     AltForm,
     LieRinehart,
     LRModule,
     ce_differential,
+    ce_matrix,
     cohomology_dims,
     lr_validate,
     trivial_coefficients,
@@ -73,6 +74,7 @@ __all__ = [
     "LRModule",
     "Multivector",
     "RatMatrix",
+    "SparseMatrix",
     "TopConnection",
     "Violation",
     "alg_validate",
@@ -82,6 +84,7 @@ __all__ = [
     "bigraded_generator_validate",
     "bv_commutator_check",
     "ce_differential",
+    "ce_matrix",
     "cohomology_dims",
     "connection_curvature",
     "crossed_bracket",

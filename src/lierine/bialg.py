@@ -23,7 +23,7 @@ from .lrcore import (
     LRModule,
     ce_differential,
     dual_module,
-    lr_validate,
+    lr_violations,
     trivial_coefficients,
 )
 from .reporting import Violation
@@ -32,9 +32,10 @@ from .twilled import AlmostTwilled, dg_gerstenhaber_check, is_twilled
 
 class DualPair:
     """Equal-rank structures identified by the Kronecker pairing: basis
-    vector i of d is the coordinate form of basis vector i of l."""
+    vector i of d is the coordinate form of basis vector i of l.  The
+    compatibility report of each degree cap is kept once computed."""
 
-    __slots__ = ("l", "d")
+    __slots__ = ("l", "d", "_reports")
 
     def __init__(self, l: LieRinehart, d: LieRinehart) -> None:
         if l.rank != d.rank:
@@ -43,6 +44,7 @@ class DualPair:
             raise ValueError("base algebra mismatch")
         self.l = l
         self.d = d
+        self._reports: Dict[int, "BialgebraReport"] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DualPair):
@@ -115,7 +117,7 @@ def semidirect_product(lr: LieRinehart, m: LRModule) -> LieRinehart:
             table[n + i][n + j] = (z,) * total
     anchors = list(lr.anchor) + [Derivation.zero(alg)] * r
     out = LieRinehart(alg, total, table, anchors)
-    bad = lr_validate(out)
+    bad = lr_violations(out)
     if bad:
         raise RuntimeError(f"semidirect product failed validation: {bad[0]}")
     return out
@@ -146,8 +148,16 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
     d applied to a bracket equals the sum of brackets with differentiated
     slots.  All-degrees form, on basis wedges of d up to max_degree, with
     the sign (-1)^degree on the second slot.  The two verdicts must
-    coincide; a disagreement is an internal error, not a report.
+    coincide; a disagreement is an internal error, not a report.  The
+    report is computed once per pair and degree cap.
     """
+    report = p._reports.get(max_degree)
+    if report is None:
+        report = p._reports[max_degree] = _compatibility(p, max_degree)
+    return report
+
+
+def _compatibility(p: DualPair, max_degree: int) -> BialgebraReport:
     l, d = p.l, p.d
     triv_l, triv_d = trivial_coefficients(l), trivial_coefficients(d)
     n = l.rank
@@ -221,7 +231,14 @@ def _permute_lr(lr: LieRinehart, perm: Sequence[int]) -> LieRinehart:
 def semidirect_dual_pair(t: AlmostTwilled) -> DualPair:
     """L := L' acting on the dual of its action on L'', extended as a
     semidirect product; D likewise with the roles swapped, then
-    relabeled so the Kronecker pairing lines up with L."""
+    relabeled so the Kronecker pairing lines up with L.  Built once per
+    pair and kept on it."""
+    if t._dual_pair is None:
+        t._dual_pair = _build_semidirect_dual_pair(t)
+    return t._dual_pair
+
+
+def _build_semidirect_dual_pair(t: AlmostTwilled) -> DualPair:
     l = semidirect_product(t.lprime, dual_module_action(t.lprime, t.module_on_second()))
     d_raw = semidirect_product(t.lsecond, dual_module_action(t.lsecond, t.module_on_prime()))
     np_, ns = t.lprime.rank, t.lsecond.rank
@@ -283,7 +300,7 @@ def matched_pair_from_bialgebra(g: LieRinehart, cobracket: Sequence) -> AlmostTw
         raise ValueError("only the rational base is supported here")
     n = g.rank
     dual = LieRinehart(g.alg, n, cobracket, [Derivation.zero(g.alg)] * n)
-    bad = lr_validate(dual)
+    bad = lr_violations(dual)
     if bad:
         raise ValueError(f"cobracket is not a valid bracket on the dual: {bad[0]}")
     act_p_on_s = [

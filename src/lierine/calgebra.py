@@ -86,6 +86,8 @@ class CommAlg:
         )
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, CommAlg):
             return NotImplemented
         return self.dim == other.dim and self.mult == other.mult and self.unit == other.unit

@@ -55,7 +55,7 @@ from .gerst import (
     generator_to_connection,
     generator_validate,
 )
-from .lrcore import LieRinehart, cohomology_dims, lr_validate, trivial_coefficients
+from .lrcore import LieRinehart, cohomology_dims, lr_violations, trivial_coefficients
 from .twilled import (
     AlmostTwilled,
     bicomplex_square_check,
@@ -500,7 +500,7 @@ def _cmd_check_lr(inst: InstanceSet, name: str, report: Report) -> None:
     lr = inst.lr(name)
     alg_bad = alg_validate(lr.alg)
     report.verdict("algebra", not alg_bad, _first_witness(alg_bad))
-    bad = lr_validate(lr)
+    bad = lr_violations(lr)
     by_axiom: Dict[str, Tuple] = {}
     for v in bad:
         by_axiom.setdefault(v.axiom, v.witness)
@@ -555,7 +555,7 @@ def _cmd_cohomology(inst: InstanceSet, name: str, max_degree: Optional[int], rep
         report.verdict("total-vs-sum", r["equal"])
         return
     lr = inst.lr(name)
-    bad = lr_validate(lr)
+    bad = lr_violations(lr)
     if bad:
         report.verdict("lr-axioms", False, _first_witness(bad))
         return

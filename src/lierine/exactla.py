@@ -1,15 +1,18 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything is computed with ``fractions.Fraction``; there is no floating
-point anywhere in the library.  Matrices are small (dimensions here are
-binomial coefficients of module ranks), so plain Gaussian elimination with
-the first nonzero pivot is entirely adequate and keeps results exact.
+point anywhere in the library.  Two matrix types share the attributes
+``rows``, ``cols`` and ``entries``: ``RatMatrix`` stores every entry
+row-major, ``SparseMatrix`` a dict of its nonzeros.  Cochain
+differentials are a few percent nonzero and reach thousands of rows, so
+they are built sparse, and ``mat_rank`` eliminates over the nonzeros of
+either type.  Kernels and solutions use dense reduced row echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Rat = Fraction
 
@@ -132,6 +135,87 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
+class SparseMatrix:
+    """Rational matrix holding only its nonzero entries, {(row, col): value}."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: Dict[Tuple[int, int], object]) -> None:
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        ents: Dict[Tuple[int, int], Fraction] = {}
+        for (i, j), e in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i},{j}) outside a {rows}x{cols} matrix")
+            e = _frac(e)
+            if e != 0:
+                ents[(i, j)] = e
+        self.rows = rows
+        self.cols = cols
+        self.entries = ents
+
+    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.cols != other.rows:
+            raise ValueError("inner dimensions do not match")
+        by_row: Dict[int, List[Tuple[int, Fraction]]] = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
+        out: Dict[Tuple[int, int], Fraction] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in by_row.get(k, ()):
+                out[(i, j)] = out.get((i, j), 0) + a * b
+        return SparseMatrix(self.rows, other.cols, out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def _nonzero_rows(m: Union[RatMatrix, SparseMatrix]) -> List[Dict[int, Fraction]]:
+    """The nonempty rows of m as {col: value} dicts."""
+    if isinstance(m, SparseMatrix):
+        rows: Dict[int, Dict[int, Fraction]] = {}
+        for (i, j), e in m.entries.items():
+            rows.setdefault(i, {})[j] = e
+        return list(rows.values())
+    out = []
+    for i in range(m.rows):
+        row = {j: e for j, e in enumerate(m.row(i)) if e != 0}
+        if row:
+            out.append(row)
+    return out
+
+
+def mat_rank(m: Union[RatMatrix, SparseMatrix]) -> int:
+    """Rank by exact row elimination over the nonzeros.
+
+    Rows are taken shortest first, to limit fill-in.  Each is reduced by
+    the pivot rows found so far at its leading column until it is zero or
+    leads in a new column, where it becomes the pivot row.
+    """
+    pivots: Dict[int, Dict[int, Fraction]] = {}
+    for row in sorted(_nonzero_rows(m), key=len):
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = 1 / row[c]
+                pivots[c] = {k: v * inv for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                e = row.get(k, 0) - f * v
+                if e:
+                    row[k] = e
+                else:
+                    del row[k]
+    return len(pivots)
+
+
 def _echelon(m: RatMatrix) -> Tuple[List[List[Fraction]], List[int]]:
     """Row-reduce a copy of m; returns (reduced rows, pivot column list).
 
@@ -157,10 +241,6 @@ def _echelon(m: RatMatrix) -> Tuple[List[List[Fraction]], List[int]]:
         if r == m.rows:
             break
     return rows, pivots
-
-
-def mat_rank(m: RatMatrix) -> int:
-    return len(_echelon(m)[1])
 
 
 def mat_kernel_basis(m: RatMatrix) -> List[RatVec]:

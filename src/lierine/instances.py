@@ -57,6 +57,34 @@ def sl2() -> LieRinehart:
     return LieRinehart(alg, 3, table, [Derivation.zero(alg)] * 3)
 
 
+def gl_n(n: int) -> LieRinehart:
+    """gl_n over Q: basis E_ij at index i*n + j, with
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    alg = rationals()
+    rank = n * n
+    table = _zero_table(alg, rank)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    coeffs = [0] * rank
+                    if j == k:
+                        coeffs[i * n + l] += 1
+                    if l == i:
+                        coeffs[k * n + j] -= 1
+                    table[i * n + j][k * n + l] = tuple(alg.scalar(c) for c in coeffs)
+    return LieRinehart(alg, rank, table, [Derivation.zero(alg)] * rank)
+
+
+def heisenberg() -> LieRinehart:
+    """The Heisenberg algebra h3 over Q: [x, y] = z, z central."""
+    alg = rationals()
+    table = _zero_table(alg, 3)
+    table[0][1] = (alg.zero(), alg.zero(), alg.one())
+    table[1][0] = (alg.zero(), alg.zero(), -alg.one())
+    return LieRinehart(alg, 3, table, [Derivation.zero(alg)] * 3)
+
+
 def x_del(alg: CommAlg) -> Derivation:
     """x d/dx on a truncated polynomial base: x^i -> i x^i."""
     images = [alg.basis(i) * Fraction(i) for i in range(alg.dim)]

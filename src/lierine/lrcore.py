@@ -21,9 +21,13 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem, CommAlg, Derivation, der_bracket, derivation_validate
-from .exactla import RatMatrix, _frac, mat_rank
+from .exactla import RatMatrix, SparseMatrix, _frac, mat_rank
 from .reporting import Violation
 from .signs import sort_with_sign
+
+# compiled forms of the basis tables; see _bracket_table and _action_table
+BracketTable = Dict[Tuple[int, int], List[Tuple[int, List[Dict[int, Fraction]]]]]
+ActionTable = List[List[List[Tuple[int, Fraction]]]]
 
 
 class LieRinehart:
@@ -32,9 +36,11 @@ class LieRinehart:
     bracket[i][j] is the coefficient tuple (n AElems) of [e_i, e_j]; the
     table is stored literally, so antisymmetry is a checked axiom, not a
     storage convention.  anchor[i] is the derivation attached to e_i.
+    The axiom report and the compiled bracket table are computed on first
+    use and kept on the instance.
     """
 
-    __slots__ = ("alg", "rank", "bracket", "anchor", "_validation")
+    __slots__ = ("alg", "rank", "bracket", "anchor", "_validation", "_compiled")
 
     def __init__(self, alg: CommAlg, rank: int, bracket: Sequence, anchor: Sequence) -> None:
         if rank < 0:
@@ -64,7 +70,8 @@ class LieRinehart:
         self.rank = rank
         self.bracket = tuple(rows)
         self.anchor = tuple(anchor)
-        self._validation: Optional[List[Violation]] = None
+        self._validation: Optional[Tuple[Violation, ...]] = None
+        self._compiled: Optional[BracketTable] = None
 
     def lelem(self, coeffs: Sequence[AElem]) -> "LElem":
         return LElem(self, coeffs)
@@ -78,6 +85,8 @@ class LieRinehart:
         return LElem(self, self.bracket[i][j])
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, LieRinehart):
             return NotImplemented
         return (
@@ -253,12 +262,18 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
     return out
 
 
-def require_valid(lr: LieRinehart) -> None:
-    """Raise on the first axiom violation; validation result is cached."""
+def lr_violations(lr: LieRinehart) -> List[Violation]:
+    """The report of ``lr_validate``, computed once per structure."""
     if lr._validation is None:
-        lr._validation = lr_validate(lr)
-    if lr._validation:
-        raise ValueError(f"structure fails validation: {lr._validation[0]}")
+        lr._validation = tuple(lr_validate(lr))
+    return list(lr._validation)
+
+
+def require_valid(lr: LieRinehart) -> None:
+    """Raise on the first axiom violation."""
+    bad = lr_violations(lr)
+    if bad:
+        raise ValueError(f"structure fails validation: {bad[0]}")
 
 
 class LRModule:
@@ -266,10 +281,11 @@ class LRModule:
 
     action[i][j] is the element e_i . f_j as an m-tuple of AElems.  The
     table defines at least a connection; ``module_validate`` decides
-    whether it is flat (a genuine module).
+    whether it is flat (a genuine module).  The flatness verdict and the
+    compiled action table are computed on first use and kept.
     """
 
-    __slots__ = ("lr", "rank", "action", "_flat")
+    __slots__ = ("lr", "rank", "action", "_flat", "_compiled")
 
     def __init__(self, lr: LieRinehart, rank: int, action: Sequence) -> None:
         if rank < 0:
@@ -294,6 +310,7 @@ class LRModule:
         self.rank = rank
         self.action = tuple(rows)
         self._flat: Optional[bool] = None
+        self._compiled: Optional[ActionTable] = None
 
     def zero_vec(self) -> Tuple[AElem, ...]:
         return (self.lr.alg.zero(),) * self.rank
@@ -332,6 +349,8 @@ class LRModule:
         return self._flat
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, LRModule):
             return NotImplemented
         return self.lr == other.lr and self.rank == other.rank and self.action == other.action
@@ -568,48 +587,119 @@ def basis_forms(lr: LieRinehart, module: LRModule, q: int):
                 yield key, j, t
 
 
-def basis_form(lr: LieRinehart, module: LRModule, key, j: int, t: int) -> AltForm:
-    vec = [lr.alg.zero()] * module.rank
-    vec[j] = lr.alg.basis(t)
-    return AltForm(lr, module, len(key), {tuple(key): tuple(vec)})
-
-
 def alt_dim(lr: LieRinehart, module: LRModule, q: int) -> int:
     return comb(lr.rank, q) * module.rank * lr.alg.dim
 
 
-def _diff_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -> RatMatrix:
-    """Matrix of d: Alt^q -> Alt^{q+1} in the canonical rational basis."""
-    rows = alt_dim(lr, module, q + 1)
-    cols = alt_dim(lr, module, q)
-    index = {
-        (key, j, t): pos for pos, (key, j, t) in enumerate(basis_forms(lr, module, q + 1))
-    }
-    entries = [Fraction(0)] * (rows * cols)
-    for cpos, (key, j, t) in enumerate(basis_forms(lr, module, q)):
-        img = ce_differential(lr, module, basis_form(lr, module, key, j, t), formal=formal)
-        for ikey, vec in img.values.items():
-            for jj in range(module.rank):
-                for tt in range(lr.alg.dim):
-                    c = vec[jj].coeffs[tt]
-                    if c != 0:
-                        entries[index[(ikey, jj, tt)] * cols + cpos] = c
-    return RatMatrix(rows, cols, entries)
+def _bracket_table(lr: LieRinehart) -> BracketTable:
+    """[e_i, e_j] for i < j as its nonzero (k, mul) terms, k ascending,
+    where mul[t] = {s: c} is the product of the e_k coefficient with
+    algebra basis a_t.  Compiled once per structure."""
+    if lr._compiled is None:
+        alg = lr.alg
+        basis = [alg.basis(t) for t in range(alg.dim)]
+        table = {}
+        for i in range(lr.rank):
+            for j in range(i + 1, lr.rank):
+                terms = [
+                    (k, [_nonzeros((c * b).coeffs) for b in basis])
+                    for k, c in enumerate(lr.bracket[i][j])
+                    if not c.is_zero()
+                ]
+                if terms:
+                    table[(i, j)] = terms
+        lr._compiled = table
+    return lr._compiled
+
+
+def _action_table(m: LRModule) -> ActionTable:
+    """e_x . (a_t f_j), anchor and action together, on the Q-basis of the
+    module: table[x][j * dim + t] lists the nonzero (k * dim + s, c).
+    Compiled once per module."""
+    if m._compiled is None:
+        alg = m.lr.alg
+        table = []
+        for x in range(m.lr.rank):
+            images = []
+            for j in range(m.rank):
+                for t in range(alg.dim):
+                    vec = [alg.zero()] * m.rank
+                    vec[j] = alg.basis(t)
+                    coords = [c for a in m.act_basis(x, vec) for c in a.coeffs]
+                    images.append(sorted(_nonzeros(coords).items()))
+            table.append(images)
+        m._compiled = table
+    return m._compiled
+
+
+def _nonzeros(coeffs: Sequence[Fraction]) -> Dict[int, Fraction]:
+    return {s: c for s, c in enumerate(coeffs) if c != 0}
+
+
+def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -> SparseMatrix:
+    """Matrix of the cochain differential d: Alt^q -> Alt^{q+1}, rows and
+    columns in ``basis_forms`` order, built from the compiled tables.
+
+    Row (key, j, s) collects the terms of ``ce_differential`` at the sorted
+    tuple key: each x_i . w(..no x_i..) through the action table and each
+    w([x_i,x_j], ..) through the bracket table.  As there, a non-flat
+    action table needs formal=True.
+    """
+    if module.lr != lr:
+        raise ValueError("module parent mismatch")
+    if not formal and not module.is_flat():
+        raise ValueError("action table is not flat; pass formal=True for the formal operator")
+    n, dim = lr.rank, lr.alg.dim
+    width = module.rank * dim
+    start = {key: pos * width for pos, key in enumerate(combinations(range(n), q))}
+    actions = _action_table(module)
+    brackets = _bracket_table(lr)
+    entries: Dict[Tuple[int, int], Fraction] = {}
+    for rpos, key in enumerate(combinations(range(n), q + 1)):
+        row0 = rpos * width
+        for i, x in enumerate(key):
+            col0 = start[key[:i] + key[i + 1 :]]
+            positive = i % 2 == 0
+            for u, image in enumerate(actions[x]):
+                for v, c in image:
+                    at = (row0 + v, col0 + u)
+                    entries[at] = entries.get(at, 0) + (c if positive else -c)
+        for a in range(q + 1):
+            for b in range(a + 1, q + 1):
+                terms = brackets.get((key[a], key[b]))
+                if terms is None:
+                    continue
+                rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
+                for k, mul in terms:
+                    if k in rest:
+                        continue
+                    rkey, sign = sort_with_sign((k,) + rest)
+                    positive = ((a + b) % 2 == 0) == (sign == 1)
+                    col0 = start[rkey]
+                    for j in range(0, width, dim):
+                        for t, image in enumerate(mul):
+                            for s, c in image.items():
+                                at = (row0 + j + s, col0 + j + t)
+                                entries[at] = entries.get(at, 0) + (c if positive else -c)
+    return SparseMatrix(alt_dim(lr, module, q + 1), alt_dim(lr, module, q), entries)
 
 
 def ce_square_witness(lr: LieRinehart, module: LRModule, max_degree: Optional[int] = None):
-    """First basis form whose image under d.d is nonzero, or None.
+    """First basis form, as (q, key, j, t) in ``basis_forms`` order, whose
+    image under d.d is nonzero, or None.
 
     Works formally, so it is the tool for detecting curvature through the
     failure of d^2 = 0.
     """
     top = lr.rank if max_degree is None else min(max_degree, lr.rank)
+    lower = ce_matrix(lr, module, 0, formal=True)
     for q in range(top + 1):
-        for key, j, t in basis_forms(lr, module, q):
-            w = basis_form(lr, module, key, j, t)
-            dd = ce_differential(lr, module, ce_differential(lr, module, w, formal=True), formal=True)
-            if not dd.is_zero():
-                return (q, key, j, t)
+        upper = ce_matrix(lr, module, q + 1, formal=True)
+        dd = upper.matmul(lower)
+        if dd.entries:
+            col = min(c for _, c in dd.entries)
+            return (q, *list(basis_forms(lr, module, q))[col])
+        lower = upper
     return None
 
 
@@ -623,7 +713,7 @@ def cohomology_dims(lr: LieRinehart, module: LRModule, max_degree: int) -> List[
     if not module.is_flat():
         raise ValueError("coefficients are not flat; cohomology undefined")
     top = min(max_degree, lr.rank)
-    ranks = [mat_rank(_diff_matrix(lr, module, q)) for q in range(top + 1)]
+    ranks = [mat_rank(ce_matrix(lr, module, q)) for q in range(top + 1)]
     dims = []
     for q in range(top + 1):
         below = ranks[q - 1] if q > 0 else 0

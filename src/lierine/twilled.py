@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem
-from .exactla import RatMatrix, _frac, mat_rank
+from .exactla import SparseMatrix, _frac, mat_rank
 from .gerst import GeneratorOp, generator_to_connection
 from .lrcore import (
     AltForm,
@@ -48,7 +48,7 @@ from .lrcore import (
     dual_module,
     exterior_power,
     lr_bracket,
-    lr_validate,
+    lr_violations,
     tensor_line,
     trivial_coefficients,
 )
@@ -62,11 +62,15 @@ class AlmostTwilled:
     act_p_on_s[i][j] = e'_i . e''_j as a coefficient tuple over the
     L''-basis; act_s_on_p[i][j] = e''_i . e'_j over the L'-basis.  The
     tables are connection data; flatness of either action is a computed
-    property, not an assumption.  The coefficient modules of the
-    differentials are built on first use and kept on the pair.
+    property, not an assumption.  The two action modules are kept from
+    construction.  The combined structure, the coefficient modules of the
+    differentials and the semidirect dual pair (built in ``bialg``) are
+    built on first use and kept on the pair.
     """
 
-    __slots__ = ("alg", "lprime", "lsecond", "act_p_on_s", "act_s_on_p", "_modules")
+    __slots__ = (
+        "alg", "lprime", "lsecond", "act_p_on_s", "act_s_on_p", "_modules", "_sum", "_dual_pair"
+    )
 
     def __init__(
         self,
@@ -80,19 +84,25 @@ class AlmostTwilled:
         self.alg = lprime.alg
         self.lprime = lprime
         self.lsecond = lsecond
-        self.act_p_on_s = LRModule(lprime, lsecond.rank, act_p_on_s).action
-        self.act_s_on_p = LRModule(lsecond, lprime.rank, act_s_on_p).action
-        self._modules: Dict[Tuple, LRModule] = {}
+        on_second = LRModule(lprime, lsecond.rank, act_p_on_s)
+        on_prime = LRModule(lsecond, lprime.rank, act_s_on_p)
+        self.act_p_on_s = on_second.action
+        self.act_s_on_p = on_prime.action
+        self._modules: Dict[Tuple, LRModule] = {("on_second",): on_second, ("on_prime",): on_prime}
+        self._sum: Optional[LieRinehart] = None
+        self._dual_pair = None
 
     def module_on_second(self) -> LRModule:
         """L'' as a connection over L'."""
-        return LRModule(self.lprime, self.lsecond.rank, self.act_p_on_s)
+        return self._modules[("on_second",)]
 
     def module_on_prime(self) -> LRModule:
         """L' as a connection over L''."""
-        return LRModule(self.lsecond, self.lprime.rank, self.act_s_on_p)
+        return self._modules[("on_prime",)]
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, AlmostTwilled):
             return NotImplemented
         return (
@@ -107,7 +117,14 @@ class AlmostTwilled:
 
 
 def twilled_sum(t: AlmostTwilled) -> LieRinehart:
-    """The combined structure on L' + L'' (primed block first)."""
+    """The combined structure on L' + L'' (primed block first), built once
+    per pair."""
+    if t._sum is None:
+        t._sum = _build_sum(t)
+    return t._sum
+
+
+def _build_sum(t: AlmostTwilled) -> LieRinehart:
     np, ns = t.lprime.rank, t.lsecond.rank
     n = np + ns
     alg = t.alg
@@ -135,7 +152,7 @@ def twilled_sum(t: AlmostTwilled) -> LieRinehart:
 
 def is_twilled(t: AlmostTwilled) -> List[Violation]:
     """Axiom report for the combined bracket; empty iff twilled."""
-    return lr_validate(twilled_sum(t))
+    return lr_violations(twilled_sum(t))
 
 
 class Bigraded:
@@ -590,11 +607,11 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
     def labels_at(k: int) -> List[Tuple]:
         return [lab for lab in bigraded_labels(t) if len(lab[1]) + len(lab[2]) == k]
 
-    def diff_matrix(k: int) -> RatMatrix:
+    def diff_matrix(k: int) -> SparseMatrix:
         cols = labels_at(k)
         rows = labels_at(k + 1)
         index = {lab: pos for pos, lab in enumerate(rows)}
-        entries = [Fraction(0)] * (len(rows) * len(cols))
+        entries: Dict[Tuple[int, int], Fraction] = {}
         for cpos, (ta, ss, sp) in enumerate(cols):
             w = _label_elem(t, ta, ss, sp)
             image = dprime_form(t, w).values.items()
@@ -603,9 +620,9 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
                 for tt in range(t.alg.dim):
                     c = val.coeffs[tt]
                     if c != 0:
-                        rpos = index[(tt, kss, ksp)]
-                        entries[rpos * len(cols) + cpos] += c
-        return RatMatrix(len(rows), len(cols), entries)
+                        at = (index[(tt, kss, ksp)], cpos)
+                        entries[at] = entries.get(at, 0) + c
+        return SparseMatrix(len(rows), len(cols), entries)
 
     dims_total = []
     ranks = [mat_rank(diff_matrix(k)) for k in range(top + 1)]

@@ -11,6 +11,8 @@ from lierine.instances import (
     abelian,
     derx2,
     derx3,
+    gl_n,
+    heisenberg,
     line_with_connection,
     rationals,
     sl2,
@@ -295,6 +297,25 @@ class TestCohomology:
         lr = derx3()
         dims = cohomology_dims(lr, trivial_coefficients(lr), 2)
         assert dims == [1, 2, 1]
+
+    # closed forms independent of this code: trivial cohomology of gl_n is
+    # prod_{i<=n} (1 + t^(2i-1)) (Koszul 1950), and h3 has dims 1 2 2 1
+    def test_gl2_koszul(self):
+        lr = gl_n(2)
+        assert cohomology_dims(lr, trivial_coefficients(lr), 4) == [1, 1, 0, 1, 1]
+
+    def test_gl3_koszul(self):
+        lr = gl_n(3)
+        dims = cohomology_dims(lr, trivial_coefficients(lr), 9)
+        assert dims == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+
+    def test_gl4_koszul_through_degree_3(self):
+        lr = gl_n(4)
+        assert cohomology_dims(lr, trivial_coefficients(lr), 3) == [1, 1, 0, 1]
+
+    def test_heisenberg_dims(self):
+        lr = heisenberg()
+        assert cohomology_dims(lr, trivial_coefficients(lr), 3) == [1, 2, 2, 1]
 
     def test_beyond_rank_zero(self):
         lr = derx2()

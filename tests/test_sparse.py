@@ -1,0 +1,208 @@
+"""The sparse cochain differential and the sparse rank against references
+that compute the same objects another way: the differential one basis
+form at a time through ce_differential, and dense echelon rank."""
+
+from fractions import Fraction
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lierine.calgebra import Derivation
+from lierine.cli import parse_instance
+from lierine.exactla import RatMatrix, SparseMatrix, _echelon, mat_rank
+from lierine.instances import derx3, line_with_connection, truncated_poly
+from lierine.lrcore import (
+    AltForm,
+    LieRinehart,
+    LRModule,
+    alt_dim,
+    basis_forms,
+    ce_differential,
+    ce_matrix,
+    ce_square_witness,
+    dual_module,
+    exterior_power,
+    trivial_coefficients,
+)
+from lierine.twilled import twilled_sum
+
+
+def reference_matrix(lr, module, q, formal=False) -> RatMatrix:
+    """d_q column by column: ce_differential of each basis form, scattered
+    into a dense matrix."""
+    rows, cols = alt_dim(lr, module, q + 1), alt_dim(lr, module, q)
+    index = {label: pos for pos, label in enumerate(basis_forms(lr, module, q + 1))}
+    entries = [Fraction(0)] * (rows * cols)
+    for cpos, (key, j, t) in enumerate(basis_forms(lr, module, q)):
+        vec = [lr.alg.zero()] * module.rank
+        vec[j] = lr.alg.basis(t)
+        w = AltForm(lr, module, q, {key: tuple(vec)})
+        for ikey, img in ce_differential(lr, module, w, formal=formal).values.items():
+            for jj, c in enumerate(img):
+                for tt, x in enumerate(c.coeffs):
+                    if x != 0:
+                        entries[index[(ikey, jj, tt)] * cols + cpos] = x
+    return RatMatrix(rows, cols, entries)
+
+
+def nonzeros(m: RatMatrix):
+    return {
+        (i, j): m.entry(i, j) for i in range(m.rows) for j in range(m.cols) if m.entry(i, j) != 0
+    }
+
+
+def assert_matches_reference(lr, module, formal=True):
+    for q in range(lr.rank + 1):
+        sparse = ce_matrix(lr, module, q, formal=formal)
+        dense = reference_matrix(lr, module, q, formal=formal)
+        assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols), q
+        assert sparse.entries == nonzeros(dense), q
+
+
+def fixture_structures():
+    """Every structure in the shipped fixture files, and the combined
+    structure of every pair there."""
+    out = []
+    folder = resources.files("lierine") / "fixtures"
+    for path in sorted(folder.iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".lri"):
+            continue
+        inst = parse_instance(str(path))
+        for name in inst.lrs:
+            out.append((f"{path.name}:{name}", inst.lr(name)))
+        for name in inst.twilleds:
+            out.append((f"{path.name}:{name}", twilled_sum(inst.build_twilled(name))))
+    return out
+
+
+FIXTURE_STRUCTURES = fixture_structures()
+
+
+def coefficient_modules(lr):
+    """Trivial coefficients, a line, and the dual and Lambda^2 of the
+    bracket table read as an action; the last three are connections in
+    general, so the matrices are compared formally."""
+    alg = lr.alg
+    omega = [alg.basis(i % alg.dim) * Fraction(i + 1) for i in range(lr.rank)]
+    adjoint = LRModule(lr, lr.rank, lr.bracket)
+    return {
+        "trivial": trivial_coefficients(lr),
+        "line": line_with_connection(lr, omega),
+        "dual": dual_module(adjoint),
+        "exterior": exterior_power(adjoint, 2),
+    }
+
+
+@pytest.mark.parametrize("kind", ["trivial", "line", "dual", "exterior"])
+@pytest.mark.parametrize("name,lr", FIXTURE_STRUCTURES, ids=[n for n, _ in FIXTURE_STRUCTURES])
+def test_ce_matrix_matches_reference_on_fixtures(name, lr, kind):
+    assert_matches_reference(lr, coefficient_modules(lr)[kind])
+
+
+def test_ce_matrix_flat_coefficients_need_no_flag():
+    lr = derx3()
+    m = trivial_coefficients(lr)
+    for q in range(lr.rank + 1):
+        assert ce_matrix(lr, m, q) == ce_matrix(lr, m, q, formal=True)
+
+
+def test_ce_matrix_refuses_curved_coefficients_unless_formal():
+    lr = derx3()
+    m = line_with_connection(lr, [lr.alg.basis(1), lr.alg.zero()])
+    with pytest.raises(ValueError):
+        ce_matrix(lr, m, 0)
+    ce_matrix(lr, m, 0, formal=True)
+
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+def sparse_elem(draw, alg):
+    return alg.elem([draw(st.sampled_from([0, 0, 1, -1])) * draw(SMALL) for _ in range(alg.dim)])
+
+
+@st.composite
+def random_tables(draw):
+    """An arbitrary bracket table, anchor matrices and action table over
+    Q[x]/(x^k); none of the axioms need hold for the formal operator."""
+    alg = truncated_poly(draw(st.integers(1, 3)))
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 2))
+    bracket = [[[sparse_elem(draw, alg) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    anchor = [
+        Derivation(alg, RatMatrix(alg.dim, alg.dim, [draw(SMALL) for _ in range(alg.dim ** 2)]))
+        for _ in range(n)
+    ]
+    lr = LieRinehart(alg, n, bracket, anchor)
+    action = [[[sparse_elem(draw, alg) for _ in range(r)] for _ in range(r)] for _ in range(n)]
+    return lr, LRModule(lr, r, action)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_tables())
+def test_ce_matrix_matches_reference_on_random_tables(p):
+    lr, m = p
+    assert_matches_reference(lr, m)
+
+
+class TestSquareWitness:
+    def test_curved_line_on_derx3(self):
+        lr = derx3()
+        m = line_with_connection(lr, [lr.alg.basis(1), lr.alg.zero()])
+        assert ce_square_witness(lr, m) == (0, (), 0, 0)
+
+    def test_witness_names_the_curved_slot(self):
+        # f_0 is a flat summand, f_1 carries omega = (x, 0)
+        lr = derx3()
+        a = lr.alg
+        z = a.zero()
+        m = LRModule(lr, 2, [[(z, z), (z, a.basis(1))], [(z, z), (z, z)]])
+        assert ce_square_witness(lr, m) == (0, (), 1, 0)
+        assert ce_square_witness(lr, m, 0) == (0, (), 1, 0)
+
+    def test_flat_line_has_none(self):
+        lr = derx3()
+        m = line_with_connection(lr, [lr.alg.zero(), lr.alg.basis(1)])
+        assert ce_square_witness(lr, m) is None
+
+
+@st.composite
+def sparse_rational_matrix(draw):
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    ents = [
+        draw(st.sampled_from([0, 0, 0, 1])) * draw(st.fractions(-4, 4, max_denominator=5))
+        for _ in range(rows * cols)
+    ]
+    return RatMatrix(rows, cols, ents)
+
+
+def to_sparse(m: RatMatrix) -> SparseMatrix:
+    return SparseMatrix(m.rows, m.cols, nonzeros(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_rational_matrix())
+def test_sparse_rank_equals_dense_echelon_rank(m):
+    expected = len(_echelon(m)[1])
+    assert mat_rank(m) == expected
+    assert mat_rank(to_sparse(m)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_rational_matrix(), st.integers(0, 7), st.data())
+def test_sparse_product_equals_dense_product(a, cols, data):
+    b = data.draw(st.builds(lambda ents: RatMatrix(a.cols, cols, ents), st.lists(
+        st.fractions(-3, 3, max_denominator=3), min_size=a.cols * cols, max_size=a.cols * cols)))
+    assert to_sparse(a).matmul(to_sparse(b)).entries == nonzeros(a.matmul(b))
+
+
+def test_sparse_matrix_drops_zeros_and_checks_bounds():
+    m = SparseMatrix(2, 2, {(0, 0): 0, (1, 0): Fraction(1, 2)})
+    assert m.entries == {(1, 0): Fraction(1, 2)}
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 2, {(2, 0): 1})
+    with pytest.raises(TypeError):
+        SparseMatrix(1, 1, {(0, 0): 0.5})
