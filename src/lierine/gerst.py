@@ -8,12 +8,16 @@ bracket extends the degree-1 bracket through the biderivation rules
     [x, a]     = x(a)
     [a, u]     = (-1)^{|u|} [u, a]
 
-which both terminate the recursion and pin every sign.  Generators are
-degree -1 operators reproducing the bracket through the defect of the
-Leibniz rule; they correspond to connections on the top exterior power
-via conjugation by the contraction isomorphism.  The per-degree sign
-s(p) = (-1)^p in that conjugation is forced by the generator identity;
-see the test suite for the exhaustive sign-family search that pins it.
+which both terminate the recursion and pin every sign.  The recursion,
+``_bracket_terms``, is the only one in the package: it runs on terms
+keyed (outer form slots, inner subset) and also gives the crossed bracket
+on Alt(L'', Lambda L') of ``twilled``.  Lambda L is the case L'' = 0,
+where every outer key is empty.  Generators are degree -1 operators
+reproducing the bracket through the defect of the Leibniz rule; they
+correspond to connections on the top exterior power via conjugation by
+the contraction isomorphism.  The per-degree sign s(p) = (-1)^p in that
+conjugation is forced by the generator identity; see the test suite for
+the exhaustive sign-family search that pins it.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .lrcore import (
     LElem,
     LieRinehart,
     LRModule,
+    _bracket_vectors,
     ce_differential,
-    lr_bracket,
 )
 from .instances import line_with_connection
 from .reporting import Violation
@@ -126,98 +130,112 @@ class Multivector:
         return "Multivector(" + ", ".join(parts) + ")"
 
 
+def _terms(u: Multivector) -> Dict:
+    """The terms of u keyed (outer, inner), with every outer key empty."""
+    return {((), k): c for k, c in u.values.items()}
+
+
+def _from_terms(lr: LieRinehart, terms: Dict) -> Multivector:
+    return Multivector(lr, {k: c for (_, k), c in terms.items()})
+
+
 def wedge(u: Multivector, v: Multivector) -> Multivector:
     u._same(v)
-    out: Dict[Tuple[int, ...], AElem] = {}
-    for s, a in u.values.items():
-        for t, b in v.values.items():
-            ms = merge_sign(s, t)
-            if ms is None:
+    out: Dict = {}
+    _product_into(_terms(u), _terms(v), 1, out)
+    return _from_terms(u.lr, out)
+
+
+def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:
+    """out += sign * left . right for term dicts {(outer, inner): coefficient},
+    each term pair carrying (-1)^{p_left q_right} times the merge signs."""
+    for (ss1, sp1), a in left.items():
+        for (ss2, sp2), b in right.items():
+            mo = merge_sign(ss1, ss2)
+            if mo is None:
                 continue
-            key, sign = ms
-            c = a * b if sign == 1 else -(a * b)
-            out[key] = out.get(key, u.lr.alg.zero()) + c
-    return Multivector(u.lr, out)
+            mi = merge_sign(sp1, sp2)
+            if mi is None:
+                continue
+            kss, so = mo
+            ksp, si = mi
+            cross = 1 if (len(sp1) * len(ss2)) % 2 == 0 else -1
+            val = a * b
+            key = (kss, ksp)
+            cur = out.get(key)
+            add = val if sign * cross * so * si == 1 else -val
+            out[key] = add if cur is None else cur + add
 
 
-def _add_term(out: Dict, key: Tuple[int, ...], c: AElem) -> None:
-    if key in out:
-        out[key] = out[key] + c
+def _split(a: AElem, outer: Tuple[int, ...], inner: Tuple[int, ...]):
+    """A product x . y = a (outer, inner) of lower factors with the sign
+    (-1)^{|x||y|}, or None for a single vector or a pure form."""
+    if outer and inner:
+        x, y, dx, dy = {(outer, ()): a}, {((), inner): a.alg.one()}, len(outer), len(inner)
+    elif len(inner) >= 2:
+        x, y, dx, dy = {((), inner[:1]): a}, {((), inner[1:]): a.alg.one()}, 1, len(inner) - 1
     else:
-        out[key] = c
+        return None
+    return x, y, 1 if (dx * dy) % 2 == 0 else -1
 
 
-def _wedge_into(lr: LieRinehart, a: AElem, s: Tuple[int, ...], terms: Dict, sign: int, out: Dict) -> None:
-    """out += sign * (a e_s) ^ terms."""
-    for t, b in terms.items():
-        ms = merge_sign(s, t)
-        if ms is None:
-            continue
-        key, msign = ms
-        c = a * b
-        _add_term(out, key, c if sign * msign == 1 else -c)
+def _bracket_terms(lr: LieRinehart, left: Dict, right: Dict, lie=None) -> Dict:
+    """[left, right] for term dicts {(outer, inner): coefficient}: inner
+    subsets index exterior factors of lr, outer subsets index form slots.
+
+    The biderivation rules with total degrees
+        [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v]
+        [u, x y] = [u, x] y + x [u, y]               (u of degree one)
+        [u, v]   = -(-1)^{(|u|-1)(|v|-1)} [v, u]
+    split every term down to three base cases: two pure forms bracket to
+    zero, a vector a e_i on b times the form of outer slots S gives
+    a e_i . (b e*_S), and [a e_i, b e_j] comes from the compiled
+    degree-one table.  With S empty the action is the anchor; otherwise
+    lie(i, b, S) supplies it as {outer subset: coefficient}.  When every
+    outer key is empty this is the Schouten bracket of lr.
+    """
+    out: Dict = {}
+    for (o1, i1), a in left.items():
+        for (o2, i2), b in right.items():
+            _bracket_into(lr, lie, a, o1, i1, b, o2, i2, 1, out)
+    return out
 
 
-def _term_bracket(lr: LieRinehart, a: AElem, s: Tuple[int, ...], b: AElem, t: Tuple[int, ...], out: Dict) -> None:
-    """out += [a e_s, b e_t], by structural recursion on the factors."""
-    p, q = len(s), len(t)
-    if p == 0 and q == 0:
+def _bracket_into(lr: LieRinehart, lie, a, o1, i1, b, o2, i2, sign: int, out: Dict) -> None:
+    """out += sign [a (o1, i1), b (o2, i2)]; see _bracket_terms."""
+    if not i1:
+        if i2:
+            flip = -1 if ((len(o1) - 1) * (len(o2) + len(i2) - 1)) % 2 == 0 else 1
+            _bracket_into(lr, lie, b, o2, i2, a, o1, i1, sign * flip, out)
         return
-    if p == 0:
-        tmp: Dict = {}
-        _term_bracket(lr, b, t, a, (), tmp)
-        sign = 1 if q % 2 == 0 else -1
-        for k, c in tmp.items():
-            _add_term(out, k, c if sign == 1 else -c)
+    u, v = {(o1, i1): a}, {(o2, i2): b}
+    split = _split(a, o1, i1)
+    if split is not None:
+        x, y, sxy = split
+        _product_into(x, _bracket_terms(lr, y, v, lie), sign, out)
+        _product_into(y, _bracket_terms(lr, x, v, lie), sign * sxy, out)
         return
-    if q == 0:
-        for pos in range(p):
-            c = a * lr.anchor[s[pos]].apply(b)
-            if c.is_zero():
-                continue
-            sign = 1 if (p - 1 - pos) % 2 == 0 else -1
-            _add_term(out, s[:pos] + s[pos + 1 :], c if sign == 1 else -c)
+    i = i1[0]
+    if not i2:
+        action = lie(i, b, o2) if o2 else {(): lr.anchor[i].apply(b)}
+        _product_into({((), ()): a}, {(k, ()): c for k, c in action.items()}, sign, out)
         return
-    if p == 1:
-        if q == 1:
-            x = [lr.alg.zero()] * lr.rank
-            x[s[0]] = a
-            y = [lr.alg.zero()] * lr.rank
-            y[t[0]] = b
-            w = lr_bracket(lr, LElem(lr, x), LElem(lr, y))
-            for k, c in enumerate(w.coeffs):
-                if not c.is_zero():
-                    _add_term(out, (k,), c)
-            return
-        head, rest = (t[0],), t[1:]
-        tmp1: Dict = {}
-        _term_bracket(lr, a, s, b, head, tmp1)
-        for k, c in tmp1.items():
-            _wedge_into(lr, c, k, {rest: lr.alg.one()}, 1, out)
-        tmp2: Dict = {}
-        _term_bracket(lr, a, s, lr.alg.one(), rest, tmp2)
-        _wedge_into(lr, b, head, tmp2, 1, out)
+    split = _split(b, o2, i2)
+    if split is not None:
+        x, y, _ = split
+        _product_into(_bracket_terms(lr, u, x, lie), y, sign, out)
+        _product_into(x, _bracket_terms(lr, u, y, lie), sign, out)
         return
-    head, rest = (s[0],), s[1:]
-    tmp1 = {}
-    _term_bracket(lr, lr.alg.one(), rest, b, t, tmp1)
-    _wedge_into(lr, a, head, tmp1, 1, out)
-    tmp2 = {}
-    _term_bracket(lr, a, head, b, t, tmp2)
-    sign = 1 if (p - 1) % 2 == 0 else -1
-    for k, c in tmp2.items():
-        _wedge_into(lr, lr.alg.one(), rest, {k: c}, sign, out)
+    for k, vec in _bracket_vectors(lr, {i: a.coeffs}, {i2[0]: b.coeffs}, sign=sign).items():
+        key = ((), (k,))
+        c = lr.alg.elem(vec)
+        out[key] = c if key not in out else out[key] + c
 
 
 def schouten_bracket(u: Multivector, v: Multivector) -> Multivector:
     """Bracket on the exterior algebra, rational-bilinear over terms."""
     u._same(v)
-    lr = u.lr
-    out: Dict[Tuple[int, ...], AElem] = {}
-    for s, a in u.values.items():
-        for t, b in v.values.items():
-            _term_bracket(lr, a, s, b, t, out)
-    return Multivector(lr, out)
+    return _from_terms(u.lr, _bracket_terms(u.lr, _terms(u), _terms(v)))
 
 
 def _basis_multivectors(lr: LieRinehart, max_degree: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
@@ -368,44 +386,52 @@ def contraction_inverse(lr: LieRinehart, w: AltForm) -> Multivector:
 
 
 class GeneratorOp:
-    """Degree -1 operator tabulated on the rational basis of the exterior
-    algebra; rational-linear extension is the only extension used."""
+    """Rational-linear operator tabulated on basis labels: (t, subset) on
+    the multivectors of a structure, (t, outer, inner) on the bigraded
+    carrier of a pair.  Every entry lowers the inner degree by one and
+    keeps the outer degree."""
 
-    __slots__ = ("lr", "table")
+    __slots__ = ("parent", "table")
 
-    def __init__(self, lr: LieRinehart, table: Dict) -> None:
-        self.lr = lr
-        norm: Dict[Tuple[int, Tuple[int, ...]], Multivector] = {}
-        for (t, key), mv in table.items():
-            k = tuple(key)
-            if mv.lr != lr:
+    def __init__(self, parent, table: Dict) -> None:
+        norm: Dict[Tuple, object] = {}
+        for (t, *keys), val in table.items():
+            label = (t, *map(tuple, keys))
+            outer, inner = label[1:] if len(label) == 3 else ((), label[1])
+            if (val.lr if isinstance(val, Multivector) else val.t) != parent:
                 raise ValueError("table value parent mismatch")
-            d = mv.pure_degree()
-            if d is not None and d != len(k) - 1:
-                raise ValueError(f"table entry ({t},{k}) does not lower degree by 1")
-            norm[(t, k)] = mv
+            terms = _terms(val) if isinstance(val, Multivector) else val.values
+            if any(len(o) != len(outer) or len(i) != len(inner) - 1 for o, i in terms):
+                raise ValueError(f"table entry {label} does not lower the inner degree by 1")
+            norm[label] = val
+        self.parent = parent
         self.table = norm
 
-    def apply(self, u: Multivector) -> Multivector:
-        if u.lr != self.lr:
+    def apply(self, u):
+        """The table extended rational-linearly over the terms of u."""
+        flat = isinstance(u, Multivector)
+        if (u.lr if flat else u.t) != self.parent:
             raise ValueError("parent mismatch")
-        out = Multivector.zero(self.lr)
+        out: Dict = {}
         for key, a in u.values.items():
             for t, q in enumerate(a.coeffs):
-                if q == 0:
+                entry = self.table.get((t, key) if flat else (t, *key)) if q != 0 else None
+                if entry is None:
                     continue
-                entry = self.table.get((t, key))
-                if entry is not None:
-                    out = out.add(entry.scale(q))
-        return out
+                for k, c in entry.values.items():
+                    out[k] = c * q if k not in out else out[k] + c * q
+        if flat:
+            return Multivector(self.parent, out)
+        # a bigraded element: the result sits one inner degree lower
+        return type(u)(self.parent, u.qdeg, max(u.pdeg - 1, 0), out)
 
-    def inputs(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    def inputs(self) -> Iterator[Tuple]:
         return iter(sorted(self.table))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneratorOp):
             return NotImplemented
-        return self.lr == other.lr and self.table == other.table
+        return self.parent == other.parent and self.table == other.table
 
 
 def generator_from_connection(lr: LieRinehart, c: TopConnection, _signs: Optional[Dict[int, int]] = None) -> GeneratorOp:
@@ -443,7 +469,7 @@ def generator_validate(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:
         [u,v] = (-1)^{|u|} ( D(u^v) - (Du)^v - (-1)^{|u|} u^(Dv) )
 
     on all rational basis pairs; first witness reported."""
-    if g.lr != lr:
+    if g.parent != lr:
         raise ValueError("parent mismatch")
     labels = list(_basis_multivectors(lr, lr.rank))
     for t1, k1 in labels:
@@ -465,7 +491,7 @@ def generator_square(g: GeneratorOp) -> Tuple[bool, Optional[Tuple[int, Tuple[in
     """(True, None) when D.D kills every tabulated input, else the first
     witnessing input label."""
     for t, key in g.inputs():
-        u = _label_mv(g.lr, t, key)
+        u = _label_mv(g.parent, t, key)
         if not g.apply(g.apply(u)).is_zero():
             return False, (t, key)
     return True, None

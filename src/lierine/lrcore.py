@@ -25,8 +25,9 @@ from .exactla import RatMatrix, SparseMatrix, _frac, mat_rank
 from .reporting import Violation
 from .signs import sort_with_sign
 
-# compiled forms of the basis tables; see _bracket_table and _action_table
+# compiled forms of the basis tables; see _compiled_tables and _action_table
 BracketTable = Dict[Tuple[int, int], List[Tuple[int, List[Dict[int, Fraction]]]]]
+DegreeOneTable = Dict[Tuple[int, int], List[List[List[Tuple[int, Tuple[Fraction, ...]]]]]]
 ActionTable = List[List[List[Tuple[int, Fraction]]]]
 
 
@@ -36,7 +37,7 @@ class LieRinehart:
     bracket[i][j] is the coefficient tuple (n AElems) of [e_i, e_j]; the
     table is stored literally, so antisymmetry is a checked axiom, not a
     storage convention.  anchor[i] is the derivation attached to e_i.
-    The axiom report and the compiled bracket table are computed on first
+    The axiom report and the compiled bracket tables are computed on first
     use and kept on the instance.
     """
 
@@ -71,7 +72,7 @@ class LieRinehart:
         self.bracket = tuple(rows)
         self.anchor = tuple(anchor)
         self._validation: Optional[Tuple[Violation, ...]] = None
-        self._compiled: Optional[BracketTable] = None
+        self._compiled: Optional[Tuple[BracketTable, DegreeOneTable]] = None
 
     def lelem(self, coeffs: Sequence[AElem]) -> "LElem":
         return LElem(self, coeffs)
@@ -240,17 +241,16 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
         if done:
             break
 
+    e = [{i: lr.alg.one().coeffs} for i in range(n)]
     done = False
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                ei, ej, ek = lr.basis_l(i), lr.basis_l(j), lr.basis_l(k)
-                jac = (
-                    lr_bracket(lr, ei, lr_bracket(lr, ej, ek))
-                    - lr_bracket(lr, lr_bracket(lr, ei, ej), ek)
-                    - lr_bracket(lr, ej, lr_bracket(lr, ei, ek))
-                )
-                if not jac.is_zero():
+                jac: Dict[int, List[Fraction]] = {}
+                _bracket_vectors(lr, e[i], _bracket_vectors(lr, e[j], e[k]), jac)
+                _bracket_vectors(lr, _bracket_vectors(lr, e[i], e[j]), e[k], jac, -1)
+                _bracket_vectors(lr, e[j], _bracket_vectors(lr, e[i], e[k]), jac, -1)
+                if any(c != 0 for vec in jac.values() for c in vec):
                     out.append(Violation("jacobi", (i, j, k), "Jacobi identity fails"))
                     done = True
                     break
@@ -553,7 +553,7 @@ def ce_differential(lr: LieRinehart, module: LRModule, w: AltForm, formal: bool 
         for i, xi in enumerate(key):
             vec = values.get(key[:i] + key[i + 1 :])
             if vec is not None:
-                total = _accumulate(total, module.act_basis(xi, vec), i % 2 == 0)
+                total = _signed_sum(total, module.act_basis(xi, vec), i % 2 == 0)
         for i in range(q + 1):
             for j in range(i + 1, q + 1):
                 rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
@@ -564,13 +564,13 @@ def ce_differential(lr: LieRinehart, module: LRModule, w: AltForm, formal: bool 
                     vec = values.get(rkey)
                     if vec is not None:
                         positive = ((i + j) % 2 == 0) == (sign == 1)
-                        total = _accumulate(total, [ck * b for b in vec], positive)
+                        total = _signed_sum(total, [ck * b for b in vec], positive)
         if total is not None:
             out[key] = tuple(total)
     return AltForm(lr, module, q + 1, out)
 
 
-def _accumulate(total: Optional[List[AElem]], vec: Sequence[AElem], positive: bool) -> List[AElem]:
+def _signed_sum(total: Optional[List[AElem]], vec: Sequence[AElem], positive: bool) -> List[AElem]:
     """total + vec or total - vec, with None standing for zero."""
     if total is None:
         return list(vec) if positive else [-b for b in vec]
@@ -591,14 +591,20 @@ def alt_dim(lr: LieRinehart, module: LRModule, q: int) -> int:
     return comb(lr.rank, q) * module.rank * lr.alg.dim
 
 
-def _bracket_table(lr: LieRinehart) -> BracketTable:
-    """[e_i, e_j] for i < j as its nonzero (k, mul) terms, k ascending,
-    where mul[t] = {s: c} is the product of the e_k coefficient with
-    algebra basis a_t.  Compiled once per structure."""
+def _compiled_tables(lr: LieRinehart) -> Tuple[BracketTable, DegreeOneTable]:
+    """The basis tables of a structure, compiled once and kept on it.
+
+    The bracket table holds [e_i, e_j] for i < j as its nonzero (k, mul)
+    terms, k ascending, where mul[t] = {s: c} is the product of the e_k
+    coefficient with algebra basis a_t.  The degree-one table holds the
+    full Leibniz expansion on the Q-basis: ones[(i, j)][s][t] lists the
+    nonzero (k, coefficients) of [a_s e_i, a_t e_j] for every ordered
+    pair, read off the literal table so antisymmetry is not assumed.
+    """
     if lr._compiled is None:
         alg = lr.alg
         basis = [alg.basis(t) for t in range(alg.dim)]
-        table = {}
+        brackets = {}
         for i in range(lr.rank):
             for j in range(i + 1, lr.rank):
                 terms = [
@@ -607,9 +613,51 @@ def _bracket_table(lr: LieRinehart) -> BracketTable:
                     if not c.is_zero()
                 ]
                 if terms:
-                    table[(i, j)] = terms
-        lr._compiled = table
+                    brackets[(i, j)] = terms
+        ones = {
+            (i, j): [[_leibniz(lr, i, x, j, y) for y in basis] for x in basis]
+            for i in range(lr.rank)
+            for j in range(lr.rank)
+        }
+        lr._compiled = (brackets, ones)
     return lr._compiled
+
+
+def _leibniz(lr: LieRinehart, i: int, x: AElem, j: int, y: AElem) -> List[Tuple[int, Tuple[Fraction, ...]]]:
+    """[x e_i, y e_j] = xy [e_i, e_j] + x rho(e_i)(y) e_j - y rho(e_j)(x) e_i."""
+    xy = x * y
+    out = [xy * c if not c.is_zero() else c for c in lr.bracket[i][j]]
+    out[j] = out[j] + x * lr.anchor[i].apply(y)
+    out[i] = out[i] - y * lr.anchor[j].apply(x)
+    return [(k, c.coeffs) for k, c in enumerate(out) if not c.is_zero()]
+
+
+def _bracket_vectors(
+    lr: LieRinehart, u: Dict, v: Dict, out: Optional[Dict] = None, sign: int = 1
+) -> Dict[int, List[Fraction]]:
+    """out += sign [u, v] for elements given as {basis index: coefficient
+    vector}, summed Q-bilinearly from the compiled degree-one table."""
+    ones = _compiled_tables(lr)[1]
+    if out is None:
+        out = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            rows = ones[(i, j)]
+            for s, xs in enumerate(x):
+                if xs == 0:
+                    continue
+                for t, yt in enumerate(y):
+                    if yt == 0:
+                        continue
+                    w = xs * yt if sign == 1 else -xs * yt
+                    for k, vec in rows[s][t]:
+                        acc = out.get(k)
+                        if acc is None:
+                            out[k] = [w * c for c in vec]
+                        else:
+                            for r, c in enumerate(vec):
+                                acc[r] += w * c
+    return out
 
 
 def _action_table(m: LRModule) -> ActionTable:
@@ -653,7 +701,7 @@ def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -
     width = module.rank * dim
     start = {key: pos * width for pos, key in enumerate(combinations(range(n), q))}
     actions = _action_table(module)
-    brackets = _bracket_table(lr)
+    brackets = _compiled_tables(lr)[0]
     entries: Dict[Tuple[int, int], Fraction] = {}
     for rpos, key in enumerate(combinations(range(n), q + 1)):
         row0 = rpos * width

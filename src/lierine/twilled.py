@@ -11,7 +11,9 @@ set.  Twilledness is equivalent to square and compatibility conditions
 on a pair of formal differentials d' and d'' acting on bigraded forms,
 and to the crossed bracket on Alt(L'', Lambda L') being compatible with
 d''.  Every equivalence here is checked in both directions on concrete
-instances, never assumed.
+instances, never assumed.  The crossed bracket is the biderivation
+recursion of ``gerst`` with outer slots; with L'' = 0 it is the Schouten
+bracket of L'.
 
 Each differential is lrcore's cochain differential of one constituent,
 applied to a bigraded element read as a form on that constituent with
@@ -32,22 +34,22 @@ calibrates the pair globally.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem
 from .exactla import SparseMatrix, _frac, mat_rank
-from .gerst import GeneratorOp, generator_to_connection
+from .gerst import GeneratorOp, _bracket_terms, _product_into, generator_to_connection
 from .lrcore import (
     AltForm,
-    LElem,
     LieRinehart,
     LRModule,
+    _action_table,
     ce_differential,
     cohomology_dims,
     dual_module,
     exterior_power,
-    lr_bracket,
     lr_violations,
     tensor_line,
     trivial_coefficients,
@@ -268,27 +270,6 @@ def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
     return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, out)
 
 
-def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:
-    """out += sign * left . right for term dicts {(outer, inner): coefficient},
-    each term pair carrying (-1)^{p_left q_right} times the merge signs."""
-    for (ss1, sp1), a in left.items():
-        for (ss2, sp2), b in right.items():
-            mo = merge_sign(ss1, ss2)
-            if mo is None:
-                continue
-            mi = merge_sign(sp1, sp2)
-            if mi is None:
-                continue
-            kss, so = mo
-            ksp, si = mi
-            cross = 1 if (len(sp1) * len(ss2)) % 2 == 0 else -1
-            val = a * b
-            key = (kss, ksp)
-            cur = out.get(key)
-            add = val if sign * cross * so * si == 1 else -val
-            out[key] = add if cur is None else cur + add
-
-
 def _cached_module(t: AlmostTwilled, key: Tuple, build) -> LRModule:
     """Coefficient modules are built once per pair and kept on it."""
     m = t._modules.get(key)
@@ -372,106 +353,30 @@ def dsecond_multi(t: AlmostTwilled, w: Bigraded) -> Bigraded:
     return _ce_bigraded(t, w, True, module)
 
 
-def _accum(out: Dict, terms: Dict, sign: int) -> None:
-    for k, c in terms.items():
-        cur = out.get(k)
-        add = c if sign == 1 else -c
-        out[k] = add if cur is None else cur + add
-
-
-def _lie_term(t: AlmostTwilled, a: AElem, i: int, b: AElem, ss2, out: Dict) -> None:
-    """out += a * (e'_i . (b e''*_{ss2})) (x) 1, the Lie derivative of an
-    outer form along a basis vector of L': the action on d' coefficients."""
-    slots = list(combinations(range(t.lsecond.rank), len(ss2)))
-    vec = [t.alg.zero()] * len(slots)
-    vec[slots.index(tuple(ss2))] = b
-    for T, c in zip(slots, _dprime_module(t, len(ss2)).act_basis(i, vec)):
-        if not c.is_zero():
-            key = (T, ())
-            cur = out.get(key)
-            out[key] = a * c if cur is None else cur + a * c
-
-
-def _cb_term(t: AlmostTwilled, a: AElem, ss1, sp1, b: AElem, ss2, sp2, out: Dict) -> None:
-    """out += [a e''*_{ss1} (x) e'_{sp1}, b e''*_{ss2} (x) e'_{sp2}],
-    by splitting factors through the biderivation rules with total
-    degrees until the anchor, Lie-derivative, and degree-one bracket
-    base cases are reached."""
-    p1, q1 = len(sp1), len(ss1)
-    p2, q2 = len(sp2), len(ss2)
-    if p1 == 0 and p2 == 0:
-        return
-    if p1 == 0:
-        tmp: Dict = {}
-        _cb_term(t, b, ss2, sp2, a, ss1, sp1, tmp)
-        sign = -1 if ((q1 - 1) * (q2 + p2 - 1)) % 2 == 0 else 1
-        _accum(out, tmp, sign)
-        return
-    if q1 > 0:
-        tmp1: Dict = {}
-        _cb_term(t, t.alg.one(), (), sp1, b, ss2, sp2, tmp1)
-        _product_into({(ss1, ()): a}, tmp1, 1, out)
-        tmp2: Dict = {}
-        _cb_term(t, a, ss1, (), b, ss2, sp2, tmp2)
-        sign = 1 if (q1 * p1) % 2 == 0 else -1
-        _product_into({((), sp1): t.alg.one()}, tmp2, sign, out)
-        return
-    if p1 >= 2:
-        head, rest = (sp1[0],), sp1[1:]
-        tmp1 = {}
-        _cb_term(t, t.alg.one(), (), rest, b, ss2, sp2, tmp1)
-        _product_into({((), head): a}, tmp1, 1, out)
-        tmp2 = {}
-        _cb_term(t, a, (), head, b, ss2, sp2, tmp2)
-        sign = 1 if (p1 - 1) % 2 == 0 else -1
-        _product_into({((), rest): t.alg.one()}, tmp2, sign, out)
-        return
-    i = sp1[0]
-    if p2 == 0:
-        _lie_term(t, a, i, b, ss2, out)
-        return
-    if q2 > 0:
-        tmp1 = {}
-        _cb_term(t, a, (), (i,), b, ss2, (), tmp1)
-        _product_into(tmp1, {((), sp2): t.alg.one()}, 1, out)
-        tmp2 = {}
-        _cb_term(t, a, (), (i,), t.alg.one(), (), sp2, tmp2)
-        _product_into({(ss2, ()): b}, tmp2, 1, out)
-        return
-    if p2 >= 2:
-        head, rest = (sp2[0],), sp2[1:]
-        tmp1 = {}
-        _cb_term(t, a, (), (i,), b, (), head, tmp1)
-        _product_into(tmp1, {((), rest): t.alg.one()}, 1, out)
-        tmp2 = {}
-        _cb_term(t, a, (), (i,), t.alg.one(), (), rest, tmp2)
-        _product_into({((), head): b}, tmp2, 1, out)
-        return
-    j = sp2[0]
-    lp = t.lprime
-    x = [lp.alg.zero()] * lp.rank
-    x[i] = a
-    y = [lp.alg.zero()] * lp.rank
-    y[j] = b
-    w = lr_bracket(lp, LElem(lp, x), LElem(lp, y))
-    for k, c in enumerate(w.coeffs):
-        if c.is_zero():
-            continue
-        key = ((), (k,))
-        cur = out.get(key)
-        out[key] = c if cur is None else cur + c
+def _lie_derivative(t: AlmostTwilled, i: int, b: AElem, outer: Tuple[int, ...]) -> Dict:
+    """e'_i . (b e''*_outer) as {outer subset: coefficient}: the Lie
+    derivative of an outer form along a basis vector of L', read off the
+    compiled action of the d' coefficient module."""
+    dim = t.alg.dim
+    slots = list(combinations(range(t.lsecond.rank), len(outer)))
+    images = _action_table(_dprime_module(t, len(outer)))[i]
+    col = slots.index(outer) * dim
+    acc: Dict[int, List[Fraction]] = {}
+    for s, c in enumerate(b.coeffs):
+        if c != 0:
+            for v, x in images[col + s]:
+                acc.setdefault(v // dim, [Fraction(0)] * dim)[v % dim] += c * x
+    return {slots[k]: t.alg.elem(vec) for k, vec in acc.items()}
 
 
 def crossed_bracket(t: AlmostTwilled, u: Bigraded, v: Bigraded) -> Bigraded:
-    """Bracket on the multivector carrier, rational-bilinear over the
-    canonical basis terms; every term bracket expands in the fixed basis
+    """Bracket on the multivector carrier: the biderivation recursion of
+    ``gerst`` on L' with outer form slots, the vectors of L' acting on them
+    by the Lie derivative.  Every term bracket expands in the fixed basis
     before summation, so the result is representation independent."""
     if u.t != t or v.t != t:
         raise ValueError("parent mismatch")
-    out: Dict = {}
-    for (ss1, sp1), a in u.values.items():
-        for (ss2, sp2), b in v.values.items():
-            _cb_term(t, a, ss1, sp1, b, ss2, sp2, out)
+    out = _bracket_terms(t.lprime, u.values, v.values, partial(_lie_derivative, t))
     return Bigraded(t, u.qdeg + v.qdeg, max(u.pdeg + v.pdeg - 1, 0), out)
 
 
@@ -639,39 +544,7 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
     }
 
 
-class BigradedOp:
-    """Operator tabulated on the canonical basis of the multivector
-    carrier, extended rational-linearly."""
-
-    __slots__ = ("t", "table")
-
-    def __init__(self, t: AlmostTwilled, table: Dict) -> None:
-        self.t = t
-        norm: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], Bigraded] = {}
-        for (ta, ss, sp), val in table.items():
-            kss, ksp = tuple(ss), tuple(sp)
-            if val.t != t:
-                raise ValueError("table value parent mismatch")
-            norm[(ta, kss, ksp)] = val
-        self.table = norm
-
-    def apply(self, u: Bigraded) -> Bigraded:
-        out: Optional[Bigraded] = None
-        for (ss, sp), a in u.values.items():
-            for ta, c in enumerate(a.coeffs):
-                if c == 0:
-                    continue
-                entry = self.table.get((ta, ss, sp))
-                if entry is None or entry.is_zero():
-                    continue
-                piece = entry.scale(c)
-                out = piece if out is None else out.add(piece)
-        if out is None:
-            return Bigraded.zero(self.t, u.qdeg, max(u.pdeg - 1, 0))
-        return out
-
-
-def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> BigradedOp:
+def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> GeneratorOp:
     """Extend a generator of the inner exterior algebra over the outer
     form slots.
 
@@ -684,7 +557,7 @@ def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> BigradedOp:
     is, and the construction fails loudly if the identity breaks.
     """
     lp = t.lprime
-    if g.lr != lp:
+    if g.parent != lp:
         raise ValueError("generator must live on the inner factor")
     conn = generator_to_connection(lp, g)
     omega = conn.omega
@@ -712,14 +585,14 @@ def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> BigradedOp:
             s = sgn_p * mb[1]
             out[(kss, back)] = val if s == 1 else -val
         table[(ta, ss, sp)] = Bigraded(t, len(ss), p - 1, out)
-    op = BigradedOp(t, table)
+    op = GeneratorOp(t, table)
     bad = bigraded_generator_validate(t, op)
     if bad:
         raise RuntimeError(f"extension does not generate the crossed bracket: {bad[0]}")
     return op
 
 
-def bigraded_generator_validate(t: AlmostTwilled, op: BigradedOp) -> List[Violation]:
+def bigraded_generator_validate(t: AlmostTwilled, op: GeneratorOp) -> List[Violation]:
     """Generator identity with total degrees against the crossed bracket
     and the bigraded product, on all basis pairs."""
     labels = list(bigraded_labels(t))
@@ -743,7 +616,7 @@ def bigraded_generator_validate(t: AlmostTwilled, op: BigradedOp) -> List[Violat
     return []
 
 
-def bv_commutator_check(t: AlmostTwilled, op: BigradedOp) -> Dict:
+def bv_commutator_check(t: AlmostTwilled, op: GeneratorOp) -> Dict:
     """Graded commutator of the outer differential with a generator on
     every basis element: both operators are odd, so the commutator is
     d''G + Gd''.  Vanishing makes the pair a weak differential

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -363,3 +364,34 @@ class TestDeterminism:
         bad = run_subprocess("check-twilled", "--input", fixture("matched_pair_flipped.lri"))
         ugly = run_subprocess("check-twilled", "--input", "/no/such/file.lri")
         assert (ok.returncode, bad.returncode, ugly.returncode) == (0, 1, 2)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def golden_fixture_ops():
+    """(name, argv, expected) for every fixture operation with a recorded
+    report in bench/golden.json; names read `<fixture> <command> [args]`.
+    The generated sl2 double has no fixture file, and entries without
+    stdout record library calls, not commands."""
+    with open(ROOT / "bench" / "golden.json", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    out = []
+    for name, want in sorted(golden.items()):
+        if name == "check-twilled sl2_double" or "stdout" not in want:
+            continue
+        fixture_name, command, *extra = name.split()
+        argv = [command, "--input", f"src/lierine/fixtures/{fixture_name}.lri", *extra]
+        out.append((name, argv, want))
+    return out
+
+
+GOLDEN_OPS = golden_fixture_ops()
+
+
+@pytest.mark.parametrize("name,argv,want", GOLDEN_OPS, ids=[n for n, _, _ in GOLDEN_OPS])
+def test_fixture_reports_match_golden_copy(name, argv, want, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    rc, out = run_cli(capsys, *argv)
+    assert rc == want["exit"]
+    assert out == want["stdout"]

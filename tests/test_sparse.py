@@ -1,9 +1,12 @@
-"""The sparse cochain differential and the sparse rank against references
-that compute the same objects another way: the differential one basis
-form at a time through ce_differential, and dense echelon rank."""
+"""The sparse cochain differential, the compiled degree-one bracket and
+the sparse rank against references that compute the same objects another
+way: the differential one basis form at a time through ce_differential,
+the bracket through the Leibniz expansion of lr_bracket, and dense
+echelon rank."""
 
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,13 @@ from hypothesis import strategies as st
 from lierine.calgebra import Derivation
 from lierine.cli import parse_instance
 from lierine.exactla import RatMatrix, SparseMatrix, _echelon, mat_rank
-from lierine.instances import derx3, line_with_connection, truncated_poly
+from lierine.instances import derx3, gl_n, heisenberg, line_with_connection, truncated_poly
 from lierine.lrcore import (
     AltForm,
+    LElem,
     LieRinehart,
     LRModule,
+    _bracket_vectors,
     alt_dim,
     basis_forms,
     ce_differential,
@@ -24,6 +29,7 @@ from lierine.lrcore import (
     ce_square_witness,
     dual_module,
     exterior_power,
+    lr_bracket,
     trivial_coefficients,
 )
 from lierine.twilled import twilled_sum
@@ -145,6 +151,36 @@ def random_tables(draw):
 def test_ce_matrix_matches_reference_on_random_tables(p):
     lr, m = p
     assert_matches_reference(lr, m)
+
+
+def assert_degree_one_matches_lr_bracket(lr):
+    """[a_s e_i, a_t e_j] from the compiled table against lr_bracket, on
+    every ordered pair of Q-basis vectors of L."""
+    alg = lr.alg
+    for (i, s), (j, t) in product(product(range(lr.rank), range(alg.dim)), repeat=2):
+        x = [alg.zero()] * lr.rank
+        x[i] = alg.basis(s)
+        y = [alg.zero()] * lr.rank
+        y[j] = alg.basis(t)
+        vecs = _bracket_vectors(lr, {i: x[i].coeffs}, {j: y[j].coeffs})
+        got = [alg.elem(vecs[k]) if k in vecs else alg.zero() for k in range(lr.rank)]
+        assert LElem(lr, got) == lr_bracket(lr, LElem(lr, x), LElem(lr, y)), (i, s, j, t)
+
+
+DEGREE_ONE_STRUCTURES = FIXTURE_STRUCTURES + [("heisenberg", heisenberg()), ("gl3", gl_n(3))]
+
+
+@pytest.mark.parametrize(
+    "name,lr", DEGREE_ONE_STRUCTURES, ids=[n for n, _ in DEGREE_ONE_STRUCTURES]
+)
+def test_degree_one_bracket_matches_lr_bracket_on_fixtures(name, lr):
+    assert_degree_one_matches_lr_bracket(lr)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_tables())
+def test_degree_one_bracket_matches_lr_bracket_on_random_tables(p):
+    assert_degree_one_matches_lr_bracket(p[0])
 
 
 class TestSquareWitness:

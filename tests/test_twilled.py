@@ -2,12 +2,15 @@
 the crossed bracket, and generator extension."""
 
 from fractions import Fraction
-from itertools import combinations
+from importlib import resources
+from itertools import combinations, product
 
 import pytest
 
 from lierine.calgebra import AElem
+from lierine.cli import parse_instance
 from lierine.gerst import (
+    GeneratorOp,
     Multivector,
     TopConnection,
     connection_curvature,
@@ -40,7 +43,6 @@ from lierine.signs import merge_sign, sort_with_sign
 from lierine.twilled import (
     AlmostTwilled,
     Bigraded,
-    BigradedOp,
     bicomplex_square_check,
     bigraded_generator_extend,
     bigraded_generator_validate,
@@ -296,6 +298,43 @@ def three_term_oracle(t, a, ss1, i, b, ss2, j):
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
+def shipped_pairs():
+    """Every pair in the shipped fixture files and the instance builders."""
+    out = []
+    folder = resources.files("lierine") / "fixtures"
+    for path in sorted(folder.iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".lri"):
+            inst = parse_instance(str(path))
+            out.extend((f"{path.name}:{n}", inst.build_twilled(n)) for n in inst.twilleds)
+    for build in (book_double, book_double_flipped, desk_pair, flat_broken):
+        out.append((build.__name__, build()))
+    out.append(("direct_sum_pair", direct_sum_pair(rationals(), 2, 1)))
+    return out
+
+
+SHIPPED_PAIRS = shipped_pairs()
+
+
+@pytest.mark.parametrize("name,t", SHIPPED_PAIRS, ids=[n for n, _ in SHIPPED_PAIRS])
+def test_crossed_bracket_without_outer_slots_is_schouten(name, t):
+    """With L'' = 0 the crossed bracket is the Schouten bracket of L':
+    compared on every pair of Q-basis terms of outer degree 0."""
+    lp = t.lprime
+    labels = [
+        (ta, sp)
+        for p in range(lp.rank + 1)
+        for sp in combinations(range(lp.rank), p)
+        for ta in range(t.alg.dim)
+    ]
+    for (ta1, s1), (ta2, s2) in product(labels, repeat=2):
+        u = Bigraded.term(t, t.alg.basis(ta1), (), s1)
+        w = crossed_bracket(t, u, Bigraded.term(t, t.alg.basis(ta2), (), s2))
+        mw = schouten_bracket(
+            Multivector(lp, {s1: lp.alg.basis(ta1)}), Multivector(lp, {s2: lp.alg.basis(ta2)})
+        )
+        assert w.values == {((), k): c for k, c in mw.values.items()}, (ta1, s1, ta2, s2)
+
+
 class TestCrossedBracket:
     def test_external_degree_zero_is_schouten(self):
         t = book_double()
@@ -472,7 +511,7 @@ class TestGeneratorExtension:
                 for k, c in inner.values.items():
                     vals[(ss, k)] = c if sign_of_q(len(ss)) == 1 else -c
                 table[(ta, ss, sp)] = Bigraded(t, len(ss), max(len(sp) - 1, 0), vals)
-            assert bigraded_generator_validate(t, BigradedOp(t, table)) != []
+            assert bigraded_generator_validate(t, GeneratorOp(t, table)) != []
 
 
 class TestBvCommutator:
