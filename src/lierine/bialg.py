@@ -6,17 +6,19 @@ compatible when the differential induced by D acts as a degree-one
 derivation of the bracket of L.  The condition has two equivalent
 readings, one in degree one on L and one in all degrees on the exterior
 algebra of D; both are computed on every call and must agree, on broken
-input as well as on good input.
+input as well as on good input.  Both readings run the derivation
+checker of ``gerst`` with the transported differential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem, Derivation
-from .gerst import Multivector, schouten_bracket
+from .gerst import Multivector, _derivation_witness, schouten_bracket
 from .lrcore import (
     AltForm,
     LieRinehart,
@@ -159,54 +161,27 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
 
 def _compatibility(p: DualPair, max_degree: int) -> BialgebraReport:
     l, d = p.l, p.d
-    triv_l, triv_d = trivial_coefficients(l), trivial_coefficients(d)
-    n = l.rank
-    holds1 = True
-    witness1: Optional[Tuple] = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = Multivector.basis(l, i)
-            y = Multivector.basis(l, j)
-            br = Multivector.from_lelem(l.bracket_elem(i, j))
-            lhs = _transport_differential(d, triv_d, l, br)
-            rhs = _transport_differential(d, triv_d, l, x)
-            rhs = schouten_bracket(rhs, y).add(schouten_bracket(x, _transport_differential(d, triv_d, l, y)))
-            diff = lhs.sub(rhs)
-            if not diff.is_zero():
-                key = sorted(diff.values)[0]
-                holds1 = False
-                witness1 = (1, (i, j), key, diff.values[key])
-                break
-        if not holds1:
-            break
-    holds2 = True
-    witness2: Optional[Tuple] = None
+    on_l = partial(_transport_differential, d, trivial_coefficients(d), l)
+    vectors = [(i, Multivector.basis(l, i), 1) for i in range(l.rank)]
+    found = _derivation_witness(vectors, schouten_bracket, on_l, upper=True)
+    on_d = partial(_transport_differential, l, trivial_coefficients(l), d)
     top = min(max_degree, d.rank)
-    wedges = [s for q in range(top + 1) for s in combinations(range(d.rank), q)]
-    for s1 in wedges:
-        for s2 in wedges:
-            x = Multivector(d, {s1: d.alg.one()})
-            y = Multivector(d, {s2: d.alg.one()})
-            lhs = _transport_differential(l, triv_l, d, schouten_bracket(x, y))
-            sgn = 1 if len(s1) % 2 == 0 else -1
-            rhs = schouten_bracket(_transport_differential(l, triv_l, d, x), y).sub(
-                schouten_bracket(x, _transport_differential(l, triv_l, d, y)).scale(sgn)
-            )
-            diff = lhs.sub(rhs)
-            if not diff.is_zero():
-                key = sorted(diff.values)[0]
-                holds2 = False
-                witness2 = (len(s1) + len(s2) - 1, (s1, s2), key, diff.values[key])
-                break
-        if not holds2:
-            break
+    wedges = [
+        (s, Multivector(d, {s: d.alg.one()}), q)
+        for q in range(top + 1)
+        for s in combinations(range(d.rank), q)
+    ]
+    holds1 = found is None
+    holds2 = _derivation_witness(wedges, schouten_bracket, on_d) is None
     if holds1 != holds2:
         raise RuntimeError(
             f"the two forms of the compatibility condition disagree: {holds1} vs {holds2}"
         )
     if holds1:
         return BialgebraReport(True)
-    return BialgebraReport(False, witness1 if witness1 is not None else witness2)
+    i, j, diff = found
+    key = sorted(diff.values)[0]
+    return BialgebraReport(False, (1, (i, j), key, diff.values[key]))
 
 
 def _permute_lr(lr: LieRinehart, perm: Sequence[int]) -> LieRinehart:

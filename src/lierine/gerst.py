@@ -18,12 +18,20 @@ correspond to connections on the top exterior power via conjugation by
 the contraction isomorphism.  The per-degree sign s(p) = (-1)^p in that
 conjugation is forced by the generator identity; see the test suite for
 the exhaustive sign-family search that pins it.
+
+The graded identities are each checked by one loop here, for every
+carrier: ``_derivation_witness`` (d[u,v] = [du,v] - (-1)^{|u|}[u,dv]),
+``_generator_witness`` (the generator identity) and ``_first_nonzero``
+(square-zero and commutator checks).  They serve Lambda L here, the
+bigraded carrier Alt(L'', Lambda L') in ``twilled`` and the exterior
+algebras of a dual pair in ``bialg``; each caller supplies its basis
+labels in its own order, its bracket, product and operator.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem
 from .exactla import _frac
@@ -463,6 +471,55 @@ def generator_from_connection(lr: LieRinehart, c: TopConnection, _signs: Optiona
     return GeneratorOp(lr, table)
 
 
+def _label_elems(lr: LieRinehart) -> List[Tuple]:
+    """(label, basis multivector, degree) for every rational basis label."""
+    return [((t, k), _label_mv(lr, t, k), len(k)) for t, k in _basis_multivectors(lr, lr.rank)]
+
+
+def _first_nonzero(images: Iterable[Tuple]) -> Optional[Tuple]:
+    """The first label of (label, image) pairs whose image is nonzero, or
+    None; images after that label are never computed."""
+    return next((label for label, image in images if not image.is_zero()), None)
+
+
+def _derivation_witness(elems: Sequence[Tuple], bracket, d, upper: bool = False) -> Optional[Tuple]:
+    """The first pair (label1, label2, residual) of elems, a list of
+    (label, element, degree), on which
+
+        d[u,v] = [du,v] - (-1)^{|u|} [u,dv]
+
+    fails, or None.  d is applied once per element and once per pair;
+    with upper, only pairs with u listed before v are visited."""
+    images = [d(e) for _, e, _ in elems]
+    for a, (label1, u, p) in enumerate(elems):
+        su = 1 if p % 2 == 0 else -1
+        for b in range(a + 1 if upper else 0, len(elems)):
+            label2, v, _ = elems[b]
+            rhs = bracket(images[a], v).sub(bracket(u, images[b]).scale(su))
+            residual = d(bracket(u, v)).sub(rhs)
+            if not residual.is_zero():
+                return label1, label2, residual
+    return None
+
+
+def _generator_witness(elems: Sequence[Tuple], bracket, product, D) -> Optional[Tuple]:
+    """The first pair (label1, label2, residual) of elems, a list of
+    (label, element, degree), on which the generator identity
+
+        [u,v] = (-1)^{|u|} ( D(uv) - (Du)v - (-1)^{|u|} u(Dv) )
+
+    fails, or None.  D is applied once per element and once per pair."""
+    images = [D(e) for _, e, _ in elems]
+    for a, (label1, u, p) in enumerate(elems):
+        su = 1 if p % 2 == 0 else -1
+        for b, (label2, v, _) in enumerate(elems):
+            inner = D(product(u, v)).sub(product(images[a], v)).sub(product(u, images[b]).scale(su))
+            residual = bracket(u, v).sub(inner.scale(su))
+            if not residual.is_zero():
+                return label1, label2, residual
+    return None
+
+
 def generator_validate(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:
     """Check the generator identity
 
@@ -471,30 +528,15 @@ def generator_validate(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:
     on all rational basis pairs; first witness reported."""
     if g.parent != lr:
         raise ValueError("parent mismatch")
-    labels = list(_basis_multivectors(lr, lr.rank))
-    for t1, k1 in labels:
-        u = _label_mv(lr, t1, k1)
-        p = len(k1)
-        su = 1 if p % 2 == 0 else -1
-        for t2, k2 in labels:
-            v = _label_mv(lr, t2, k2)
-            lhs = schouten_bracket(u, v)
-            inner = g.apply(wedge(u, v)).sub(wedge(g.apply(u), v)).sub(
-                wedge(u, g.apply(v)).scale(su)
-            )
-            if not lhs.sub(inner.scale(su)).is_zero():
-                return [Violation("generator-identity", (t1, k1, t2, k2), "")]
-    return []
+    found = _generator_witness(_label_elems(lr), schouten_bracket, wedge, g.apply)
+    return [] if found is None else [Violation("generator-identity", found[0] + found[1], "")]
 
 
 def generator_square(g: GeneratorOp) -> Tuple[bool, Optional[Tuple[int, Tuple[int, ...]]]]:
     """(True, None) when D.D kills every tabulated input, else the first
     witnessing input label."""
-    for t, key in g.inputs():
-        u = _label_mv(g.parent, t, key)
-        if not g.apply(g.apply(u)).is_zero():
-            return False, (t, key)
-    return True, None
+    label = _first_nonzero((lab, g.apply(g.apply(_label_mv(g.parent, *lab)))) for lab in g.inputs())
+    return label is None, label
 
 
 def generator_to_connection(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
@@ -523,16 +565,5 @@ def generator_to_connection(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
 def generator_derivation_check(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:
     """For exact generators: D[u,v] = [Du,v] - (-1)^{|u|}[u,Dv] on all
     rational basis pairs."""
-    labels = list(_basis_multivectors(lr, lr.rank))
-    for t1, k1 in labels:
-        u = _label_mv(lr, t1, k1)
-        su = 1 if len(k1) % 2 == 0 else -1
-        for t2, k2 in labels:
-            v = _label_mv(lr, t2, k2)
-            lhs = g.apply(schouten_bracket(u, v))
-            rhs = schouten_bracket(g.apply(u), v).sub(
-                schouten_bracket(u, g.apply(v)).scale(su)
-            )
-            if not lhs.sub(rhs).is_zero():
-                return [Violation("generator-derivation", (t1, k1, t2, k2), "")]
-    return []
+    found = _derivation_witness(_label_elems(lr), schouten_bracket, g.apply)
+    return [] if found is None else [Violation("generator-derivation", found[0] + found[1], "")]

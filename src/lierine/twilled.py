@@ -29,6 +29,10 @@ is the plain cochain differential of L' (so d' carries the global sign
 (-1)^q past the q external slots), and d'' uses the Lie-derivative
 action on inner form slots.  The total-complex dimension comparison
 calibrates the pair globally.
+
+The square, derivation and generator checks run the identity checkers
+of ``gerst`` on the bigraded basis labels; this module only lists the
+labels and maps the witnesses back to its report formats.
 """
 
 from __future__ import annotations
@@ -40,7 +44,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem
 from .exactla import SparseMatrix, _frac, mat_rank
-from .gerst import GeneratorOp, _bracket_terms, _product_into, generator_to_connection
+from .gerst import (
+    GeneratorOp,
+    _bracket_terms,
+    _derivation_witness,
+    _first_nonzero,
+    _generator_witness,
+    _product_into,
+    generator_to_connection,
+)
 from .lrcore import (
     AltForm,
     LieRinehart,
@@ -380,40 +392,53 @@ def crossed_bracket(t: AlmostTwilled, u: Bigraded, v: Bigraded) -> Bigraded:
     return Bigraded(t, u.qdeg + v.qdeg, max(u.pdeg + v.pdeg - 1, 0), out)
 
 
+def _bigraded_elems(t: AlmostTwilled) -> List[Tuple]:
+    """(label, basis element, total degree) for every bigraded basis label."""
+    return [(lab, _label_elem(t, *lab), len(lab[1]) + len(lab[2])) for lab in bigraded_labels(t)]
+
+
+def _first_witnesses(labels: List[Tuple], **images) -> Dict[str, Tuple]:
+    """For each named sequence of images of labels, the label of its first
+    nonzero image; ordered by label, ties in argument order."""
+    first = {name: _first_nonzero(zip(labels, seq)) for name, seq in images.items()}
+    found = [(name, label) for name, label in first.items() if label is not None]
+    return dict(sorted(found, key=lambda item: labels.index(item[1])))
+
+
 def bicomplex_square_check(t: AlmostTwilled) -> Dict:
     """Squares and anticommutation of d', d'' on every basis form,
     against twilledness of the sum; the two sides of the equivalence are
     computed independently."""
-    flags = {"dprime_square": True, "dsecond_square": True, "anticommute": True}
-    witnesses: Dict[str, Tuple] = {}
-    for ta, ss, sp in bigraded_labels(t):
-        w = _label_elem(t, ta, ss, sp)
-        dp, ds = dprime_form(t, w), dsecond_form(t, w)
-        if flags["dprime_square"] and not dprime_form(t, dp).is_zero():
-            flags["dprime_square"] = False
-            witnesses["dprime_square"] = (ta, ss, sp)
-        if flags["dsecond_square"] and not dsecond_form(t, ds).is_zero():
-            flags["dsecond_square"] = False
-            witnesses["dsecond_square"] = (ta, ss, sp)
-        if flags["anticommute"] and not dprime_form(t, ds).add(dsecond_form(t, dp)).is_zero():
-            flags["anticommute"] = False
-            witnesses["anticommute"] = (ta, ss, sp)
+    labels = list(bigraded_labels(t))
+    forms = [_label_elem(t, *lab) for lab in labels]
+    dp = [dprime_form(t, w) for w in forms]
+    ds = [dsecond_form(t, w) for w in forms]
+    witnesses = _first_witnesses(
+        labels,
+        dprime_square=(dprime_form(t, a) for a in dp),
+        dsecond_square=(dsecond_form(t, b) for b in ds),
+        anticommute=(dprime_form(t, b).add(dsecond_form(t, a)) for a, b in zip(dp, ds)),
+    )
     twilled = is_twilled(t)
-    report = {
-        "dprime_square": flags["dprime_square"],
-        "dsecond_square": flags["dsecond_square"],
-        "anticommute": flags["anticommute"],
-        "twilled": not twilled,
-        "witnesses": witnesses,
-    }
-    lhs = flags["dprime_square"] and flags["dsecond_square"] and flags["anticommute"]
-    report["equivalent"] = lhs == report["twilled"]
+    report = {key: key not in witnesses for key in ("dprime_square", "dsecond_square", "anticommute")}
+    report["twilled"] = not twilled
+    report["witnesses"] = witnesses
+    report["equivalent"] = (not witnesses) == report["twilled"]
     if twilled:
         report["twilled_witness"] = (twilled[0].axiom, twilled[0].witness)
     return report
 
 
-def _dg_report(t: AlmostTwilled, square: bool, derivation: bool, witnesses: Dict) -> Dict:
+def _dg_check(t: AlmostTwilled, elems: List[Tuple]) -> Dict:
+    """d'' squares to zero and derives the crossed bracket on the basis
+    elements elems, against twilledness."""
+    d = partial(dsecond_multi, t)
+    witnesses = _first_witnesses([lab for lab, _, _ in elems], square=(d(d(w)) for _, w, _ in elems))
+    found = _derivation_witness(elems, partial(crossed_bracket, t), d)
+    if found is not None:
+        witnesses["derivation"] = found[0] + found[1]
+    square = "square" not in witnesses
+    derivation = found is None
     twilled = not is_twilled(t)
     return {
         "square": square,
@@ -427,77 +452,20 @@ def _dg_report(t: AlmostTwilled, square: bool, derivation: bool, witnesses: Dict
 def dg_lie_check(t: AlmostTwilled) -> Dict:
     """On the inner-degree-1 carrier: d'' squares to zero and derives the
     crossed bracket; equivalence against twilledness."""
-    labels = [
-        (ta, ss)
+    elems = [
+        ((ta, ss, i), _label_elem(t, ta, ss, (i,)), q + 1)
         for q in range(t.lsecond.rank + 1)
         for ss in combinations(range(t.lsecond.rank), q)
         for ta in range(t.alg.dim)
+        for i in range(t.lprime.rank)
     ]
-    inner = range(t.lprime.rank)
-    square = True
-    derivation = True
-    witnesses: Dict[str, Tuple] = {}
-    for ta, ss in labels:
-        for i in inner:
-            w = _label_elem(t, ta, ss, (i,))
-            if square and not dsecond_multi(t, dsecond_multi(t, w)).is_zero():
-                square = False
-                witnesses["square"] = (ta, ss, i)
-    for ta1, ss1 in labels:
-        if not derivation:
-            break
-        for i in inner:
-            if not derivation:
-                break
-            u = _label_elem(t, ta1, ss1, (i,))
-            du = dsecond_multi(t, u)
-            su = 1 if len(ss1) % 2 == 0 else -1
-            for ta2, ss2 in labels:
-                for j in inner:
-                    v = _label_elem(t, ta2, ss2, (j,))
-                    lhs = dsecond_multi(t, crossed_bracket(t, u, v))
-                    rhs = crossed_bracket(t, du, v).add(
-                        crossed_bracket(t, u, dsecond_multi(t, v)).scale(su)
-                    )
-                    if not lhs.sub(rhs).is_zero():
-                        derivation = False
-                        witnesses["derivation"] = (ta1, ss1, i, ta2, ss2, j)
-                        break
-                if not derivation:
-                    break
-    return _dg_report(t, square, derivation, witnesses)
+    return _dg_check(t, elems)
 
 
 def dg_gerstenhaber_check(t: AlmostTwilled) -> Dict:
     """d'' is a square-zero odd derivation of the crossed bracket on the
     whole multivector carrier; equivalence against twilledness."""
-    labels = list(bigraded_labels(t))
-    square = True
-    derivation = True
-    witnesses: Dict[str, Tuple] = {}
-    for ta, ss, sp in labels:
-        w = _label_elem(t, ta, ss, sp)
-        if not dsecond_multi(t, dsecond_multi(t, w)).is_zero():
-            square = False
-            witnesses["square"] = (ta, ss, sp)
-            break
-    for ta1, ss1, sp1 in labels:
-        if not derivation:
-            break
-        u = _label_elem(t, ta1, ss1, sp1)
-        du = dsecond_multi(t, u)
-        su = 1 if (len(ss1) + len(sp1)) % 2 == 0 else -1
-        for ta2, ss2, sp2 in labels:
-            v = _label_elem(t, ta2, ss2, sp2)
-            lhs = dsecond_multi(t, crossed_bracket(t, u, v))
-            rhs = crossed_bracket(t, du, v).sub(
-                crossed_bracket(t, u, dsecond_multi(t, v)).scale(su)
-            )
-            if not lhs.sub(rhs).is_zero():
-                derivation = False
-                witnesses["derivation"] = (ta1, ss1, sp1, ta2, ss2, sp2)
-                break
-    return _dg_report(t, square, derivation, witnesses)
+    return _dg_check(t, _bigraded_elems(t))
 
 
 def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> Dict:
@@ -509,12 +477,12 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
     ns, np = t.lsecond.rank, t.lprime.rank
     top = min(max_total_degree, ns + np)
 
-    def labels_at(k: int) -> List[Tuple]:
-        return [lab for lab in bigraded_labels(t) if len(lab[1]) + len(lab[2]) == k]
+    by_degree: Dict[int, List[Tuple]] = {}
+    for lab in bigraded_labels(t):
+        by_degree.setdefault(len(lab[1]) + len(lab[2]), []).append(lab)
 
     def diff_matrix(k: int) -> SparseMatrix:
-        cols = labels_at(k)
-        rows = labels_at(k + 1)
+        cols, rows = by_degree[k], by_degree.get(k + 1, [])
         index = {lab: pos for pos, lab in enumerate(rows)}
         entries: Dict[Tuple[int, int], Fraction] = {}
         for cpos, (ta, ss, sp) in enumerate(cols):
@@ -532,7 +500,7 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
     dims_total = []
     ranks = [mat_rank(diff_matrix(k)) for k in range(top + 1)]
     for k in range(top + 1):
-        size = len(labels_at(k))
+        size = len(by_degree[k])
         below = ranks[k - 1] if k > 0 else 0
         dims_total.append(size - ranks[k] - below)
     s = twilled_sum(t)
@@ -595,25 +563,8 @@ def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> GeneratorOp:
 def bigraded_generator_validate(t: AlmostTwilled, op: GeneratorOp) -> List[Violation]:
     """Generator identity with total degrees against the crossed bracket
     and the bigraded product, on all basis pairs."""
-    labels = list(bigraded_labels(t))
-    for ta1, ss1, sp1 in labels:
-        u = _label_elem(t, ta1, ss1, sp1)
-        su = 1 if (len(ss1) + len(sp1)) % 2 == 0 else -1
-        for ta2, ss2, sp2 in labels:
-            v = _label_elem(t, ta2, ss2, sp2)
-            lhs = crossed_bracket(t, u, v)
-            inner = op.apply(bigraded_product(u, v)).sub(
-                bigraded_product(op.apply(u), v)
-            ).sub(bigraded_product(u, op.apply(v)).scale(su))
-            if not lhs.sub(inner.scale(su)).is_zero():
-                return [
-                    Violation(
-                        "bigraded-generator-identity",
-                        (ta1, ss1, sp1, ta2, ss2, sp2),
-                        "",
-                    )
-                ]
-    return []
+    found = _generator_witness(_bigraded_elems(t), partial(crossed_bracket, t), bigraded_product, op.apply)
+    return [] if found is None else [Violation("bigraded-generator-identity", found[0] + found[1], "")]
 
 
 def bv_commutator_check(t: AlmostTwilled, op: GeneratorOp) -> Dict:
@@ -621,21 +572,12 @@ def bv_commutator_check(t: AlmostTwilled, op: GeneratorOp) -> Dict:
     every basis element: both operators are odd, so the commutator is
     d''G + Gd''.  Vanishing makes the pair a weak differential
     structure; with an exact generator it upgrades to the full one."""
-    commutes = True
-    exact = True
-    witnesses: Dict[str, Tuple] = {}
-    for ta, ss, sp in bigraded_labels(t):
-        u = _label_elem(t, ta, ss, sp)
-        anti = dsecond_multi(t, op.apply(u)).add(op.apply(dsecond_multi(t, u)))
-        if commutes and not anti.is_zero():
-            commutes = False
-            witnesses["commutator"] = (ta, ss, sp)
-        if exact and not op.apply(op.apply(u)).is_zero():
-            exact = False
-            witnesses["square"] = (ta, ss, sp)
-    return {
-        "commutes": commutes,
-        "exact": exact,
-        "full_bv": commutes and exact,
-        "witnesses": witnesses,
-    }
+    labels = list(bigraded_labels(t))
+    elems = [_label_elem(t, *lab) for lab in labels]
+    witnesses = _first_witnesses(
+        labels,
+        commutator=(dsecond_multi(t, op.apply(u)).add(op.apply(dsecond_multi(t, u))) for u in elems),
+        square=(op.apply(op.apply(u)) for u in elems),
+    )
+    commutes, exact = "commutator" not in witnesses, "square" not in witnesses
+    return {"commutes": commutes, "exact": exact, "full_bv": commutes and exact, "witnesses": witnesses}

@@ -7,12 +7,15 @@ with -v for one pass/fail line per criterion.
 """
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
+import lierine
 from lierine.bialg import (
     bialgebra_check,
     matched_pair_from_bialgebra,
@@ -259,8 +262,10 @@ def test_criterion_10_cli_round_trip_exit_codes_determinism(tmp_path, capsys):
         assert (rc == 0) == all_pass, argv
         assert out.endswith(f"exit: {rc}\n"), argv
     argv = ["check-twilled", "--input", paths["matched_pair_flipped.lri"], "--format", "json-like"]
-    first = subprocess.run([sys.executable, "-m", "lierine.cli", *argv], capture_output=True)
-    second = subprocess.run([sys.executable, "-m", "lierine.cli", *argv], capture_output=True)
+    # the child imports the same lierine as this process, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(lierine.__file__).parent.parent)}
+    first = subprocess.run([sys.executable, "-m", "lierine.cli", *argv], capture_output=True, env=env)
+    second = subprocess.run([sys.executable, "-m", "lierine.cli", *argv], capture_output=True, env=env)
     assert first.stdout == second.stdout and first.stdout
     assert first.returncode == second.returncode == 1
     assert json.loads(first.stdout)["exit"] == 1

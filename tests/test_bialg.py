@@ -1,6 +1,7 @@
 """Duality, semidirect products, and bracket/cobracket compatibility."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -167,6 +168,25 @@ class TestBialgebraCheck:
         assert bialgebra_check(pair, 4).holds
         assert len(seen) <= 2
         assert not any(a is b for i, a in enumerate(seen) for b in seen[i + 1 :])
+
+    def test_transported_differential_once_per_pair_and_element(self, monkeypatch):
+        import lierine.bialg as bialg
+
+        calls = []
+        original = bialg._transport_differential
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bialg, "_transport_differential", counting)
+        pair = semidirect_dual_pair(book_double())
+        assert bialgebra_check(pair, 3).holds
+        n = pair.l.rank
+        wedges = sum(comb(n, q) for q in range(min(3, n) + 1))
+        # degree one: each pair i < j and each basis vector; all degrees:
+        # each ordered pair of wedges and each wedge
+        assert len(calls) <= n * (n - 1) // 2 + n + wedges * wedges + wedges
 
     def test_flat_broken_pair_fails_with_witness(self):
         pair = semidirect_dual_pair(flat_broken())

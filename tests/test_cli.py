@@ -2,6 +2,7 @@
 line surface: verdicts, exit codes, deterministic output."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import lierine
 from lierine.cli import (
     InstanceSet,
     ParseError,
@@ -336,9 +338,12 @@ class TestCommands:
 
 
 def run_subprocess(*args: str) -> subprocess.CompletedProcess:
+    # the child imports the same lierine as this process, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(lierine.__file__).parent.parent)}
     return subprocess.run(
         [sys.executable, "-m", "lierine.cli", *args],
         capture_output=True,
+        env=env,
     )
 
 

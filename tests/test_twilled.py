@@ -443,6 +443,25 @@ class TestDgChecks:
             assert not r["twilled"]
             assert r["equivalent"]
 
+    def test_dsecond_applied_once_per_element_and_pair(self, monkeypatch):
+        # L^2 brackets to differentiate, L images shared by every pair and
+        # 2L for the square: d''(v) is not recomputed inside the pair loop
+        import lierine.twilled as twilled
+
+        calls = []
+        original = twilled.dsecond_multi
+
+        def counting(t, w):
+            calls.append(w)
+            return original(t, w)
+
+        monkeypatch.setattr(twilled, "dsecond_multi", counting)
+        t = book_double()
+        n = len(list(bigraded_labels(t)))
+        r = dg_gerstenhaber_check(t)
+        assert r["square"] and r["derivation"]
+        assert len(calls) <= n * n + 3 * n
+
 
 class TestTotalComplex:
     def test_desk_dims(self):
