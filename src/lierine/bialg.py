@@ -163,7 +163,7 @@ def _compatibility(p: DualPair, max_degree: int) -> BialgebraReport:
     l, d = p.l, p.d
     on_l = partial(_transport_differential, d, trivial_coefficients(d), l)
     vectors = [(i, Multivector.basis(l, i), 1) for i in range(l.rank)]
-    found = _derivation_witness(vectors, schouten_bracket, on_l, upper=True)
+    found = _derivation_witness(vectors, schouten_bracket, on_l)
     on_d = partial(_transport_differential, l, trivial_coefficients(l), d)
     top = min(max_degree, d.rank)
     wedges = [

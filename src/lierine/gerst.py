@@ -482,19 +482,17 @@ def _first_nonzero(images: Iterable[Tuple]) -> Optional[Tuple]:
     return next((label for label, image in images if not image.is_zero()), None)
 
 
-def _derivation_witness(elems: Sequence[Tuple], bracket, d, upper: bool = False) -> Optional[Tuple]:
+def _derivation_witness(elems: Sequence[Tuple], bracket, d) -> Optional[Tuple]:
     """The first pair (label1, label2, residual) of elems, a list of
     (label, element, degree), on which
 
         d[u,v] = [du,v] - (-1)^{|u|} [u,dv]
 
-    fails, or None.  d is applied once per element and once per pair;
-    with upper, only pairs with u listed before v are visited."""
+    fails, or None.  d is applied once per element and once per pair."""
     images = [d(e) for _, e, _ in elems]
     for a, (label1, u, p) in enumerate(elems):
         su = 1 if p % 2 == 0 else -1
-        for b in range(a + 1 if upper else 0, len(elems)):
-            label2, v, _ = elems[b]
+        for b, (label2, v, _) in enumerate(elems):
             rhs = bracket(images[a], v).sub(bracket(u, images[b]).scale(su))
             residual = d(bracket(u, v)).sub(rhs)
             if not residual.is_zero():

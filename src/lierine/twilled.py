@@ -433,7 +433,8 @@ def _dg_check(t: AlmostTwilled, elems: List[Tuple]) -> Dict:
     """d'' squares to zero and derives the crossed bracket on the basis
     elements elems, against twilledness."""
     d = partial(dsecond_multi, t)
-    witnesses = _first_witnesses([lab for lab, _, _ in elems], square=(d(d(w)) for _, w, _ in elems))
+    label = _first_nonzero((lab, d(d(w))) for lab, w, _ in elems)
+    witnesses = {} if label is None else {"square": label}
     found = _derivation_witness(elems, partial(crossed_bracket, t), d)
     if found is not None:
         witnesses["derivation"] = found[0] + found[1]

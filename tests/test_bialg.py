@@ -184,9 +184,9 @@ class TestBialgebraCheck:
         assert bialgebra_check(pair, 3).holds
         n = pair.l.rank
         wedges = sum(comb(n, q) for q in range(min(3, n) + 1))
-        # degree one: each pair i < j and each basis vector; all degrees:
-        # each ordered pair of wedges and each wedge
-        assert len(calls) <= n * (n - 1) // 2 + n + wedges * wedges + wedges
+        # degree one: each ordered pair of basis vectors and each basis
+        # vector; all degrees: each ordered pair of wedges and each wedge
+        assert len(calls) <= n * n + n + wedges * wedges + wedges
 
     def test_flat_broken_pair_fails_with_witness(self):
         pair = semidirect_dual_pair(flat_broken())
