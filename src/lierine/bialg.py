@@ -7,7 +7,9 @@ derivation of the bracket of L.  The condition has two equivalent
 readings, one in degree one on L and one in all degrees on the exterior
 algebra of D; both are computed on every call and must agree, on broken
 input as well as on good input.  Both readings run the derivation
-checker of ``gerst`` with the transported differential.
+checker of ``gerst`` on label tables built for each call: the Schouten
+bracket of each side memoised per label pair, and the transported
+differential applied once per label and kept as a sparse label column.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem, Derivation
-from .gerst import Multivector, _derivation_witness, schouten_bracket
+from .gerst import Multivector, _derivation_witness, _flat_tables
 from .lrcore import (
     AltForm,
     LieRinehart,
@@ -161,18 +163,19 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
 
 def _compatibility(p: DualPair, max_degree: int) -> BialgebraReport:
     l, d = p.l, p.d
-    on_l = partial(_transport_differential, d, trivial_coefficients(d), l)
-    vectors = [(i, Multivector.basis(l, i), 1) for i in range(l.rank)]
-    found = _derivation_witness(vectors, schouten_bracket, on_l)
-    on_d = partial(_transport_differential, l, trivial_coefficients(l), d)
+    tables_l, tables_d = _flat_tables(l), _flat_tables(d)
+    on_l = tables_l.operator(partial(_transport_differential, d, trivial_coefficients(d), l))
+    on_d = tables_d.operator(partial(_transport_differential, l, trivial_coefficients(l), d))
+    vectors = [(i, tables_l.vector(Multivector.basis(l, i)), 1) for i in range(l.rank)]
+    found = _derivation_witness(vectors, tables_l, on_l)
     top = min(max_degree, d.rank)
     wedges = [
-        (s, Multivector(d, {s: d.alg.one()}), q)
+        (s, tables_d.vector(Multivector(d, {s: d.alg.one()})), q)
         for q in range(top + 1)
         for s in combinations(range(d.rank), q)
     ]
     holds1 = found is None
-    holds2 = _derivation_witness(wedges, schouten_bracket, on_d) is None
+    holds2 = _derivation_witness(wedges, tables_d, on_d) is None
     if holds1 != holds2:
         raise RuntimeError(
             f"the two forms of the compatibility condition disagree: {holds1} vs {holds2}"

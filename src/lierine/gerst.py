@@ -25,15 +25,25 @@ carrier: ``_derivation_witness`` (d[u,v] = [du,v] - (-1)^{|u|}[u,dv]),
 (square-zero and commutator checks).  They serve Lambda L here, the
 bigraded carrier Alt(L'', Lambda L') in ``twilled`` and the exterior
 algebras of a dual pair in ``bialg``; each caller supplies its basis
-labels in its own order, its bracket, product and operator.
+labels in its own order, its label tables and its operator.
+
+The checkers are sparse contractions over label tables that live for one
+checker call (``_LabelTables``): the bracket and product as structure
+constants on the Q-basis labels (t, outer, inner), filled on first use
+per label pair, and each operator as a sparse label column applied once
+per label (``_Columns``).  A pair whose left label is a product is read
+off the pairs of its factors; the recursion, through ``schouten_bracket``
+or ``crossed_bracket``, fills only the pairs whose left label is a single
+vector or a pure form.  Nothing is cached on the structures.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .calgebra import AElem
+from .calgebra import AElem, CommAlg
 from .exactla import _frac
 from .lrcore import (
     AltForm,
@@ -138,8 +148,11 @@ class Multivector:
         return "Multivector(" + ", ".join(parts) + ")"
 
 
-def _terms(u: Multivector) -> Dict:
-    """The terms of u keyed (outer, inner), with every outer key empty."""
+def _terms(u) -> Dict:
+    """The terms of a multivector or a bigraded element keyed (outer,
+    inner); a multivector's outer keys are empty."""
+    if not isinstance(u, Multivector):
+        return u.values
     return {((), k): c for k, c in u.values.items()}
 
 
@@ -258,22 +271,156 @@ def _label_mv(lr: LieRinehart, t: int, key: Tuple[int, ...]) -> Multivector:
     return Multivector(lr, {key: lr.alg.basis(t)})
 
 
+_ZERO: Dict = {}  # the zero label vector, shared: label vectors are never changed in place
+
+
+def _vector(terms: Dict) -> Dict:
+    """A term dict {(outer, inner): coefficient} as a label vector
+    {(t, outer, inner): rational} on the Q-basis labels.  Integral
+    coefficients are kept as int, which is exact and much faster."""
+    vec = {
+        (t, *key): q.numerator if q.denominator == 1 else q
+        for key, a in terms.items()
+        for t, q in enumerate(a.coeffs)
+        if q != 0
+    }
+    return vec or _ZERO
+
+
+def _lincomb(*pairs: Tuple) -> Dict:
+    """The sum of c * vec over (c, vec) pairs of label vectors, zeros
+    dropped.  A single pair with c = 1 returns vec itself."""
+    if len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
+    out: Dict = {}
+    for c, vec in pairs:
+        unit = c == 1
+        for k, x in vec.items():
+            x = x if unit else c * x
+            y = out.get(k)
+            out[k] = x if y is None else y + x
+    return {k: x for k, x in out.items() if x} or _ZERO
+
+
+class _LabelTables:
+    """The bracket and product of one carrier on its Q-basis labels
+    (t, outer, inner), memoised per label pair (rows keyed by the left
+    label) and filled on first use.  Built for one checker call and
+    dropped with it.
+
+    A pair whose left label splits as x y (see ``_split``) is read off the
+    pairs of its factors, [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v];
+    only a single vector or a pure form on the left calls the constructor's
+    ``bracket``, the carrier's bracket on elements (``schouten_bracket`` or
+    the crossed bracket, both the recursion ``_bracket_terms``).  ``element`` turns a
+    term dict back into a carrier element; ``operator`` tabulates a
+    rational-linear map as label columns.
+    """
+
+    def __init__(self, alg: CommAlg, element, bracket) -> None:
+        self.alg, self.element, self.base_bracket = alg, element, bracket
+        self.basis = [alg.basis(t) for t in range(alg.dim)]
+        self.brackets: Dict = {}
+        self.products: Dict = {}
+        self.factors: Dict = {}  # left label -> its factors (f, g, sign), or None
+
+    def _term(self, label: Tuple) -> Dict:
+        return {label[1:]: self.basis[label[0]]}
+
+    def label_element(self, label: Tuple):
+        """The carrier element of one Q-basis label."""
+        return self.element(self._term(label))
+
+    def vector(self, u) -> Dict:
+        """The label vector of a carrier element."""
+        return _vector(_terms(u))
+
+    def carrier(self, vec: Dict):
+        """The carrier element of a label vector."""
+        coeffs: Dict = {}
+        for (t, *key), q in vec.items():
+            coeffs.setdefault(tuple(key), [0] * len(self.basis))[t] = q
+        return self.element({key: self.alg.elem(c) for key, c in coeffs.items()})
+
+    def bracket(self, u: Dict, v: Dict) -> Dict:
+        return _lincomb(*[(a * b, self._bracket(x, y)) for x, a in u.items() for y, b in v.items()])
+
+    def product(self, u: Dict, v: Dict) -> Dict:
+        return _lincomb(*[(a * b, self._product(x, y)) for x, a in u.items() for y, b in v.items()])
+
+    def _bracket(self, x: Tuple, y: Tuple) -> Dict:
+        row = self.brackets.get(x)
+        if row is None:
+            row = self.brackets[x] = {}
+            split = _split(self.basis[x[0]], *x[1:])
+            self.factors[x] = split and (_vector(split[0]), _vector(split[1]), split[2])
+        entry = row.get(y)
+        if entry is None:
+            split = self.factors[x]
+            if split is None:
+                entry = self.vector(self.base_bracket(self.label_element(x), self.label_element(y)))
+            else:
+                f, g, sign = split
+                entry = _lincomb(
+                    (1, self.product(f, self.bracket(g, {y: 1}))),
+                    (sign, self.product(g, self.bracket(f, {y: 1}))),
+                )
+            row[y] = entry
+        return entry
+
+    def _product(self, x: Tuple, y: Tuple) -> Dict:
+        row = self.products.get(x)
+        if row is None:
+            row = self.products[x] = {}
+        entry = row.get(y)
+        if entry is None:
+            out: Dict = {}
+            _product_into(self._term(x), self._term(y), 1, out)
+            entry = row[y] = _vector(out)
+        return entry
+
+    def operator(self, op) -> "_Columns":
+        return _Columns(self, op)
+
+
+class _Columns:
+    """A rational-linear operator on a carrier, applied once per label on
+    first use and kept as sparse label columns."""
+
+    def __init__(self, tables: _LabelTables, op) -> None:
+        self.tables, self.op = tables, op
+        self.columns: Dict = {}
+
+    def column(self, label: Tuple) -> Dict:
+        col = self.columns.get(label)
+        if col is None:
+            col = self.columns[label] = self.tables.vector(self.op(self.tables.label_element(label)))
+        return col
+
+    def apply(self, vec: Dict) -> Dict:
+        return _lincomb(*[(a, self.column(x)) for x, a in vec.items()])
+
+
+def _flat_tables(lr: LieRinehart) -> _LabelTables:
+    """Label tables of Lambda L, whose labels carry an empty outer key."""
+    return _LabelTables(lr.alg, partial(_from_terms, lr), schouten_bracket)
+
+
 def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
     """Graded antisymmetry, odd Leibniz, and graded Jacobi on all rational
     basis multivectors through the degree cap.  One witness per axiom.
     Does not require a valid parent: a corrupted bracket table shows up
     here as a Jacobi witness.
     """
-    labels = list(_basis_multivectors(lr, max_degree))
-    elems = [(t, k, _label_mv(lr, t, k)) for t, k in labels]
+    tables = _flat_tables(lr)
+    br, prod = tables.bracket, tables.product
+    elems = [(t, k, {(t, (), k): 1}) for t, k in _basis_multivectors(lr, max_degree)]
 
     for t1, k1, u in elems:
         found = None
         for t2, k2, v in elems:
-            lhs = schouten_bracket(u, v)
             sign = -1 if ((len(k1) - 1) * (len(k2) - 1)) % 2 == 0 else 1
-            rhs = schouten_bracket(v, u).scale(sign)
-            if not lhs.sub(rhs).is_zero():
+            if _lincomb((1, br(u, v)), (-sign, br(v, u))):
                 found = Violation("graded-antisymmetry", (t1, k1, t2, k2), "")
                 break
         if found:
@@ -282,23 +429,17 @@ def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
     for t1, k1, u in elems:
         for t2, k2, v in elems:
             for t3, k3, w in elems:
-                lhs = schouten_bracket(u, wedge(v, w))
                 sign = 1 if ((len(k1) - 1) * len(k2)) % 2 == 0 else -1
-                rhs = wedge(schouten_bracket(u, v), w).add(
-                    wedge(v, schouten_bracket(u, w)).scale(sign)
-                )
-                if not lhs.sub(rhs).is_zero():
+                lhs = br(u, prod(v, w))
+                if _lincomb((1, lhs), (-1, prod(br(u, v), w)), (-sign, prod(v, br(u, w)))):
                     return [Violation("odd-leibniz", (t1, k1, t2, k2, t3, k3), "")]
 
     for t1, k1, u in elems:
         for t2, k2, v in elems:
             for t3, k3, w in elems:
-                lhs = schouten_bracket(u, schouten_bracket(v, w))
                 sign = 1 if ((len(k1) - 1) * (len(k2) - 1)) % 2 == 0 else -1
-                rhs = schouten_bracket(schouten_bracket(u, v), w).add(
-                    schouten_bracket(v, schouten_bracket(u, w)).scale(sign)
-                )
-                if not lhs.sub(rhs).is_zero():
+                lhs = br(u, br(v, w))
+                if _lincomb((1, lhs), (-1, br(br(u, v), w)), (-sign, br(v, br(u, w)))):
                     return [Violation("graded-jacobi", (t1, k1, t2, k2, t3, k3), "")]
 
     return []
@@ -408,8 +549,7 @@ class GeneratorOp:
             outer, inner = label[1:] if len(label) == 3 else ((), label[1])
             if (val.lr if isinstance(val, Multivector) else val.t) != parent:
                 raise ValueError("table value parent mismatch")
-            terms = _terms(val) if isinstance(val, Multivector) else val.values
-            if any(len(o) != len(outer) or len(i) != len(inner) - 1 for o, i in terms):
+            if any(len(o) != len(outer) or len(i) != len(inner) - 1 for o, i in _terms(val)):
                 raise ValueError(f"table entry {label} does not lower the inner degree by 1")
             norm[label] = val
         self.parent = parent
@@ -472,49 +612,53 @@ def generator_from_connection(lr: LieRinehart, c: TopConnection, _signs: Optiona
 
 
 def _label_elems(lr: LieRinehart) -> List[Tuple]:
-    """(label, basis multivector, degree) for every rational basis label."""
-    return [((t, k), _label_mv(lr, t, k), len(k)) for t, k in _basis_multivectors(lr, lr.rank)]
+    """(label, label vector, degree) for every rational basis label."""
+    return [((t, k), {(t, (), k): 1}, len(k)) for t, k in _basis_multivectors(lr, lr.rank)]
 
 
 def _first_nonzero(images: Iterable[Tuple]) -> Optional[Tuple]:
-    """The first label of (label, image) pairs whose image is nonzero, or
-    None; images after that label are never computed."""
-    return next((label for label, image in images if not image.is_zero()), None)
+    """The first label of (label, image vector) pairs whose image is
+    nonzero, or None; images after that label are never computed."""
+    return next((label for label, image in images if image), None)
 
 
-def _derivation_witness(elems: Sequence[Tuple], bracket, d) -> Optional[Tuple]:
+def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: _Columns) -> Optional[Tuple]:
     """The first pair (label1, label2, residual) of elems, a list of
-    (label, element, degree), on which
+    (label, label vector, degree), on which
 
         d[u,v] = [du,v] - (-1)^{|u|} [u,dv]
 
-    fails, or None.  d is applied once per element and once per pair."""
-    images = [d(e) for _, e, _ in elems]
+    fails, or None.  Brackets are read off tables, d is a tabulated
+    operator, and the residual is returned as a carrier element."""
+    br = tables.bracket
+    images = [d.apply(u) for _, u, _ in elems]
     for a, (label1, u, p) in enumerate(elems):
         su = 1 if p % 2 == 0 else -1
         for b, (label2, v, _) in enumerate(elems):
-            rhs = bracket(images[a], v).sub(bracket(u, images[b]).scale(su))
-            residual = d(bracket(u, v)).sub(rhs)
-            if not residual.is_zero():
-                return label1, label2, residual
+            residual = _lincomb((1, d.apply(br(u, v))), (-1, br(images[a], v)), (su, br(u, images[b])))
+            if residual:
+                return label1, label2, tables.carrier(residual)
     return None
 
 
-def _generator_witness(elems: Sequence[Tuple], bracket, product, D) -> Optional[Tuple]:
+def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: _Columns) -> Optional[Tuple]:
     """The first pair (label1, label2, residual) of elems, a list of
-    (label, element, degree), on which the generator identity
+    (label, label vector, degree), on which the generator identity
 
         [u,v] = (-1)^{|u|} ( D(uv) - (Du)v - (-1)^{|u|} u(Dv) )
 
-    fails, or None.  D is applied once per element and once per pair."""
-    images = [D(e) for _, e, _ in elems]
+    fails, or None.  Brackets and products are read off tables, D is a
+    tabulated operator, and the residual is returned as a carrier element."""
+    br, prod = tables.bracket, tables.product
+    images = [D.apply(u) for _, u, _ in elems]
     for a, (label1, u, p) in enumerate(elems):
         su = 1 if p % 2 == 0 else -1
         for b, (label2, v, _) in enumerate(elems):
-            inner = D(product(u, v)).sub(product(images[a], v)).sub(product(u, images[b]).scale(su))
-            residual = bracket(u, v).sub(inner.scale(su))
-            if not residual.is_zero():
-                return label1, label2, residual
+            residual = _lincomb(
+                (1, br(u, v)), (-su, D.apply(prod(u, v))), (su, prod(images[a], v)), (1, prod(u, images[b]))
+            )
+            if residual:
+                return label1, label2, tables.carrier(residual)
     return None
 
 
@@ -526,14 +670,16 @@ def generator_validate(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:
     on all rational basis pairs; first witness reported."""
     if g.parent != lr:
         raise ValueError("parent mismatch")
-    found = _generator_witness(_label_elems(lr), schouten_bracket, wedge, g.apply)
+    tables = _flat_tables(lr)
+    found = _generator_witness(_label_elems(lr), tables, tables.operator(g.apply))
     return [] if found is None else [Violation("generator-identity", found[0] + found[1], "")]
 
 
 def generator_square(g: GeneratorOp) -> Tuple[bool, Optional[Tuple[int, Tuple[int, ...]]]]:
     """(True, None) when D.D kills every tabulated input, else the first
     witnessing input label."""
-    label = _first_nonzero((lab, g.apply(g.apply(_label_mv(g.parent, *lab)))) for lab in g.inputs())
+    D = _flat_tables(g.parent).operator(g.apply)
+    label = _first_nonzero((lab, D.apply(D.column((lab[0], (), lab[1])))) for lab in g.inputs())
     return label is None, label
 
 
@@ -563,5 +709,6 @@ def generator_to_connection(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
 def generator_derivation_check(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:
     """For exact generators: D[u,v] = [Du,v] - (-1)^{|u|}[u,Dv] on all
     rational basis pairs."""
-    found = _derivation_witness(_label_elems(lr), schouten_bracket, g.apply)
+    tables = _flat_tables(lr)
+    found = _derivation_witness(_label_elems(lr), tables, tables.operator(g.apply))
     return [] if found is None else [Violation("generator-derivation", found[0] + found[1], "")]

@@ -24,14 +24,17 @@ values in a module over it:
     d'                    L'  with values in Lambda^q(dual of L'' over L'),
                           optionally tensored with a line, times (-1)^q
 
-where p is the inner and q the outer degree.  Conventions fixed by the degenerate cases: with L'' = 0 the operator d'
-is the plain cochain differential of L' (so d' carries the global sign
-(-1)^q past the q external slots), and d'' uses the Lie-derivative
-action on inner form slots.  The total-complex dimension comparison
-calibrates the pair globally.
+where p is the inner and q the outer degree.  Conventions fixed by the
+degenerate cases: with L'' = 0 the operator d' is the plain cochain
+differential of L' (so d' carries the global sign (-1)^q past the q
+external slots), and d'' uses the Lie-derivative action on inner form
+slots.  The total-complex dimension comparison calibrates the pair.
 
-The square, derivation and generator checks run the identity checkers
-of ``gerst`` on the bigraded basis labels; this module only lists the
+The square, derivation and generator checks and the total complex run on
+label tables of ``gerst``, built afresh by each call: the crossed bracket
+and bigraded product per label pair, filled on first use (the recursion
+fills only pairs whose left label is a single vector or a pure form), and
+d', d'' and generators as sparse label columns.  This module lists the
 labels and maps the witnesses back to its report formats.
 """
 
@@ -50,6 +53,8 @@ from .gerst import (
     _derivation_witness,
     _first_nonzero,
     _generator_witness,
+    _LabelTables,
+    _lincomb,
     _product_into,
     generator_to_connection,
 )
@@ -102,7 +107,7 @@ class AlmostTwilled:
         on_prime = LRModule(lsecond, lprime.rank, act_s_on_p)
         self.act_p_on_s = on_second.action
         self.act_s_on_p = on_prime.action
-        self._modules: Dict[Tuple, LRModule] = {("on_second",): on_second, ("on_prime",): on_prime}
+        self._modules: Dict[Tuple, object] = {("on_second",): on_second, ("on_prime",): on_prime}
         self._sum: Optional[LieRinehart] = None
         self._dual_pair = None
 
@@ -268,8 +273,15 @@ def bigraded_labels(t: AlmostTwilled):
                         yield ta, ss, sp
 
 
-def _label_elem(t: AlmostTwilled, ta: int, ss, sp) -> Bigraded:
-    return Bigraded.term(t, t.alg.basis(ta), ss, sp)
+def _from_terms(t: AlmostTwilled, terms: Dict) -> Bigraded:
+    """The bigraded element of a homogeneous term dict."""
+    ss, sp = next(iter(terms), ((), ()))
+    return Bigraded(t, len(ss), len(sp), terms)
+
+
+def _label_tables(t: AlmostTwilled) -> _LabelTables:
+    """Label tables of the crossed bracket and bigraded product, for one call."""
+    return _LabelTables(t.alg, partial(_from_terms, t), partial(crossed_bracket, t))
 
 
 def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
@@ -282,8 +294,8 @@ def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
     return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, out)
 
 
-def _cached_module(t: AlmostTwilled, key: Tuple, build) -> LRModule:
-    """Coefficient modules are built once per pair and kept on it."""
+def _cached_module(t: AlmostTwilled, key: Tuple, build):
+    """Coefficient modules and slot lists are built once per pair and kept on it."""
     m = t._modules.get(key)
     if m is None:
         m = t._modules[key] = build()
@@ -301,8 +313,7 @@ def _ce_bigraded(t: AlmostTwilled, w: Bigraded, outer: bool, module: LRModule) -
         lr, form_deg, slot_rank, slot_deg = t.lsecond, w.qdeg, t.lprime.rank, w.pdeg
     else:
         lr, form_deg, slot_rank, slot_deg = t.lprime, w.pdeg, t.lsecond.rank, w.qdeg
-    slots = list(combinations(range(slot_rank), slot_deg))
-    index = {s: pos for pos, s in enumerate(slots)}
+    slots, index = _slots(t, slot_rank, slot_deg)
     zero = t.alg.zero()
     vals: Dict = {}
     for (ss, sp), c in w.values.items():
@@ -365,14 +376,20 @@ def dsecond_multi(t: AlmostTwilled, w: Bigraded) -> Bigraded:
     return _ce_bigraded(t, w, True, module)
 
 
+def _slots(t: AlmostTwilled, rank: int, deg: int) -> Tuple[List, Dict]:
+    """The sorted deg-subsets of range(rank) and their positions."""
+    slots = _cached_module(t, ("slots", rank, deg), lambda: list(combinations(range(rank), deg)))
+    return slots, _cached_module(t, ("index", rank, deg), lambda: {s: k for k, s in enumerate(slots)})
+
+
 def _lie_derivative(t: AlmostTwilled, i: int, b: AElem, outer: Tuple[int, ...]) -> Dict:
     """e'_i . (b e''*_outer) as {outer subset: coefficient}: the Lie
     derivative of an outer form along a basis vector of L', read off the
     compiled action of the d' coefficient module."""
     dim = t.alg.dim
-    slots = list(combinations(range(t.lsecond.rank), len(outer)))
+    slots, index = _slots(t, t.lsecond.rank, len(outer))
     images = _action_table(_dprime_module(t, len(outer)))[i]
-    col = slots.index(outer) * dim
+    col = index[outer] * dim
     acc: Dict[int, List[Fraction]] = {}
     for s, c in enumerate(b.coeffs):
         if c != 0:
@@ -393,8 +410,8 @@ def crossed_bracket(t: AlmostTwilled, u: Bigraded, v: Bigraded) -> Bigraded:
 
 
 def _bigraded_elems(t: AlmostTwilled) -> List[Tuple]:
-    """(label, basis element, total degree) for every bigraded basis label."""
-    return [(lab, _label_elem(t, *lab), len(lab[1]) + len(lab[2])) for lab in bigraded_labels(t)]
+    """(label, label vector, total degree) for every bigraded basis label."""
+    return [(lab, {lab: 1}, len(lab[1]) + len(lab[2])) for lab in bigraded_labels(t)]
 
 
 def _first_witnesses(labels: List[Tuple], **images) -> Dict[str, Tuple]:
@@ -410,14 +427,13 @@ def bicomplex_square_check(t: AlmostTwilled) -> Dict:
     against twilledness of the sum; the two sides of the equivalence are
     computed independently."""
     labels = list(bigraded_labels(t))
-    forms = [_label_elem(t, *lab) for lab in labels]
-    dp = [dprime_form(t, w) for w in forms]
-    ds = [dsecond_form(t, w) for w in forms]
+    tables = _label_tables(t)
+    dp, ds = tables.operator(partial(dprime_form, t)), tables.operator(partial(dsecond_form, t))
     witnesses = _first_witnesses(
         labels,
-        dprime_square=(dprime_form(t, a) for a in dp),
-        dsecond_square=(dsecond_form(t, b) for b in ds),
-        anticommute=(dprime_form(t, b).add(dsecond_form(t, a)) for a, b in zip(dp, ds)),
+        dprime_square=(dp.apply(dp.column(lab)) for lab in labels),
+        dsecond_square=(ds.apply(ds.column(lab)) for lab in labels),
+        anticommute=(_lincomb((1, dp.apply(ds.column(lab))), (1, ds.apply(dp.column(lab)))) for lab in labels),
     )
     twilled = is_twilled(t)
     report = {key: key not in witnesses for key in ("dprime_square", "dsecond_square", "anticommute")}
@@ -431,30 +447,25 @@ def bicomplex_square_check(t: AlmostTwilled) -> Dict:
 
 def _dg_check(t: AlmostTwilled, elems: List[Tuple]) -> Dict:
     """d'' squares to zero and derives the crossed bracket on the basis
-    elements elems, against twilledness."""
-    d = partial(dsecond_multi, t)
-    label = _first_nonzero((lab, d(d(w))) for lab, w, _ in elems)
+    elements elems, against twilledness; d'' is tabulated once per label
+    for both."""
+    tables = _label_tables(t)
+    d = tables.operator(partial(dsecond_multi, t))
+    label = _first_nonzero((lab, d.apply(d.apply(w))) for lab, w, _ in elems)
     witnesses = {} if label is None else {"square": label}
-    found = _derivation_witness(elems, partial(crossed_bracket, t), d)
+    found = _derivation_witness(elems, tables, d)
     if found is not None:
         witnesses["derivation"] = found[0] + found[1]
-    square = "square" not in witnesses
-    derivation = found is None
-    twilled = not is_twilled(t)
-    return {
-        "square": square,
-        "derivation": derivation,
-        "twilled": twilled,
-        "equivalent": (square and derivation) == twilled,
-        "witnesses": witnesses,
-    }
+    square, derivation, twilled = "square" not in witnesses, found is None, not is_twilled(t)
+    report = {"square": square, "derivation": derivation, "twilled": twilled}
+    return {**report, "equivalent": (square and derivation) == twilled, "witnesses": witnesses}
 
 
 def dg_lie_check(t: AlmostTwilled) -> Dict:
     """On the inner-degree-1 carrier: d'' squares to zero and derives the
     crossed bracket; equivalence against twilledness."""
     elems = [
-        ((ta, ss, i), _label_elem(t, ta, ss, (i,)), q + 1)
+        ((ta, ss, i), {(ta, ss, (i,)): 1}, q + 1)
         for q in range(t.lsecond.rank + 1)
         for ss in combinations(range(t.lsecond.rank), q)
         for ta in range(t.alg.dim)
@@ -475,35 +486,27 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
     bad = is_twilled(t)
     if bad:
         raise ValueError(f"not twilled: {bad[0]}")
-    ns, np = t.lsecond.rank, t.lprime.rank
-    top = min(max_total_degree, ns + np)
+    top = min(max_total_degree, t.lsecond.rank + t.lprime.rank)
 
     by_degree: Dict[int, List[Tuple]] = {}
     for lab in bigraded_labels(t):
         by_degree.setdefault(len(lab[1]) + len(lab[2]), []).append(lab)
 
+    tables = _label_tables(t)
+    dp, ds = tables.operator(partial(dprime_form, t)), tables.operator(partial(dsecond_form, t))
+
     def diff_matrix(k: int) -> SparseMatrix:
         cols, rows = by_degree[k], by_degree.get(k + 1, [])
         index = {lab: pos for pos, lab in enumerate(rows)}
-        entries: Dict[Tuple[int, int], Fraction] = {}
-        for cpos, (ta, ss, sp) in enumerate(cols):
-            w = _label_elem(t, ta, ss, sp)
-            image = dprime_form(t, w).values.items()
-            image2 = dsecond_form(t, w).values.items()
-            for (kss, ksp), val in list(image) + list(image2):
-                for tt in range(t.alg.dim):
-                    c = val.coeffs[tt]
-                    if c != 0:
-                        at = (index[(tt, kss, ksp)], cpos)
-                        entries[at] = entries.get(at, 0) + c
+        entries = {
+            (index[lab], cpos): c
+            for cpos, col in enumerate(cols)
+            for lab, c in _lincomb((1, dp.column(col)), (1, ds.column(col))).items()
+        }
         return SparseMatrix(len(rows), len(cols), entries)
 
-    dims_total = []
     ranks = [mat_rank(diff_matrix(k)) for k in range(top + 1)]
-    for k in range(top + 1):
-        size = len(by_degree[k])
-        below = ranks[k - 1] if k > 0 else 0
-        dims_total.append(size - ranks[k] - below)
+    dims_total = [len(by_degree[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)]
     s = twilled_sum(t)
     dims_sum = cohomology_dims(s, trivial_coefficients(s), top)
     return {
@@ -528,10 +531,8 @@ def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> GeneratorOp:
     lp = t.lprime
     if g.parent != lp:
         raise ValueError("generator must live on the inner factor")
-    conn = generator_to_connection(lp, g)
-    omega = conn.omega
-    np = lp.rank
-    full = set(range(np))
+    omega = generator_to_connection(lp, g).omega
+    full = set(range(lp.rank))
     table: Dict = {}
     for ta, ss, sp in bigraded_labels(t):
         p = len(sp)
@@ -547,12 +548,9 @@ def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> GeneratorOp:
         out: Dict = {}
         sgn_p = 1 if p % 2 == 0 else -1
         for (kss, ksp), val in image.values.items():
+            # back is the complement of ksp, so the merge never overlaps
             back = tuple(sorted(full - set(ksp)))
-            mb = merge_sign(back, ksp)
-            if mb is None:
-                continue
-            s = sgn_p * mb[1]
-            out[(kss, back)] = val if s == 1 else -val
+            out[(kss, back)] = val if sgn_p * merge_sign(back, ksp)[1] == 1 else -val
         table[(ta, ss, sp)] = Bigraded(t, len(ss), p - 1, out)
     op = GeneratorOp(t, table)
     bad = bigraded_generator_validate(t, op)
@@ -564,7 +562,8 @@ def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> GeneratorOp:
 def bigraded_generator_validate(t: AlmostTwilled, op: GeneratorOp) -> List[Violation]:
     """Generator identity with total degrees against the crossed bracket
     and the bigraded product, on all basis pairs."""
-    found = _generator_witness(_bigraded_elems(t), partial(crossed_bracket, t), bigraded_product, op.apply)
+    tables = _label_tables(t)
+    found = _generator_witness(_bigraded_elems(t), tables, tables.operator(op.apply))
     return [] if found is None else [Violation("bigraded-generator-identity", found[0] + found[1], "")]
 
 
@@ -574,11 +573,12 @@ def bv_commutator_check(t: AlmostTwilled, op: GeneratorOp) -> Dict:
     d''G + Gd''.  Vanishing makes the pair a weak differential
     structure; with an exact generator it upgrades to the full one."""
     labels = list(bigraded_labels(t))
-    elems = [_label_elem(t, *lab) for lab in labels]
+    tables = _label_tables(t)
+    d, g = tables.operator(partial(dsecond_multi, t)), tables.operator(op.apply)
     witnesses = _first_witnesses(
         labels,
-        commutator=(dsecond_multi(t, op.apply(u)).add(op.apply(dsecond_multi(t, u))) for u in elems),
-        square=(op.apply(op.apply(u)) for u in elems),
+        commutator=(_lincomb((1, d.apply(g.column(lab))), (1, g.apply(d.column(lab)))) for lab in labels),
+        square=(g.apply(g.column(lab)) for lab in labels),
     )
     commutes, exact = "commutator" not in witnesses, "square" not in witnesses
     return {"commutes": commutes, "exact": exact, "full_bv": commutes and exact, "witnesses": witnesses}

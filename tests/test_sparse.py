@@ -1,8 +1,9 @@
-"""The sparse cochain differential, the compiled degree-one bracket and
-the sparse rank against references that compute the same objects another
-way: the differential one basis form at a time through ce_differential,
-the bracket through the Leibniz expansion of lr_bracket, and dense
-echelon rank."""
+"""The sparse cochain differential, the compiled degree-one bracket, the
+label tables of the Schouten bracket and the sparse rank against
+references that compute the same objects another way: the differential
+one basis form at a time through ce_differential, the bracket through
+the Leibniz expansion of lr_bracket, the label tables through the
+recursion of schouten_bracket and wedge, and dense echelon rank."""
 
 from fractions import Fraction
 from importlib import resources
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from lierine.calgebra import Derivation
 from lierine.cli import parse_instance
 from lierine.exactla import RatMatrix, SparseMatrix, _echelon, mat_rank
+from lierine.gerst import Multivector, _basis_multivectors, _flat_tables, schouten_bracket, wedge
 from lierine.instances import derx3, gl_n, heisenberg, line_with_connection, truncated_poly
 from lierine.lrcore import (
     AltForm,
@@ -181,6 +183,34 @@ def test_degree_one_bracket_matches_lr_bracket_on_fixtures(name, lr):
 @given(random_tables())
 def test_degree_one_bracket_matches_lr_bracket_on_random_tables(p):
     assert_degree_one_matches_lr_bracket(p[0])
+
+
+def assert_label_tables_match_recursion(lr):
+    """The bracket and product label tables of Lambda L against
+    schouten_bracket and wedge, on every ordered pair of Q-basis labels;
+    the pairs are visited in order, so most entries are read off the
+    entries of their factors."""
+    tables = _flat_tables(lr)
+    labels = [(t, (), k) for t, k in _basis_multivectors(lr, lr.rank)]
+    for x, y in product(labels, repeat=2):
+        u = Multivector(lr, {x[2]: lr.alg.basis(x[0])})
+        v = Multivector(lr, {y[2]: lr.alg.basis(y[0])})
+        assert tables.carrier(tables.bracket({x: 1}, {y: 1})) == schouten_bracket(u, v), (x, y)
+        assert tables.carrier(tables.product({x: 1}, {y: 1})) == wedge(u, v), (x, y)
+
+
+TABLE_STRUCTURES = FIXTURE_STRUCTURES + [("heisenberg", heisenberg()), ("gl2", gl_n(2))]
+
+
+@pytest.mark.parametrize("name,lr", TABLE_STRUCTURES, ids=[n for n, _ in TABLE_STRUCTURES])
+def test_schouten_label_table_matches_recursion_on_fixtures(name, lr):
+    assert_label_tables_match_recursion(lr)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_tables())
+def test_schouten_label_table_matches_recursion_on_random_tables(p):
+    assert_label_tables_match_recursion(p[0])
 
 
 class TestSquareWitness:

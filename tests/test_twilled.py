@@ -1,13 +1,17 @@
 """Mutually acting pairs: the combined bracket, the two differentials,
 the crossed bracket, and generator extension."""
 
+import importlib.util
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lierine.calgebra import AElem
+from lierine.calgebra import AElem, Derivation
 from lierine.cli import parse_instance
 from lierine.gerst import (
     GeneratorOp,
@@ -30,9 +34,11 @@ from lierine.instances import (
     rationals,
     truncated_poly,
 )
+from lierine.exactla import RatMatrix
 from lierine.lrcore import (
     AltForm,
     LElem,
+    LieRinehart,
     basis_forms,
     ce_differential,
     lr_bracket,
@@ -55,6 +61,7 @@ from lierine.twilled import (
     dprime_form,
     dsecond_form,
     dsecond_multi,
+    _label_tables,
     is_twilled,
     total_complex_cohomology_check,
     twilled_sum,
@@ -335,6 +342,70 @@ def test_crossed_bracket_without_outer_slots_is_schouten(name, t):
         assert w.values == {((), k): c for k, c in mw.values.items()}, (ta1, s1, ta2, s2)
 
 
+def assert_crossed_tables_match_recursion(t):
+    """The crossed bracket and bigraded product label tables against
+    crossed_bracket and bigraded_product, on every ordered pair of
+    bigraded Q-basis labels."""
+    tables = _label_tables(t)
+    labels = list(bigraded_labels(t))
+    for x, y in product(labels, repeat=2):
+        u = Bigraded.term(t, t.alg.basis(x[0]), x[1], x[2])
+        v = Bigraded.term(t, t.alg.basis(y[0]), y[1], y[2])
+        assert tables.carrier(tables.bracket({x: 1}, {y: 1})).values == crossed_bracket(t, u, v).values, (x, y)
+        assert tables.carrier(tables.product({x: 1}, {y: 1})).values == bigraded_product(u, v).values, (x, y)
+
+
+def bench_sl2_double():
+    """The benchmark's generated sl2 standard double (seed 101), read
+    from the generator's text without writing a file."""
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.sl2_double(101)
+
+
+TABLE_PAIRS = SHIPPED_PAIRS + [("bench_sl2_double", None)]
+
+
+@pytest.mark.parametrize("name,t", TABLE_PAIRS, ids=[n for n, _ in TABLE_PAIRS])
+def test_crossed_label_table_matches_recursion(name, t, tmp_path):
+    if t is None:
+        path = tmp_path / "sl2_double.lri"
+        path.write_text(bench_sl2_double())
+        t = parse_instance(str(path)).build_twilled("double")
+    assert_crossed_tables_match_recursion(t)
+
+
+def random_elem(draw, alg):
+    values = st.sampled_from([0, 0, 1, -1, Fraction(1, 2)])
+    return alg.elem([draw(values) for _ in range(alg.dim)])
+
+
+def random_structure(draw, alg, n):
+    bracket = [[[random_elem(draw, alg) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    values = st.sampled_from([0, 1, -1])
+    anchor = [Derivation(alg, RatMatrix(alg.dim, alg.dim, [draw(values) for _ in range(alg.dim ** 2)])) for _ in range(n)]
+    return LieRinehart(alg, n, bracket, anchor)
+
+
+@st.composite
+def perturbed_pairs(draw):
+    """Two arbitrary structures over Q[x]/(x^k) with arbitrary action
+    tables: none of the twilled conditions need hold."""
+    alg = truncated_poly(draw(st.integers(1, 2)))
+    lp = random_structure(draw, alg, draw(st.integers(1, 2)))
+    ls = random_structure(draw, alg, draw(st.integers(1, 2)))
+    act_p_on_s = [[[random_elem(draw, alg) for _ in range(ls.rank)] for _ in range(ls.rank)] for _ in range(lp.rank)]
+    act_s_on_p = [[[random_elem(draw, alg) for _ in range(lp.rank)] for _ in range(lp.rank)] for _ in range(ls.rank)]
+    return AlmostTwilled(lp, ls, act_p_on_s, act_s_on_p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(perturbed_pairs())
+def test_crossed_label_table_matches_recursion_on_perturbed_pairs(t):
+    assert_crossed_tables_match_recursion(t)
+
+
 class TestCrossedBracket:
     def test_external_degree_zero_is_schouten(self):
         t = book_double()
@@ -461,6 +532,53 @@ class TestDgChecks:
         r = dg_gerstenhaber_check(t)
         assert r["square"] and r["derivation"]
         assert len(calls) <= n * n + 3 * n
+
+    def test_dsecond_tabulated_once_per_label(self, monkeypatch):
+        # the square pass and the derivation check share one d'' column
+        # per label: every bracket and image stays in the label span
+        import lierine.twilled as twilled
+
+        calls = []
+        original = twilled.dsecond_multi
+
+        def counting(t, w):
+            calls.append(w)
+            return original(t, w)
+
+        monkeypatch.setattr(twilled, "dsecond_multi", counting)
+        t = book_double()
+        n = len(list(bigraded_labels(t)))
+        r = dg_gerstenhaber_check(t)
+        assert r["square"] and r["derivation"]
+        assert len(calls) <= n
+
+    @pytest.mark.parametrize("fixture", ["flat_broken", "matched_pair_flipped"])
+    def test_witness_at_first_pairs_stays_cheap(self, monkeypatch, fixture):
+        # the bracket table is filled on first use, so a witness among the
+        # first pairs leaves most of the L^2 entries unfilled; each base
+        # case is one crossed_bracket call, one run of _bracket_terms
+        import lierine.twilled as twilled
+
+        inst = parse_instance(str(resources.files("lierine") / "fixtures" / f"{fixture}.lri"))
+        t = inst.build_twilled(next(iter(inst.twilleds)))
+        made, base_cases = [], []
+        bracket, make_tables = twilled.crossed_bracket, twilled._label_tables
+
+        def counting(pair, u, v):
+            base_cases.append((u, v))
+            return bracket(pair, u, v)
+
+        def recording(pair):
+            made.append(make_tables(pair))
+            return made[-1]
+
+        monkeypatch.setattr(twilled, "crossed_bracket", counting)
+        monkeypatch.setattr(twilled, "_label_tables", recording)
+        r = dg_gerstenhaber_check(t)
+        n = len(list(bigraded_labels(t)))
+        assert not r["derivation"]
+        assert sum(len(row) for tables in made for row in tables.brackets.values()) < n * n // 4
+        assert 0 < len(base_cases) < n * n // 4
 
 
 class TestTotalComplex:
