@@ -78,13 +78,6 @@ class CommAlg:
                         out[k] += f * m
         return tuple(out)
 
-    def mult_matrix(self, a: "AElem") -> RatMatrix:
-        """Matrix of multiplication by a, acting on coefficient vectors."""
-        cols = [self.mul_coeffs(a.coeffs, self.basis(j).coeffs) for j in range(self.dim)]
-        return RatMatrix(
-            self.dim, self.dim, [cols[j][i] for i in range(self.dim) for j in range(self.dim)]
-        )
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -234,10 +227,3 @@ def derivation_validate(alg: CommAlg, d: Derivation) -> List[Violation]:
         out.append(Violation("unit-killed", (), "D(1) != 0"))
     return out
 
-
-def der_bracket(d1: Derivation, d2: Derivation) -> Derivation:
-    """Commutator of two derivations; again a derivation when the inputs are."""
-    if d1.alg != d2.alg:
-        raise ValueError("parent algebra mismatch")
-    m = d1.matrix.matmul(d2.matrix).sub(d2.matrix.matmul(d1.matrix))
-    return Derivation(d1.alg, m)

@@ -47,7 +47,6 @@ from .calgebra import AElem, CommAlg
 from .exactla import _frac
 from .lrcore import (
     AltForm,
-    LElem,
     LieRinehart,
     LRModule,
     _bracket_vectors,
@@ -89,10 +88,6 @@ class Multivector:
     @classmethod
     def basis(cls, lr: LieRinehart, i: int) -> "Multivector":
         return cls(lr, {(i,): lr.alg.one()})
-
-    @classmethod
-    def from_lelem(cls, u: LElem) -> "Multivector":
-        return cls(u.lr, {(i,): c for i, c in enumerate(u.coeffs)})
 
     @classmethod
     def top(cls, lr: LieRinehart) -> "Multivector":

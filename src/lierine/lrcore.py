@@ -11,21 +11,29 @@ elements are expanded through the two defining rules
 so a structure is fully determined by its basis tables.  Validation,
 module flatness, the alternating-form differential, and cohomology
 dimensions all reduce to exact rational linear algebra on basis data.
+
+Two axioms are read off the formal square d.d of ``ce_matrix``: the anchor
+is a bracket morphism iff d.d = 0 on C^0(L; A), and a connection M is flat
+iff d.d = 0 on C^0(L; M).  Antisymmetry and the anchor's derivation
+property are read off the literal tables, and Jacobi off the degree-one
+Leibniz expansion, because ``ce_matrix`` reads only the i < j half of the
+bracket table: a one-sided break can leave d.d = 0 on C^1(L; A).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, islice
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .calgebra import AElem, CommAlg, Derivation, der_bracket, derivation_validate
-from .exactla import RatMatrix, SparseMatrix, _frac, mat_rank
+from .calgebra import AElem, CommAlg, Derivation, derivation_validate
+from .exactla import SparseMatrix, _frac, mat_rank
 from .reporting import Violation
 from .signs import sort_with_sign
 
-# compiled forms of the basis tables; see _compiled_tables and _action_table
+# compiled basis tables; see _bracket_table, _degree_one_table and _action_table
 BracketTable = Dict[Tuple[int, int], List[Tuple[int, List[Dict[int, Fraction]]]]]
 DegreeOneTable = Dict[Tuple[int, int], List[List[List[Tuple[int, Tuple[Fraction, ...]]]]]]
 ActionTable = List[List[List[Tuple[int, Fraction]]]]
@@ -37,11 +45,11 @@ class LieRinehart:
     bracket[i][j] is the coefficient tuple (n AElems) of [e_i, e_j]; the
     table is stored literally, so antisymmetry is a checked axiom, not a
     storage convention.  anchor[i] is the derivation attached to e_i.
-    The axiom report and the compiled bracket tables are computed on first
-    use and kept on the instance.
+    The axiom report and the two compiled tables are computed on first use
+    and kept on the instance.
     """
 
-    __slots__ = ("alg", "rank", "bracket", "anchor", "_validation", "_compiled")
+    __slots__ = ("alg", "rank", "bracket", "anchor", "_validation", "_brackets", "_ones")
 
     def __init__(self, alg: CommAlg, rank: int, bracket: Sequence, anchor: Sequence) -> None:
         if rank < 0:
@@ -72,18 +80,8 @@ class LieRinehart:
         self.bracket = tuple(rows)
         self.anchor = tuple(anchor)
         self._validation: Optional[Tuple[Violation, ...]] = None
-        self._compiled: Optional[Tuple[BracketTable, DegreeOneTable]] = None
-
-    def lelem(self, coeffs: Sequence[AElem]) -> "LElem":
-        return LElem(self, coeffs)
-
-    def basis_l(self, i: int) -> "LElem":
-        c = [self.alg.zero()] * self.rank
-        c[i] = self.alg.one()
-        return LElem(self, c)
-
-    def bracket_elem(self, i: int, j: int) -> "LElem":
-        return LElem(self, self.bracket[i][j])
+        self._brackets: Optional[BracketTable] = None
+        self._ones: Optional[DegreeOneTable] = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -104,98 +102,14 @@ class LieRinehart:
         return f"LieRinehart(rank={self.rank}, base_dim={self.alg.dim})"
 
 
-class LElem:
-    """Element of L: a tuple of algebra coefficients over the L-basis."""
-
-    __slots__ = ("lr", "coeffs")
-
-    def __init__(self, lr: LieRinehart, coeffs: Sequence[AElem]) -> None:
-        cc = tuple(coeffs)
-        if len(cc) != lr.rank:
-            raise ValueError("coefficient tuple has wrong length")
-        for c in cc:
-            if c.alg != lr.alg:
-                raise ValueError("parent algebra mismatch")
-        self.lr = lr
-        self.coeffs = cc
-
-    def __add__(self, other: "LElem") -> "LElem":
-        self._same(other)
-        return LElem(self.lr, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "LElem") -> "LElem":
-        self._same(other)
-        return LElem(self.lr, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "LElem":
-        return LElem(self.lr, tuple(-a for a in self.coeffs))
-
-    def scale(self, a: AElem) -> "LElem":
-        return LElem(self.lr, tuple(a * c for c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def _same(self, other: "LElem") -> None:
-        if self.lr != other.lr:
-            raise ValueError("parent structure mismatch")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LElem):
-            return NotImplemented
-        return self.lr == other.lr and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return "LElem(" + ", ".join(repr(c) for c in self.coeffs) + ")"
-
-
-def lr_anchor_apply(lr: LieRinehart, u: LElem, a: AElem) -> AElem:
-    """rho(u)(a) for a general element u = sum u_k e_k."""
-    if u.lr != lr or a.alg != lr.alg:
-        raise ValueError("parent mismatch")
-    out = lr.alg.zero()
-    for k, uk in enumerate(u.coeffs):
-        if not uk.is_zero():
-            out = out + uk * lr.anchor[k].apply(a)
-    return out
-
-
-def anchor_matrix(lr: LieRinehart, u: LElem) -> RatMatrix:
-    """Matrix of rho(u) on algebra coefficient vectors."""
-    m = RatMatrix.zero(lr.alg.dim, lr.alg.dim)
-    for k, uk in enumerate(u.coeffs):
-        if not uk.is_zero():
-            m = m.add(lr.alg.mult_matrix(uk).matmul(lr.anchor[k].matrix))
-    return m
-
-
-def lr_bracket(lr: LieRinehart, u: LElem, v: LElem) -> LElem:
-    """Bracket of general elements via the full Leibniz expansion:
-
-    [sum a_i e_i, sum b_j e_j]
-        = sum a_i b_j [e_i, e_j] + a_i rho(e_i)(b_j) e_j - b_j rho(e_j)(a_i) e_i
-    """
-    if u.lr != lr or v.lr != lr:
-        raise ValueError("parent mismatch")
-    out = [lr.alg.zero() for _ in range(lr.rank)]
-    for i, ai in enumerate(u.coeffs):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(v.coeffs):
-            if bj.is_zero():
-                continue
-            ab = ai * bj
-            for k, ck in enumerate(lr.bracket[i][j]):
-                if not ck.is_zero():
-                    out[k] = out[k] + ab * ck
-            out[j] = out[j] + ai * lr.anchor[i].apply(bj)
-            out[i] = out[i] - bj * lr.anchor[j].apply(ai)
-    return LElem(lr, out)
-
-
 def lr_validate(lr: LieRinehart) -> List[Violation]:
     """Axiom check on basis data: antisymmetry, Jacobi after full Leibniz
     expansion, anchor entries are derivations, anchor is a bracket morphism.
+
+    Antisymmetry and the derivation check read the literal tables, Jacobi
+    the degree-one Leibniz expansion.  The anchor-morphism witness is the
+    first nonzero row (i, j) of the formal d.d on C^0(L; A), which there is
+    [rho(e_i), rho(e_j)] - rho([e_i, e_j]) with [e_i, e_j] read at i < j.
 
     One witness per axiom is reported (the first in lexicographic order);
     A-multilinearity of the axioms makes basis tuples sufficient.
@@ -227,36 +141,19 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
             out.append(Violation("anchor-derivation", (i,), str(bad[0])))
             break
 
-    done = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = anchor_matrix(lr, lr.bracket_elem(i, j))
-            rhs = der_bracket(lr.anchor[i], lr.anchor[j]).matrix
-            if lhs != rhs:
-                out.append(
-                    Violation("anchor-morphism", (i, j), "rho([e_i,e_j]) != [rho(e_i),rho(e_j)]")
-                )
-                done = True
-                break
-        if done:
-            break
+    dd, rows, _ = next(_squares(lr, trivial_coefficients(lr), 0))
+    if dd.entries:
+        key = rows(min(r for r, _ in dd.entries))[0]
+        out.append(Violation("anchor-morphism", key, "rho([e_i,e_j]) != [rho(e_i),rho(e_j)]"))
 
     e = [{i: lr.alg.one().coeffs} for i in range(n)]
-    done = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                jac: Dict[int, List[Fraction]] = {}
-                _bracket_vectors(lr, e[i], _bracket_vectors(lr, e[j], e[k]), jac)
-                _bracket_vectors(lr, _bracket_vectors(lr, e[i], e[j]), e[k], jac, -1)
-                _bracket_vectors(lr, e[j], _bracket_vectors(lr, e[i], e[k]), jac, -1)
-                if any(c != 0 for vec in jac.values() for c in vec):
-                    out.append(Violation("jacobi", (i, j, k), "Jacobi identity fails"))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
+    for i, j, k in combinations(range(n), 3):
+        jac: Dict[int, List[Fraction]] = {}
+        _bracket_vectors(lr, e[i], _bracket_vectors(lr, e[j], e[k]), jac)
+        _bracket_vectors(lr, _bracket_vectors(lr, e[i], e[j]), e[k], jac, -1)
+        _bracket_vectors(lr, e[j], _bracket_vectors(lr, e[i], e[k]), jac, -1)
+        if any(c != 0 for vec in jac.values() for c in vec):
+            out.append(Violation("jacobi", (i, j, k), "Jacobi identity fails"))
             break
 
     return out
@@ -315,11 +212,6 @@ class LRModule:
     def zero_vec(self) -> Tuple[AElem, ...]:
         return (self.lr.alg.zero(),) * self.rank
 
-    def basis_vec(self, j: int) -> Tuple[AElem, ...]:
-        v = [self.lr.alg.zero()] * self.rank
-        v[j] = self.lr.alg.one()
-        return tuple(v)
-
     def act_basis(self, i: int, vec: Sequence[AElem]) -> Tuple[AElem, ...]:
         """e_i . (sum b_j f_j) = sum rho(e_i)(b_j) f_j + b_j (e_i . f_j)."""
         out = [self.lr.alg.zero()] * self.rank
@@ -330,17 +222,6 @@ class LRModule:
             for k, ck in enumerate(self.action[i][j]):
                 if not ck.is_zero():
                     out[k] = out[k] + bj * ck
-        return tuple(out)
-
-    def act_lelem(self, u: LElem, vec: Sequence[AElem]) -> Tuple[AElem, ...]:
-        """(sum a_i e_i) . m = sum a_i (e_i . m)."""
-        out = [self.lr.alg.zero()] * self.rank
-        for i, ai in enumerate(u.coeffs):
-            if ai.is_zero():
-                continue
-            step = self.act_basis(i, vec)
-            for k in range(self.rank):
-                out[k] = out[k] + ai * step[k]
         return tuple(out)
 
     def is_flat(self) -> bool:
@@ -362,26 +243,26 @@ class LRModule:
 def module_validate(lr: LieRinehart, m: LRModule) -> List[Violation]:
     """Flatness on basis tuples: [e_i,e_j].f_k = e_i.(e_j.f_k) - e_j.(e_i.f_k).
 
+    Read off the formal d.d on C^0(L; M) at the unit-valued columns
+    f_k (x) 1, whose rows (i, j) hold the curvature of that pair on f_k.
+    One witness per failing pair, with its first k.
+
     A nonempty report means the table is only a connection.  Requires the
     parent structure to be valid, which also makes basis tuples sufficient.
     """
     if m.lr != lr:
         raise ValueError("parent mismatch")
-    out: List[Violation] = []
-    for i in range(lr.rank):
-        for j in range(i + 1, lr.rank):
-            bij = lr.bracket_elem(i, j)
-            for k in range(m.rank):
-                f = m.basis_vec(k)
-                lhs = m.act_lelem(bij, f)
-                rhs = m.act_basis(i, m.act_basis(j, f))
-                rhs2 = m.act_basis(j, m.act_basis(i, f))
-                if any(not (a - (b - c)).is_zero() for a, b, c in zip(lhs, rhs, rhs2)):
-                    out.append(
-                        Violation("flatness", (i, j, k), "curvature acts nontrivially on f_k")
-                    )
-                    break
-    return out
+    dd, rows, cols = next(_squares(lr, m, 0))
+    unit = lr.alg.unit
+    images: Dict[Tuple[int, int], Fraction] = {}
+    for (r, c), x in dd.entries.items():
+        _, k, t = cols(c)
+        images[(r, k)] = images.get((r, k), 0) + unit[t] * x
+    first: Dict[Tuple[int, ...], int] = {}
+    for key, k in sorted((rows(r)[0], k) for (r, k), x in images.items() if x != 0):
+        first.setdefault(key, k)
+    detail = "curvature acts nontrivially on f_k"
+    return [Violation("flatness", (*key, k), detail) for key, k in first.items()]
 
 
 def trivial_coefficients(lr: LieRinehart) -> LRModule:
@@ -591,19 +472,12 @@ def alt_dim(lr: LieRinehart, module: LRModule, q: int) -> int:
     return comb(lr.rank, q) * module.rank * lr.alg.dim
 
 
-def _compiled_tables(lr: LieRinehart) -> Tuple[BracketTable, DegreeOneTable]:
-    """The basis tables of a structure, compiled once and kept on it.
-
-    The bracket table holds [e_i, e_j] for i < j as its nonzero (k, mul)
-    terms, k ascending, where mul[t] = {s: c} is the product of the e_k
-    coefficient with algebra basis a_t.  The degree-one table holds the
-    full Leibniz expansion on the Q-basis: ones[(i, j)][s][t] lists the
-    nonzero (k, coefficients) of [a_s e_i, a_t e_j] for every ordered
-    pair, read off the literal table so antisymmetry is not assumed.
-    """
-    if lr._compiled is None:
-        alg = lr.alg
-        basis = [alg.basis(t) for t in range(alg.dim)]
+def _bracket_table(lr: LieRinehart) -> BracketTable:
+    """[e_i, e_j] for i < j as its nonzero (k, mul) terms, k ascending, where
+    mul[t] = {s: c} is the product of the e_k coefficient with algebra basis
+    a_t; compiled on first use for ``ce_matrix`` and kept on the structure."""
+    if lr._brackets is None:
+        basis = [lr.alg.basis(t) for t in range(lr.alg.dim)]
         brackets = {}
         for i in range(lr.rank):
             for j in range(i + 1, lr.rank):
@@ -614,13 +488,23 @@ def _compiled_tables(lr: LieRinehart) -> Tuple[BracketTable, DegreeOneTable]:
                 ]
                 if terms:
                     brackets[(i, j)] = terms
-        ones = {
+        lr._brackets = brackets
+    return lr._brackets
+
+
+def _degree_one_table(lr: LieRinehart) -> DegreeOneTable:
+    """The full Leibniz expansion on the Q-basis: ones[(i, j)][s][t] lists the
+    nonzero (k, coefficients) of [a_s e_i, a_t e_j] for every ordered pair,
+    read off the literal table so antisymmetry is not assumed; compiled on
+    first use for ``_bracket_vectors`` and kept on the structure."""
+    if lr._ones is None:
+        basis = [lr.alg.basis(t) for t in range(lr.alg.dim)]
+        lr._ones = {
             (i, j): [[_leibniz(lr, i, x, j, y) for y in basis] for x in basis]
             for i in range(lr.rank)
             for j in range(lr.rank)
         }
-        lr._compiled = (brackets, ones)
-    return lr._compiled
+    return lr._ones
 
 
 def _leibniz(lr: LieRinehart, i: int, x: AElem, j: int, y: AElem) -> List[Tuple[int, Tuple[Fraction, ...]]]:
@@ -637,7 +521,7 @@ def _bracket_vectors(
 ) -> Dict[int, List[Fraction]]:
     """out += sign [u, v] for elements given as {basis index: coefficient
     vector}, summed Q-bilinearly from the compiled degree-one table."""
-    ones = _compiled_tables(lr)[1]
+    ones = _degree_one_table(lr)
     if out is None:
         out = {}
     for i, x in u.items():
@@ -701,7 +585,7 @@ def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -
     width = module.rank * dim
     start = {key: pos * width for pos, key in enumerate(combinations(range(n), q))}
     actions = _action_table(module)
-    brackets = _compiled_tables(lr)[0]
+    brackets = _bracket_table(lr)
     entries: Dict[Tuple[int, int], Fraction] = {}
     for rpos, key in enumerate(combinations(range(n), q + 1)):
         row0 = rpos * width
@@ -732,22 +616,36 @@ def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -
     return SparseMatrix(alt_dim(lr, module, q + 1), alt_dim(lr, module, q), entries)
 
 
+def _squares(lr: LieRinehart, module: LRModule, top: int) -> Iterator[Tuple[SparseMatrix, Callable, Callable]]:
+    """For q = 0..top, the formal square d_{q+1} d_q of ``ce_matrix``, each
+    d built once, with the maps from its row and column indices to their
+    (key, slot, t) labels in ``basis_forms`` order of degree q+2 and q."""
+    n, dim = lr.rank, lr.alg.dim
+    width = module.rank * dim
+
+    def label(degree: int, index: int) -> Tuple[Tuple[int, ...], int, int]:
+        pos, rest = divmod(index, width)
+        return (next(islice(combinations(range(n), degree), pos, None)), *divmod(rest, dim))
+
+    lower = ce_matrix(lr, module, 0, formal=True)
+    for q in range(top + 1):
+        upper = ce_matrix(lr, module, q + 1, formal=True)
+        yield upper.matmul(lower), partial(label, q + 2), partial(label, q)
+        lower = upper
+
+
 def ce_square_witness(lr: LieRinehart, module: LRModule, max_degree: Optional[int] = None):
     """First basis form, as (q, key, j, t) in ``basis_forms`` order, whose
     image under d.d is nonzero, or None.
 
     Works formally, so it is the tool for detecting curvature through the
-    failure of d^2 = 0.
+    failure of d^2 = 0.  At q = 0 it is the square that ``lr_validate``
+    reads on A and ``module_validate`` reads on M.
     """
     top = lr.rank if max_degree is None else min(max_degree, lr.rank)
-    lower = ce_matrix(lr, module, 0, formal=True)
-    for q in range(top + 1):
-        upper = ce_matrix(lr, module, q + 1, formal=True)
-        dd = upper.matmul(lower)
+    for q, (dd, _, cols) in enumerate(_squares(lr, module, top)):
         if dd.entries:
-            col = min(c for _, c in dd.entries)
-            return (q, *list(basis_forms(lr, module, q))[col])
-        lower = upper
+            return (q, *cols(min(c for _, c in dd.entries)))
     return None
 
 

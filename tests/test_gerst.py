@@ -24,7 +24,8 @@ from lierine.gerst import (
     wedge,
 )
 from lierine.instances import abelian, derx2, derx3, rationals, sl2, truncated_poly
-from lierine.lrcore import LieRinehart, lr_anchor_apply, lr_bracket
+from lierine.lrcore import LieRinehart
+from reference import basis_l, from_lelem, lr_anchor_apply, lr_bracket
 
 
 class TestWedge:
@@ -102,8 +103,8 @@ class TestSchouten:
                     u = Multivector.basis(lr, i)
                     v = Multivector.basis(lr, j)
                     got = schouten_bracket(u, v)
-                    want = Multivector.from_lelem(
-                        lr_bracket(lr, lr.basis_l(i), lr.basis_l(j))
+                    want = from_lelem(
+                        lr_bracket(lr, basis_l(lr, i), basis_l(lr, j))
                     )
                     assert got == want
 
@@ -111,10 +112,10 @@ class TestSchouten:
         lr = derx3()
         a = lr.alg.basis(1)
         b = lr.alg.basis(2) + lr.alg.one()
-        x = lr.basis_l(0).scale(a)
-        y = lr.basis_l(1).scale(b)
-        got = schouten_bracket(Multivector.from_lelem(x), Multivector.from_lelem(y))
-        assert got == Multivector.from_lelem(lr_bracket(lr, x, y))
+        x = basis_l(lr, 0).scale(a)
+        y = basis_l(lr, 1).scale(b)
+        got = schouten_bracket(from_lelem(x), from_lelem(y))
+        assert got == from_lelem(lr_bracket(lr, x, y))
 
     def test_element_on_scalar_is_anchor(self):
         lr = derx3()
@@ -141,8 +142,8 @@ class TestSchouten:
             u = wedge(Multivector.basis(lr, i), Multivector.basis(lr, j))
             v = Multivector.basis(lr, k)
             lhs = schouten_bracket(u, v)
-            b_ik = Multivector.from_lelem(lr_bracket(lr, lr.basis_l(i), lr.basis_l(k)))
-            b_jk = Multivector.from_lelem(lr_bracket(lr, lr.basis_l(j), lr.basis_l(k)))
+            b_ik = from_lelem(lr_bracket(lr, basis_l(lr, i), basis_l(lr, k)))
+            b_jk = from_lelem(lr_bracket(lr, basis_l(lr, j), basis_l(lr, k)))
             rhs = wedge(b_ik, Multivector.basis(lr, j)).sub(
                 wedge(b_jk, Multivector.basis(lr, i))
             )
@@ -250,8 +251,8 @@ class TestGeneratorFromConnection:
         for i in range(3):
             for j in range(i + 1, 3):
                 u = wedge(Multivector.basis(lr, i), Multivector.basis(lr, j))
-                want = Multivector.from_lelem(
-                    lr_bracket(lr, lr.basis_l(i), lr.basis_l(j))
+                want = from_lelem(
+                    lr_bracket(lr, basis_l(lr, i), basis_l(lr, j))
                 ).neg()
                 assert g.apply(u) == want
 
@@ -263,7 +264,7 @@ class TestGeneratorFromConnection:
         a = lr.alg.basis(1)
         u = Multivector.basis(lr, 0).scale(a)
         want = Multivector.from_scalar(
-            lr, -(lr_anchor_apply(lr, lr.basis_l(0), a) + a * c)
+            lr, -(lr_anchor_apply(lr, basis_l(lr, 0), a) + a * c)
         )
         assert g.apply(u) == want
 

@@ -20,7 +20,6 @@ from lierine.gerst import Multivector, _basis_multivectors, _flat_tables, schout
 from lierine.instances import derx3, gl_n, heisenberg, line_with_connection, truncated_poly
 from lierine.lrcore import (
     AltForm,
-    LElem,
     LieRinehart,
     LRModule,
     _bracket_vectors,
@@ -31,10 +30,10 @@ from lierine.lrcore import (
     ce_square_witness,
     dual_module,
     exterior_power,
-    lr_bracket,
     trivial_coefficients,
 )
 from lierine.twilled import twilled_sum
+from reference import LElem, lr_bracket
 
 
 def reference_matrix(lr, module, q, formal=False) -> RatMatrix:

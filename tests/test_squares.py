@@ -1,0 +1,131 @@
+"""The anchor-morphism and flatness checks as d.d = 0 at degree 0.
+
+``lr_validate`` reads the anchor morphism and ``module_validate`` reads
+flatness off the formal square of ``ce_matrix``; both are compared here
+with the dense loops of ``reference``.  Jacobi is not read off a square,
+and a test below pins why.  The split compiled tables are checked by
+counting: the degree-one Leibniz table is built only when Jacobi or the
+Schouten bracket needs it.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lierine import lrcore
+from lierine.calgebra import CommAlg, Derivation
+from lierine.exactla import RatMatrix
+from lierine.instances import derx3, gl_n, line_with_connection, sl2, truncated_poly, x2_del, x_del
+from lierine.lrcore import (
+    LieRinehart,
+    LRModule,
+    basis_forms,
+    ce_matrix,
+    lr_validate,
+    module_validate,
+    trivial_coefficients,
+)
+from reference import anchor_morphism_violations, flatness_violations
+
+# Q x Q on its two idempotents: the unit (1, 1) is not a basis vector
+SPLIT = CommAlg(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
+VALUES = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+def elem(draw, alg):
+    return alg.elem([draw(VALUES) for _ in range(alg.dim)])
+
+
+def anchor_entry(draw, alg):
+    """Zero, x d/dx, x^2 d/dx or an arbitrary matrix, which may fail the
+    Leibniz rule and need not kill the unit."""
+    kind = draw(st.integers(0, 3))
+    if kind == 3 or alg is SPLIT:
+        return Derivation(alg, RatMatrix(alg.dim, alg.dim, [draw(VALUES) for _ in range(alg.dim ** 2)]))
+    return (Derivation.zero(alg), x_del(alg), x2_del(alg))[kind]
+
+
+@st.composite
+def structures(draw):
+    """An antisymmetric bracket table with, now and then, one entry of one
+    side changed, and anchors that may or may not be derivations."""
+    alg = draw(st.sampled_from([truncated_poly(1), truncated_poly(2), truncated_poly(3), SPLIT]))
+    n = draw(st.integers(1, 4))
+    zero = alg.zero()
+    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            if draw(st.integers(0, 3)) == 0:
+                c = elem(draw, alg)
+                table[i][j][k], table[j][i][k] = c, -c
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        table[i][j][k] = table[i][j][k] + elem(draw, alg)
+    return LieRinehart(alg, n, table, [anchor_entry(draw, alg) for _ in range(n)])
+
+
+@st.composite
+def connections(draw):
+    """An arbitrary action table of rank 0 to 3 over a structure that need
+    not satisfy the axioms."""
+    lr = draw(structures())
+    r = draw(st.integers(0, 3))
+    action = [[[elem(draw, lr.alg) for _ in range(r)] for _ in range(r)] for _ in range(lr.rank)]
+    return lr, LRModule(lr, r, action)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures())
+def test_anchor_morphism_matches_dense_reference(lr):
+    got = [v for v in lr_validate(lr) if v.axiom == "anchor-morphism"]
+    assert got == anchor_morphism_violations(lr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connections())
+def test_flatness_matches_dense_reference(p):
+    lr, m = p
+    assert module_validate(lr, m) == flatness_violations(lr, m)
+
+
+def test_jacobi_is_not_read_from_the_square():
+    """ce_matrix reads only the i < j half of the bracket table.  Raising
+    the e_0 coefficient of the literal [e_2, e_1] of gl_2 breaks
+    antisymmetry and Jacobi, while the formal d.d on C^1(L; A) stays 0."""
+    lr = gl_n(2)
+    table = [[list(entry) for entry in row] for row in lr.bracket]
+    table[2][1][0] = table[2][1][0] + lr.alg.one()
+    bad = LieRinehart(lr.alg, lr.rank, table, lr.anchor)
+    assert [(v.axiom, v.witness) for v in lr_validate(bad)] == [
+        ("antisymmetry", (1, 2)),
+        ("jacobi", (1, 2, 3)),
+    ]
+    m = trivial_coefficients(bad)
+    square = ce_matrix(bad, m, 2, formal=True).matmul(ce_matrix(bad, m, 1, formal=True))
+    assert square.entries == {}
+
+
+def test_square_labels_follow_basis_forms():
+    for lr in (derx3(), sl2()):
+        omega = [lr.alg.basis(lr.alg.dim - 1)] * lr.rank
+        modules = (trivial_coefficients(lr), line_with_connection(lr, omega), LRModule(lr, lr.rank, lr.bracket))
+        for m in modules:
+            for q, (dd, rows, cols) in enumerate(lrcore._squares(lr, m, lr.rank)):
+                assert [rows(r) for r in range(dd.rows)] == list(basis_forms(lr, m, q + 2))
+                assert [cols(c) for c in range(dd.cols)] == list(basis_forms(lr, m, q))
+
+
+def test_degree_one_table_is_built_only_for_jacobi(monkeypatch):
+    calls = []
+    leibniz = lrcore._leibniz
+    monkeypatch.setattr(lrcore, "_leibniz", lambda *args: calls.append(args) or leibniz(*args))
+    lr = derx3()
+    m = trivial_coefficients(lr)
+    for q in range(lr.rank + 1):
+        ce_matrix(lr, m, q)
+    assert lr_validate(lr) == []
+    assert calls == []
+    three = sl2()
+    assert lr_validate(three) == []
+    assert calls

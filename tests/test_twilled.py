@@ -37,11 +37,9 @@ from lierine.instances import (
 from lierine.exactla import RatMatrix
 from lierine.lrcore import (
     AltForm,
-    LElem,
     LieRinehart,
     basis_forms,
     ce_differential,
-    lr_bracket,
     lr_validate,
     trivial_coefficients,
 )
@@ -66,6 +64,7 @@ from lierine.twilled import (
     total_complex_cohomology_check,
     twilled_sum,
 )
+from reference import LElem, lr_bracket
 
 
 def scalar_term(t, c, ss, sp):
