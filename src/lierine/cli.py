@@ -58,9 +58,8 @@ from .gerst import (
 from .lrcore import LieRinehart, cohomology_dims, lr_violations, trivial_coefficients
 from .twilled import (
     AlmostTwilled,
+    _dg_lie_and_gerstenhaber,
     bicomplex_square_check,
-    dg_gerstenhaber_check,
-    dg_lie_check,
     is_twilled,
     total_complex_cohomology_check,
     twilled_sum,
@@ -523,11 +522,10 @@ def _cmd_check_twilled(inst: InstanceSet, name: str, report: Report) -> None:
             break
     report.verdict("bicomplex-squares", squares_ok, wit)
     report.verdict("bicomplex-equivalence", bic["equivalent"])
-    lie = dg_lie_check(t)
+    lie, ger = _dg_lie_and_gerstenhaber(t)
     lie_ok = lie["square"] and lie["derivation"]
     report.verdict("dg-lie", lie_ok, None if lie_ok else _dg_witness(lie))
     report.verdict("dg-lie-equivalence", lie["equivalent"])
-    ger = dg_gerstenhaber_check(t)
     ger_ok = ger["square"] and ger["derivation"]
     report.verdict("dg-gerstenhaber", ger_ok, None if ger_ok else _dg_witness(ger))
     report.verdict("dg-gerstenhaber-equivalence", ger["equivalent"])

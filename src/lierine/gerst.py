@@ -31,10 +31,12 @@ The checkers are sparse contractions over label tables that live for one
 checker call (``_LabelTables``): the bracket and product as structure
 constants on the Q-basis labels (t, outer, inner), filled on first use
 per label pair, and each operator as a sparse label column applied once
-per label (``_Columns``).  A pair whose left label is a product is read
-off the pairs of its factors; the recursion, through ``schouten_bracket``
-or ``crossed_bracket``, fills only the pairs whose left label is a single
-vector or a pure form.  Nothing is cached on the structures.
+per label (``_Columns``).  A pair is read off the pairs of the factors of
+its left label or, when that is an atom (a single vector or a pure form),
+of its right label; the recursion, through ``schouten_bracket`` or
+``crossed_bracket``, fills only atom x atom pairs.  Each pair's residual
+is summed in one accumulator straight from table entries and label
+columns.  Nothing is cached on the structures.
 """
 
 from __future__ import annotations
@@ -184,15 +186,13 @@ def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:
 
 
 def _split(a: AElem, outer: Tuple[int, ...], inner: Tuple[int, ...]):
-    """A product x . y = a (outer, inner) of lower factors with the sign
-    (-1)^{|x||y|}, or None for a single vector or a pure form."""
+    """A product x . y = a (outer, inner) of lower factors as (x, y, |x|,
+    |y|), or None for an atom: a single vector or a pure form."""
     if outer and inner:
-        x, y, dx, dy = {(outer, ()): a}, {((), inner): a.alg.one()}, len(outer), len(inner)
-    elif len(inner) >= 2:
-        x, y, dx, dy = {((), inner[:1]): a}, {((), inner[1:]): a.alg.one()}, 1, len(inner) - 1
-    else:
-        return None
-    return x, y, 1 if (dx * dy) % 2 == 0 else -1
+        return {(outer, ()): a}, {((), inner): a.alg.one()}, len(outer), len(inner)
+    if len(inner) >= 2:
+        return {((), inner[:1]): a}, {((), inner[1:]): a.alg.one()}, 1, len(inner) - 1
+    return None
 
 
 def _bracket_terms(lr: LieRinehart, left: Dict, right: Dict, lie=None) -> Dict:
@@ -227,9 +227,9 @@ def _bracket_into(lr: LieRinehart, lie, a, o1, i1, b, o2, i2, sign: int, out: Di
     u, v = {(o1, i1): a}, {(o2, i2): b}
     split = _split(a, o1, i1)
     if split is not None:
-        x, y, sxy = split
+        x, y, dx, dy = split
         _product_into(x, _bracket_terms(lr, y, v, lie), sign, out)
-        _product_into(y, _bracket_terms(lr, x, v, lie), sign * sxy, out)
+        _product_into(y, _bracket_terms(lr, x, v, lie), sign if (dx * dy) % 2 == 0 else -sign, out)
         return
     i = i1[0]
     if not i2:
@@ -238,7 +238,7 @@ def _bracket_into(lr: LieRinehart, lie, a, o1, i1, b, o2, i2, sign: int, out: Di
         return
     split = _split(b, o2, i2)
     if split is not None:
-        x, y, _ = split
+        x, y, _, _ = split
         _product_into(_bracket_terms(lr, u, x, lie), y, sign, out)
         _product_into(x, _bracket_terms(lr, u, y, lie), sign, out)
         return
@@ -297,19 +297,28 @@ def _lincomb(*pairs: Tuple) -> Dict:
     return {k: x for k, x in out.items() if x} or _ZERO
 
 
+def _add(out: Dict, c, vec: Dict) -> None:
+    """out += c * vec for label vectors, in place; zeros are left in."""
+    for k, x in vec.items():
+        y = out.get(k)
+        out[k] = c * x if y is None else y + c * x
+
+
 class _LabelTables:
     """The bracket and product of one carrier on its Q-basis labels
     (t, outer, inner), memoised per label pair (rows keyed by the left
     label) and filled on first use.  Built for one checker call and
     dropped with it.
 
-    A pair whose left label splits as x y (see ``_split``) is read off the
-    pairs of its factors, [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v];
-    only a single vector or a pure form on the left calls the constructor's
-    ``bracket``, the carrier's bracket on elements (``schouten_bracket`` or
-    the crossed bracket, both the recursion ``_bracket_terms``).  ``element`` turns a
-    term dict back into a carrier element; ``operator`` tabulates a
-    rational-linear map as label columns.
+    Every entry is read off entries of smaller labels (see ``_split``).  A
+    left label x y splits by [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v];
+    an atom u on the left (a single vector or a pure form) splits a right
+    label f g by [u, f g] = [u, f] g + (-1)^{(|u|-1)|f|} f [u, g], with the
+    sub-entries kept in the row of u.  Only atom x atom pairs call the
+    constructor's ``bracket``, the carrier's bracket on elements
+    (``schouten_bracket`` or the crossed bracket, both the recursion
+    ``_bracket_terms``).  ``element`` turns a term dict back into a carrier
+    element; ``operator`` tabulates a rational-linear map as label columns.
     """
 
     def __init__(self, alg: CommAlg, element, bracket) -> None:
@@ -317,7 +326,7 @@ class _LabelTables:
         self.basis = [alg.basis(t) for t in range(alg.dim)]
         self.brackets: Dict = {}
         self.products: Dict = {}
-        self.factors: Dict = {}  # left label -> its factors (f, g, sign), or None
+        self.factors: Dict = {}  # label -> its factors (f, g, |f|, |g|) as label vectors, or None
 
     def _term(self, label: Tuple) -> Dict:
         return {label[1:]: self.basis[label[0]]}
@@ -337,33 +346,52 @@ class _LabelTables:
             coeffs.setdefault(tuple(key), [0] * len(self.basis))[t] = q
         return self.element({key: self.alg.elem(c) for key, c in coeffs.items()})
 
-    def bracket(self, u: Dict, v: Dict) -> Dict:
-        return _lincomb(*[(a * b, self._bracket(x, y)) for x, a in u.items() for y, b in v.items()])
+    def _factors(self, x: Tuple):
+        if x not in self.factors:
+            split = _split(self.basis[x[0]], *x[1:])
+            self.factors[x] = split and (_vector(split[0]), _vector(split[1]), split[2], split[3])
+        return self.factors[x]
 
-    def product(self, u: Dict, v: Dict) -> Dict:
-        return _lincomb(*[(a * b, self._product(x, y)) for x, a in u.items() for y, b in v.items()])
-
-    def _bracket(self, x: Tuple, y: Tuple) -> Dict:
+    def bracket(self, x: Tuple, y: Tuple) -> Dict:
+        """[x, y] of two labels as a label vector."""
         row = self.brackets.get(x)
         if row is None:
             row = self.brackets[x] = {}
-            split = _split(self.basis[x[0]], *x[1:])
-            self.factors[x] = split and (_vector(split[0]), _vector(split[1]), split[2])
         entry = row.get(y)
         if entry is None:
-            split = self.factors[x]
-            if split is None:
-                entry = self.vector(self.base_bracket(self.label_element(x), self.label_element(y)))
-            else:
-                f, g, sign = split
-                entry = _lincomb(
-                    (1, self.product(f, self.bracket(g, {y: 1}))),
-                    (sign, self.product(g, self.bracket(f, {y: 1}))),
-                )
-            row[y] = entry
+            entry = row[y] = self._fill(x, y)
         return entry
 
-    def _product(self, x: Tuple, y: Tuple) -> Dict:
+    def _fill(self, x: Tuple, y: Tuple) -> Dict:
+        out: Dict = {}
+        split = self._factors(x)
+        if split is not None:  # [f g, y] = f [g, y] + (-1)^{|f||g|} g [f, y]
+            f, g, df, dg = split
+            for z, b in g.items():
+                self._times(out, b, f, self.bracket(z, y))
+            sign = 1 if (df * dg) % 2 == 0 else -1
+            for z, a in f.items():
+                self._times(out, sign * a, g, self.bracket(z, y))
+        elif self._factors(y) is not None:  # [x, f g] = [x, f] g + (-1)^{(|x|-1)|f|} f [x, g]
+            f, g, df, _ = self.factors[y]
+            for z, a in f.items():
+                self._times(out, a, self.bracket(x, z), g)
+            sign = 1 if ((len(x[1]) + len(x[2]) - 1) * df) % 2 == 0 else -1
+            for z, b in g.items():
+                self._times(out, sign * b, f, self.bracket(x, z))
+        else:
+            return self.vector(self.base_bracket(self.label_element(x), self.label_element(y)))
+        return {k: c for k, c in out.items() if c} or _ZERO
+
+    def _times(self, out: Dict, c, u: Dict, v: Dict) -> None:
+        """out += c u v for label vectors u, v."""
+        if u and v:
+            for x, a in u.items():
+                for y, b in v.items():
+                    _add(out, c * a * b, self.product(x, y))
+
+    def product(self, x: Tuple, y: Tuple) -> Dict:
+        """x y of two labels as a label vector."""
         row = self.products.get(x)
         if row is None:
             row = self.products[x] = {}
@@ -409,34 +437,41 @@ def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
     """
     tables = _flat_tables(lr)
     br, prod = tables.bracket, tables.product
-    elems = [(t, k, {(t, (), k): 1}) for t, k in _basis_multivectors(lr, max_degree)]
+    elems = [((t, k), {(t, (), k): 1}, len(k)) for t, k in _basis_multivectors(lr, max_degree)]
 
-    for t1, k1, u in elems:
-        found = None
-        for t2, k2, v in elems:
-            sign = -1 if ((len(k1) - 1) * (len(k2) - 1)) % 2 == 0 else 1
-            if _lincomb((1, br(u, v)), (-sign, br(v, u))):
-                found = Violation("graded-antisymmetry", (t1, k1, t2, k2), "")
-                break
-        if found:
-            return [found]
+    def antisymmetry(out: Dict, c, _, x: Tuple, y: Tuple) -> None:
+        # [x, y] + (-1)^{(|x|-1)(|y|-1)} [y, x]
+        _add(out, c, br(x, y))
+        _add(out, c if ((len(x[2]) - 1) * (len(y[2]) - 1)) % 2 == 0 else -c, br(y, x))
 
-    for t1, k1, u in elems:
-        for t2, k2, v in elems:
-            for t3, k3, w in elems:
-                sign = 1 if ((len(k1) - 1) * len(k2)) % 2 == 0 else -1
-                lhs = br(u, prod(v, w))
-                if _lincomb((1, lhs), (-1, prod(br(u, v), w)), (-sign, prod(v, br(u, w)))):
-                    return [Violation("odd-leibniz", (t1, k1, t2, k2, t3, k3), "")]
+    def leibniz(u: Tuple, pu: int, out: Dict, c, sv: int, v: Tuple, w: Tuple) -> None:
+        # [u, v w] - [u, v] w - (-1)^{(|u|-1)|v|} v [u, w]
+        sign = 1 if pu % 2 == 1 else sv
+        for z, e in prod(v, w).items():
+            _add(out, c * e, br(u, z))
+        for z, e in br(u, v).items():
+            _add(out, -c * e, prod(z, w))
+        for z, e in br(u, w).items():
+            _add(out, -sign * c * e, prod(v, z))
 
-    for t1, k1, u in elems:
-        for t2, k2, v in elems:
-            for t3, k3, w in elems:
-                sign = 1 if ((len(k1) - 1) * (len(k2) - 1)) % 2 == 0 else -1
-                lhs = br(u, br(v, w))
-                if _lincomb((1, lhs), (-1, br(br(u, v), w)), (-sign, br(v, br(u, w)))):
-                    return [Violation("graded-jacobi", (t1, k1, t2, k2, t3, k3), "")]
+    def jacobi(u: Tuple, pu: int, out: Dict, c, sv: int, v: Tuple, w: Tuple) -> None:
+        # [u, [v, w]] - [[u, v], w] - (-1)^{(|u|-1)(|v|-1)} [v, [u, w]]
+        sign = 1 if pu % 2 == 1 else -sv
+        for z, e in br(v, w).items():
+            _add(out, c * e, br(u, z))
+        for z, e in br(u, v).items():
+            _add(out, -c * e, br(z, w))
+        for z, e in br(u, w).items():
+            _add(out, -sign * c * e, br(v, z))
 
+    found = _pair_witness(elems, tables, antisymmetry)
+    if found:
+        return [Violation("graded-antisymmetry", found[0] + found[1], "")]
+    for axiom, residual in (("odd-leibniz", leibniz), ("graded-jacobi", jacobi)):
+        for l1, (u,), pu in elems:
+            found = _pair_witness(elems, tables, partial(residual, u, pu))
+            if found:
+                return [Violation(axiom, l1 + found[0] + found[1], "")]
     return []
 
 
@@ -617,23 +652,44 @@ def _first_nonzero(images: Iterable[Tuple]) -> Optional[Tuple]:
     return next((label for label, image in images if image), None)
 
 
+def _pair_witness(elems: Sequence[Tuple], tables: _LabelTables, residual) -> Optional[Tuple]:
+    """The first pair (label1, label2, residual) of elems, a list of
+    (label, label vector, degree), whose residual is nonzero, or None.
+    Each pair's residual is summed in one accumulator, bilinearly over
+    the terms of its two vectors: residual(out, c, s, x, y) adds c times
+    the residual of the labels x, y to out, where s = (-1)^{|u|} for the
+    first element u of the pair."""
+    for label1, u, p in elems:
+        su = 1 if p % 2 == 0 else -1
+        for label2, v, _ in elems:
+            acc: Dict = {}
+            for x, a in u.items():
+                for y, b in v.items():
+                    residual(acc, a * b, su, x, y)
+            if any(acc.values()):
+                return label1, label2, tables.carrier({k: c for k, c in acc.items() if c})
+    return None
+
+
 def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: _Columns) -> Optional[Tuple]:
     """The first pair (label1, label2, residual) of elems, a list of
     (label, label vector, degree), on which
 
         d[u,v] = [du,v] - (-1)^{|u|} [u,dv]
 
-    fails, or None.  Brackets are read off tables, d is a tabulated
-    operator, and the residual is returned as a carrier element."""
-    br = tables.bracket
-    images = [d.apply(u) for _, u, _ in elems]
-    for a, (label1, u, p) in enumerate(elems):
-        su = 1 if p % 2 == 0 else -1
-        for b, (label2, v, _) in enumerate(elems):
-            residual = _lincomb((1, d.apply(br(u, v))), (-1, br(images[a], v)), (su, br(u, images[b])))
-            if residual:
-                return label1, label2, tables.carrier(residual)
-    return None
+    fails, or None.  The residual is read off bracket entries and the
+    label columns of d, and returned as a carrier element."""
+    entry, column = tables.bracket, d.column
+
+    def residual(out: Dict, c, su: int, x: Tuple, y: Tuple) -> None:
+        for z, e in entry(x, y).items():
+            _add(out, c * e, column(z))
+        for w, e in column(x).items():
+            _add(out, -c * e, entry(w, y))
+        for w, e in column(y).items():
+            _add(out, su * c * e, entry(x, w))
+
+    return _pair_witness(elems, tables, residual)
 
 
 def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: _Columns) -> Optional[Tuple]:
@@ -642,19 +698,20 @@ def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: _Columns
 
         [u,v] = (-1)^{|u|} ( D(uv) - (Du)v - (-1)^{|u|} u(Dv) )
 
-    fails, or None.  Brackets and products are read off tables, D is a
-    tabulated operator, and the residual is returned as a carrier element."""
-    br, prod = tables.bracket, tables.product
-    images = [D.apply(u) for _, u, _ in elems]
-    for a, (label1, u, p) in enumerate(elems):
-        su = 1 if p % 2 == 0 else -1
-        for b, (label2, v, _) in enumerate(elems):
-            residual = _lincomb(
-                (1, br(u, v)), (-su, D.apply(prod(u, v))), (su, prod(images[a], v)), (1, prod(u, images[b]))
-            )
-            if residual:
-                return label1, label2, tables.carrier(residual)
-    return None
+    fails, or None.  The residual is read off bracket and product entries
+    and the label columns of D, and returned as a carrier element."""
+    entry, prod, column = tables.bracket, tables.product, D.column
+
+    def residual(out: Dict, c, su: int, x: Tuple, y: Tuple) -> None:
+        _add(out, c, entry(x, y))
+        for z, e in prod(x, y).items():
+            _add(out, -su * c * e, column(z))
+        for w, e in column(x).items():
+            _add(out, su * c * e, prod(w, y))
+        for w, e in column(y).items():
+            _add(out, c * e, prod(x, w))
+
+    return _pair_witness(elems, tables, residual)
 
 
 def generator_validate(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:

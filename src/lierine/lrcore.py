@@ -45,11 +45,11 @@ class LieRinehart:
     bracket[i][j] is the coefficient tuple (n AElems) of [e_i, e_j]; the
     table is stored literally, so antisymmetry is a checked axiom, not a
     storage convention.  anchor[i] is the derivation attached to e_i.
-    The axiom report and the two compiled tables are computed on first use
-    and kept on the instance.
+    The axiom report, the two compiled tables and the trivial module are
+    built on first use and kept on the instance.
     """
 
-    __slots__ = ("alg", "rank", "bracket", "anchor", "_validation", "_brackets", "_ones")
+    __slots__ = ("alg", "rank", "bracket", "anchor", "_validation", "_brackets", "_ones", "_trivial")
 
     def __init__(self, alg: CommAlg, rank: int, bracket: Sequence, anchor: Sequence) -> None:
         if rank < 0:
@@ -82,6 +82,7 @@ class LieRinehart:
         self._validation: Optional[Tuple[Violation, ...]] = None
         self._brackets: Optional[BracketTable] = None
         self._ones: Optional[DegreeOneTable] = None
+        self._trivial: Optional[LRModule] = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -110,6 +111,7 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
     the degree-one Leibniz expansion.  The anchor-morphism witness is the
     first nonzero row (i, j) of the formal d.d on C^0(L; A), which there is
     [rho(e_i), rho(e_j)] - rho([e_i, e_j]) with [e_i, e_j] read at i < j.
+    With every anchor zero, d = 0 on C^0(L; A) and the square is not built.
 
     One witness per axiom is reported (the first in lexicographic order);
     A-multilinearity of the axioms makes basis tuples sufficient.
@@ -141,10 +143,12 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
             out.append(Violation("anchor-derivation", (i,), str(bad[0])))
             break
 
-    dd, rows, _ = next(_squares(lr, trivial_coefficients(lr), 0))
-    if dd.entries:
-        key = rows(min(r for r, _ in dd.entries))[0]
-        out.append(Violation("anchor-morphism", key, "rho([e_i,e_j]) != [rho(e_i),rho(e_j)]"))
+    zero = Derivation.zero(lr.alg)
+    if any(rho != zero for rho in lr.anchor):
+        dd, rows, _ = next(_squares(lr, trivial_coefficients(lr), 0))
+        if dd.entries:
+            key = rows(min(r for r, _ in dd.entries))[0]
+            out.append(Violation("anchor-morphism", key, "rho([e_i,e_j]) != [rho(e_i),rho(e_j)]"))
 
     e = [{i: lr.alg.one().coeffs} for i in range(n)]
     for i, j, k in combinations(range(n), 3):
@@ -267,9 +271,12 @@ def module_validate(lr: LieRinehart, m: LRModule) -> List[Violation]:
 
 def trivial_coefficients(lr: LieRinehart) -> LRModule:
     """A itself as a rank-1 module: the basis vector is the unit, so the
-    action table is zero and the anchor does all the work."""
-    zero = ((lr.alg.zero(),),)
-    return LRModule(lr, 1, tuple(zero for _ in range(lr.rank)))
+    action table is zero and the anchor does all the work.  Built once per
+    structure and kept on it, with its compiled action table."""
+    if lr._trivial is None:
+        zero = ((lr.alg.zero(),),)
+        lr._trivial = LRModule(lr, 1, tuple(zero for _ in range(lr.rank)))
+    return lr._trivial
 
 
 def dual_module(m: LRModule) -> LRModule:

@@ -33,9 +33,10 @@ slots.  The total-complex dimension comparison calibrates the pair.
 The square, derivation and generator checks and the total complex run on
 label tables of ``gerst``, built afresh by each call: the crossed bracket
 and bigraded product per label pair, filled on first use (the recursion
-fills only pairs whose left label is a single vector or a pure form), and
-d', d'' and generators as sparse label columns.  This module lists the
-labels and maps the witnesses back to its report formats.
+fills only pairs of two atoms, single vectors or pure forms), and d', d''
+and generators as sparse label columns.  The dg-Lie and dG checks of one
+``check-twilled`` share one set of tables.  This module lists the labels
+and maps the witnesses back to its report formats.
 """
 
 from __future__ import annotations
@@ -445,39 +446,54 @@ def bicomplex_square_check(t: AlmostTwilled) -> Dict:
     return report
 
 
-def _dg_check(t: AlmostTwilled, elems: List[Tuple]) -> Dict:
-    """d'' squares to zero and derives the crossed bracket on the basis
-    elements elems, against twilledness; d'' is tabulated once per label
-    for both."""
+def _dg_checks(t: AlmostTwilled, *carriers: List[Tuple]) -> List[Dict]:
+    """For each carrier, a list of basis elements (label, label vector,
+    degree): d'' squares to zero and derives the crossed bracket on it,
+    against twilledness.  The carriers share one set of tables and one d'',
+    tabulated once per label."""
     tables = _label_tables(t)
     d = tables.operator(partial(dsecond_multi, t))
-    label = _first_nonzero((lab, d.apply(d.apply(w))) for lab, w, _ in elems)
-    witnesses = {} if label is None else {"square": label}
-    found = _derivation_witness(elems, tables, d)
-    if found is not None:
-        witnesses["derivation"] = found[0] + found[1]
-    square, derivation, twilled = "square" not in witnesses, found is None, not is_twilled(t)
-    report = {"square": square, "derivation": derivation, "twilled": twilled}
-    return {**report, "equivalent": (square and derivation) == twilled, "witnesses": witnesses}
+    reports = []
+    for elems in carriers:
+        label = _first_nonzero((lab, d.apply(d.apply(w))) for lab, w, _ in elems)
+        witnesses = {} if label is None else {"square": label}
+        found = _derivation_witness(elems, tables, d)
+        if found is not None:
+            witnesses["derivation"] = found[0] + found[1]
+        square, derivation, twilled = "square" not in witnesses, found is None, not is_twilled(t)
+        report = {"square": square, "derivation": derivation, "twilled": twilled}
+        reports.append({**report, "equivalent": (square and derivation) == twilled, "witnesses": witnesses})
+    return reports
 
 
-def dg_lie_check(t: AlmostTwilled) -> Dict:
-    """On the inner-degree-1 carrier: d'' squares to zero and derives the
-    crossed bracket; equivalence against twilledness."""
-    elems = [
+def _lie_elems(t: AlmostTwilled) -> List[Tuple]:
+    """(label, label vector, total degree) on the inner-degree-1 carrier."""
+    return [
         ((ta, ss, i), {(ta, ss, (i,)): 1}, q + 1)
         for q in range(t.lsecond.rank + 1)
         for ss in combinations(range(t.lsecond.rank), q)
         for ta in range(t.alg.dim)
         for i in range(t.lprime.rank)
     ]
-    return _dg_check(t, elems)
+
+
+def dg_lie_check(t: AlmostTwilled) -> Dict:
+    """On the inner-degree-1 carrier: d'' squares to zero and derives the
+    crossed bracket; equivalence against twilledness."""
+    return _dg_checks(t, _lie_elems(t))[0]
 
 
 def dg_gerstenhaber_check(t: AlmostTwilled) -> Dict:
     """d'' is a square-zero odd derivation of the crossed bracket on the
     whole multivector carrier; equivalence against twilledness."""
-    return _dg_check(t, _bigraded_elems(t))
+    return _dg_checks(t, _bigraded_elems(t))[0]
+
+
+def _dg_lie_and_gerstenhaber(t: AlmostTwilled) -> List[Dict]:
+    """The reports of ``dg_lie_check`` and ``dg_gerstenhaber_check`` on one
+    set of tables: the dg-Lie carrier is the inner-degree-1 part of the
+    whole one, so its entries and columns are filled once."""
+    return _dg_checks(t, _lie_elems(t), _bigraded_elems(t))
 
 
 def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> Dict:

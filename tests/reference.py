@@ -5,16 +5,19 @@ the full Leibniz expansion, the anchor as a dense matrix, and the two
 checks that the library now reads off the formal square d.d of
 ``ce_matrix``: the anchor-morphism loop of ``lr_validate`` and the
 flatness loop of ``module_validate``, here on dense products of basis
-data.  None of this is used by the library itself.
+data.  Also the derivation and generator witnesses of ``gerst`` in their
+vector form, each pair's residual a ``_lincomb`` of whole bracket,
+product and operator images.  None of this is used by the library itself.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Sequence, Tuple
 
 from lierine.calgebra import AElem, CommAlg, Derivation
 from lierine.exactla import RatMatrix
-from lierine.gerst import Multivector
+from lierine.gerst import Multivector, _lincomb
 from lierine.lrcore import LieRinehart, LRModule
 from lierine.reporting import Violation
 
@@ -178,3 +181,39 @@ def flatness_violations(lr: LieRinehart, m: LRModule) -> List[Violation]:
                     out.append(Violation("flatness", (i, j, k), "curvature acts nontrivially on f_k"))
                     break
     return out
+
+
+def bilinear(entry, u, v):
+    """A label-table operation extended bilinearly to label vectors u, v."""
+    return _lincomb(*[(a * b, entry(x, y)) for x, a in u.items() for y, b in v.items()])
+
+
+def derivation_witness(elems, tables, d):
+    """The first (label1, label2, residual) of d[u,v] - [du,v] + (-1)^{|u|} [u,dv]
+    over pairs of elems, a list of (label, label vector, degree), or None."""
+    br = partial(bilinear, tables.bracket)
+    images = [d.apply(u) for _, u, _ in elems]
+    for a, (label1, u, p) in enumerate(elems):
+        su = 1 if p % 2 == 0 else -1
+        for b, (label2, v, _) in enumerate(elems):
+            residual = _lincomb((1, d.apply(br(u, v))), (-1, br(images[a], v)), (su, br(u, images[b])))
+            if residual:
+                return label1, label2, tables.carrier(residual)
+    return None
+
+
+def generator_witness(elems, tables, D):
+    """The first (label1, label2, residual) of
+    [u,v] - (-1)^{|u|} ( D(uv) - (Du)v - (-1)^{|u|} u(Dv) ) over pairs of elems,
+    a list of (label, label vector, degree), or None."""
+    br, prod = partial(bilinear, tables.bracket), partial(bilinear, tables.product)
+    images = [D.apply(u) for _, u, _ in elems]
+    for a, (label1, u, p) in enumerate(elems):
+        su = 1 if p % 2 == 0 else -1
+        for b, (label2, v, _) in enumerate(elems):
+            residual = _lincomb(
+                (1, br(u, v)), (-su, D.apply(prod(u, v))), (su, prod(images[a], v)), (1, prod(u, images[b]))
+            )
+            if residual:
+                return label1, label2, tables.carrier(residual)
+    return None

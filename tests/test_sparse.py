@@ -194,8 +194,8 @@ def assert_label_tables_match_recursion(lr):
     for x, y in product(labels, repeat=2):
         u = Multivector(lr, {x[2]: lr.alg.basis(x[0])})
         v = Multivector(lr, {y[2]: lr.alg.basis(y[0])})
-        assert tables.carrier(tables.bracket({x: 1}, {y: 1})) == schouten_bracket(u, v), (x, y)
-        assert tables.carrier(tables.product({x: 1}, {y: 1})) == wedge(u, v), (x, y)
+        assert tables.carrier(tables.bracket(x, y)) == schouten_bracket(u, v), (x, y)
+        assert tables.carrier(tables.product(x, y)) == wedge(u, v), (x, y)
 
 
 TABLE_STRUCTURES = FIXTURE_STRUCTURES + [("heisenberg", heisenberg()), ("gl2", gl_n(2))]

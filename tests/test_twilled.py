@@ -350,8 +350,8 @@ def assert_crossed_tables_match_recursion(t):
     for x, y in product(labels, repeat=2):
         u = Bigraded.term(t, t.alg.basis(x[0]), x[1], x[2])
         v = Bigraded.term(t, t.alg.basis(y[0]), y[1], y[2])
-        assert tables.carrier(tables.bracket({x: 1}, {y: 1})).values == crossed_bracket(t, u, v).values, (x, y)
-        assert tables.carrier(tables.product({x: 1}, {y: 1})).values == bigraded_product(u, v).values, (x, y)
+        assert tables.carrier(tables.bracket(x, y)).values == crossed_bracket(t, u, v).values, (x, y)
+        assert tables.carrier(tables.product(x, y)).values == bigraded_product(u, v).values, (x, y)
 
 
 def bench_sl2_double():
