@@ -9,23 +9,22 @@ algebra of D; both are computed on every call and must agree, on broken
 input as well as on good input.  Both readings run the derivation
 checker of ``gerst`` on label tables built for each call: the Schouten
 bracket of each side memoised per label pair, and the transported
-differential applied once per label and kept as a sparse label column.
+differential as sparse label columns read off ``ce_matrix`` of the other
+side with trivial coefficients, one matrix per degree per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem, Derivation
-from .gerst import Multivector, _derivation_witness, _flat_tables
+from .gerst import Multivector, _Columns, _derivation_witness, _flat_tables, _matrix_columns
 from .lrcore import (
-    AltForm,
     LieRinehart,
     LRModule,
-    ce_differential,
+    ce_matrix,
     dual_module,
     lr_violations,
     trivial_coefficients,
@@ -127,22 +126,29 @@ def semidirect_product(lr: LieRinehart, m: LRModule) -> LieRinehart:
     return out
 
 
-def _transport_differential(
-    source: LieRinehart, triv: LRModule, target: LieRinehart, w: Multivector
-) -> Multivector:
-    """Apply the differential of `source` to a multivector over `target`,
-    reading wedges over the target as forms on the source through the
-    Kronecker pairing, degree by degree; `triv` is the trivial module of
-    `source`, built once by the caller."""
-    by_degree: Dict[int, Dict] = {}
-    for key, c in w.values.items():
-        by_degree.setdefault(len(key), {})[key] = (c,)
-    out = Multivector.zero(target)
-    for q, vals in by_degree.items():
-        form = AltForm(source, triv, q, vals)
-        df = ce_differential(source, triv, form)
-        out = out.add(Multivector(target, {k: v[0] for k, v in df.values.items()}))
-    return out
+def _transported(source: LieRinehart) -> _Columns:
+    """The differential of `source` on multivectors over its dual partner,
+    whose wedges read as forms on `source` through the Kronecker pairing,
+    as label columns: a label (t, (), S) of degree q is a column of
+    ``ce_matrix(source, trivial_coefficients(source), q)``, built once per
+    degree on first use, its rows (S', t') of degree q + 1 in
+    ``basis_forms`` order."""
+    n, dim = source.rank, source.alg.dim
+    degrees: Dict[int, Tuple] = {}
+
+    def read(label: Tuple) -> Dict:
+        t, _, key = label
+        q = len(key)
+        if q not in degrees:
+            degrees[q] = (
+                _matrix_columns(ce_matrix(source, trivial_coefficients(source), q)),
+                {s: pos for pos, s in enumerate(combinations(range(n), q))},
+                list(combinations(range(n), q + 1)),
+            )
+        columns, index, rows = degrees[q]
+        return {(r % dim, (), rows[r // dim]): x for r, x in columns.get(index[key] * dim + t, ())}
+
+    return _Columns(read)
 
 
 def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
@@ -164,8 +170,7 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
 def _compatibility(p: DualPair, max_degree: int) -> BialgebraReport:
     l, d = p.l, p.d
     tables_l, tables_d = _flat_tables(l), _flat_tables(d)
-    on_l = tables_l.operator(partial(_transport_differential, d, trivial_coefficients(d), l))
-    on_d = tables_d.operator(partial(_transport_differential, l, trivial_coefficients(l), d))
+    on_l, on_d = _transported(d), _transported(l)
     vectors = [(i, tables_l.vector(Multivector.basis(l, i)), 1) for i in range(l.rank)]
     found = _derivation_witness(vectors, tables_l, on_l)
     top = min(max_degree, d.rank)

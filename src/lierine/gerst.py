@@ -30,8 +30,10 @@ labels in its own order, its label tables and its operator.
 The checkers are sparse contractions over label tables that live for one
 checker call (``_LabelTables``): the bracket and product as structure
 constants on the Q-basis labels (t, outer, inner), filled on first use
-per label pair, and each operator as a sparse label column applied once
-per label (``_Columns``).  A pair is read off the pairs of the factors of
+per label pair, and each operator as sparse label columns read once per
+label (``_Columns``): a tabulated generator applied to the label's
+element, a cochain differential read off a column of ``ce_matrix``
+(``_matrix_columns``).  A pair is read off the pairs of the factors of
 its left label or, when that is an atom (a single vector or a pure form),
 of its right label; the recursion, through ``schouten_bracket`` or
 ``crossed_bracket``, fills only atom x atom pairs.  Each pair's residual
@@ -46,7 +48,7 @@ from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem, CommAlg
-from .exactla import _frac
+from .exactla import SparseMatrix, _frac
 from .lrcore import (
     AltForm,
     LieRinehart,
@@ -282,6 +284,15 @@ def _vector(terms: Dict) -> Dict:
     return vec or _ZERO
 
 
+def _matrix_columns(m: SparseMatrix) -> Dict[int, List[Tuple[int, object]]]:
+    """The entries of m grouped by column as (row, value) lists, rows
+    ascending; integral values are kept as int, as in ``_vector``."""
+    columns: Dict[int, List[Tuple[int, object]]] = {}
+    for (r, c), x in sorted(m.entries.items()):
+        columns.setdefault(c, []).append((r, x.numerator if x.denominator == 1 else x))
+    return columns
+
+
 def _lincomb(*pairs: Tuple) -> Dict:
     """The sum of c * vec over (c, vec) pairs of label vectors, zeros
     dropped.  A single pair with c = 1 returns vec itself."""
@@ -403,21 +414,24 @@ class _LabelTables:
         return entry
 
     def operator(self, op) -> "_Columns":
-        return _Columns(self, op)
+        """A rational-linear map on carrier elements as label columns, each
+        the image of one label element under op."""
+        return _Columns(lambda label: self.vector(op(self.label_element(label))))
 
 
 class _Columns:
-    """A rational-linear operator on a carrier, applied once per label on
-    first use and kept as sparse label columns."""
+    """A rational-linear operator on a carrier as sparse label columns,
+    each read once per label on first use by read(label) -> label vector
+    and kept."""
 
-    def __init__(self, tables: _LabelTables, op) -> None:
-        self.tables, self.op = tables, op
+    def __init__(self, read) -> None:
+        self.read = read
         self.columns: Dict = {}
 
     def column(self, label: Tuple) -> Dict:
         col = self.columns.get(label)
         if col is None:
-            col = self.columns[label] = self.tables.vector(self.op(self.tables.label_element(label)))
+            col = self.columns[label] = self.read(label)
         return col
 
     def apply(self, vec: Dict) -> Dict:

@@ -17,14 +17,18 @@ bracket of L'.
 
 Each differential is lrcore's cochain differential of one constituent,
 applied to a bigraded element read as a form on that constituent with
-values in a module over it:
+values in a module over it, and is read off that differential's matrix
+``ce_matrix``, built once per pair, coefficient module and form degree:
 
     d'' on forms          L'' with values in Lambda^p(dual of L' over L'')
     d'' on multivectors   L'' with values in Lambda^p(L' over L'')
     d'                    L'  with values in Lambda^q(dual of L'' over L'),
                           optionally tensored with a line, times (-1)^q
 
-where p is the inner and q the outer degree.  Conventions fixed by the
+where p is the inner and q the outer degree.  A label's image is a
+column of that matrix, rows and columns mapped to labels by the index
+arithmetic of ``basis_forms``; an element's image sums the columns of its
+terms.  Conventions fixed by the
 degenerate cases: with L'' = 0 the operator d' is the plain cochain
 differential of L' (so d' carries the global sign (-1)^q past the q
 external slots), and d'' uses the Lie-derivative action on inner form
@@ -34,7 +38,8 @@ The square, derivation and generator checks and the total complex run on
 label tables of ``gerst``, built afresh by each call: the crossed bracket
 and bigraded product per label pair, filled on first use (the recursion
 fills only pairs of two atoms, single vectors or pure forms), and d', d''
-and generators as sparse label columns.  The dg-Lie and dG checks of one
+and generators as sparse label columns, those of d' and d'' read off the
+kept matrices.  The dg-Lie and dG checks of one
 ``check-twilled`` share one set of tables.  This module lists the labels
 and maps the witnesses back to its report formats.
 """
@@ -51,20 +56,21 @@ from .exactla import SparseMatrix, _frac, mat_rank
 from .gerst import (
     GeneratorOp,
     _bracket_terms,
+    _Columns,
     _derivation_witness,
     _first_nonzero,
     _generator_witness,
     _LabelTables,
     _lincomb,
+    _matrix_columns,
     _product_into,
     generator_to_connection,
 )
 from .lrcore import (
-    AltForm,
     LieRinehart,
     LRModule,
     _action_table,
-    ce_differential,
+    ce_matrix,
     cohomology_dims,
     dual_module,
     exterior_power,
@@ -296,61 +302,89 @@ def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
 
 
 def _cached_module(t: AlmostTwilled, key: Tuple, build):
-    """Coefficient modules and slot lists are built once per pair and kept on it."""
+    """Coefficient modules, their differentials and slot lists are built
+    once per pair and kept on it."""
     m = t._modules.get(key)
     if m is None:
         m = t._modules[key] = build()
     return m
 
 
-def _ce_bigraded(t: AlmostTwilled, w: Bigraded, outer: bool, module: LRModule) -> Bigraded:
-    """Apply ce_differential to w read as an alternating form with values
-    in `module`, whose basis is the sorted subsets of the other slot.
-
-    With outer=True the form lives on L'' (outer subsets) and the inner
-    subsets index the module basis; with outer=False the roles swap.
-    """
-    if outer:
-        lr, form_deg, slot_rank, slot_deg = t.lsecond, w.qdeg, t.lprime.rank, w.pdeg
+def _coefficients(t: AlmostTwilled, kind: str, deg: int, line: Optional[Sequence[AElem]] = None) -> Tuple[Tuple, LRModule]:
+    """The coefficient module on slot degree deg of d'' on forms ("form"),
+    d'' on multivectors ("multi") or d' ("dprime"), as listed in the module
+    docstring, and its key in ``t._modules``."""
+    if kind == "form":
+        build = lambda: exterior_power(dual_module(t.module_on_prime()), deg)
+    elif kind == "multi":
+        build = lambda: exterior_power(t.module_on_prime(), deg)
     else:
-        lr, form_deg, slot_rank, slot_deg = t.lprime, w.pdeg, t.lsecond.rank, w.qdeg
-    slots, index = _slots(t, slot_rank, slot_deg)
-    zero = t.alg.zero()
-    vals: Dict = {}
-    for (ss, sp), c in w.values.items():
-        key, slot = (ss, sp) if outer else (sp, ss)
-        vals.setdefault(key, [zero] * len(slots))[index[slot]] = c
-    form = AltForm(lr, module, form_deg, vals)
+
+        def build() -> LRModule:
+            m = exterior_power(dual_module(t.module_on_second()), deg)
+            return m if line is None else tensor_line(m, line)
+
+    key = (kind, deg, None if line is None else tuple(line))
+    return key, _cached_module(t, key, build)
+
+
+def _ce_column(t: AlmostTwilled, kind: str, line: Optional[Sequence[AElem]], label: Tuple) -> Dict:
+    """One differential on one Q-basis label (t, outer, inner), as a label
+    vector: a column of ``ce_matrix`` of the constituent the form lives on
+    (L'' for d'', L' for d') with values in the coefficient module, whose
+    basis is the sorted subsets of the other slot.  Rows and columns map
+    to labels by ``basis_forms`` index arithmetic over the slot lists.
+    The matrix is built once per pair, module and form degree.  d' carries
+    the sign (-1)^q of the outer degree q."""
+    ta, ss, sp = label
+    outer = kind != "dprime"
+    key, slot = (ss, sp) if outer else (sp, ss)
+    lr, other = (t.lsecond, t.lprime) if outer else (t.lprime, t.lsecond)
+    mkey, module = _coefficients(t, kind, len(slot), line)
+    columns = _cached_module(
+        t, mkey + (len(key),), lambda: _matrix_columns(ce_matrix(lr, module, len(key), formal=True))
+    )
+    slots, index = _slots(t, other.rank, len(slot))
+    dim = t.alg.dim
+    width = len(slots) * dim
+    rows = _slots(t, lr.rank, len(key) + 1)[0]
+    col = _slots(t, lr.rank, len(key))[1][key] * width + index[slot] * dim + ta
+    negate = not outer and len(ss) % 2 == 1
     out: Dict = {}
-    for key, vec in ce_differential(lr, module, form, formal=True).values.items():
-        for slot, c in zip(slots, vec):
-            if not c.is_zero():
-                out[(key, slot) if outer else (slot, key)] = c
-    if outer:
-        return Bigraded(t, w.qdeg + 1, w.pdeg, out)
-    return Bigraded(t, w.qdeg, w.pdeg + 1, out)
+    for r, x in columns.get(col, ()):
+        pos, rest = divmod(r, width)
+        j, s = divmod(rest, dim)
+        out[(s, rows[pos], slots[j]) if outer else (s, slots[j], rows[pos])] = -x if negate else x
+    return out
+
+
+def _differential(t: AlmostTwilled, kind: str) -> _Columns:
+    """d' (no line) or one of the two d'' as label columns for one checker call."""
+    return _Columns(partial(_ce_column, t, kind, None))
+
+
+def _ce_bigraded(t: AlmostTwilled, w: Bigraded, kind: str, line: Optional[Sequence[AElem]] = None) -> Bigraded:
+    """One differential applied to w: the columns of its Q-basis terms
+    summed, terms in ``basis_forms`` order of the form keys, as
+    ``ce_differential`` gives them."""
+    column = partial(_ce_column, t, kind, line)
+    terms = [(x, column((ta, *key))) for key, c in w.values.items() for ta, x in enumerate(c.coeffs) if x]
+    coeffs: Dict = {}
+    for (s, *key), x in _lincomb(*terms).items():
+        coeffs.setdefault(tuple(key), [0] * t.alg.dim)[s] = x
+    dprime = kind == "dprime"
+    order = sorted(coeffs, key=(lambda k: (k[1], k[0])) if dprime else None)
+    out = {key: t.alg.elem(coeffs[key]) for key in order}
+    if dprime:
+        return Bigraded(t, w.qdeg, w.pdeg + 1, out)
+    return Bigraded(t, w.qdeg + 1, w.pdeg, out)
 
 
 def dsecond_form(t: AlmostTwilled, w: Bigraded) -> Bigraded:
     """Raise the outer degree by one: the differential of L'' with values in
     Lambda^p of the dual of L' over L'', so inner values are forms on L'
     carried along by the Lie-derivative action of L''."""
-    p = w.pdeg
-    module = _cached_module(
-        t, ("form", p), lambda: exterior_power(dual_module(t.module_on_prime()), p)
-    )
-    return _ce_bigraded(t, w, True, module)
-
-
-def _dprime_module(t: AlmostTwilled, q: int, line: Optional[Sequence[AElem]] = None) -> LRModule:
-    """Coefficients of d' on outer degree q: Lambda^q of the dual of L''
-    over L', tensored with the optional line connection."""
-
-    def build() -> LRModule:
-        m = exterior_power(dual_module(t.module_on_second()), q)
-        return m if line is None else tensor_line(m, line)
-
-    return _cached_module(t, ("dprime", q, None if line is None else tuple(line)), build)
+    return _ce_bigraded(t, w, "form")
 
 
 def dprime_form(t: AlmostTwilled, w: Bigraded, line: Optional[Sequence[AElem]] = None) -> Bigraded:
@@ -363,18 +397,14 @@ def dprime_form(t: AlmostTwilled, w: Bigraded, line: Optional[Sequence[AElem]] =
     first action table), and the bracket terms of L'.  With no outer
     slots and no line this is exactly the plain differential of L'.
     """
-    q = w.qdeg
-    d = _ce_bigraded(t, w, False, _dprime_module(t, q, line))
-    return d if q % 2 == 0 else d.neg()
+    return _ce_bigraded(t, w, "dprime", line)
 
 
 def dsecond_multi(t: AlmostTwilled, w: Bigraded) -> Bigraded:
     """Outer differential on the multivector carrier: the differential of
     L'' with values in Lambda^p of L' over L'', so inner subsets are
     exterior factors moved covariantly by the second action table."""
-    p = w.pdeg
-    module = _cached_module(t, ("multi", p), lambda: exterior_power(t.module_on_prime(), p))
-    return _ce_bigraded(t, w, True, module)
+    return _ce_bigraded(t, w, "multi")
 
 
 def _slots(t: AlmostTwilled, rank: int, deg: int) -> Tuple[List, Dict]:
@@ -389,7 +419,7 @@ def _lie_derivative(t: AlmostTwilled, i: int, b: AElem, outer: Tuple[int, ...]) 
     compiled action of the d' coefficient module."""
     dim = t.alg.dim
     slots, index = _slots(t, t.lsecond.rank, len(outer))
-    images = _action_table(_dprime_module(t, len(outer)))[i]
+    images = _action_table(_coefficients(t, "dprime", len(outer))[1])[i]
     col = index[outer] * dim
     acc: Dict[int, List[Fraction]] = {}
     for s, c in enumerate(b.coeffs):
@@ -428,8 +458,7 @@ def bicomplex_square_check(t: AlmostTwilled) -> Dict:
     against twilledness of the sum; the two sides of the equivalence are
     computed independently."""
     labels = list(bigraded_labels(t))
-    tables = _label_tables(t)
-    dp, ds = tables.operator(partial(dprime_form, t)), tables.operator(partial(dsecond_form, t))
+    dp, ds = _differential(t, "dprime"), _differential(t, "form")
     witnesses = _first_witnesses(
         labels,
         dprime_square=(dp.apply(dp.column(lab)) for lab in labels),
@@ -452,7 +481,7 @@ def _dg_checks(t: AlmostTwilled, *carriers: List[Tuple]) -> List[Dict]:
     against twilledness.  The carriers share one set of tables and one d'',
     tabulated once per label."""
     tables = _label_tables(t)
-    d = tables.operator(partial(dsecond_multi, t))
+    d = _differential(t, "multi")
     reports = []
     for elems in carriers:
         label = _first_nonzero((lab, d.apply(d.apply(w))) for lab, w, _ in elems)
@@ -508,8 +537,7 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
     for lab in bigraded_labels(t):
         by_degree.setdefault(len(lab[1]) + len(lab[2]), []).append(lab)
 
-    tables = _label_tables(t)
-    dp, ds = tables.operator(partial(dprime_form, t)), tables.operator(partial(dsecond_form, t))
+    dp, ds = _differential(t, "dprime"), _differential(t, "form")
 
     def diff_matrix(k: int) -> SparseMatrix:
         cols, rows = by_degree[k], by_degree.get(k + 1, [])
@@ -590,7 +618,7 @@ def bv_commutator_check(t: AlmostTwilled, op: GeneratorOp) -> Dict:
     structure; with an exact generator it upgrades to the full one."""
     labels = list(bigraded_labels(t))
     tables = _label_tables(t)
-    d, g = tables.operator(partial(dsecond_multi, t)), tables.operator(op.apply)
+    d, g = _differential(t, "multi"), tables.operator(op.apply)
     witnesses = _first_witnesses(
         labels,
         commutator=(_lincomb((1, d.apply(g.column(lab))), (1, g.apply(d.column(lab)))) for lab in labels),

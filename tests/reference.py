@@ -7,19 +7,33 @@ checks that the library now reads off the formal square d.d of
 flatness loop of ``module_validate``, here on dense products of basis
 data.  Also the derivation and generator witnesses of ``gerst`` in their
 vector form, each pair's residual a ``_lincomb`` of whole bracket,
-product and operator images.  None of this is used by the library itself.
+product and operator images.  And the element path of the differentials
+that the library reads off ``ce_matrix`` columns: d', d'' on forms and
+d'' on multivectors of ``twilled`` and the transported differential of
+``bialg``, each ``ce_differential`` applied to one element read as a
+form.  None of this is used by the library itself.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from lierine.calgebra import AElem, CommAlg, Derivation
 from lierine.exactla import RatMatrix
 from lierine.gerst import Multivector, _lincomb
-from lierine.lrcore import LieRinehart, LRModule
+from lierine.lrcore import (
+    AltForm,
+    LieRinehart,
+    LRModule,
+    ce_differential,
+    dual_module,
+    exterior_power,
+    tensor_line,
+)
 from lierine.reporting import Violation
+from lierine.twilled import AlmostTwilled, Bigraded
 
 
 class LElem:
@@ -217,3 +231,67 @@ def generator_witness(elems, tables, D):
             if residual:
                 return label1, label2, tables.carrier(residual)
     return None
+
+
+def ce_bigraded(t: AlmostTwilled, w: Bigraded, outer: bool, module: LRModule) -> Bigraded:
+    """Apply ce_differential to w read as an alternating form with values
+    in `module`, whose basis is the sorted subsets of the other slot.
+
+    With outer=True the form lives on L'' (outer subsets) and the inner
+    subsets index the module basis; with outer=False the roles swap.
+    """
+    if outer:
+        lr, form_deg, slot_rank, slot_deg = t.lsecond, w.qdeg, t.lprime.rank, w.pdeg
+    else:
+        lr, form_deg, slot_rank, slot_deg = t.lprime, w.pdeg, t.lsecond.rank, w.qdeg
+    slots = list(combinations(range(slot_rank), slot_deg))
+    index = {s: k for k, s in enumerate(slots)}
+    zero = t.alg.zero()
+    vals: Dict = {}
+    for (ss, sp), c in w.values.items():
+        key, slot = (ss, sp) if outer else (sp, ss)
+        vals.setdefault(key, [zero] * len(slots))[index[slot]] = c
+    form = AltForm(lr, module, form_deg, vals)
+    out: Dict = {}
+    for key, vec in ce_differential(lr, module, form, formal=True).values.items():
+        for slot, c in zip(slots, vec):
+            if not c.is_zero():
+                out[(key, slot) if outer else (slot, key)] = c
+    if outer:
+        return Bigraded(t, w.qdeg + 1, w.pdeg, out)
+    return Bigraded(t, w.qdeg, w.pdeg + 1, out)
+
+
+def dsecond_form(t: AlmostTwilled, w: Bigraded) -> Bigraded:
+    """d'' on forms: values in Lambda^p of the dual of L' over L''."""
+    return ce_bigraded(t, w, True, exterior_power(dual_module(t.module_on_prime()), w.pdeg))
+
+
+def dsecond_multi(t: AlmostTwilled, w: Bigraded) -> Bigraded:
+    """d'' on multivectors: values in Lambda^p of L' over L''."""
+    return ce_bigraded(t, w, True, exterior_power(t.module_on_prime(), w.pdeg))
+
+
+def dprime_form(t: AlmostTwilled, w: Bigraded, line: Optional[Sequence[AElem]] = None) -> Bigraded:
+    """d': (-1)^q times the differential of L' with values in Lambda^q of
+    the dual of L'' over L', tensored with the optional line."""
+    q = w.qdeg
+    module = exterior_power(dual_module(t.module_on_second()), q)
+    d = ce_bigraded(t, w, False, module if line is None else tensor_line(module, line))
+    return d if q % 2 == 0 else d.neg()
+
+
+def transport_differential(source: LieRinehart, triv: LRModule, target: LieRinehart, w: Multivector) -> Multivector:
+    """Apply the differential of `source` to a multivector over `target`,
+    reading wedges over the target as forms on the source through the
+    Kronecker pairing, degree by degree; `triv` is the trivial module of
+    `source`."""
+    by_degree: Dict[int, Dict] = {}
+    for key, c in w.values.items():
+        by_degree.setdefault(len(key), {})[key] = (c,)
+    out = Multivector.zero(target)
+    for q, vals in by_degree.items():
+        form = AltForm(source, triv, q, vals)
+        df = ce_differential(source, triv, form)
+        out = out.add(Multivector(target, {k: v[0] for k, v in df.values.items()}))
+    return out
