@@ -9,8 +9,9 @@ algebra of D; both are computed on every call and must agree, on broken
 input as well as on good input.  Both readings run the derivation
 checker of ``gerst`` on label tables built for each call: the Schouten
 bracket of each side memoised per label pair, and the transported
-differential as sparse label columns read off ``ce_matrix`` of the other
-side with trivial coefficients, one matrix per degree per call.
+differential as sparse label columns read off the columns that
+``lrcore.ce_columns`` keeps for the other side with trivial coefficients,
+shared with the flatness check of that module.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem, Derivation
-from .gerst import Multivector, _Columns, _derivation_witness, _flat_tables, _matrix_columns
+from .gerst import Multivector, _Columns, _derivation_witness, _flat_tables
 from .lrcore import (
     LieRinehart,
     LRModule,
-    ce_matrix,
+    ce_columns,
     dual_module,
     lr_violations,
     trivial_coefficients,
@@ -129,24 +130,14 @@ def semidirect_product(lr: LieRinehart, m: LRModule) -> LieRinehart:
 def _transported(source: LieRinehart) -> _Columns:
     """The differential of `source` on multivectors over its dual partner,
     whose wedges read as forms on `source` through the Kronecker pairing,
-    as label columns: a label (t, (), S) of degree q is a column of
-    ``ce_matrix(source, trivial_coefficients(source), q)``, built once per
-    degree on first use, its rows (S', t') of degree q + 1 in
-    ``basis_forms`` order."""
-    n, dim = source.rank, source.alg.dim
-    degrees: Dict[int, Tuple] = {}
+    as label columns: a label (t, (), S) is the kept column (S, 0, t) of
+    ``ce_columns`` of `source` with trivial coefficients, its rows
+    (S', 0, t') read as labels (t', (), S')."""
 
     def read(label: Tuple) -> Dict:
         t, _, key = label
-        q = len(key)
-        if q not in degrees:
-            degrees[q] = (
-                _matrix_columns(ce_matrix(source, trivial_coefficients(source), q)),
-                {s: pos for pos, s in enumerate(combinations(range(n), q))},
-                list(combinations(range(n), q + 1)),
-            )
-        columns, index, rows = degrees[q]
-        return {(r % dim, (), rows[r // dim]): x for r, x in columns.get(index[key] * dim + t, ())}
+        column = ce_columns(source, trivial_coefficients(source), len(key)).get((key, 0, t), ())
+        return {(s, (), row): x for (row, _, s), x in column}
 
     return _Columns(read)
 

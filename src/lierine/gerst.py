@@ -32,13 +32,13 @@ checker call (``_LabelTables``): the bracket and product as structure
 constants on the Q-basis labels (t, outer, inner), filled on first use
 per label pair, and each operator as sparse label columns read once per
 label (``_Columns``): a tabulated generator applied to the label's
-element, a cochain differential read off a column of ``ce_matrix``
-(``_matrix_columns``).  A pair is read off the pairs of the factors of
-its left label or, when that is an atom (a single vector or a pure form),
-of its right label; the recursion, through ``schouten_bracket`` or
+element, a cochain differential read off a column that
+``lrcore.ce_columns`` keeps.  A pair is read off the pairs of the factors
+of its left label or, when that is an atom (a single vector or a pure
+form), of its right label; the recursion, through ``schouten_bracket`` or
 ``crossed_bracket``, fills only atom x atom pairs.  Each pair's residual
 is summed in one accumulator straight from table entries and label
-columns.  Nothing is cached on the structures.
+columns.  Label tables are never kept on the structures.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem, CommAlg
-from .exactla import SparseMatrix, _frac
+from .exactla import _frac
 from .lrcore import (
     AltForm,
     LieRinehart,
@@ -282,15 +282,6 @@ def _vector(terms: Dict) -> Dict:
         if q != 0
     }
     return vec or _ZERO
-
-
-def _matrix_columns(m: SparseMatrix) -> Dict[int, List[Tuple[int, object]]]:
-    """The entries of m grouped by column as (row, value) lists, rows
-    ascending; integral values are kept as int, as in ``_vector``."""
-    columns: Dict[int, List[Tuple[int, object]]] = {}
-    for (r, c), x in sorted(m.entries.items()):
-        columns.setdefault(c, []).append((r, x.numerator if x.denominator == 1 else x))
-    return columns
 
 
 def _lincomb(*pairs: Tuple) -> Dict:

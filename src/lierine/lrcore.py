@@ -12,9 +12,14 @@ so a structure is fully determined by its basis tables.  Validation,
 module flatness, the alternating-form differential, and cohomology
 dimensions all reduce to exact rational linear algebra on basis data.
 
-Two axioms are read off the formal square d.d of ``ce_matrix``: the anchor
-is a bracket morphism iff d.d = 0 on C^0(L; A), and a connection M is flat
-iff d.d = 0 on C^0(L; M).  Antisymmetry and the anchor's derivation
+One builder, ``ce_matrix``, makes the cochain differential.  Each degree
+is kept on its coefficient module as label-keyed columns (``ce_columns``),
+read by ``ce_differential``, the squares below, ``twilled`` and ``bialg``;
+``cohomology_dims`` ranks ``ce_matrix`` directly and keeps nothing.
+
+Two axioms are read off the formal square d.d: the anchor is a bracket
+morphism iff d.d = 0 on C^0(L; A), and a connection M is flat iff
+d.d = 0 on C^0(L; M).  Antisymmetry and the anchor's derivation
 property are read off the literal tables, and Jacobi off the degree-one
 Leibniz expansion, because ``ce_matrix`` reads only the i < j half of the
 bracket table: a one-sided break can leave d.d = 0 on C^1(L; A).
@@ -23,10 +28,9 @@ bracket table: a one-sided break can leave d.d = 0 on C^1(L; A).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem, CommAlg, Derivation, derivation_validate
 from .exactla import SparseMatrix, _frac, mat_rank
@@ -145,10 +149,9 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
 
     zero = Derivation.zero(lr.alg)
     if any(rho != zero for rho in lr.anchor):
-        dd, rows, _ = next(_squares(lr, trivial_coefficients(lr), 0))
-        if dd.entries:
-            key = rows(min(r for r, _ in dd.entries))[0]
-            out.append(Violation("anchor-morphism", key, "rho([e_i,e_j]) != [rho(e_i),rho(e_j)]"))
+        rows = [row for _, image in _square(lr, trivial_coefficients(lr), 0) for row in image]
+        if rows:
+            out.append(Violation("anchor-morphism", min(rows)[0], "rho([e_i,e_j]) != [rho(e_i),rho(e_j)]"))
 
     e = [{i: lr.alg.one().coeffs} for i in range(n)]
     for i, j, k in combinations(range(n), 3):
@@ -182,11 +185,12 @@ class LRModule:
 
     action[i][j] is the element e_i . f_j as an m-tuple of AElems.  The
     table defines at least a connection; ``module_validate`` decides
-    whether it is flat (a genuine module).  The flatness verdict and the
-    compiled action table are computed on first use and kept.
+    whether it is flat (a genuine module).  The flatness verdict, the
+    compiled action table and the columns of each degree of the cochain
+    differential (``ce_columns``) are computed on first use and kept.
     """
 
-    __slots__ = ("lr", "rank", "action", "_flat", "_compiled")
+    __slots__ = ("lr", "rank", "action", "_flat", "_compiled", "_columns")
 
     def __init__(self, lr: LieRinehart, rank: int, action: Sequence) -> None:
         if rank < 0:
@@ -212,6 +216,7 @@ class LRModule:
         self.action = tuple(rows)
         self._flat: Optional[bool] = None
         self._compiled: Optional[ActionTable] = None
+        self._columns: Dict[int, Dict] = {}
 
     def zero_vec(self) -> Tuple[AElem, ...]:
         return (self.lr.alg.zero(),) * self.rank
@@ -256,14 +261,13 @@ def module_validate(lr: LieRinehart, m: LRModule) -> List[Violation]:
     """
     if m.lr != lr:
         raise ValueError("parent mismatch")
-    dd, rows, cols = next(_squares(lr, m, 0))
     unit = lr.alg.unit
-    images: Dict[Tuple[int, int], Fraction] = {}
-    for (r, c), x in dd.entries.items():
-        _, k, t = cols(c)
-        images[(r, k)] = images.get((r, k), 0) + unit[t] * x
+    images: Dict[Tuple, Fraction] = {}
+    for (_, k, t), image in _square(lr, m, 0):
+        for row, x in image.items():
+            images[(row, k)] = images.get((row, k), 0) + unit[t] * x
     first: Dict[Tuple[int, ...], int] = {}
-    for key, k in sorted((rows(r)[0], k) for (r, k), x in images.items() if x != 0):
+    for key, k in sorted((row[0], k) for (row, k), x in images.items() if x != 0):
         first.setdefault(key, k)
     detail = "curvature acts nontrivially on f_k"
     return [Violation("flatness", (*key, k), detail) for key, k in first.items()]
@@ -421,50 +425,24 @@ def ce_differential(lr: LieRinehart, module: LRModule, w: AltForm, formal: bool 
         (d w)(x_0..x_q) = sum_i (-1)^i x_i . w(..no x_i..)
                         + sum_{i<j} (-1)^{i+j} w([x_i,x_j], ..no x_i, x_j..)
 
-    evaluated on sorted basis tuples; bracket arguments are expanded
-    A-linearly back into basis evaluations, and keys absent from w are
-    skipped.  With a non-flat action table this is only a formal operator
-    and must be requested with formal=True.
+    read off the kept columns of ``ce_columns``: the columns of the Q-basis
+    terms of w summed, keys in ``combinations`` order.  With a non-flat
+    action table this is only a formal operator and must be requested
+    with formal=True.
     """
     if w.lr != lr or w.module != module:
         raise ValueError("parent mismatch")
-    if not formal and not module.is_flat():
-        raise ValueError("action table is not flat; pass formal=True for the formal operator")
-    q = w.degree
-    n = lr.rank
-    if q + 1 > n:
-        return zero_form(lr, module, q + 1)
-    values = w.values
-    out: Dict[Tuple[int, ...], Tuple[AElem, ...]] = {}
-    for key in combinations(range(n), q + 1):
-        total: Optional[List[AElem]] = None
-        for i, xi in enumerate(key):
-            vec = values.get(key[:i] + key[i + 1 :])
-            if vec is not None:
-                total = _signed_sum(total, module.act_basis(xi, vec), i % 2 == 0)
-        for i in range(q + 1):
-            for j in range(i + 1, q + 1):
-                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-                for k, ck in enumerate(lr.bracket[key[i]][key[j]]):
-                    if ck.is_zero() or k in rest:
-                        continue
-                    rkey, sign = sort_with_sign((k,) + rest)
-                    vec = values.get(rkey)
-                    if vec is not None:
-                        positive = ((i + j) % 2 == 0) == (sign == 1)
-                        total = _signed_sum(total, [ck * b for b in vec], positive)
-        if total is not None:
-            out[key] = tuple(total)
-    return AltForm(lr, module, q + 1, out)
-
-
-def _signed_sum(total: Optional[List[AElem]], vec: Sequence[AElem], positive: bool) -> List[AElem]:
-    """total + vec or total - vec, with None standing for zero."""
-    if total is None:
-        return list(vec) if positive else [-b for b in vec]
-    if positive:
-        return [a + b for a, b in zip(total, vec)]
-    return [a - b for a, b in zip(total, vec)]
+    columns = ce_columns(lr, module, w.degree, formal)
+    sums: Dict[Tuple, Fraction] = {}
+    for key, vec in w.values.items():
+        for j, c in enumerate(vec):
+            for t, x in enumerate(c.coeffs):
+                for row, y in columns.get((key, j, t), ()) if x else ():
+                    sums[row] = sums.get(row, 0) + x * y
+    coeffs: Dict[Tuple[int, ...], List[List[Fraction]]] = {}
+    for (key, j, s), x in sorted(sums.items()):
+        coeffs.setdefault(key, [[0] * lr.alg.dim for _ in range(module.rank)])[j][s] = x
+    return AltForm(lr, module, w.degree + 1, {key: tuple(map(lr.alg.elem, vec)) for key, vec in coeffs.items()})
 
 
 def basis_forms(lr: LieRinehart, module: LRModule, q: int):
@@ -579,10 +557,10 @@ def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -
     """Matrix of the cochain differential d: Alt^q -> Alt^{q+1}, rows and
     columns in ``basis_forms`` order, built from the compiled tables.
 
-    Row (key, j, s) collects the terms of ``ce_differential`` at the sorted
+    Row (key, j, s) collects the terms of the differential at the sorted
     tuple key: each x_i . w(..no x_i..) through the action table and each
-    w([x_i,x_j], ..) through the bracket table.  As there, a non-flat
-    action table needs formal=True.
+    w([x_i,x_j], ..) through the bracket table.  A non-flat action table
+    needs formal=True.
     """
     if module.lr != lr:
         raise ValueError("module parent mismatch")
@@ -623,22 +601,39 @@ def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -
     return SparseMatrix(alt_dim(lr, module, q + 1), alt_dim(lr, module, q), entries)
 
 
-def _squares(lr: LieRinehart, module: LRModule, top: int) -> Iterator[Tuple[SparseMatrix, Callable, Callable]]:
-    """For q = 0..top, the formal square d_{q+1} d_q of ``ce_matrix``, each
-    d built once, with the maps from its row and column indices to their
-    (key, slot, t) labels in ``basis_forms`` order of degree q+2 and q."""
-    n, dim = lr.rank, lr.alg.dim
-    width = module.rank * dim
+def ce_columns(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -> Dict[Tuple, List[Tuple]]:
+    """The nonzero columns of ``ce_matrix`` d_q, keyed by their
+    ``basis_forms`` label (key, slot, t), each a list of (row label, value)
+    with rows ascending and integral values kept as int.  Built once per
+    module and degree and kept on the module; formal only gates the
+    flatness check, as in ``ce_matrix``."""
+    if module.lr != lr:
+        raise ValueError("module parent mismatch")
+    if not formal and not module.is_flat():
+        raise ValueError("action table is not flat; pass formal=True for the formal operator")
+    columns = module._columns.get(q)
+    if columns is None:
+        d = ce_matrix(lr, module, q, formal=True)
+        rows, cols = list(basis_forms(lr, module, q + 1)), list(basis_forms(lr, module, q))
+        columns = module._columns[q] = {}
+        for (r, c), x in sorted(d.entries.items(), key=lambda entry: entry[0][::-1]):
+            columns.setdefault(cols[c], []).append((rows[r], x.numerator if x.denominator == 1 else x))
+    return columns
 
-    def label(degree: int, index: int) -> Tuple[Tuple[int, ...], int, int]:
-        pos, rest = divmod(index, width)
-        return (next(islice(combinations(range(n), degree), pos, None)), *divmod(rest, dim))
 
-    lower = ce_matrix(lr, module, 0, formal=True)
-    for q in range(top + 1):
-        upper = ce_matrix(lr, module, q + 1, formal=True)
-        yield upper.matmul(lower), partial(label, q + 2), partial(label, q)
-        lower = upper
+def _square(lr: LieRinehart, module: LRModule, q: int) -> Iterator[Tuple[Tuple, Dict[Tuple, Fraction]]]:
+    """The nonzero columns of the formal square d_{q+1} d_q, labels
+    ascending, each as {row label: value}: the kept columns of degree q
+    contracted with those of degree q + 1."""
+    upper = ce_columns(lr, module, q + 1, formal=True)
+    for col, image in ce_columns(lr, module, q, formal=True).items():
+        acc: Dict[Tuple, Fraction] = {}
+        for mid, x in image:
+            for row, y in upper.get(mid, ()):
+                acc[row] = acc.get(row, 0) + x * y
+        acc = {row: x for row, x in acc.items() if x}
+        if acc:
+            yield col, acc
 
 
 def ce_square_witness(lr: LieRinehart, module: LRModule, max_degree: Optional[int] = None):
@@ -650,9 +645,9 @@ def ce_square_witness(lr: LieRinehart, module: LRModule, max_degree: Optional[in
     reads on A and ``module_validate`` reads on M.
     """
     top = lr.rank if max_degree is None else min(max_degree, lr.rank)
-    for q, (dd, _, cols) in enumerate(_squares(lr, module, top)):
-        if dd.entries:
-            return (q, *cols(min(c for _, c in dd.entries)))
+    for q in range(top + 1):
+        for col, _ in _square(lr, module, q):
+            return (q, *col)
     return None
 
 

@@ -17,37 +17,38 @@ bracket of L'.
 
 Each differential is lrcore's cochain differential of one constituent,
 applied to a bigraded element read as a form on that constituent with
-values in a module over it, and is read off that differential's matrix
-``ce_matrix``, built once per pair, coefficient module and form degree:
+values in a module over it, and is read off the columns of that
+differential that ``lrcore.ce_columns`` keeps on the coefficient module,
+built once per module and form degree:
 
     d'' on forms          L'' with values in Lambda^p(dual of L' over L'')
     d'' on multivectors   L'' with values in Lambda^p(L' over L'')
     d'                    L'  with values in Lambda^q(dual of L'' over L'),
                           optionally tensored with a line, times (-1)^q
 
-where p is the inner and q the outer degree.  A label's image is a
-column of that matrix, rows and columns mapped to labels by the index
-arithmetic of ``basis_forms``; an element's image sums the columns of its
-terms.  Conventions fixed by the
-degenerate cases: with L'' = 0 the operator d' is the plain cochain
-differential of L' (so d' carries the global sign (-1)^q past the q
-external slots), and d'' uses the Lie-derivative action on inner form
-slots.  The total-complex dimension comparison calibrates the pair.
+where p is the inner and q the outer degree.  A label's image is the
+kept column of its form label, the module slot read as a subset of the
+other constituent; an element's image sums the columns of its terms.
+Conventions fixed by the degenerate cases: with L'' = 0 the operator d'
+is the plain cochain differential of L' (so d' carries the global sign
+(-1)^q past the q external slots), and d'' uses the Lie-derivative
+action on inner form slots.  The total-complex dimension comparison
+calibrates the pair.
 
 The square, derivation and generator checks and the total complex run on
 label tables of ``gerst``, built afresh by each call: the crossed bracket
 and bigraded product per label pair, filled on first use (the recursion
 fills only pairs of two atoms, single vectors or pure forms), and d', d''
 and generators as sparse label columns, those of d' and d'' read off the
-kept matrices.  The dg-Lie and dG checks of one
-``check-twilled`` share one set of tables.  This module lists the labels
-and maps the witnesses back to its report formats.
+kept columns.  The dg-Lie and dG checks of one ``check-twilled`` share
+one set of tables.  This module lists the labels and maps the witnesses
+back to its report formats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,7 +63,6 @@ from .gerst import (
     _generator_witness,
     _LabelTables,
     _lincomb,
-    _matrix_columns,
     _product_into,
     generator_to_connection,
 )
@@ -70,7 +70,7 @@ from .lrcore import (
     LieRinehart,
     LRModule,
     _action_table,
-    ce_matrix,
+    ce_columns,
     cohomology_dims,
     dual_module,
     exterior_power,
@@ -114,7 +114,7 @@ class AlmostTwilled:
         on_prime = LRModule(lsecond, lprime.rank, act_s_on_p)
         self.act_p_on_s = on_second.action
         self.act_s_on_p = on_prime.action
-        self._modules: Dict[Tuple, object] = {("on_second",): on_second, ("on_prime",): on_prime}
+        self._modules: Dict[Tuple, LRModule] = {("on_second",): on_second, ("on_prime",): on_prime}
         self._sum: Optional[LieRinehart] = None
         self._dual_pair = None
 
@@ -301,19 +301,10 @@ def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
     return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, out)
 
 
-def _cached_module(t: AlmostTwilled, key: Tuple, build):
-    """Coefficient modules, their differentials and slot lists are built
-    once per pair and kept on it."""
-    m = t._modules.get(key)
-    if m is None:
-        m = t._modules[key] = build()
-    return m
-
-
-def _coefficients(t: AlmostTwilled, kind: str, deg: int, line: Optional[Sequence[AElem]] = None) -> Tuple[Tuple, LRModule]:
+def _coefficients(t: AlmostTwilled, kind: str, deg: int, line: Optional[Sequence[AElem]] = None) -> LRModule:
     """The coefficient module on slot degree deg of d'' on forms ("form"),
     d'' on multivectors ("multi") or d' ("dprime"), as listed in the module
-    docstring, and its key in ``t._modules``."""
+    docstring, built once per pair and kept on it."""
     if kind == "form":
         build = lambda: exterior_power(dual_module(t.module_on_prime()), deg)
     elif kind == "multi":
@@ -325,36 +316,27 @@ def _coefficients(t: AlmostTwilled, kind: str, deg: int, line: Optional[Sequence
             return m if line is None else tensor_line(m, line)
 
     key = (kind, deg, None if line is None else tuple(line))
-    return key, _cached_module(t, key, build)
+    if key not in t._modules:
+        t._modules[key] = build()
+    return t._modules[key]
 
 
 def _ce_column(t: AlmostTwilled, kind: str, line: Optional[Sequence[AElem]], label: Tuple) -> Dict:
     """One differential on one Q-basis label (t, outer, inner), as a label
-    vector: a column of ``ce_matrix`` of the constituent the form lives on
-    (L'' for d'', L' for d') with values in the coefficient module, whose
-    basis is the sorted subsets of the other slot.  Rows and columns map
-    to labels by ``basis_forms`` index arithmetic over the slot lists.
-    The matrix is built once per pair, module and form degree.  d' carries
-    the sign (-1)^q of the outer degree q."""
+    vector: a kept column of ``ce_columns`` of the constituent the form
+    lives on (L'' for d'', L' for d') with values in the coefficient
+    module, whose basis is the sorted subsets of the other slot.  d'
+    carries the sign (-1)^q of the outer degree q."""
     ta, ss, sp = label
     outer = kind != "dprime"
     key, slot = (ss, sp) if outer else (sp, ss)
     lr, other = (t.lsecond, t.lprime) if outer else (t.lprime, t.lsecond)
-    mkey, module = _coefficients(t, kind, len(slot), line)
-    columns = _cached_module(
-        t, mkey + (len(key),), lambda: _matrix_columns(ce_matrix(lr, module, len(key), formal=True))
-    )
-    slots, index = _slots(t, other.rank, len(slot))
-    dim = t.alg.dim
-    width = len(slots) * dim
-    rows = _slots(t, lr.rank, len(key) + 1)[0]
-    col = _slots(t, lr.rank, len(key))[1][key] * width + index[slot] * dim + ta
+    slots, index = _slots(other.rank, len(slot))
+    columns = ce_columns(lr, _coefficients(t, kind, len(slot), line), len(key), formal=True)
     negate = not outer and len(ss) % 2 == 1
     out: Dict = {}
-    for r, x in columns.get(col, ()):
-        pos, rest = divmod(r, width)
-        j, s = divmod(rest, dim)
-        out[(s, rows[pos], slots[j]) if outer else (s, slots[j], rows[pos])] = -x if negate else x
+    for (rkey, j, s), x in columns.get((key, index[slot], ta), ()):
+        out[(s, rkey, slots[j]) if outer else (s, slots[j], rkey)] = -x if negate else x
     return out
 
 
@@ -407,10 +389,11 @@ def dsecond_multi(t: AlmostTwilled, w: Bigraded) -> Bigraded:
     return _ce_bigraded(t, w, "multi")
 
 
-def _slots(t: AlmostTwilled, rank: int, deg: int) -> Tuple[List, Dict]:
+@lru_cache(maxsize=None)
+def _slots(rank: int, deg: int) -> Tuple[List, Dict]:
     """The sorted deg-subsets of range(rank) and their positions."""
-    slots = _cached_module(t, ("slots", rank, deg), lambda: list(combinations(range(rank), deg)))
-    return slots, _cached_module(t, ("index", rank, deg), lambda: {s: k for k, s in enumerate(slots)})
+    slots = list(combinations(range(rank), deg))
+    return slots, {s: k for k, s in enumerate(slots)}
 
 
 def _lie_derivative(t: AlmostTwilled, i: int, b: AElem, outer: Tuple[int, ...]) -> Dict:
@@ -418,8 +401,8 @@ def _lie_derivative(t: AlmostTwilled, i: int, b: AElem, outer: Tuple[int, ...]) 
     derivative of an outer form along a basis vector of L', read off the
     compiled action of the d' coefficient module."""
     dim = t.alg.dim
-    slots, index = _slots(t, t.lsecond.rank, len(outer))
-    images = _action_table(_coefficients(t, "dprime", len(outer))[1])[i]
+    slots, index = _slots(t.lsecond.rank, len(outer))
+    images = _action_table(_coefficients(t, "dprime", len(outer)))[i]
     col = index[outer] * dim
     acc: Dict[int, List[Fraction]] = {}
     for s, c in enumerate(b.coeffs):

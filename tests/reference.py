@@ -7,11 +7,13 @@ checks that the library now reads off the formal square d.d of
 flatness loop of ``module_validate``, here on dense products of basis
 data.  Also the derivation and generator witnesses of ``gerst`` in their
 vector form, each pair's residual a ``_lincomb`` of whole bracket,
-product and operator images.  And the element path of the differentials
-that the library reads off ``ce_matrix`` columns: d', d'' on forms and
-d'' on multivectors of ``twilled`` and the transported differential of
-``bialg``, each ``ce_differential`` applied to one element read as a
-form.  None of this is used by the library itself.
+product and operator images.  And the element loop of the cochain
+differential, ``ce_differential``, which evaluates d w one sorted basis
+tuple at a time with algebra elements, where the library sums columns of
+``ce_matrix``; the element paths of d', d'' on forms and d'' on
+multivectors of ``twilled`` and of the transported differential of
+``bialg`` are that loop applied to one element read as a form.  None of
+this is used by the library itself.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from lierine.lrcore import (
     AltForm,
     LieRinehart,
     LRModule,
-    ce_differential,
     dual_module,
     exterior_power,
     tensor_line,
+    zero_form,
 )
 from lierine.reporting import Violation
+from lierine.signs import sort_with_sign
 from lierine.twilled import AlmostTwilled, Bigraded
 
 
@@ -231,6 +234,58 @@ def generator_witness(elems, tables, D):
             if residual:
                 return label1, label2, tables.carrier(residual)
     return None
+
+
+def ce_differential(lr: LieRinehart, module: LRModule, w: AltForm, formal: bool = False) -> AltForm:
+    """Cochain differential
+
+        (d w)(x_0..x_q) = sum_i (-1)^i x_i . w(..no x_i..)
+                        + sum_{i<j} (-1)^{i+j} w([x_i,x_j], ..no x_i, x_j..)
+
+    evaluated on sorted basis tuples, one tuple at a time, with algebra
+    elements; bracket arguments are expanded A-linearly back into basis
+    evaluations, and keys absent from w are skipped.  The same checks and
+    messages as ``lrcore.ce_differential``, in the same order.
+    """
+    if w.lr != lr or w.module != module:
+        raise ValueError("parent mismatch")
+    if not formal and not module.is_flat():
+        raise ValueError("action table is not flat; pass formal=True for the formal operator")
+    q = w.degree
+    n = lr.rank
+    if q + 1 > n:
+        return zero_form(lr, module, q + 1)
+    values = w.values
+    out: Dict[Tuple[int, ...], Tuple[AElem, ...]] = {}
+    for key in combinations(range(n), q + 1):
+        total: Optional[List[AElem]] = None
+        for i, xi in enumerate(key):
+            vec = values.get(key[:i] + key[i + 1 :])
+            if vec is not None:
+                total = _signed_sum(total, module.act_basis(xi, vec), i % 2 == 0)
+        for i in range(q + 1):
+            for j in range(i + 1, q + 1):
+                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
+                for k, ck in enumerate(lr.bracket[key[i]][key[j]]):
+                    if ck.is_zero() or k in rest:
+                        continue
+                    rkey, sign = sort_with_sign((k,) + rest)
+                    vec = values.get(rkey)
+                    if vec is not None:
+                        positive = ((i + j) % 2 == 0) == (sign == 1)
+                        total = _signed_sum(total, [ck * b for b in vec], positive)
+        if total is not None:
+            out[key] = tuple(total)
+    return AltForm(lr, module, q + 1, out)
+
+
+def _signed_sum(total: Optional[List[AElem]], vec: Sequence[AElem], positive: bool) -> List[AElem]:
+    """total + vec or total - vec, with None standing for zero."""
+    if total is None:
+        return list(vec) if positive else [-b for b in vec]
+    if positive:
+        return [a + b for a, b in zip(total, vec)]
+    return [a - b for a, b in zip(total, vec)]
 
 
 def ce_bigraded(t: AlmostTwilled, w: Bigraded, outer: bool, module: LRModule) -> Bigraded:

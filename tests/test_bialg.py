@@ -170,16 +170,16 @@ class TestBialgebraCheck:
         assert not any(a is b for i, a in enumerate(seen) for b in seen[i + 1 :])
 
     def test_transported_differential_once_per_pair_and_element(self, monkeypatch):
-        import lierine.bialg as bialg
+        import lierine.lrcore as lrcore
 
         calls = []
-        original = bialg.ce_matrix
+        original = lrcore.ce_matrix
 
         def counting(lr, module, q, formal=False):
             calls.append((lr, q))
             return original(lr, module, q, formal)
 
-        monkeypatch.setattr(bialg, "ce_matrix", counting)
+        monkeypatch.setattr(lrcore, "ce_matrix", counting)
         pair = semidirect_dual_pair(book_double())
         assert bialgebra_check(pair, 3).holds
         assert calls

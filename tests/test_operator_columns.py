@@ -1,14 +1,17 @@
-"""Differentials read off whole-degree ``ce_matrix`` blocks.
+"""Differentials read off the kept columns of ``ce_matrix``.
 
 d', d'' on forms and d'' on multivectors of ``twilled`` and the
-transported differential of ``bialg`` are columns of ``ce_matrix``, one
-matrix per coefficient module and form degree.  Each column, and each
-operator applied to an element, is compared with the element path kept
-in ``reference`` (``ce_differential`` on the element read as a form) on
-every label: on the shipped pairs, the benchmark's sl2 double, perturbed
-pairs over Q[x]/(x^k) and Q x Q with nonzero anchors, and the semidirect
-dual pairs of those pairs.  A ``check-twilled`` and a ``bialgebra_check``
-make no ``ce_differential`` call and build each matrix once.
+transported differential of ``bialg`` are columns that ``ce_columns``
+keeps on the coefficient module, one build per module and form degree.
+Each column, and each operator applied to an element, is compared with
+the element path kept in ``reference`` (its element loop
+``ce_differential`` on the element read as a form) on every label: on
+the shipped pairs, the benchmark's sl2 double, perturbed pairs over
+Q[x]/(x^k) and Q x Q with nonzero anchors, and the semidirect dual
+pairs of those pairs.  A ``check-twilled`` and a ``bialgebra_check``
+make no ``ce_differential`` call, and they and a
+``matched_pair_from_bialgebra`` build each (module, degree) once,
+counted at ``lrcore.ce_matrix``, the only builder in the package.
 """
 
 from fractions import Fraction
@@ -211,7 +214,9 @@ def test_columns_match_reference_on_semidirect_dual_pairs_of_flat_pairs(p):
 
 def count_builds(monkeypatch):
     """Record every ce_differential call in the package and every
-    ce_matrix build of twilled and bialg as (module, degree)."""
+    ce_matrix build as (module, degree).  Only lrcore holds ce_matrix, so
+    wrapping it there counts the builds of the whole package."""
+    assert [mod for mod in (gerst, twilled, bialg, cli) if hasattr(mod, "ce_matrix")] == []
     differentials, builds = [], []
     differential, matrix = lrcore.ce_differential, lrcore.ce_matrix
 
@@ -223,10 +228,9 @@ def count_builds(monkeypatch):
         builds.append((module, q))
         return matrix(lr, module, q, formal)
 
-    for mod in (lrcore, gerst, twilled, bialg):
-        monkeypatch.setattr(mod, "ce_differential", counting_differential, raising=False)
-    for mod in (twilled, bialg):
-        monkeypatch.setattr(mod, "ce_matrix", counting_matrix, raising=False)
+    for mod in (lrcore, gerst):
+        monkeypatch.setattr(mod, "ce_differential", counting_differential)
+    monkeypatch.setattr(lrcore, "ce_matrix", counting_matrix)
     return differentials, builds
 
 
@@ -250,4 +254,16 @@ def test_bialgebra_check_makes_no_ce_differential_call(monkeypatch):
     differentials, builds = count_builds(monkeypatch)
     assert bialgebra_check(pair, 3).holds
     assert differentials == []
+    assert_once_per_module_and_degree(builds)
+
+
+def test_matched_pair_builds_each_module_and_degree_once(monkeypatch, tmp_path):
+    """The flatness check of a trivial module and the transported
+    differential read the same kept build of each degree: 14 builds over
+    14 distinct (module, degree) pairs on the benchmark's sl2 pair."""
+    inst = cli.parse_instance(str(bench_sl2_double(tmp_path)))
+    g, d = inst.lr("sl2"), inst.lr("sl2_dual")
+    _, builds = count_builds(monkeypatch)
+    assert bialg.matched_pair_from_bialgebra(g, d.bracket) == inst.build_twilled("double")
+    assert len(builds) == 14
     assert_once_per_module_and_degree(builds)

@@ -1,7 +1,8 @@
 """The sparse cochain differential, the compiled degree-one bracket, the
 label tables of the Schouten bracket and the sparse rank against
 references that compute the same objects another way: the differential
-one basis form at a time through ce_differential, the bracket through
+one basis form at a time through the element loop of
+reference.ce_differential, the bracket through
 the Leibniz expansion of lr_bracket, the label tables through the
 recursion of schouten_bracket and wedge, and dense echelon rank."""
 
@@ -25,7 +26,6 @@ from lierine.lrcore import (
     _bracket_vectors,
     alt_dim,
     basis_forms,
-    ce_differential,
     ce_matrix,
     ce_square_witness,
     dual_module,
@@ -33,12 +33,12 @@ from lierine.lrcore import (
     trivial_coefficients,
 )
 from lierine.twilled import twilled_sum
-from reference import LElem, lr_bracket
+from reference import LElem, ce_differential, lr_bracket
 
 
 def reference_matrix(lr, module, q, formal=False) -> RatMatrix:
-    """d_q column by column: ce_differential of each basis form, scattered
-    into a dense matrix."""
+    """d_q column by column: the reference element loop on each basis form,
+    scattered into a dense matrix."""
     rows, cols = alt_dim(lr, module, q + 1), alt_dim(lr, module, q)
     index = {label: pos for pos, label in enumerate(basis_forms(lr, module, q + 1))}
     entries = [Fraction(0)] * (rows * cols)

@@ -1,8 +1,8 @@
 """The anchor-morphism and flatness checks as d.d = 0 at degree 0.
 
 ``lr_validate`` reads the anchor morphism and ``module_validate`` reads
-flatness off the formal square of ``ce_matrix``; both are compared here
-with the dense loops of ``reference``.  Jacobi is not read off a square,
+flatness off the formal square of the kept columns of ``ce_matrix``; both
+are compared here with the dense loops of ``reference``.  Jacobi is not read off a square,
 and a test below pins why.  The split compiled tables are checked by
 counting: the degree-one Leibniz table is built only when Jacobi or the
 Schouten bracket needs it.
@@ -21,6 +21,7 @@ from lierine.lrcore import (
     LieRinehart,
     LRModule,
     basis_forms,
+    ce_columns,
     ce_matrix,
     lr_validate,
     module_validate,
@@ -106,14 +107,26 @@ def test_jacobi_is_not_read_from_the_square():
     assert square.entries == {}
 
 
-def test_square_labels_follow_basis_forms():
+def test_column_labels_follow_basis_forms():
+    """Every kept column of ce_columns, key and row labels alike, is a
+    basis_forms label; keys and rows ascend, integral values are int, and
+    the columns are exactly the entries of ce_matrix."""
     for lr in (derx3(), sl2()):
         omega = [lr.alg.basis(lr.alg.dim - 1)] * lr.rank
         modules = (trivial_coefficients(lr), line_with_connection(lr, omega), LRModule(lr, lr.rank, lr.bracket))
         for m in modules:
-            for q, (dd, rows, cols) in enumerate(lrcore._squares(lr, m, lr.rank)):
-                assert [rows(r) for r in range(dd.rows)] == list(basis_forms(lr, m, q + 2))
-                assert [cols(c) for c in range(dd.cols)] == list(basis_forms(lr, m, q))
+            for q in range(lr.rank + 2):
+                cols = {label: pos for pos, label in enumerate(basis_forms(lr, m, q))}
+                rows = {label: pos for pos, label in enumerate(basis_forms(lr, m, q + 1))}
+                columns = ce_columns(lr, m, q, formal=True)
+                assert list(columns) == sorted(columns)
+                entries = {}
+                for col, image in columns.items():
+                    assert [row for row, _ in image] == sorted(row for row, _ in image)
+                    for row, x in image:
+                        assert type(x) is int or x.denominator != 1
+                        entries[(rows[row], cols[col])] = x
+                assert entries == ce_matrix(lr, m, q, formal=True).entries
 
 
 def test_degree_one_table_is_built_only_for_jacobi(monkeypatch):

@@ -23,8 +23,8 @@ VALUES = st.sampled_from([0, 0, 0, 1, -1, 2])
 
 def counting_squares(monkeypatch):
     calls = []
-    squares = lrcore._squares
-    monkeypatch.setattr(lrcore, "_squares", lambda *args: calls.append(args) or squares(*args))
+    square = lrcore._square
+    monkeypatch.setattr(lrcore, "_square", lambda *args: calls.append(args) or square(*args))
     return calls
 
 
@@ -66,12 +66,12 @@ def structures(draw):
 @given(structures())
 def test_anchor_morphism_report_with_and_without_the_square(lr):
     calls = []
-    squares = lrcore._squares
-    lrcore._squares = lambda *args: calls.append(args) or squares(*args)
+    square = lrcore._square
+    lrcore._square = lambda *args: calls.append(args) or square(*args)
     try:
         got = [v for v in lr_validate(lr) if v.axiom == "anchor-morphism"]
     finally:
-        lrcore._squares = squares
+        lrcore._square = square
     zero = Derivation.zero(lr.alg)
     assert len(calls) == (0 if all(rho == zero for rho in lr.anchor) else 1)
     assert got == anchor_morphism_violations(lr)
