@@ -615,9 +615,10 @@ def ce_columns(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) 
     if columns is None:
         d = ce_matrix(lr, module, q, formal=True)
         rows, cols = list(basis_forms(lr, module, q + 1)), list(basis_forms(lr, module, q))
-        columns = module._columns[q] = {}
+        columns = {}
         for (r, c), x in sorted(d.entries.items(), key=lambda entry: entry[0][::-1]):
             columns.setdefault(cols[c], []).append((rows[r], x.numerator if x.denominator == 1 else x))
+        module._columns[q] = columns
     return columns
 
 

@@ -48,7 +48,7 @@ back to its report formats.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -389,7 +389,6 @@ def dsecond_multi(t: AlmostTwilled, w: Bigraded) -> Bigraded:
     return _ce_bigraded(t, w, "multi")
 
 
-@lru_cache(maxsize=None)
 def _slots(rank: int, deg: int) -> Tuple[List, Dict]:
     """The sorted deg-subsets of range(rank) and their positions."""
     slots = list(combinations(range(rank), deg))

@@ -228,8 +228,8 @@ def count_builds(monkeypatch):
         builds.append((module, q))
         return matrix(lr, module, q, formal)
 
-    for mod in (lrcore, gerst):
-        monkeypatch.setattr(mod, "ce_differential", counting_differential)
+    for mod in (lrcore, gerst, twilled, bialg):
+        monkeypatch.setattr(mod, "ce_differential", counting_differential, raising=False)
     monkeypatch.setattr(lrcore, "ce_matrix", counting_matrix)
     return differentials, builds
 
