@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .calgebra import AElem, Derivation
+from .calgebra import Derivation
 from .gerst import Multivector, _Columns, _derivation_witness, _flat_tables
 from .lrcore import (
     LieRinehart,
@@ -28,9 +28,9 @@ from .lrcore import (
     ce_columns,
     dual_module,
     lr_violations,
+    require_valid,
     trivial_coefficients,
 )
-from .reporting import Violation
 from .twilled import AlmostTwilled, dg_gerstenhaber_check, is_twilled
 
 
@@ -150,8 +150,13 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
     slots.  All-degrees form, on basis wedges of d up to max_degree, with
     the sign (-1)^degree on the second slot.  The two verdicts must
     coincide; a disagreement is an internal error, not a report.  The
-    report is computed once per pair and degree cap.
+    report is computed once per pair and degree cap.  A cap below 1, with
+    no wedges to test, or an invalid l or d is rejected.
     """
+    if max_degree < 1:
+        raise ValueError(f"the degree cap must be at least 1, got {max_degree}")
+    require_valid(p.l)
+    require_valid(p.d)
     report = p._reports.get(max_degree)
     if report is None:
         report = p._reports[max_degree] = _compatibility(p, max_degree)

@@ -72,16 +72,17 @@ class ParseError(Exception):
         self.line = line
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def _rational(tok: str, line: int) -> Fraction:
     if not _RATIONAL.match(tok):
-        if re.match(r"^[+-]?\d+/0\d*$", tok) or tok.endswith("/0"):
-            raise ParseError(line, f"zero denominator in {tok!r}")
         raise ParseError(line, f"not a rational: {tok!r}")
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ParseError(line, f"zero denominator in {tok!r}") from None
 
 
 def _ints(tokens: Sequence[str], n: int, line: int) -> List[int]:
@@ -600,6 +601,10 @@ def _cmd_check_bialgebra(inst: InstanceSet, name: str, max_degree: Optional[int]
     cap = max_degree if max_degree is not None else 3
     if name in inst.bialgebras:
         pair = inst.build_dual_pair(name)
+        bad = lr_violations(pair.l) or lr_violations(pair.d)
+        if bad:
+            report.verdict("lr-axioms", False, _first_witness(bad))
+            return
         r = bialgebra_check(pair, cap)
         report.verdict("bialgebra", r.holds, r.witness)
         return

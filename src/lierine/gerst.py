@@ -8,16 +8,19 @@ bracket extends the degree-1 bracket through the biderivation rules
     [x, a]     = x(a)
     [a, u]     = (-1)^{|u|} [u, a]
 
-which both terminate the recursion and pin every sign.  The recursion,
-``_bracket_terms``, is the only one in the package: it runs on terms
-keyed (outer form slots, inner subset) and also gives the crossed bracket
-on Alt(L'', Lambda L') of ``twilled``.  Lambda L is the case L'' = 0,
-where every outer key is empty.  Generators are degree -1 operators
-reproducing the bracket through the defect of the Leibniz rule; they
-correspond to connections on the top exterior power via conjugation by
-the contraction isomorphism.  The per-degree sign s(p) = (-1)^p in that
-conjugation is forced by the generator identity; see the test suite for
-the exhaustive sign-family search that pins it.
+which both terminate the recursion and pin every sign.  Terms are keyed
+(outer form slots, inner subset), so the same code gives the crossed
+bracket on Alt(L'', Lambda L') of ``twilled``; Lambda L is the case
+L'' = 0, where every outer key is empty.  The only recursion is that of
+the label tables (``_LabelTables._fill``), which split products down to
+atoms (a single vector or a pure form); ``_bracket_terms`` brackets two
+atoms.  Generators are degree -1 operators reproducing the bracket
+through the defect of the Leibniz rule; they correspond to connections
+on the top exterior power via conjugation by the contraction
+isomorphism, one loop (``_generator_table``) for Lambda L and the
+bigraded carrier.  The per-degree sign s(p) = (-1)^p in that conjugation
+is forced by the generator identity; the test suite pins it by rescaling
+each degree of a generator's table.
 
 The graded identities are each checked by one loop here, for every
 carrier: ``_derivation_witness`` (d[u,v] = [du,v] - (-1)^{|u|}[u,dv]),
@@ -34,11 +37,12 @@ per label pair, and each operator as sparse label columns read once per
 label (``_Columns``): a tabulated generator applied to the label's
 element, a cochain differential read off a column that
 ``lrcore.ce_columns`` keeps.  A pair is read off the pairs of the factors
-of its left label or, when that is an atom (a single vector or a pure
-form), of its right label; the recursion, through ``schouten_bracket`` or
-``crossed_bracket``, fills only atom x atom pairs.  Each pair's residual
-is summed in one accumulator straight from table entries and label
-columns.  Label tables are never kept on the structures.
+of its left label or, when that is an atom, of its right label; only atom
+x atom pairs call ``schouten_bracket`` or ``crossed_bracket``, and those
+two sum the entries of fresh label tables for any pair of non-atoms.
+Each pair's residual is summed in one accumulator straight from table
+entries and label columns.  Label tables are never kept on the
+structures.
 """
 
 from __future__ import annotations
@@ -161,14 +165,13 @@ def _from_terms(lr: LieRinehart, terms: Dict) -> Multivector:
 
 def wedge(u: Multivector, v: Multivector) -> Multivector:
     u._same(v)
+    return _from_terms(u.lr, _product(_terms(u), _terms(v)))
+
+
+def _product(left: Dict, right: Dict) -> Dict:
+    """left . right for term dicts {(outer, inner): coefficient}, each term
+    pair carrying (-1)^{p_left q_right} times the merge signs."""
     out: Dict = {}
-    _product_into(_terms(u), _terms(v), 1, out)
-    return _from_terms(u.lr, out)
-
-
-def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:
-    """out += sign * left . right for term dicts {(outer, inner): coefficient},
-    each term pair carrying (-1)^{p_left q_right} times the merge signs."""
     for (ss1, sp1), a in left.items():
         for (ss2, sp2), b in right.items():
             mo = merge_sign(ss1, ss2)
@@ -183,77 +186,58 @@ def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:
             val = a * b
             key = (kss, ksp)
             cur = out.get(key)
-            add = val if sign * cross * so * si == 1 else -val
+            add = val if cross * so * si == 1 else -val
             out[key] = add if cur is None else cur + add
+    return out
 
 
-def _split(a: AElem, outer: Tuple[int, ...], inner: Tuple[int, ...]):
-    """A product x . y = a (outer, inner) of lower factors as (x, y, |x|,
-    |y|), or None for an atom: a single vector or a pure form."""
-    if outer and inner:
-        return {(outer, ()): a}, {((), inner): a.alg.one()}, len(outer), len(inner)
-    if len(inner) >= 2:
-        return {((), inner[:1]): a}, {((), inner[1:]): a.alg.one()}, 1, len(inner) - 1
-    return None
+def _atom(outer: Tuple[int, ...], inner: Tuple[int, ...]) -> bool:
+    """Whether the term (outer, inner) is a pure form or a single vector."""
+    return not inner or (not outer and len(inner) == 1)
 
 
 def _bracket_terms(lr: LieRinehart, left: Dict, right: Dict, lie=None) -> Dict:
-    """[left, right] for term dicts {(outer, inner): coefficient}: inner
-    subsets index exterior factors of lr, outer subsets index form slots.
+    """[left, right] for term dicts {(outer, inner): coefficient} of atoms:
+    inner subsets index exterior factors of lr, outer subsets index form
+    slots.
 
-    The biderivation rules with total degrees
-        [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v]
-        [u, x y] = [u, x] y + x [u, y]               (u of degree one)
-        [u, v]   = -(-1)^{(|u|-1)(|v|-1)} [v, u]
-    split every term down to three base cases: two pure forms bracket to
-    zero, a vector a e_i on b times the form of outer slots S gives
-    a e_i . (b e*_S), and [a e_i, b e_j] comes from the compiled
-    degree-one table.  With S empty the action is the anchor; otherwise
-    lie(i, b, S) supplies it as {outer subset: coefficient}.  When every
-    outer key is empty this is the Schouten bracket of lr.
+    Two pure forms bracket to zero; a vector a e_i on b times the form of
+    outer slots S gives a e_i . (b e*_S), and the form on the vector its
+    negative; [a e_i, b e_j] comes from the compiled degree-one table.
+    With S empty the action is the anchor; otherwise lie(i, b, S) supplies
+    it as {outer subset: coefficient}.
     """
     out: Dict = {}
     for (o1, i1), a in left.items():
         for (o2, i2), b in right.items():
-            _bracket_into(lr, lie, a, o1, i1, b, o2, i2, 1, out)
+            if i1 and i2:
+                vecs = _bracket_vectors(lr, {i1[0]: a.coeffs}, {i2[0]: b.coeffs})
+                terms = {((), (k,)): lr.alg.elem(vec) for k, vec in vecs.items()}
+            elif i1 or i2:
+                (i, x), (y, o) = ((i1[0], a), (b, o2)) if i1 else ((i2[0], b), (a, o1))
+                action = lie(i, y, o) if o else {(): lr.anchor[i].apply(y)}
+                terms = {(k, ()): x * c if i1 else -(x * c) for k, c in action.items()}
+            else:
+                continue
+            for key, c in terms.items():
+                out[key] = c if key not in out else out[key] + c
     return out
 
 
-def _bracket_into(lr: LieRinehart, lie, a, o1, i1, b, o2, i2, sign: int, out: Dict) -> None:
-    """out += sign [a (o1, i1), b (o2, i2)]; see _bracket_terms."""
-    if not i1:
-        if i2:
-            flip = -1 if ((len(o1) - 1) * (len(o2) + len(i2) - 1)) % 2 == 0 else 1
-            _bracket_into(lr, lie, b, o2, i2, a, o1, i1, sign * flip, out)
-        return
-    u, v = {(o1, i1): a}, {(o2, i2): b}
-    split = _split(a, o1, i1)
-    if split is not None:
-        x, y, dx, dy = split
-        _product_into(x, _bracket_terms(lr, y, v, lie), sign, out)
-        _product_into(y, _bracket_terms(lr, x, v, lie), sign if (dx * dy) % 2 == 0 else -sign, out)
-        return
-    i = i1[0]
-    if not i2:
-        action = lie(i, b, o2) if o2 else {(): lr.anchor[i].apply(b)}
-        _product_into({((), ()): a}, {(k, ()): c for k, c in action.items()}, sign, out)
-        return
-    split = _split(b, o2, i2)
-    if split is not None:
-        x, y, _, _ = split
-        _product_into(_bracket_terms(lr, u, x, lie), y, sign, out)
-        _product_into(x, _bracket_terms(lr, u, y, lie), sign, out)
-        return
-    for k, vec in _bracket_vectors(lr, {i: a.coeffs}, {i2[0]: b.coeffs}, sign=sign).items():
-        key = ((), (k,))
-        c = lr.alg.elem(vec)
-        out[key] = c if key not in out else out[key] + c
+def _bracket(lr: LieRinehart, left: Dict, right: Dict, lie, tables) -> Dict:
+    """[left, right] for term dicts: two elements of atoms term by term
+    (``_bracket_terms``), any other pair summed from the entries of
+    tables(), fresh label tables whose entries split down to atom pairs."""
+    if all(_atom(*key) for key in left) and all(_atom(*key) for key in right):
+        return _bracket_terms(lr, left, right, lie)
+    tables, x, y = tables(), _vector(left), _vector(right)
+    return tables.terms(_lincomb(*[(a * b, tables.bracket(k, l)) for k, a in x.items() for l, b in y.items()]))
 
 
 def schouten_bracket(u: Multivector, v: Multivector) -> Multivector:
     """Bracket on the exterior algebra, rational-bilinear over terms."""
     u._same(v)
-    return _from_terms(u.lr, _bracket_terms(u.lr, _terms(u), _terms(v)))
+    return _from_terms(u.lr, _bracket(u.lr, _terms(u), _terms(v), None, partial(_flat_tables, u.lr)))
 
 
 def _basis_multivectors(lr: LieRinehart, max_degree: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
@@ -262,10 +246,6 @@ def _basis_multivectors(lr: LieRinehart, max_degree: int) -> Iterator[Tuple[int,
         for key in combinations(range(lr.rank), p):
             for t in range(lr.alg.dim):
                 yield t, key
-
-
-def _label_mv(lr: LieRinehart, t: int, key: Tuple[int, ...]) -> Multivector:
-    return Multivector(lr, {key: lr.alg.basis(t)})
 
 
 _ZERO: Dict = {}  # the zero label vector, shared: label vectors are never changed in place
@@ -312,15 +292,15 @@ class _LabelTables:
     label) and filled on first use.  Built for one checker call and
     dropped with it.
 
-    Every entry is read off entries of smaller labels (see ``_split``).  A
+    Every entry is read off entries of smaller labels (see ``_factors``).  A
     left label x y splits by [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v];
     an atom u on the left (a single vector or a pure form) splits a right
     label f g by [u, f g] = [u, f] g + (-1)^{(|u|-1)|f|} f [u, g], with the
-    sub-entries kept in the row of u.  Only atom x atom pairs call the
-    constructor's ``bracket``, the carrier's bracket on elements
-    (``schouten_bracket`` or the crossed bracket, both the recursion
-    ``_bracket_terms``).  ``element`` turns a term dict back into a carrier
-    element; ``operator`` tabulates a rational-linear map as label columns.
+    sub-entries kept in the row of u: the package's only splits.  Only
+    atom x atom pairs call the constructor's ``bracket`` (``schouten_bracket``
+    or the crossed bracket, on atoms ``_bracket_terms``).  ``element`` turns
+    a term dict back into a carrier element; ``operator`` tabulates a
+    rational-linear map as label columns.
     """
 
     def __init__(self, alg: CommAlg, element, bracket) -> None:
@@ -341,17 +321,26 @@ class _LabelTables:
         """The label vector of a carrier element."""
         return _vector(_terms(u))
 
-    def carrier(self, vec: Dict):
-        """The carrier element of a label vector."""
+    def terms(self, vec: Dict) -> Dict:
+        """The term dict of a label vector."""
         coeffs: Dict = {}
         for (t, *key), q in vec.items():
             coeffs.setdefault(tuple(key), [0] * len(self.basis))[t] = q
-        return self.element({key: self.alg.elem(c) for key, c in coeffs.items()})
+        return {key: self.alg.elem(c) for key, c in coeffs.items()}
+
+    def carrier(self, vec: Dict):
+        """The carrier element of a label vector."""
+        return self.element(self.terms(vec))
 
     def _factors(self, x: Tuple):
+        """x = f g as (f, g, |f|, |g|), label vectors: the outer form times the
+        inner wedge, or the first vector times the rest; None for an atom."""
         if x not in self.factors:
-            split = _split(self.basis[x[0]], *x[1:])
-            self.factors[x] = split and (_vector(split[0]), _vector(split[1]), split[2], split[3])
+            t, outer, inner = x
+            f, g = ((outer, ()), ((), inner)) if outer else (((), inner[:1]), ((), inner[1:]))
+            self.factors[x] = None if _atom(outer, inner) else (
+                {(t, *f): 1}, _vector({g: self.alg.one()}), len(f[0] + f[1]), len(g[0] + g[1])
+            )
         return self.factors[x]
 
     def bracket(self, x: Tuple, y: Tuple) -> Dict:
@@ -399,9 +388,7 @@ class _LabelTables:
             row = self.products[x] = {}
         entry = row.get(y)
         if entry is None:
-            out: Dict = {}
-            _product_into(self._term(x), self._term(y), 1, out)
-            entry = row[y] = _vector(out)
+            entry = row[y] = _vector(_product(self._term(x), self._term(y)))
         return entry
 
     def operator(self, op) -> "_Columns":
@@ -525,6 +512,25 @@ def connection_curvature(lr: LieRinehart, c: TopConnection) -> AltForm:
     return AltForm(lr, m, 2, vals)
 
 
+def _complement(n: int, key: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    """The complement of a sorted subset of range(n) and the sign of the
+    shuffle e_key ^ e_complement = sign e_top."""
+    comp = tuple(i for i in range(n) if i not in key)
+    # entry k of key passes the key[k] - k smaller entries of the complement
+    return comp, -1 if (sum(key) - len(key) * (len(key) - 1) // 2) % 2 else 1
+
+
+def _contract(n: int, terms: Dict, sign: int = 1) -> Dict:
+    """sign times the contraction C with the top on term dicts {(outer, S):
+    a}: a (outer, S) goes to a (outer, complement of S) times the sign of
+    ``_complement``.  Its inverse on degree k is (-1)^{k(n-k)} C."""
+    out: Dict = {}
+    for (outer, key), a in terms.items():
+        comp, shuffle = _complement(n, key)
+        out[(outer, comp)] = a if shuffle * sign == 1 else -a
+    return out
+
+
 def contraction_iso(lr: LieRinehart, u: Multivector, module: Optional[LRModule] = None) -> AltForm:
     """Degree-p multivectors to degree-(n-p) forms valued in the top line:
     the form pairs u with complementary basis vectors and reads off the
@@ -538,18 +544,8 @@ def contraction_iso(lr: LieRinehart, u: Multivector, module: Optional[LRModule] 
         module = line_with_connection(lr, [lr.alg.zero()] * lr.rank)
     if module.rank != 1:
         raise ValueError("target module must have rank 1")
-    if u.is_zero():
-        return AltForm(lr, module, lr.rank, {})
-    full = set(range(lr.rank))
-    vals: Dict[Tuple[int, ...], Tuple[AElem, ...]] = {}
-    for s, a in u.values.items():
-        comp = tuple(sorted(full - set(s)))
-        ms = merge_sign(s, comp)
-        if ms is None:
-            continue
-        _, sign = ms
-        vals[comp] = (a if sign == 1 else -a,)
-    return AltForm(lr, module, lr.rank - p, vals)
+    vals = {key: (a,) for (_, key), a in _contract(lr.rank, _terms(u)).items()}
+    return AltForm(lr, module, lr.rank - (p or 0), vals)
 
 
 def contraction_inverse(lr: LieRinehart, w: AltForm) -> Multivector:
@@ -557,16 +553,8 @@ def contraction_inverse(lr: LieRinehart, w: AltForm) -> Multivector:
     subset with the same interleaving sign."""
     if w.lr != lr or w.module.rank != 1:
         raise ValueError("expected a rank-1-valued form on the parent")
-    full = set(range(lr.rank))
-    out: Dict[Tuple[int, ...], AElem] = {}
-    for key, vec in w.values.items():
-        comp = tuple(sorted(full - set(key)))
-        ms = merge_sign(comp, key)
-        if ms is None:
-            continue
-        _, sign = ms
-        out[comp] = vec[0] if sign == 1 else -vec[0]
-    return Multivector(lr, out)
+    sign = -1 if (w.degree * (lr.rank - w.degree)) % 2 else 1
+    return _from_terms(lr, _contract(lr.rank, {((), key): vec[0] for key, vec in w.values.items()}, sign))
 
 
 class GeneratorOp:
@@ -617,33 +605,42 @@ class GeneratorOp:
         return self.parent == other.parent and self.table == other.table
 
 
-def generator_from_connection(lr: LieRinehart, c: TopConnection, _signs: Optional[Dict[int, int]] = None) -> GeneratorOp:
+def _generator_table(n: int, alg: CommAlg, labels: Iterable[Tuple], differential) -> Dict:
+    """D(u) = (-1)^p C^{-1} d C(u) as a term dict on every label (t, outer,
+    inner) of inner degree p: C contracts the inner subset with the top
+    (``_contract``) and differential(terms) -> terms is the line-twisted
+    differential on form terms.  A top form has differential zero, so D
+    kills inner degree 0."""
+    table: Dict = {}
+    for t, outer, inner in labels:
+        image = differential(_contract(n, {(outer, inner): alg.basis(t)}))
+        # C^{-1} on degree n - p + 1, times (-1)^p: (-1)^{1 + (p-1) n} C
+        table[(t, outer, inner)] = _contract(n, image, -1 if (1 + (len(inner) - 1) * n) % 2 else 1)
+    return table
+
+
+def generator_from_connection(lr: LieRinehart, c: TopConnection) -> GeneratorOp:
     """Conjugate the connection differential by the contraction:
 
         D(u) = s(p) * contraction_inverse(d_line(contraction(u)))
 
-    on degree-p inputs, with the hard-coded sign family s(p) = (-1)^p.
-    The family is the unique one satisfying the generator identity; the
-    _signs override exists for the exhaustive search in the test suite.
-    The differential runs formally, so curved connections are accepted
-    (they yield generators whose square detects the curvature).
+    on degree-p inputs, with the sign family s(p) = (-1)^p, the unique one
+    satisfying the generator identity.  The differential runs formally, so
+    curved connections are accepted (they yield generators whose square
+    detects the curvature).
     """
     if c.lr != lr:
         raise ValueError("parent mismatch")
     line = c.line_module()
-    table: Dict[Tuple[int, Tuple[int, ...]], Multivector] = {}
-    for t, key in _basis_multivectors(lr, lr.rank):
-        p = len(key)
-        if p == 0:
-            table[(t, key)] = Multivector.zero(lr)
-            continue
-        sign = _signs[p] if _signs is not None else (1 if p % 2 == 0 else -1)
-        u = _label_mv(lr, t, key)
-        form = contraction_iso(lr, u, line)
-        image = ce_differential(lr, line, form, formal=True)
-        mv = contraction_inverse(lr, image)
-        table[(t, key)] = mv.scale(sign)
-    return GeneratorOp(lr, table)
+
+    def differential(terms: Dict) -> Dict:
+        (((), key), a), = terms.items()
+        image = ce_differential(lr, line, AltForm(lr, line, len(key), {key: (a,)}), formal=True)
+        return {((), k): vec[0] for k, vec in image.values.items()}
+
+    labels = [(t, (), key) for t, key in _basis_multivectors(lr, lr.rank)]
+    table = _generator_table(lr.rank, lr.alg, labels, differential)
+    return GeneratorOp(lr, {(t, key): _from_terms(lr, terms) for (t, _, key), terms in table.items()})
 
 
 def _label_elems(lr: LieRinehart) -> List[Tuple]:
@@ -747,20 +744,9 @@ def generator_to_connection(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
     bad = generator_validate(lr, g)
     if bad:
         raise ValueError(f"not a generator: {bad[0]}")
-    n = lr.rank
-    top = Multivector.top(lr)
-    image = g.apply(top)
-    sn = 1 if n % 2 == 0 else -1
-    full = set(range(n))
-    omega = []
-    for i in range(n):
-        comp = tuple(sorted(full - {i}))
-        ms = merge_sign(comp, (i,))
-        assert ms is not None
-        _, sign = ms
-        c = image.coeff(comp)
-        omega.append(c if sn * sign == 1 else -c)
-    return TopConnection(lr, omega)
+    # D(top) = (-1)^n C^{-1}(d 1), and d 1 is the degree-one form omega
+    omega = _contract(lr.rank, _terms(g.apply(Multivector.top(lr))), -1 if lr.rank % 2 else 1)
+    return TopConnection(lr, [omega.get(((), (i,)), lr.alg.zero()) for i in range(lr.rank)])
 
 
 def generator_derivation_check(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:

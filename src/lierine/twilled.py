@@ -11,9 +11,9 @@ set.  Twilledness is equivalent to square and compatibility conditions
 on a pair of formal differentials d' and d'' acting on bigraded forms,
 and to the crossed bracket on Alt(L'', Lambda L') being compatible with
 d''.  Every equivalence here is checked in both directions on concrete
-instances, never assumed.  The crossed bracket is the biderivation
-recursion of ``gerst`` with outer slots; with L'' = 0 it is the Schouten
-bracket of L'.
+instances, never assumed.  The crossed bracket is the Schouten bracket
+of ``gerst`` with outer slots, read off the label tables of the pair for
+non-atoms; with L'' = 0 it is the Schouten bracket of L'.
 
 Each differential is lrcore's cochain differential of one constituent,
 applied to a bigraded element read as a form on that constituent with
@@ -37,10 +37,10 @@ calibrates the pair.
 
 The square, derivation and generator checks and the total complex run on
 label tables of ``gerst``, built afresh by each call: the crossed bracket
-and bigraded product per label pair, filled on first use (the recursion
-fills only pairs of two atoms, single vectors or pure forms), and d', d''
-and generators as sparse label columns, those of d' and d'' read off the
-kept columns.  The dg-Lie and dG checks of one ``check-twilled`` share
+and bigraded product per label pair, filled on first use (only pairs of
+two atoms, single vectors or pure forms, call the crossed bracket), and
+d', d'' and generators as sparse label columns, those of d' and d'' read
+off the kept columns.  The dg-Lie and dG checks of one ``check-twilled`` share
 one set of tables.  This module lists the labels and maps the witnesses
 back to its report formats.
 """
@@ -56,14 +56,15 @@ from .calgebra import AElem
 from .exactla import SparseMatrix, _frac, mat_rank
 from .gerst import (
     GeneratorOp,
-    _bracket_terms,
+    _bracket,
     _Columns,
     _derivation_witness,
     _first_nonzero,
+    _generator_table,
     _generator_witness,
     _LabelTables,
     _lincomb,
-    _product_into,
+    _product,
     generator_to_connection,
 )
 from .lrcore import (
@@ -79,7 +80,6 @@ from .lrcore import (
     trivial_coefficients,
 )
 from .reporting import Violation
-from .signs import merge_sign
 
 
 class AlmostTwilled:
@@ -296,9 +296,7 @@ def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
     graded commutative for the total degree."""
     if u.t != v.t:
         raise ValueError("parent mismatch")
-    out: Dict = {}
-    _product_into(u.values, v.values, 1, out)
-    return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, out)
+    return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, _product(u.values, v.values))
 
 
 def _coefficients(t: AlmostTwilled, kind: str, deg: int, line: Optional[Sequence[AElem]] = None) -> LRModule:
@@ -412,13 +410,12 @@ def _lie_derivative(t: AlmostTwilled, i: int, b: AElem, outer: Tuple[int, ...]) 
 
 
 def crossed_bracket(t: AlmostTwilled, u: Bigraded, v: Bigraded) -> Bigraded:
-    """Bracket on the multivector carrier: the biderivation recursion of
-    ``gerst`` on L' with outer form slots, the vectors of L' acting on them
-    by the Lie derivative.  Every term bracket expands in the fixed basis
-    before summation, so the result is representation independent."""
+    """Bracket on the multivector carrier: the Schouten bracket of L' with
+    outer form slots, the vectors of L' acting on them by the Lie
+    derivative; term by term on atoms, from fresh label tables otherwise."""
     if u.t != t or v.t != t:
         raise ValueError("parent mismatch")
-    out = _bracket_terms(t.lprime, u.values, v.values, partial(_lie_derivative, t))
+    out = _bracket(t.lprime, u.values, v.values, partial(_lie_derivative, t), partial(_label_tables, t))
     return Bigraded(t, u.qdeg + v.qdeg, max(u.pdeg + v.pdeg - 1, 0), out)
 
 
@@ -544,41 +541,21 @@ def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> D
 
 def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> GeneratorOp:
     """Extend a generator of the inner exterior algebra over the outer
-    form slots.
-
-    The inner contraction transports basis elements to line-valued
-    forms, the d'-shaped operator with the connection-twisted value
-    action is applied, and the result is contracted back with the same
-    per-degree sign family as in the ungraded case.  The plain
-    tensor-style extension (sign times the inner operator) is not a
-    generator once the mutual actions are nonzero; the conjugated form
-    is, and the construction fails loudly if the identity breaks.
+    form slots: the loop of ``generator_from_connection`` on every
+    bigraded label, with d' twisted by the generator's connection.  The
+    plain tensor-style extension (sign times the inner operator) is not a
+    generator once the mutual actions are nonzero; the conjugated form is,
+    and the construction fails loudly if the identity breaks.
     """
     lp = t.lprime
     if g.parent != lp:
         raise ValueError("generator must live on the inner factor")
     omega = generator_to_connection(lp, g).omega
-    full = set(range(lp.rank))
-    table: Dict = {}
-    for ta, ss, sp in bigraded_labels(t):
-        p = len(sp)
-        if p == 0:
-            table[(ta, ss, sp)] = Bigraded.zero(t, len(ss), 0)
-            continue
-        comp = tuple(sorted(full - set(sp)))
-        ms = merge_sign(sp, comp)
-        assert ms is not None
-        phi_val = t.alg.basis(ta) if ms[1] == 1 else -t.alg.basis(ta)
-        phi = Bigraded(t, len(ss), len(comp), {(ss, comp): phi_val})
-        image = dprime_form(t, phi, line=omega)
-        out: Dict = {}
-        sgn_p = 1 if p % 2 == 0 else -1
-        for (kss, ksp), val in image.values.items():
-            # back is the complement of ksp, so the merge never overlaps
-            back = tuple(sorted(full - set(ksp)))
-            out[(kss, back)] = val if sgn_p * merge_sign(back, ksp)[1] == 1 else -val
-        table[(ta, ss, sp)] = Bigraded(t, len(ss), p - 1, out)
-    op = GeneratorOp(t, table)
+    d = lambda terms: dprime_form(t, _from_terms(t, terms), omega).values
+    table = _generator_table(lp.rank, t.alg, bigraded_labels(t), d)
+    op = GeneratorOp(t, {
+        (ta, ss, sp): Bigraded(t, len(ss), max(len(sp) - 1, 0), terms) for (ta, ss, sp), terms in table.items()
+    })
     bad = bigraded_generator_validate(t, op)
     if bad:
         raise RuntimeError(f"extension does not generate the crossed bracket: {bad[0]}")

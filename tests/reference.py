@@ -7,13 +7,16 @@ checks that the library now reads off the formal square d.d of
 flatness loop of ``module_validate``, here on dense products of basis
 data.  Also the derivation and generator witnesses of ``gerst`` in their
 vector form, each pair's residual a ``_lincomb`` of whole bracket,
-product and operator images.  And the element loop of the cochain
-differential, ``ce_differential``, which evaluates d w one sorted basis
-tuple at a time with algebra elements, where the library sums columns of
-``ce_matrix``; the element paths of d', d'' on forms and d'' on
-multivectors of ``twilled`` and of the transported differential of
-``bialg`` are that loop applied to one element read as a form.  None of
-this is used by the library itself.
+product and operator images.  And the element recursion of the Schouten
+and crossed brackets, ``bracket_terms``, which splits any pair of terms
+on elements by the biderivation rules with its own sign conventions,
+where the library splits labels only in its label tables.  And the
+element loop of the cochain differential, ``ce_differential``, which
+evaluates d w one sorted basis tuple at a time with algebra elements,
+where the library sums columns of ``ce_matrix``; the element paths of
+d', d'' on forms and d'' on multivectors of ``twilled`` and of the
+transported differential of ``bialg`` are that loop applied to one
+element read as a form.  None of this is used by the library itself.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from lierine.calgebra import AElem, CommAlg, Derivation
 from lierine.exactla import RatMatrix
-from lierine.gerst import Multivector, _lincomb
+from lierine.gerst import Multivector, _lincomb, _product
 from lierine.lrcore import (
     AltForm,
     LieRinehart,
     LRModule,
+    _bracket_vectors,
     dual_module,
     exterior_power,
     tensor_line,
@@ -234,6 +238,76 @@ def generator_witness(elems, tables, D):
             if residual:
                 return label1, label2, tables.carrier(residual)
     return None
+
+
+def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:
+    """out += sign * left . right for term dicts."""
+    for key, c in _product(left, right).items():
+        c = c if sign == 1 else -c
+        out[key] = c if key not in out else out[key] + c
+
+
+def _split(a: AElem, outer: Tuple[int, ...], inner: Tuple[int, ...]):
+    """A product x . y = a (outer, inner) of lower factors as (x, y, |x|,
+    |y|), or None for an atom: a single vector or a pure form."""
+    if outer and inner:
+        return {(outer, ()): a}, {((), inner): a.alg.one()}, len(outer), len(inner)
+    if len(inner) >= 2:
+        return {((), inner[:1]): a}, {((), inner[1:]): a.alg.one()}, 1, len(inner) - 1
+    return None
+
+
+def bracket_terms(lr: LieRinehart, left: Dict, right: Dict, lie=None) -> Dict:
+    """[left, right] for term dicts {(outer, inner): coefficient}: inner
+    subsets index exterior factors of lr, outer subsets index form slots.
+
+    The biderivation rules with total degrees
+        [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v]
+        [u, x y] = [u, x] y + x [u, y]               (u of degree one)
+        [u, v]   = -(-1)^{(|u|-1)(|v|-1)} [v, u]
+    split every term down to three base cases: two pure forms bracket to
+    zero, a vector a e_i on b times the form of outer slots S gives
+    a e_i . (b e*_S), and [a e_i, b e_j] comes from the compiled
+    degree-one table.  With S empty the action is the anchor; otherwise
+    lie(i, b, S) supplies it as {outer subset: coefficient}.  When every
+    outer key is empty this is the Schouten bracket of lr.
+    """
+    out: Dict = {}
+    for (o1, i1), a in left.items():
+        for (o2, i2), b in right.items():
+            _bracket_into(lr, lie, a, o1, i1, b, o2, i2, 1, out)
+    return out
+
+
+def _bracket_into(lr: LieRinehart, lie, a, o1, i1, b, o2, i2, sign: int, out: Dict) -> None:
+    """out += sign [a (o1, i1), b (o2, i2)]; see bracket_terms."""
+    if not i1:
+        if i2:
+            flip = -1 if ((len(o1) - 1) * (len(o2) + len(i2) - 1)) % 2 == 0 else 1
+            _bracket_into(lr, lie, b, o2, i2, a, o1, i1, sign * flip, out)
+        return
+    u, v = {(o1, i1): a}, {(o2, i2): b}
+    split = _split(a, o1, i1)
+    if split is not None:
+        x, y, dx, dy = split
+        _product_into(x, bracket_terms(lr, y, v, lie), sign, out)
+        _product_into(y, bracket_terms(lr, x, v, lie), sign if (dx * dy) % 2 == 0 else -sign, out)
+        return
+    i = i1[0]
+    if not i2:
+        action = lie(i, b, o2) if o2 else {(): lr.anchor[i].apply(b)}
+        _product_into({((), ()): a}, {(k, ()): c for k, c in action.items()}, sign, out)
+        return
+    split = _split(b, o2, i2)
+    if split is not None:
+        x, y, _, _ = split
+        _product_into(bracket_terms(lr, u, x, lie), y, sign, out)
+        _product_into(x, bracket_terms(lr, u, y, lie), sign, out)
+        return
+    for k, vec in _bracket_vectors(lr, {i: a.coeffs}, {i2[0]: b.coeffs}, sign=sign).items():
+        key = ((), (k,))
+        c = lr.alg.elem(vec)
+        out[key] = c if key not in out else out[key] + c
 
 
 def ce_differential(lr: LieRinehart, module: LRModule, w: AltForm, formal: bool = False) -> AltForm:

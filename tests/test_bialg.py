@@ -1,8 +1,5 @@
 """Duality, semidirect products, and bracket/cobracket compatibility."""
 
-from fractions import Fraction
-from math import comb
-
 import pytest
 
 from lierine.bialg import (
@@ -16,7 +13,7 @@ from lierine.bialg import (
     semidirect_product,
     twilled_vs_bialgebra_check,
 )
-from lierine.calgebra import Derivation
+from lierine.cli import parse_instance
 from lierine.instances import (
     abelian,
     book,
@@ -28,10 +25,36 @@ from lierine.instances import (
     line_with_connection,
     rationals,
     sl2,
-    truncated_poly,
 )
 from lierine.lrcore import LRModule, lr_validate, trivial_coefficients
 from lierine.twilled import AlmostTwilled
+
+
+# l over Q[x]/(x^2) with an anchor sending 1 to x, paired with an abelian d
+BAD_BIALGEBRA = """algebra A
+  dim 2
+  unit = 1 0
+  mult 0 0 = 1 0
+  mult 0 1 = 0 1
+end
+
+lie_rinehart l
+  algebra A
+  rank 2
+  bracket 0 1 1 = 1 0
+  anchor 0 0 = 0 1
+end
+
+lie_rinehart d
+  algebra A
+  rank 2
+end
+
+bialgebra pair
+  l l
+  d d
+end
+"""
 
 
 def adjoint_module(lr):
@@ -188,6 +211,29 @@ class TestBialgebraCheck:
         for side in (pair.l, pair.d):
             degrees = [q for lr, q in calls if lr is side]
             assert len(degrees) == len(set(degrees)) <= side.rank + 1
+
+    @pytest.mark.parametrize("pair", [
+        semidirect_dual_pair(flat_broken()),
+        DualPair(sl2(), abelian(rationals(), 3)),
+    ], ids=["flat_broken", "sl2_abelian"])
+    def test_cap_below_one_rejected(self, pair):
+        # below degree 1 the all-degrees reading has no wedges to test
+        with pytest.raises(ValueError, match="degree cap must be at least 1"):
+            bialgebra_check(pair, 0)
+
+    def test_invalid_structure_rejected_before_any_table(self, monkeypatch, tmp_path):
+        import lierine.bialg as bialg
+
+        path = tmp_path / "bad.lri"
+        path.write_text(BAD_BIALGEBRA)
+        pair = parse_instance(str(path)).build_dual_pair("pair")
+        tables = []
+        monkeypatch.setattr(bialg, "_flat_tables", lambda lr: tables.append(lr))
+        with pytest.raises(ValueError, match="anchor-derivation"):
+            bialgebra_check(pair, 3)
+        with pytest.raises(ValueError, match="anchor-derivation"):
+            bialgebra_check(DualPair(pair.d, pair.l), 3)
+        assert tables == []
 
     def test_flat_broken_pair_fails_with_witness(self):
         pair = semidirect_dual_pair(flat_broken())

@@ -3,8 +3,10 @@ line surface: verdicts, exit codes, deterministic output."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +48,32 @@ def parse_text(tmp_path, text: str) -> InstanceSet:
 PREFIX = "algebra Q\n  dim 1\n  unit = 1\n  mult 0 0 = 1\nend\n"
 
 
+BAD_BIALGEBRA = """algebra A
+  dim 2
+  unit = 1 0
+  mult 0 0 = 1 0
+  mult 0 1 = 0 1
+end
+
+lie_rinehart l
+  algebra A
+  rank 2
+  bracket 0 1 1 = 1 0
+  anchor 0 0 = 0 1
+end
+
+lie_rinehart d
+  algebra A
+  rank 2
+end
+
+bialgebra pair
+  l l
+  d d
+end
+"""
+
+
 class TestParsing:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_every_shipped_fixture_parses(self, name):
@@ -66,14 +94,23 @@ class TestParsing:
         assert inst.build_twilled("pair") == desk_pair()
 
     def test_zero_denominator_reported_with_line(self, tmp_path):
-        text = "algebra Q\n  dim 1\n  unit = 1\n  mult 0 0 = 1/0\nend\n"
-        with pytest.raises(ParseError, match=r"line 4: zero denominator"):
-            parse_text(tmp_path, text)
+        for token in ("1/0", "1/00", "-2/000"):
+            text = f"algebra Q\n  dim 1\n  unit = 1\n  mult 0 0 = {token}\nend\n"
+            with pytest.raises(ParseError, match=rf"line 4: zero denominator in '{token}'"):
+                parse_text(tmp_path, text)
 
     def test_float_coefficient_rejected(self, tmp_path):
-        text = "algebra Q\n  dim 1\n  unit = 1.5\n  mult 0 0 = 1\nend\n"
-        with pytest.raises(ParseError, match=r"line 3: not a rational: '1.5'"):
-            parse_text(tmp_path, text)
+        for token in ("1.5", "1/", "/2", "1/-2", "1/2/3"):
+            text = f"algebra Q\n  dim 1\n  unit = {token}\n  mult 0 0 = 1\nend\n"
+            with pytest.raises(ParseError, match=rf"line 3: not a rational: '{re.escape(token)}'"):
+                parse_text(tmp_path, text)
+
+    def test_leading_zeros_in_denominator_accepted(self, tmp_path):
+        # the denominators of 1/01 and -2/007 are 1 and 7
+        text = "algebra A\n  dim 2\n  unit = 1/01 0\n  mult 0 0 = 01 0\n  mult 0 1 = 0 1\n  mult 1 1 = -2/007 0\nend\n"
+        alg = parse_text(tmp_path, text).algebras["A"]
+        assert alg.one().coeffs == (Fraction(1), Fraction(0))
+        assert alg.mul_coeffs(alg.basis(1).coeffs, alg.basis(1).coeffs) == (Fraction(-2, 7), Fraction(0))
 
     def test_reference_must_be_defined_before_use(self, tmp_path):
         text = "lie_rinehart L\n  algebra Q\n  rank 1\nend\n" + PREFIX
@@ -259,6 +296,27 @@ class TestCommands:
         assert "verdict twilled: fail witness=('jacobi', (0, 1, 2))" in out
         assert "verdict duality-equivalence: pass" in out
         assert "verdict twilled-vs-bialgebra-equivalence: pass" in out
+
+    def test_check_bialgebra_reports_invalid_structure(self, capsys, tmp_path):
+        # l over Q[x]/(x^2) has an anchor sending 1 to x, so it fails
+        # check-lr; its pairing with an abelian d is not checked
+        path = tmp_path / "bad.lri"
+        path.write_text(BAD_BIALGEBRA)
+        rc, out = run_cli(capsys, "check-lr", "--input", str(path), "--name", "l")
+        assert rc == 1
+        assert "verdict anchor-derivation: fail" in out
+        rc, out = run_cli(capsys, "check-bialgebra", "--input", str(path))
+        assert rc == 1
+        assert "verdict lr-axioms: fail witness=('anchor-derivation', (0,))" in out
+        assert "verdict bialgebra" not in out
+
+    @pytest.mark.parametrize("path", ["flat_broken.lri", "sl2.lri", "matched_pair.lri"])
+    def test_check_bialgebra_cap_below_one_is_not_usable(self, capsys, path):
+        rc = main(["check-bialgebra", "--input", fixture(path), "--max-degree", "0"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "input not usable: the degree cap must be at least 1, got 0" in err
 
     def test_ambiguous_name_is_usage_error(self, capsys):
         rc = main(["check-lr", "--input", fixture("sl2.lri")])

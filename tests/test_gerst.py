@@ -238,6 +238,15 @@ def fixture_connections():
     return out
 
 
+def with_sign_family(g, signs):
+    """The generator's table with the sign s(p) = signs[p] on degree-p
+    inputs in place of the built-in (-1)^p: each degree rescaled."""
+    return GeneratorOp(g.parent, {
+        (t, key): v if len(key) == 0 or signs[len(key)] == (-1) ** len(key) else v.neg()
+        for (t, key), v in g.table.items()
+    })
+
+
 class TestGeneratorFromConnection:
     def test_abelian_zero_connection_gives_zero(self):
         lr = abelian(rationals(), 2)
@@ -275,11 +284,10 @@ class TestGeneratorFromConnection:
 
     def test_sign_family_unique_on_derx3(self):
         lr = derx3()
-        c = TopConnection(lr, [lr.alg.one(), lr.alg.zero()])
+        g = generator_from_connection(lr, TopConnection(lr, [lr.alg.one(), lr.alg.zero()]))
         passing = []
         for s1, s2 in product((1, -1), repeat=2):
-            g = generator_from_connection(lr, c, _signs={1: s1, 2: s2})
-            if generator_validate(lr, g) == []:
+            if generator_validate(lr, with_sign_family(g, {1: s1, 2: s2})) == []:
                 passing.append((s1, s2))
         assert passing == [(-1, 1)]
 
@@ -287,11 +295,10 @@ class TestGeneratorFromConnection:
         # a connection with nonzero coefficients everywhere pins all
         # three signs at once
         lr = sl2()
-        c = TopConnection(lr, [lr.alg.one()] * 3)
+        g = generator_from_connection(lr, TopConnection(lr, [lr.alg.one()] * 3))
         passing = set()
         for s1, s2, s3 in product((1, -1), repeat=3):
-            g = generator_from_connection(lr, c, _signs={1: s1, 2: s2, 3: s3})
-            if generator_validate(lr, g) == []:
+            if generator_validate(lr, with_sign_family(g, {1: s1, 2: s2, 3: s3})) == []:
                 passing.add((s1, s2, s3))
         assert passing == {(-1, 1, -1)}
 

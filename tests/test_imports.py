@@ -1,0 +1,56 @@
+"""Every name a library module imports is used in that module.
+
+The check reads the source with the standard-library ast module: a name
+counts as used when it appears anywhere in the module, inside a string
+annotation such as "Multivector" too, or when it is listed in the
+module's __all__.  Imports from __future__ are exempt."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "lierine").glob("*.py"))
+
+
+def unused_imports(source: str):
+    """The names imported by a module's source and never used in it, in
+    order of their import."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            annotation = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used |= {n.id for n in ast.walk(ast.parse(part.value, mode="eval")) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_unused_and_keeps_used_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .signs import merge_sign, sort_with_sign\n"
+        "from .gerst import Multivector as MV\n"
+        "from .lrcore import AltForm, LieRinehart\n"
+        "__all__ = ['LieRinehart']\n"
+        "def f(x: 'MV'):\n"
+        "    return sort_with_sign(x)\n"
+    )
+    assert unused_imports(source) == ["os", "merge_sign", "AltForm"]

@@ -23,7 +23,6 @@ from lierine.instances import (
 from lierine.lrcore import (
     AltForm,
     LieRinehart,
-    LRModule,
     alt_dim,
     ce_differential,
     ce_square_witness,

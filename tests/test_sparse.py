@@ -4,7 +4,8 @@ references that compute the same objects another way: the differential
 one basis form at a time through the element loop of
 reference.ce_differential, the bracket through
 the Leibniz expansion of lr_bracket, the label tables through the
-recursion of schouten_bracket and wedge, and dense echelon rank."""
+element recursion of reference.bracket_terms and wedge, and dense
+echelon rank."""
 
 from fractions import Fraction
 from importlib import resources
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from lierine.calgebra import Derivation
 from lierine.cli import parse_instance
 from lierine.exactla import RatMatrix, SparseMatrix, _echelon, mat_rank
-from lierine.gerst import Multivector, _basis_multivectors, _flat_tables, schouten_bracket, wedge
+from lierine.gerst import Multivector, _basis_multivectors, _flat_tables, wedge
 from lierine.instances import derx3, gl_n, heisenberg, line_with_connection, truncated_poly
 from lierine.lrcore import (
     AltForm,
@@ -33,7 +34,7 @@ from lierine.lrcore import (
     trivial_coefficients,
 )
 from lierine.twilled import twilled_sum
-from reference import LElem, ce_differential, lr_bracket
+from reference import LElem, bracket_terms, ce_differential, lr_bracket
 
 
 def reference_matrix(lr, module, q, formal=False) -> RatMatrix:
@@ -185,16 +186,17 @@ def test_degree_one_bracket_matches_lr_bracket_on_random_tables(p):
 
 
 def assert_label_tables_match_recursion(lr):
-    """The bracket and product label tables of Lambda L against
-    schouten_bracket and wedge, on every ordered pair of Q-basis labels;
-    the pairs are visited in order, so most entries are read off the
-    entries of their factors."""
+    """The bracket and product label tables of Lambda L against the
+    element recursion reference.bracket_terms and wedge, on every ordered
+    pair of Q-basis labels; the pairs are visited in order, so most
+    entries are read off the entries of their factors."""
     tables = _flat_tables(lr)
     labels = [(t, (), k) for t, k in _basis_multivectors(lr, lr.rank)]
     for x, y in product(labels, repeat=2):
         u = Multivector(lr, {x[2]: lr.alg.basis(x[0])})
         v = Multivector(lr, {y[2]: lr.alg.basis(y[0])})
-        assert tables.carrier(tables.bracket(x, y)) == schouten_bracket(u, v), (x, y)
+        want = bracket_terms(lr, {x[1:]: lr.alg.basis(x[0])}, {y[1:]: lr.alg.basis(y[0])})
+        assert tables.carrier(tables.bracket(x, y)) == Multivector(lr, {k: c for (_, k), c in want.items()}), (x, y)
         assert tables.carrier(tables.product(x, y)) == wedge(u, v), (x, y)
 
 

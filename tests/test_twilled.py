@@ -3,6 +3,7 @@ the crossed bracket, and generator extension."""
 
 import importlib.util
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from itertools import combinations, product
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lierine.calgebra import AElem, Derivation
+from lierine.calgebra import Derivation
 from lierine.cli import parse_instance
 from lierine.gerst import (
     GeneratorOp,
@@ -60,11 +61,12 @@ from lierine.twilled import (
     dsecond_form,
     dsecond_multi,
     _label_tables,
+    _lie_derivative,
     is_twilled,
     total_complex_cohomology_check,
     twilled_sum,
 )
-from reference import LElem, lr_bracket
+from reference import LElem, bracket_terms, lr_bracket
 
 
 def scalar_term(t, c, ss, sp):
@@ -341,16 +343,23 @@ def test_crossed_bracket_without_outer_slots_is_schouten(name, t):
         assert w.values == {((), k): c for k, c in mw.values.items()}, (ta1, s1, ta2, s2)
 
 
+def reference_crossed(t, u, v):
+    """[u, v] of two bigraded elements through the element recursion
+    reference.bracket_terms, zero terms dropped."""
+    out = bracket_terms(t.lprime, u.values, v.values, partial(_lie_derivative, t))
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
 def assert_crossed_tables_match_recursion(t):
-    """The crossed bracket and bigraded product label tables against
-    crossed_bracket and bigraded_product, on every ordered pair of
-    bigraded Q-basis labels."""
+    """The crossed bracket and bigraded product label tables against the
+    element recursion reference.bracket_terms and bigraded_product, on
+    every ordered pair of bigraded Q-basis labels."""
     tables = _label_tables(t)
     labels = list(bigraded_labels(t))
     for x, y in product(labels, repeat=2):
         u = Bigraded.term(t, t.alg.basis(x[0]), x[1], x[2])
         v = Bigraded.term(t, t.alg.basis(y[0]), y[1], y[2])
-        assert tables.carrier(tables.bracket(x, y)).values == crossed_bracket(t, u, v).values, (x, y)
+        assert tables.carrier(tables.bracket(x, y)).values == reference_crossed(t, u, v), (x, y)
         assert tables.carrier(tables.product(x, y)).values == bigraded_product(u, v).values, (x, y)
 
 
@@ -403,6 +412,49 @@ def perturbed_pairs(draw):
 @given(perturbed_pairs())
 def test_crossed_label_table_matches_recursion_on_perturbed_pairs(t):
     assert_crossed_tables_match_recursion(t)
+
+
+def some_terms(draw, keys, alg):
+    """A term dict on a nonempty sample of keys, the first term nonzero."""
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+    terms = {key: random_elem(draw, alg) for key in chosen}
+    if terms[chosen[0]].is_zero():
+        terms[chosen[0]] = alg.one()
+    return terms
+
+
+@st.composite
+def perturbed_brackets(draw):
+    """A perturbed pair, two bigraded elements of it and two multivectors
+    on its sum; the first element of each kind has a non-atom term, one
+    with outer and inner slots or with two inner slots."""
+    t = draw(perturbed_pairs())
+    np_, ns = t.lprime.rank, t.lsecond.rank
+
+    def bigraded(non_atom):
+        degrees = [(q, p) for q in range(ns + 1) for p in range(np_ + 1) if not non_atom or p >= 2 or (q and p)]
+        q, p = draw(st.sampled_from(degrees))
+        keys = list(product(combinations(range(ns), q), combinations(range(np_), p)))
+        return Bigraded(t, q, p, some_terms(draw, keys, t.alg))
+
+    s = twilled_sum(t)
+    subsets = [k for p in range(s.rank + 1) for k in combinations(range(s.rank), p)]
+    wide = some_terms(draw, [k for k in subsets if len(k) >= 2], s.alg)
+    mixed = Multivector(s, {**some_terms(draw, subsets, s.alg), **wide})
+    return t, bigraded(True), bigraded(False), mixed, Multivector(s, some_terms(draw, subsets, s.alg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_brackets())
+def test_brackets_of_non_atoms_match_recursion_on_perturbed_pairs(case):
+    """schouten_bracket and crossed_bracket sum label-table entries on
+    non-atom elements; the element recursion splits the elements instead."""
+    t, u, v, x, y = case
+    for a, b in ((u, v), (v, u), (u, u)):
+        assert crossed_bracket(t, a, b).values == reference_crossed(t, a, b)
+    for a, b in ((x, y), (y, x), (x, x)):
+        want = bracket_terms(a.lr, {((), k): c for k, c in a.values.items()}, {((), k): c for k, c in b.values.items()})
+        assert schouten_bracket(a, b) == Multivector(a.lr, {k: c for (_, k), c in want.items()})
 
 
 class TestCrossedBracket:
@@ -609,18 +661,27 @@ def flat_generator(t, w0, w1):
 
 
 class TestGeneratorExtension:
-    def test_reduces_to_inner_generator_without_outer_slots(self):
-        t = book_double()
-        g = flat_generator(t, -1, 0)
-        op = bigraded_generator_extend(t, g)
+    @pytest.mark.parametrize("ones", [False, True], ids=["omega0", "omega1"])
+    @pytest.mark.parametrize("name,t", SHIPPED_PAIRS, ids=[n for n, _ in SHIPPED_PAIRS])
+    def test_reduces_to_inner_generator_without_outer_slots(self, name, t, ones):
         lp = t.lprime
-        for p in range(lp.rank + 1):
-            for sp in combinations(range(lp.rank), p):
-                u = Bigraded.term(t, lp.alg.one(), (), sp)
-                got = op.apply(u)
-                inner = g.apply(Multivector(lp, {sp: lp.alg.one()}))
-                want = {((), k): c for k, c in inner.values.items()}
-                assert {k: c for k, c in got.values.items()} == want
+        unit = lp.alg.one() if ones else lp.alg.zero()
+        g = generator_from_connection(lp, TopConnection(lp, [unit] * lp.rank))
+        op = bigraded_generator_extend(t, g)
+        for (ta, sp), inner in g.table.items():
+            got = op.table[(ta, (), sp)]
+            assert (got.qdeg, got.pdeg) == (0, max(len(sp) - 1, 0)), (ta, sp)
+            assert got.values == {((), k): c for k, c in inner.values.items()}, (ta, sp)
+
+    @pytest.mark.parametrize("name,t", SHIPPED_PAIRS, ids=[n for n, _ in SHIPPED_PAIRS])
+    def test_entries_keep_their_bidegree(self, name, t):
+        # an entry on a label of bidegree (q, p) has bidegree (q, p - 1),
+        # and (q, 0) with no terms on inner degree 0
+        lp = t.lprime
+        op = bigraded_generator_extend(t, generator_from_connection(lp, TopConnection(lp, [lp.alg.one()] * lp.rank)))
+        for (ta, ss, sp), entry in op.table.items():
+            assert (entry.qdeg, entry.pdeg) == (len(ss), max(len(sp) - 1, 0)), (ta, ss, sp)
+            assert sp or entry.is_zero(), (ta, ss, sp)
 
     def test_kills_inner_degree_zero(self):
         t = book_double()
