@@ -3,7 +3,9 @@
 An algebra is given by structure constants on a fixed basis e_0..e_{d-1}:
 e_i * e_j = sum_k mult[i][j][k] e_k, together with the coefficient vector
 of the unit.  Elements are coefficient vectors; derivations are d x d
-matrices acting on coefficient vectors.
+matrices acting on coefficient vectors.  Both are compiled once into
+sparse lists of their nonzero constants, integral ones as int, which
+products and derivation images read; element coefficients stay Fraction.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exactla import RatMatrix, _frac
+from .exactla import RatMatrix, _exact, _frac
 from .reporting import Violation
 
 
@@ -19,10 +21,11 @@ class CommAlg:
     """Commutative unital algebra presented by structure constants.
 
     The constructor only checks shapes; ``alg_validate`` checks the axioms.
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share.  _products[i][j] lists the
+    nonzero (k, mult[i][j][k]) of e_i * e_j.
     """
 
-    __slots__ = ("dim", "mult", "unit")
+    __slots__ = ("dim", "mult", "unit", "_products")
 
     def __init__(self, dim: int, mult: Sequence, unit: Sequence) -> None:
         if dim <= 0:
@@ -44,6 +47,7 @@ class CommAlg:
         self.dim = dim
         self.mult = tuple(rows)
         self.unit = tuple(_frac(c) for c in unit)
+        self._products = tuple(tuple(_sparse(entry) for entry in row) for row in rows)
 
     def elem(self, coeffs: Sequence) -> "AElem":
         return AElem(self, coeffs)
@@ -65,18 +69,18 @@ class CommAlg:
         return AElem(self, tuple(qq * u for u in self.unit))
 
     def mul_coeffs(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                f = ai * bj
-                for k, m in enumerate(self.mult[i][j]):
-                    if m != 0:
-                        out[k] += f * m
-        return tuple(out)
+        x, y = [(i, c) for i, c in enumerate(a) if c], [(j, c) for j, c in enumerate(b) if c]
+        return tuple(self._times(x, y, [Fraction(0)] * self.dim))
+
+    def _times(self, x, y, out: List) -> List:
+        """out += x * y for (index, value) pairs x and y, off the compiled products."""
+        for i, xi in x:
+            row = self._products[i]
+            for j, yj in y:
+                f = xi * yj
+                for k, m in row[j]:
+                    out[k] += f * m
+        return out
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -124,7 +128,7 @@ class AElem:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _same(self, other: "AElem") -> None:
         if self.alg != other.alg:
@@ -145,17 +149,19 @@ class AElem:
 class Derivation:
     """Linear endomorphism of the algebra, recorded as a matrix.
 
-    Column j holds the coefficients of the image of e_j.  Whether the map
-    actually satisfies the Leibniz rule is the job of derivation_validate.
+    Column j holds the coefficients of the image of e_j, and _columns[j]
+    its nonzero (i, value).  Whether the map actually satisfies the
+    Leibniz rule is the job of derivation_validate.
     """
 
-    __slots__ = ("alg", "matrix")
+    __slots__ = ("alg", "matrix", "_columns")
 
     def __init__(self, alg: CommAlg, matrix: RatMatrix) -> None:
         if matrix.rows != alg.dim or matrix.cols != alg.dim:
             raise ValueError("derivation matrix shape does not match algebra dimension")
         self.alg = alg
         self.matrix = matrix
+        self._columns = tuple(_sparse(matrix.entries[j :: matrix.cols]) for j in range(matrix.cols))
 
     @classmethod
     def zero(cls, alg: CommAlg) -> "Derivation":
@@ -172,7 +178,15 @@ class Derivation:
     def apply(self, a: AElem) -> AElem:
         if a.alg != self.alg:
             raise ValueError("parent algebra mismatch")
-        return AElem(self.alg, self.matrix.mul_vec(a.coeffs))
+        return AElem(self.alg, self._image(enumerate(a.coeffs), [Fraction(0)] * self.alg.dim))
+
+    def _image(self, x, out: List) -> List:
+        """out += D(x) for (index, value) pairs x, off the compiled columns."""
+        for j, xj in x:
+            if xj:
+                for i, m in self._columns[j]:
+                    out[i] += xj * m
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
@@ -181,6 +195,11 @@ class Derivation:
 
     def __hash__(self) -> int:
         return hash((self.alg, self.matrix))
+
+
+def _sparse(coeffs: Sequence[Fraction]) -> Tuple[Tuple[int, object], ...]:
+    """The nonzero (index, value) of a coefficient vector, integral values as int."""
+    return tuple((k, _exact(c)) for k, c in enumerate(coeffs) if c)
 
 
 def alg_validate(alg: CommAlg) -> List[Violation]:
@@ -198,15 +217,16 @@ def alg_validate(alg: CommAlg) -> List[Violation]:
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                left = alg.mul_coeffs(alg.mul_coeffs(alg.basis(i).coeffs, alg.basis(j).coeffs), alg.basis(k).coeffs)
-                right = alg.mul_coeffs(alg.basis(i).coeffs, alg.mul_coeffs(alg.basis(j).coeffs, alg.basis(k).coeffs))
+                left = alg._times(alg._products[i][j], ((k, 1),), [0] * d)
+                right = alg._times(((i, 1),), alg._products[j][k], [0] * d)
                 if left != right:
                     out.append(Violation("associativity", (i, j, k), "(e_i e_j)e_k != e_i(e_j e_k)"))
+    unit = _sparse(alg.unit)
     for i in range(d):
-        e = alg.basis(i)
-        if alg.mul_coeffs(alg.unit, e.coeffs) != e.coeffs:
+        e = [int(k == i) for k in range(d)]
+        if alg._times(unit, ((i, 1),), [0] * d) != e:
             out.append(Violation("unit", (i,), "1*e_i != e_i"))
-        if alg.mul_coeffs(e.coeffs, alg.unit) != e.coeffs:
+        if alg._times(((i, 1),), unit, [0] * d) != e:
             out.append(Violation("unit", (i,), "e_i*1 != e_i"))
     return out
 
@@ -216,14 +236,14 @@ def derivation_validate(alg: CommAlg, d: Derivation) -> List[Violation]:
     if d.alg != alg:
         raise ValueError("parent algebra mismatch")
     out: List[Violation] = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            ei, ej = alg.basis(i), alg.basis(j)
-            lhs = d.apply(ei * ej)
-            rhs = d.apply(ei) * ej + ei * d.apply(ej)
+    n, cols = alg.dim, d._columns
+    for i in range(n):
+        for j in range(n):
+            lhs = d._image(alg._products[i][j], [0] * n)
+            rhs = alg._times(cols[i], ((j, 1),), alg._times(((i, 1),), cols[j], [0] * n))
             if lhs != rhs:
                 out.append(Violation("leibniz", (i, j), "D(e_i e_j) != D(e_i)e_j + e_i D(e_j)"))
-    if not d.apply(alg.one()).is_zero():
+    if any(d._image(enumerate(alg.unit), [0] * n)):
         out.append(Violation("unit-killed", (), "D(1) != 0"))
     return out
 

@@ -49,10 +49,10 @@ from .bialg import (
 )
 from .gerst import (
     TopConnection,
+    _connection_form,
     connection_curvature,
     generator_from_connection,
     generator_square,
-    generator_to_connection,
     generator_validate,
 )
 from .lrcore import LieRinehart, cohomology_dims, lr_violations, trivial_coefficients
@@ -585,7 +585,9 @@ def _cmd_generator(inst: InstanceSet, name: str, report: Report) -> None:
     g = generator_from_connection(lr, conn)
     bad = generator_validate(lr, g)
     report.verdict("generator-identity", not bad, _first_witness(bad))
-    back = generator_to_connection(lr, g)
+    if bad:
+        raise ValueError(f"not a generator: {bad[0]}")
+    back = _connection_form(lr, g)
     report.verdict("connection-roundtrip", back.omega == conn.omega)
     square_zero, square_witness = generator_square(g)
     report.note("flat", "true" if flat else "false")

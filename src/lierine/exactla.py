@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Everything is computed with ``fractions.Fraction``; there is no floating
-point anywhere in the library.  Two matrix types share the attributes
-``rows``, ``cols`` and ``entries``: ``RatMatrix`` stores every entry
-row-major, ``SparseMatrix`` a dict of its nonzeros.  Cochain
-differentials are a few percent nonzero and reach thousands of rows, so
-they are built sparse, and ``mat_rank`` eliminates over the nonzeros of
-either type.  Kernels and solutions use dense reduced row echelon form.
+Values are Python ints where integral and ``fractions.Fraction``
+otherwise; there is no floating point anywhere in the library.  Two
+matrix types share the attributes ``rows``, ``cols`` and ``entries``:
+``RatMatrix`` stores every entry row-major as a Fraction,
+``SparseMatrix`` a dict of its nonzeros, each an int when integral.
+Cochain differentials are a few percent nonzero and reach thousands of
+rows, so they are built sparse, and ``mat_rank`` eliminates fraction-free
+over the nonzeros of either type, on primitive integer rows.  Kernels
+and solutions use dense reduced row echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Rat = Fraction
@@ -25,6 +28,14 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed; use Fraction or int")
     return Fraction(x)
+
+
+def _exact(x) -> Union[int, Fraction]:
+    """x as an int when integral, else as a Fraction; floats are rejected."""
+    if type(x) is int:
+        return x
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class RatMatrix:
@@ -136,18 +147,19 @@ class RatMatrix:
 
 
 class SparseMatrix:
-    """Rational matrix holding only its nonzero entries, {(row, col): value}."""
+    """Rational matrix holding only its nonzero entries, {(row, col): value},
+    each an int when integral and a Fraction otherwise."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Dict[Tuple[int, int], object]) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        ents: Dict[Tuple[int, int], Fraction] = {}
+        ents: Dict[Tuple[int, int], Union[int, Fraction]] = {}
         for (i, j), e in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside a {rows}x{cols} matrix")
-            e = _frac(e)
+            e = _exact(e)
             if e != 0:
                 ents[(i, j)] = e
         self.rows = rows
@@ -190,29 +202,43 @@ def _nonzero_rows(m: Union[RatMatrix, SparseMatrix]) -> List[Dict[int, Fraction]
     return out
 
 
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """An integer row divided by its content."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
 def mat_rank(m: Union[RatMatrix, SparseMatrix]) -> int:
-    """Rank by exact row elimination over the nonzeros.
+    """Rank by fraction-free row elimination over the nonzeros, on
+    primitive integer rows (Bareiss, Math. Comp. 22, 1968).
 
     Rows are taken shortest first, to limit fill-in.  Each is reduced by
-    the pivot rows found so far at its leading column until it is zero or
-    leads in a new column, where it becomes the pivot row.
+    the pivot rows found so far at its leading column, row <- a row - b
+    pivot with a, b coprime, then divided by its content, until it is zero
+    or leads in a new column, where it becomes the pivot row.
     """
-    pivots: Dict[int, Dict[int, Fraction]] = {}
+    pivots: Dict[int, Dict[int, int]] = {}
     for row in sorted(_nonzero_rows(m), key=len):
+        den = lcm(*(v.denominator for v in row.values()))
+        row = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items()})
         while row:
             c = min(row)
             pivot = pivots.get(c)
             if pivot is None:
-                inv = 1 / row[c]
-                pivots[c] = {k: v * inv for k, v in row.items()}
+                pivots[c] = row
                 break
-            f = row[c]
+            g = gcd(pivot[c], row[c])
+            a, b = pivot[c] // g, row[c] // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, v in pivot.items():
-                e = row.get(k, 0) - f * v
+                e = row.get(k, 0) - b * v
                 if e:
                     row[k] = e
                 else:
                     del row[k]
+            row = _primitive(row)
     return len(pivots)
 
 

@@ -744,6 +744,11 @@ def generator_to_connection(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
     bad = generator_validate(lr, g)
     if bad:
         raise ValueError(f"not a generator: {bad[0]}")
+    return _connection_form(lr, g)
+
+
+def _connection_form(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
+    """``generator_to_connection`` on an operator already validated."""
     # D(top) = (-1)^n C^{-1}(d 1), and d 1 is the degree-one form omega
     omega = _contract(lr.rank, _terms(g.apply(Multivector.top(lr))), -1 if lr.rank % 2 else 1)
     return TopConnection(lr, [omega.get(((), (i,)), lr.alg.zero()) for i in range(lr.rank)])

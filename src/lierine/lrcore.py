@@ -9,8 +9,8 @@ elements are expanded through the two defining rules
     [x, a y]   = x(a) y + a [x, y]
 
 so a structure is fully determined by its basis tables.  Validation,
-module flatness, the alternating-form differential, and cohomology
-dimensions all reduce to exact rational linear algebra on basis data.
+module flatness, the differential and cohomology dimensions all reduce
+to exact linear algebra on compiled basis tables, in ints when integral.
 
 One builder, ``ce_matrix``, makes the cochain differential.  Each degree
 is kept on its coefficient module as label-keyed columns (``ce_columns``),
@@ -27,20 +27,22 @@ bracket table: a one-sided break can leave d.d = 0 on C^1(L; A).
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .calgebra import AElem, CommAlg, Derivation, derivation_validate
-from .exactla import SparseMatrix, _frac, mat_rank
+from .calgebra import AElem, CommAlg, Derivation, _sparse, derivation_validate
+from .exactla import SparseMatrix, _exact, _frac, mat_rank
 from .reporting import Violation
 from .signs import sort_with_sign
 
-# compiled basis tables; see _bracket_table, _degree_one_table and _action_table
-BracketTable = Dict[Tuple[int, int], List[Tuple[int, List[Dict[int, Fraction]]]]]
-DegreeOneTable = Dict[Tuple[int, int], List[List[List[Tuple[int, Tuple[Fraction, ...]]]]]]
-ActionTable = List[List[List[Tuple[int, Fraction]]]]
+# compiled basis tables, integral values as int; see _bracket_table, _degree_one_table and _action_table
+Terms = Tuple[Tuple[int, object], ...]
+BracketTable = Dict[Tuple[int, int], List[Tuple[int, List[Terms]]]]
+DegreeOneTable = Dict[Tuple[int, int], List[List[List[Tuple[int, Tuple]]]]]
+ActionTable = List[List[Terms]]
 
 
 class LieRinehart:
@@ -123,23 +125,11 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
     out: List[Violation] = []
     n = lr.rank
 
-    for i in range(n):
-        if any(not c.is_zero() for c in lr.bracket[i][i]):
-            out.append(Violation("antisymmetry", (i, i), "[e_i,e_i] != 0"))
+    for i, j in [(i, i) for i in range(n)] + list(combinations(range(n), 2)):
+        if any(x + y for a, b in zip(lr.bracket[i][j], lr.bracket[j][i]) for x, y in zip(a.coeffs, b.coeffs)):
+            detail = "[e_i,e_i] != 0" if i == j else "[e_i,e_j] != -[e_j,e_i]"
+            out.append(Violation("antisymmetry", (i, j), detail))
             break
-    else:
-        done = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if any(
-                    not (a + b).is_zero()
-                    for a, b in zip(lr.bracket[i][j], lr.bracket[j][i])
-                ):
-                    out.append(Violation("antisymmetry", (i, j), "[e_i,e_j] != -[e_j,e_i]"))
-                    done = True
-                    break
-            if done:
-                break
 
     for i in range(n):
         bad = derivation_validate(lr.alg, lr.anchor[i])
@@ -153,7 +143,7 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
         if rows:
             out.append(Violation("anchor-morphism", min(rows)[0], "rho([e_i,e_j]) != [rho(e_i),rho(e_j)]"))
 
-    e = [{i: lr.alg.one().coeffs} for i in range(n)]
+    e = [{i: tuple(map(_exact, lr.alg.unit))} for i in range(n)]
     for i, j, k in combinations(range(n), 3):
         jac: Dict[int, List[Fraction]] = {}
         _bracket_vectors(lr, e[i], _bracket_vectors(lr, e[j], e[k]), jac)
@@ -459,15 +449,16 @@ def alt_dim(lr: LieRinehart, module: LRModule, q: int) -> int:
 
 def _bracket_table(lr: LieRinehart) -> BracketTable:
     """[e_i, e_j] for i < j as its nonzero (k, mul) terms, k ascending, where
-    mul[t] = {s: c} is the product of the e_k coefficient with algebra basis
-    a_t; compiled on first use for ``ce_matrix`` and kept on the structure."""
+    mul[t] lists the nonzero (s, c) of the product of the e_k coefficient
+    with algebra basis a_t; compiled on first use for ``ce_matrix`` and
+    kept on the structure."""
     if lr._brackets is None:
         basis = [lr.alg.basis(t) for t in range(lr.alg.dim)]
         brackets = {}
         for i in range(lr.rank):
             for j in range(i + 1, lr.rank):
                 terms = [
-                    (k, [_nonzeros((c * b).coeffs) for b in basis])
+                    (k, [_sparse((c * b).coeffs) for b in basis])
                     for k, c in enumerate(lr.bracket[i][j])
                     if not c.is_zero()
                 ]
@@ -483,22 +474,23 @@ def _degree_one_table(lr: LieRinehart) -> DegreeOneTable:
     read off the literal table so antisymmetry is not assumed; compiled on
     first use for ``_bracket_vectors`` and kept on the structure."""
     if lr._ones is None:
-        basis = [lr.alg.basis(t) for t in range(lr.alg.dim)]
-        lr._ones = {
-            (i, j): [[_leibniz(lr, i, x, j, y) for y in basis] for x in basis]
-            for i in range(lr.rank)
-            for j in range(lr.rank)
-        }
+        dim = lr.alg.dim
+        lr._ones = {}
+        for i, j in product(range(lr.rank), repeat=2):
+            terms = [(k, _sparse(c.coeffs)) for k, c in enumerate(lr.bracket[i][j]) if not c.is_zero()]
+            lr._ones[(i, j)] = [[_leibniz(lr, i, s, j, t, terms) for t in range(dim)] for s in range(dim)]
     return lr._ones
 
 
-def _leibniz(lr: LieRinehart, i: int, x: AElem, j: int, y: AElem) -> List[Tuple[int, Tuple[Fraction, ...]]]:
-    """[x e_i, y e_j] = xy [e_i, e_j] + x rho(e_i)(y) e_j - y rho(e_j)(x) e_i."""
-    xy = x * y
-    out = [xy * c if not c.is_zero() else c for c in lr.bracket[i][j]]
-    out[j] = out[j] + x * lr.anchor[i].apply(y)
-    out[i] = out[i] - y * lr.anchor[j].apply(x)
-    return [(k, c.coeffs) for k, c in enumerate(out) if not c.is_zero()]
+def _leibniz(lr: LieRinehart, i: int, s: int, j: int, t: int, terms: List) -> List[Tuple[int, Tuple]]:
+    """[a_s e_i, a_t e_j] = a_s a_t [e_i, e_j] + a_s rho(e_i)(a_t) e_j - a_t rho(e_j)(a_s) e_i,
+    with [e_i, e_j] as its nonzero (k, terms), from the compiled products
+    and anchor columns of the base."""
+    alg = lr.alg
+    out = {k: alg._times(alg._products[s][t], c, [0] * alg.dim) for k, c in terms}
+    for k, x, rho, y, sign in ((j, s, lr.anchor[i], t, 1), (i, t, lr.anchor[j], s, -1)):
+        alg._times(((x, sign),), rho._columns[y], out.setdefault(k, [0] * alg.dim))
+    return [(k, tuple(map(_exact, vec))) for k, vec in sorted(out.items()) if any(vec)]
 
 
 def _bracket_vectors(
@@ -543,14 +535,10 @@ def _action_table(m: LRModule) -> ActionTable:
                     vec = [alg.zero()] * m.rank
                     vec[j] = alg.basis(t)
                     coords = [c for a in m.act_basis(x, vec) for c in a.coeffs]
-                    images.append(sorted(_nonzeros(coords).items()))
+                    images.append(_sparse(coords))
             table.append(images)
         m._compiled = table
     return m._compiled
-
-
-def _nonzeros(coeffs: Sequence[Fraction]) -> Dict[int, Fraction]:
-    return {s: c for s, c in enumerate(coeffs) if c != 0}
 
 
 def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -> SparseMatrix:
@@ -581,23 +569,22 @@ def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -
                 for v, c in image:
                     at = (row0 + v, col0 + u)
                     entries[at] = entries.get(at, 0) + (c if positive else -c)
-        for a in range(q + 1):
-            for b in range(a + 1, q + 1):
-                terms = brackets.get((key[a], key[b]))
-                if terms is None:
+        for a, b in combinations(range(q + 1), 2):
+            terms = brackets.get((key[a], key[b]))
+            if terms is None:
+                continue
+            rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
+            for k, mul in terms:
+                if k in rest:
                     continue
-                rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
-                for k, mul in terms:
-                    if k in rest:
-                        continue
-                    rkey, sign = sort_with_sign((k,) + rest)
-                    positive = ((a + b) % 2 == 0) == (sign == 1)
-                    col0 = start[rkey]
-                    for j in range(0, width, dim):
-                        for t, image in enumerate(mul):
-                            for s, c in image.items():
-                                at = (row0 + j + s, col0 + j + t)
-                                entries[at] = entries.get(at, 0) + (c if positive else -c)
+                p = bisect(rest, k)  # k moves past p indices: sign (-1)^p
+                positive = (a + b + p) % 2 == 0
+                col0 = start[rest[:p] + (k,) + rest[p:]]
+                for j in range(0, width, dim):
+                    for t, image in enumerate(mul):
+                        for s, c in image:
+                            at = (row0 + j + s, col0 + j + t)
+                            entries[at] = entries.get(at, 0) + (c if positive else -c)
     return SparseMatrix(alt_dim(lr, module, q + 1), alt_dim(lr, module, q), entries)
 
 
@@ -617,7 +604,7 @@ def ce_columns(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) 
         rows, cols = list(basis_forms(lr, module, q + 1)), list(basis_forms(lr, module, q))
         columns = {}
         for (r, c), x in sorted(d.entries.items(), key=lambda entry: entry[0][::-1]):
-            columns.setdefault(cols[c], []).append((rows[r], x.numerator if x.denominator == 1 else x))
+            columns.setdefault(cols[c], []).append((rows[r], x))
         module._columns[q] = columns
     return columns
 

@@ -16,17 +16,24 @@ evaluates d w one sorted basis tuple at a time with algebra elements,
 where the library sums columns of ``ce_matrix``; the element paths of
 d', d'' on forms and d'' on multivectors of ``twilled`` and of the
 transported differential of ``bialg`` are that loop applied to one
-element read as a form.  None of this is used by the library itself.
+element read as a form.  And the Fraction arithmetic that the library
+replaced by compiled int tables: the dense product of structure
+constants, the dense derivation image, the algebra and derivation
+checks on them, the degree-one Leibniz expansion on algebra elements,
+``leibniz``, and the rank by row elimination that
+divides by each pivot, ``mat_rank``.  None of this is used by the
+library itself.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from lierine.calgebra import AElem, CommAlg, Derivation
-from lierine.exactla import RatMatrix
+from lierine.exactla import RatMatrix, _nonzero_rows
 from lierine.gerst import Multivector, _lincomb, _product
 from lierine.lrcore import (
     AltForm,
@@ -97,6 +104,93 @@ def basis_l(lr: LieRinehart, i: int) -> LElem:
 def bracket_elem(lr: LieRinehart, i: int, j: int) -> LElem:
     """[e_i, e_j] as the literal table entry."""
     return LElem(lr, lr.bracket[i][j])
+
+
+def mul_coeffs(alg: CommAlg, a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+    """a * b on coefficient vectors, walking every structure constant."""
+    out = [Fraction(0)] * alg.dim
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            for k, m in enumerate(alg.mult[i][j]):
+                out[k] += ai * bj * m
+    return tuple(out)
+
+
+def derivation_apply(d: Derivation, a: AElem) -> AElem:
+    """D(a) as the dense matrix-vector product of D's matrix."""
+    return AElem(d.alg, d.matrix.mul_vec(a.coeffs))
+
+
+def alg_violations(alg: CommAlg) -> List[Violation]:
+    """``alg_validate`` on the dense product: commutativity, associativity
+    and the unit law on basis tuples, every violation."""
+    out: List[Violation] = []
+    d = alg.dim
+    basis = [alg.basis(i).coeffs for i in range(d)]
+    for i, j in combinations(range(d), 2):
+        if alg.mult[i][j] != alg.mult[j][i]:
+            out.append(Violation("commutativity", (i, j), "e_i*e_j != e_j*e_i"))
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                left = mul_coeffs(alg, mul_coeffs(alg, basis[i], basis[j]), basis[k])
+                if left != mul_coeffs(alg, basis[i], mul_coeffs(alg, basis[j], basis[k])):
+                    out.append(Violation("associativity", (i, j, k), "(e_i e_j)e_k != e_i(e_j e_k)"))
+    for i in range(d):
+        if mul_coeffs(alg, alg.unit, basis[i]) != basis[i]:
+            out.append(Violation("unit", (i,), "1*e_i != e_i"))
+        if mul_coeffs(alg, basis[i], alg.unit) != basis[i]:
+            out.append(Violation("unit", (i,), "e_i*1 != e_i"))
+    return out
+
+
+def derivation_violations(alg: CommAlg, d: Derivation) -> List[Violation]:
+    """``derivation_validate`` on the dense product and matrix image."""
+    out: List[Violation] = []
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            ei, ej = alg.basis(i).coeffs, alg.basis(j).coeffs
+            lhs = derivation_apply(d, alg.elem(mul_coeffs(alg, ei, ej))).coeffs
+            dei, dej = derivation_apply(d, alg.elem(ei)).coeffs, derivation_apply(d, alg.elem(ej)).coeffs
+            rhs = tuple(a + b for a, b in zip(mul_coeffs(alg, dei, ej), mul_coeffs(alg, ei, dej)))
+            if lhs != rhs:
+                out.append(Violation("leibniz", (i, j), "D(e_i e_j) != D(e_i)e_j + e_i D(e_j)"))
+    if any(derivation_apply(d, alg.one()).coeffs):
+        out.append(Violation("unit-killed", (), "D(1) != 0"))
+    return out
+
+
+def leibniz(lr: LieRinehart, i: int, x: AElem, j: int, y: AElem) -> List[Tuple[int, Tuple[Fraction, ...]]]:
+    """[x e_i, y e_j] = xy [e_i, e_j] + x rho(e_i)(y) e_j - y rho(e_j)(x) e_i,
+    the nonzero (k, coefficients) on algebra elements."""
+    xy = x * y
+    out = [xy * c if not c.is_zero() else c for c in lr.bracket[i][j]]
+    out[j] = out[j] + x * lr.anchor[i].apply(y)
+    out[i] = out[i] - y * lr.anchor[j].apply(x)
+    return [(k, c.coeffs) for k, c in enumerate(out) if not c.is_zero()]
+
+
+def mat_rank(m) -> int:
+    """Rank by Fraction row elimination over the nonzeros, shortest rows
+    first; each new pivot row is divided by its leading entry."""
+    pivots: Dict[int, Dict[int, Fraction]] = {}
+    for row in sorted(_nonzero_rows(m), key=len):
+        row = {k: Fraction(v) for k, v in row.items()}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = 1 / row[c]
+                pivots[c] = {k: v * inv for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                e = row.get(k, 0) - f * v
+                if e:
+                    row[k] = e
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def from_lelem(u: LElem) -> Multivector:
