@@ -17,11 +17,10 @@ shared with the flatness check of that module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .calgebra import Derivation
-from .gerst import Multivector, _Columns, _derivation_witness, _flat_tables
+from .gerst import GeneratorOp, _basis_multivectors, _derivation_witness, _flat_tables, _vector
 from .lrcore import (
     LieRinehart,
     LRModule,
@@ -127,19 +126,19 @@ def semidirect_product(lr: LieRinehart, m: LRModule) -> LieRinehart:
     return out
 
 
-def _transported(source: LieRinehart) -> _Columns:
-    """The differential of `source` on multivectors over its dual partner,
-    whose wedges read as forms on `source` through the Kronecker pairing,
-    as label columns: a label (t, (), S) is the kept column (S, 0, t) of
-    ``ce_columns`` of `source` with trivial coefficients, its rows
-    (S', 0, t') read as labels (t', (), S')."""
+def _transported(source: LieRinehart, target: LieRinehart) -> GeneratorOp:
+    """The differential of `source` on the multivectors of its dual partner
+    `target`, read as forms on `source` through the Kronecker pairing: the
+    column of a label (t, (), S) is the kept column (S, 0, t) of
+    ``ce_columns`` of `source` with trivial coefficients, read on first
+    use, its rows (S', 0, t') read as labels (t', (), S')."""
 
     def read(label: Tuple) -> Dict:
         t, _, key = label
         column = ce_columns(source, trivial_coefficients(source), len(key)).get((key, 0, t), ())
         return {(s, (), row): x for (row, _, s), x in column}
 
-    return _Columns(read)
+    return GeneratorOp._of(target, {}, read)
 
 
 def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
@@ -165,18 +164,11 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
 
 def _compatibility(p: DualPair, max_degree: int) -> BialgebraReport:
     l, d = p.l, p.d
-    tables_l, tables_d = _flat_tables(l), _flat_tables(d)
-    on_l, on_d = _transported(d), _transported(l)
-    vectors = [(i, tables_l.vector(Multivector.basis(l, i)), 1) for i in range(l.rank)]
-    found = _derivation_witness(vectors, tables_l, on_l)
-    top = min(max_degree, d.rank)
-    wedges = [
-        (s, tables_d.vector(Multivector(d, {s: d.alg.one()})), q)
-        for q in range(top + 1)
-        for s in combinations(range(d.rank), q)
-    ]
+    vectors = [(i, _vector({((), (i,)): l.alg.one()}), 1) for i in range(l.rank)]
+    found = _derivation_witness(vectors, _flat_tables(l), _transported(d, l))
+    wedges = [(s, _vector({((), s): d.alg.one()}), len(s)) for t, s in _basis_multivectors(d, max_degree) if t == 0]
     holds1 = found is None
-    holds2 = _derivation_witness(wedges, tables_d, on_d) is None
+    holds2 = _derivation_witness(wedges, _flat_tables(d), _transported(l, d)) is None
     if holds1 != holds2:
         raise RuntimeError(
             f"the two forms of the compatibility condition disagree: {holds1} vs {holds2}"

@@ -28,21 +28,15 @@ carrier: ``_derivation_witness`` (d[u,v] = [du,v] - (-1)^{|u|}[u,dv]),
 (square-zero and commutator checks).  They serve Lambda L here, the
 bigraded carrier Alt(L'', Lambda L') in ``twilled`` and the exterior
 algebras of a dual pair in ``bialg``; each caller supplies its basis
-labels in its own order, its label tables and its operator.
-
-The checkers are sparse contractions over label tables that live for one
-checker call (``_LabelTables``): the bracket and product as structure
-constants on the Q-basis labels (t, outer, inner), filled on first use
-per label pair, and each operator as sparse label columns read once per
-label (``_Columns``): a tabulated generator applied to the label's
-element, a cochain differential read off a column that
-``lrcore.ce_columns`` keeps.  A pair is read off the pairs of the factors
-of its left label or, when that is an atom, of its right label; only atom
-x atom pairs call ``schouten_bracket`` or ``crossed_bracket``, and those
-two sum the entries of fresh label tables for any pair of non-atoms.
-Each pair's residual is summed in one accumulator straight from table
-entries and label columns.  Label tables are never kept on the
-structures.
+labels in its own order, its label tables and its operator.  Label tables
+(``_LabelTables``) live for one checker call: the bracket and product as
+structure constants on the Q-basis labels (t, outer, inner), filled on
+first use per label pair, each entry read off entries of smaller labels,
+so only atom x atom pairs call ``schouten_bracket`` or ``crossed_bracket``.
+Every operator is one class of sparse label columns, ``GeneratorOp``: a
+generator fills them when built, a cochain differential on first read off
+the columns ``lrcore.ce_columns`` keeps.  Each pair's residual is summed
+in one accumulator straight from table entries and label columns.
 """
 
 from __future__ import annotations
@@ -231,7 +225,7 @@ def _bracket(lr: LieRinehart, left: Dict, right: Dict, lie, tables) -> Dict:
     if all(_atom(*key) for key in left) and all(_atom(*key) for key in right):
         return _bracket_terms(lr, left, right, lie)
     tables, x, y = tables(), _vector(left), _vector(right)
-    return tables.terms(_lincomb(*[(a * b, tables.bracket(k, l)) for k, a in x.items() for l, b in y.items()]))
+    return _term_dict(tables.alg, _lincomb(*[(a * b, tables.bracket(k, l)) for k, a in x.items() for l, b in y.items()]))
 
 
 def schouten_bracket(u: Multivector, v: Multivector) -> Multivector:
@@ -262,6 +256,14 @@ def _vector(terms: Dict) -> Dict:
         if q != 0
     }
     return vec or _ZERO
+
+
+def _term_dict(alg: CommAlg, vec: Dict) -> Dict:
+    """The term dict {(outer, inner): coefficient} of a label vector."""
+    coeffs: Dict = {}
+    for (t, *key), q in vec.items():
+        coeffs.setdefault(tuple(key), [0] * alg.dim)[t] = q
+    return {key: alg.elem(c) for key, c in coeffs.items()}
 
 
 def _lincomb(*pairs: Tuple) -> Dict:
@@ -299,8 +301,7 @@ class _LabelTables:
     sub-entries kept in the row of u: the package's only splits.  Only
     atom x atom pairs call the constructor's ``bracket`` (``schouten_bracket``
     or the crossed bracket, on atoms ``_bracket_terms``).  ``element`` turns
-    a term dict back into a carrier element; ``operator`` tabulates a
-    rational-linear map as label columns.
+    a term dict back into a carrier element.
     """
 
     def __init__(self, alg: CommAlg, element, bracket) -> None:
@@ -321,16 +322,9 @@ class _LabelTables:
         """The label vector of a carrier element."""
         return _vector(_terms(u))
 
-    def terms(self, vec: Dict) -> Dict:
-        """The term dict of a label vector."""
-        coeffs: Dict = {}
-        for (t, *key), q in vec.items():
-            coeffs.setdefault(tuple(key), [0] * len(self.basis))[t] = q
-        return {key: self.alg.elem(c) for key, c in coeffs.items()}
-
     def carrier(self, vec: Dict):
         """The carrier element of a label vector."""
-        return self.element(self.terms(vec))
+        return self.element(_term_dict(self.alg, vec))
 
     def _factors(self, x: Tuple):
         """x = f g as (f, g, |f|, |g|), label vectors: the outer form times the
@@ -391,30 +385,6 @@ class _LabelTables:
             entry = row[y] = _vector(_product(self._term(x), self._term(y)))
         return entry
 
-    def operator(self, op) -> "_Columns":
-        """A rational-linear map on carrier elements as label columns, each
-        the image of one label element under op."""
-        return _Columns(lambda label: self.vector(op(self.label_element(label))))
-
-
-class _Columns:
-    """A rational-linear operator on a carrier as sparse label columns,
-    each read once per label on first use by read(label) -> label vector
-    and kept."""
-
-    def __init__(self, read) -> None:
-        self.read = read
-        self.columns: Dict = {}
-
-    def column(self, label: Tuple) -> Dict:
-        col = self.columns.get(label)
-        if col is None:
-            col = self.columns[label] = self.read(label)
-        return col
-
-    def apply(self, vec: Dict) -> Dict:
-        return _lincomb(*[(a, self.column(x)) for x, a in vec.items()])
-
 
 def _flat_tables(lr: LieRinehart) -> _LabelTables:
     """Label tables of Lambda L, whose labels carry an empty outer key."""
@@ -425,11 +395,13 @@ def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
     """Graded antisymmetry, odd Leibniz, and graded Jacobi on all rational
     basis multivectors through the degree cap.  One witness per axiom.
     Does not require a valid parent: a corrupted bracket table shows up
-    here as a Jacobi witness.
+    here as a Jacobi witness.  A negative cap is rejected.
     """
+    if max_degree < 0:
+        raise ValueError(f"the degree cap must be at least 0, got {max_degree}")
     tables = _flat_tables(lr)
     br, prod = tables.bracket, tables.product
-    elems = [((t, k), {(t, (), k): 1}, len(k)) for t, k in _basis_multivectors(lr, max_degree)]
+    elems = _label_elems(lr, max_degree)
 
     def antisymmetry(out: Dict, c, _, x: Tuple, y: Tuple) -> None:
         # [x, y] + (-1)^{(|x|-1)(|y|-1)} [y, x]
@@ -557,44 +529,81 @@ def contraction_inverse(lr: LieRinehart, w: AltForm) -> Multivector:
     return _from_terms(lr, _contract(lr.rank, {((), key): vec[0] for key, vec in w.values.items()}, sign))
 
 
-class GeneratorOp:
-    """Rational-linear operator tabulated on basis labels: (t, subset) on
-    the multivectors of a structure, (t, outer, inner) on the bigraded
-    carrier of a pair.  Every entry lowers the inner degree by one and
-    keeps the outer degree."""
+def _subset(key: Tuple, rank: int) -> bool:
+    """Whether key is a strictly increasing subset of range(rank)."""
+    return all(x in range(rank) for x in key) and all(a < b for a, b in zip(key, key[1:]))
 
-    __slots__ = ("parent", "table")
+
+class GeneratorOp:
+    """Rational-linear operator on a carrier as sparse label columns
+    {(t, outer, inner): label vector}, outer empty on the multivectors of
+    a structure.  The constructor takes a table of carrier elements, keyed
+    (t, subset) on multivectors and (t, outer, inner) on the bigraded
+    carrier of a pair, each lowering the inner degree by one and keeping
+    the outer degree; ``table`` views the columns in that form."""
+
+    __slots__ = ("parent", "columns", "read")
 
     def __init__(self, parent, table: Dict) -> None:
-        norm: Dict[Tuple, object] = {}
+        flat = isinstance(parent, LieRinehart)
+        ranks = (0, parent.rank) if flat else (parent.lsecond.rank, parent.lprime.rank)
+        columns: Dict = {}
         for (t, *keys), val in table.items():
             label = (t, *map(tuple, keys))
             outer, inner = label[1:] if len(label) == 3 else ((), label[1])
+            if t not in range(parent.alg.dim) or not all(map(_subset, (outer, inner), ranks)):
+                raise ValueError(f"table label {label} is not a basis label of the carrier")
             if (val.lr if isinstance(val, Multivector) else val.t) != parent:
                 raise ValueError("table value parent mismatch")
-            if any(len(o) != len(outer) or len(i) != len(inner) - 1 for o, i in _terms(val)):
+            terms = _terms(val)
+            if any(len(o) != len(outer) or len(i) != len(inner) - 1 for o, i in terms):
                 raise ValueError(f"table entry {label} does not lower the inner degree by 1")
-            norm[label] = val
-        self.parent = parent
-        self.table = norm
+            columns[(t, outer, inner)] = _vector(terms)
+        self.parent, self.columns, self.read = parent, columns, None
+
+    @classmethod
+    def _of(cls, parent, columns: Dict, read=None) -> "GeneratorOp":
+        """The operator of these columns, unchecked; read(label) -> label
+        vector, if given, supplies any other column on first use, kept."""
+        op = cls.__new__(cls)
+        op.parent, op.columns, op.read = parent, columns, read
+        return op
+
+    def column(self, label: Tuple) -> Dict:
+        """The image of one label as a label vector."""
+        col = self.columns.get(label)
+        if col is None and self.read is not None:
+            col = self.columns[label] = self.read(label)
+        return _ZERO if col is None else col
+
+    def image(self, vec: Dict) -> Dict:
+        """The image of a label vector."""
+        return _lincomb(*[(a, self.column(x)) for x, a in vec.items()])
+
+    def _element(self, terms: Dict, qdeg: int, pdeg: int):
+        """The carrier element of a term dict, of bidegree (qdeg, pdeg) on a pair."""
+        if isinstance(self.parent, LieRinehart):
+            return _from_terms(self.parent, terms)
+        from .twilled import Bigraded
+
+        return Bigraded(self.parent, qdeg, pdeg, terms)
+
+    @property
+    def table(self) -> Dict:
+        """The columns as carrier elements, keyed as in the constructor."""
+        flat, out = isinstance(self.parent, LieRinehart), {}
+        for (t, outer, inner), vec in self.columns.items():
+            element = self._element(_term_dict(self.parent.alg, vec), len(outer), max(len(inner) - 1, 0))
+            out[(t, inner) if flat else (t, outer, inner)] = element
+        return out
 
     def apply(self, u):
-        """The table extended rational-linearly over the terms of u."""
+        """The columns extended rational-linearly over the terms of u."""
         flat = isinstance(u, Multivector)
         if (u.lr if flat else u.t) != self.parent:
             raise ValueError("parent mismatch")
-        out: Dict = {}
-        for key, a in u.values.items():
-            for t, q in enumerate(a.coeffs):
-                entry = self.table.get((t, key) if flat else (t, *key)) if q != 0 else None
-                if entry is None:
-                    continue
-                for k, c in entry.values.items():
-                    out[k] = c * q if k not in out else out[k] + c * q
-        if flat:
-            return Multivector(self.parent, out)
-        # a bigraded element: the result sits one inner degree lower
-        return type(u)(self.parent, u.qdeg, max(u.pdeg - 1, 0), out)
+        out = _term_dict(self.parent.alg, self.image(_vector(_terms(u))))
+        return self._element(out, 0, 0) if flat else self._element(out, u.qdeg, max(u.pdeg - 1, 0))
 
     def inputs(self) -> Iterator[Tuple]:
         return iter(sorted(self.table))
@@ -602,20 +611,20 @@ class GeneratorOp:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneratorOp):
             return NotImplemented
-        return self.parent == other.parent and self.table == other.table
+        return self.parent == other.parent and self.columns == other.columns
 
 
 def _generator_table(n: int, alg: CommAlg, labels: Iterable[Tuple], differential) -> Dict:
-    """D(u) = (-1)^p C^{-1} d C(u) as a term dict on every label (t, outer,
-    inner) of inner degree p: C contracts the inner subset with the top
-    (``_contract``) and differential(terms) -> terms is the line-twisted
-    differential on form terms.  A top form has differential zero, so D
-    kills inner degree 0."""
+    """D(u) = (-1)^p C^{-1} d C(u) as a label vector on every label (t,
+    outer, inner) of inner degree p: C contracts the inner subset with the
+    top (``_contract``) and differential(terms) -> terms is the
+    line-twisted differential on form terms.  A top form has differential
+    zero, so D kills inner degree 0."""
     table: Dict = {}
     for t, outer, inner in labels:
         image = differential(_contract(n, {(outer, inner): alg.basis(t)}))
         # C^{-1} on degree n - p + 1, times (-1)^p: (-1)^{1 + (p-1) n} C
-        table[(t, outer, inner)] = _contract(n, image, -1 if (1 + (len(inner) - 1) * n) % 2 else 1)
+        table[(t, outer, inner)] = _vector(_contract(n, image, -1 if (1 + (len(inner) - 1) * n) % 2 else 1))
     return table
 
 
@@ -639,13 +648,13 @@ def generator_from_connection(lr: LieRinehart, c: TopConnection) -> GeneratorOp:
         return {((), k): vec[0] for k, vec in image.values.items()}
 
     labels = [(t, (), key) for t, key in _basis_multivectors(lr, lr.rank)]
-    table = _generator_table(lr.rank, lr.alg, labels, differential)
-    return GeneratorOp(lr, {(t, key): _from_terms(lr, terms) for (t, _, key), terms in table.items()})
+    return GeneratorOp._of(lr, _generator_table(lr.rank, lr.alg, labels, differential))
 
 
-def _label_elems(lr: LieRinehart) -> List[Tuple]:
-    """(label, label vector, degree) for every rational basis label."""
-    return [((t, k), {(t, (), k): 1}, len(k)) for t, k in _basis_multivectors(lr, lr.rank)]
+def _label_elems(lr: LieRinehart, max_degree: int) -> List[Tuple]:
+    """(label, label vector, degree) for every rational basis label through
+    the degree cap."""
+    return [((t, k), {(t, (), k): 1}, len(k)) for t, k in _basis_multivectors(lr, max_degree)]
 
 
 def _first_nonzero(images: Iterable[Tuple]) -> Optional[Tuple]:
@@ -673,7 +682,7 @@ def _pair_witness(elems: Sequence[Tuple], tables: _LabelTables, residual) -> Opt
     return None
 
 
-def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: _Columns) -> Optional[Tuple]:
+def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: GeneratorOp) -> Optional[Tuple]:
     """The first pair (label1, label2, residual) of elems, a list of
     (label, label vector, degree), on which
 
@@ -694,7 +703,7 @@ def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: _Column
     return _pair_witness(elems, tables, residual)
 
 
-def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: _Columns) -> Optional[Tuple]:
+def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: GeneratorOp) -> Optional[Tuple]:
     """The first pair (label1, label2, residual) of elems, a list of
     (label, label vector, degree), on which the generator identity
 
@@ -724,17 +733,15 @@ def generator_validate(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:
     on all rational basis pairs; first witness reported."""
     if g.parent != lr:
         raise ValueError("parent mismatch")
-    tables = _flat_tables(lr)
-    found = _generator_witness(_label_elems(lr), tables, tables.operator(g.apply))
+    found = _generator_witness(_label_elems(lr, lr.rank), _flat_tables(lr), g)
     return [] if found is None else [Violation("generator-identity", found[0] + found[1], "")]
 
 
 def generator_square(g: GeneratorOp) -> Tuple[bool, Optional[Tuple[int, Tuple[int, ...]]]]:
     """(True, None) when D.D kills every tabulated input, else the first
     witnessing input label."""
-    D = _flat_tables(g.parent).operator(g.apply)
-    label = _first_nonzero((lab, D.apply(D.column((lab[0], (), lab[1])))) for lab in g.inputs())
-    return label is None, label
+    label = _first_nonzero((label, g.image(g.columns[label])) for label in sorted(g.columns))
+    return label is None, label and (label[0], label[2])
 
 
 def generator_to_connection(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
@@ -757,6 +764,7 @@ def _connection_form(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
 def generator_derivation_check(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:
     """For exact generators: D[u,v] = [Du,v] - (-1)^{|u|}[u,Dv] on all
     rational basis pairs."""
-    tables = _flat_tables(lr)
-    found = _derivation_witness(_label_elems(lr), tables, tables.operator(g.apply))
+    if g.parent != lr:
+        raise ValueError("parent mismatch")
+    found = _derivation_witness(_label_elems(lr, lr.rank), _flat_tables(lr), g)
     return [] if found is None else [Violation("generator-derivation", found[0] + found[1], "")]

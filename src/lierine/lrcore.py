@@ -645,6 +645,8 @@ def cohomology_dims(lr: LieRinehart, module: LRModule, max_degree: int) -> List[
         dim H^q = dim ker d_q - rank d_{q-1}
                 = dim Alt^q - rank d_q - rank d_{q-1}.
     """
+    if max_degree < 0:
+        raise ValueError(f"the degree cap must be at least 0, got {max_degree}")
     require_valid(lr)
     if not module.is_flat():
         raise ValueError("coefficients are not flat; cohomology undefined")

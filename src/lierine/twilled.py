@@ -38,11 +38,12 @@ calibrates the pair.
 The square, derivation and generator checks and the total complex run on
 label tables of ``gerst``, built afresh by each call: the crossed bracket
 and bigraded product per label pair, filled on first use (only pairs of
-two atoms, single vectors or pure forms, call the crossed bracket), and
-d', d'' and generators as sparse label columns, those of d' and d'' read
-off the kept columns.  The dg-Lie and dG checks of one ``check-twilled`` share
-one set of tables.  This module lists the labels and maps the witnesses
-back to its report formats.
+two atoms, single vectors or pure forms, call the crossed bracket).  d',
+both d'' and the generators are one operator class, ``gerst.GeneratorOp``:
+a generator's label columns are filled when it is built, and those of d'
+and d'' are read off the kept columns on first use.  The dg-Lie and dG
+checks of one ``check-twilled`` share one set of tables.  This module
+lists the labels and maps the witnesses back to its report formats.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .exactla import SparseMatrix, _frac, mat_rank
 from .gerst import (
     GeneratorOp,
     _bracket,
-    _Columns,
     _derivation_witness,
     _first_nonzero,
     _generator_table,
@@ -65,6 +65,8 @@ from .gerst import (
     _LabelTables,
     _lincomb,
     _product,
+    _term_dict,
+    _vector,
     generator_to_connection,
 )
 from .lrcore import (
@@ -338,26 +340,20 @@ def _ce_column(t: AlmostTwilled, kind: str, line: Optional[Sequence[AElem]], lab
     return out
 
 
-def _differential(t: AlmostTwilled, kind: str) -> _Columns:
-    """d' (no line) or one of the two d'' as label columns for one checker call."""
-    return _Columns(partial(_ce_column, t, kind, None))
+def _differential(t: AlmostTwilled, kind: str, line: Optional[Sequence[AElem]] = None) -> GeneratorOp:
+    """d' (with an optional line) or one of the two d'' as an operator whose
+    columns are read on first use."""
+    return GeneratorOp._of(t, {}, partial(_ce_column, t, kind, line))
 
 
 def _ce_bigraded(t: AlmostTwilled, w: Bigraded, kind: str, line: Optional[Sequence[AElem]] = None) -> Bigraded:
     """One differential applied to w: the columns of its Q-basis terms
     summed, terms in ``basis_forms`` order of the form keys, as
     ``ce_differential`` gives them."""
-    column = partial(_ce_column, t, kind, line)
-    terms = [(x, column((ta, *key))) for key, c in w.values.items() for ta, x in enumerate(c.coeffs) if x]
-    coeffs: Dict = {}
-    for (s, *key), x in _lincomb(*terms).items():
-        coeffs.setdefault(tuple(key), [0] * t.alg.dim)[s] = x
-    dprime = kind == "dprime"
-    order = sorted(coeffs, key=(lambda k: (k[1], k[0])) if dprime else None)
-    out = {key: t.alg.elem(coeffs[key]) for key in order}
-    if dprime:
-        return Bigraded(t, w.qdeg, w.pdeg + 1, out)
-    return Bigraded(t, w.qdeg + 1, w.pdeg, out)
+    terms = _term_dict(t.alg, _differential(t, kind, line).image(_vector(w.values)))
+    if kind == "dprime":
+        return Bigraded(t, w.qdeg, w.pdeg + 1, {k: terms[k] for k in sorted(terms, key=lambda k: (k[1], k[0]))})
+    return Bigraded(t, w.qdeg + 1, w.pdeg, {k: terms[k] for k in sorted(terms)})
 
 
 def dsecond_form(t: AlmostTwilled, w: Bigraded) -> Bigraded:
@@ -440,9 +436,9 @@ def bicomplex_square_check(t: AlmostTwilled) -> Dict:
     dp, ds = _differential(t, "dprime"), _differential(t, "form")
     witnesses = _first_witnesses(
         labels,
-        dprime_square=(dp.apply(dp.column(lab)) for lab in labels),
-        dsecond_square=(ds.apply(ds.column(lab)) for lab in labels),
-        anticommute=(_lincomb((1, dp.apply(ds.column(lab))), (1, ds.apply(dp.column(lab)))) for lab in labels),
+        dprime_square=(dp.image(dp.column(lab)) for lab in labels),
+        dsecond_square=(ds.image(ds.column(lab)) for lab in labels),
+        anticommute=(_lincomb((1, dp.image(ds.column(lab))), (1, ds.image(dp.column(lab)))) for lab in labels),
     )
     twilled = is_twilled(t)
     report = {key: key not in witnesses for key in ("dprime_square", "dsecond_square", "anticommute")}
@@ -463,7 +459,7 @@ def _dg_checks(t: AlmostTwilled, *carriers: List[Tuple]) -> List[Dict]:
     d = _differential(t, "multi")
     reports = []
     for elems in carriers:
-        label = _first_nonzero((lab, d.apply(d.apply(w))) for lab, w, _ in elems)
+        label = _first_nonzero((lab, d.image(d.image(w))) for lab, w, _ in elems)
         witnesses = {} if label is None else {"square": label}
         found = _derivation_witness(elems, tables, d)
         if found is not None:
@@ -506,7 +502,8 @@ def _dg_lie_and_gerstenhaber(t: AlmostTwilled) -> List[Dict]:
 
 def total_complex_cohomology_check(t: AlmostTwilled, max_total_degree: int) -> Dict:
     """Dimensions of the total-complex cohomology against the combined
-    structure's own cohomology; requires a twilled instance."""
+    structure's own cohomology; requires a twilled instance, and a
+    nonnegative cap, which ``cohomology_dims`` checks."""
     bad = is_twilled(t)
     if bad:
         raise ValueError(f"not twilled: {bad[0]}")
@@ -552,10 +549,7 @@ def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> GeneratorOp:
         raise ValueError("generator must live on the inner factor")
     omega = generator_to_connection(lp, g).omega
     d = lambda terms: dprime_form(t, _from_terms(t, terms), omega).values
-    table = _generator_table(lp.rank, t.alg, bigraded_labels(t), d)
-    op = GeneratorOp(t, {
-        (ta, ss, sp): Bigraded(t, len(ss), max(len(sp) - 1, 0), terms) for (ta, ss, sp), terms in table.items()
-    })
+    op = GeneratorOp._of(t, _generator_table(lp.rank, t.alg, bigraded_labels(t), d))
     bad = bigraded_generator_validate(t, op)
     if bad:
         raise RuntimeError(f"extension does not generate the crossed bracket: {bad[0]}")
@@ -565,8 +559,9 @@ def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> GeneratorOp:
 def bigraded_generator_validate(t: AlmostTwilled, op: GeneratorOp) -> List[Violation]:
     """Generator identity with total degrees against the crossed bracket
     and the bigraded product, on all basis pairs."""
-    tables = _label_tables(t)
-    found = _generator_witness(_bigraded_elems(t), tables, tables.operator(op.apply))
+    if op.parent != t:
+        raise ValueError("parent mismatch")
+    found = _generator_witness(_bigraded_elems(t), _label_tables(t), op)
     return [] if found is None else [Violation("bigraded-generator-identity", found[0] + found[1], "")]
 
 
@@ -575,13 +570,14 @@ def bv_commutator_check(t: AlmostTwilled, op: GeneratorOp) -> Dict:
     every basis element: both operators are odd, so the commutator is
     d''G + Gd''.  Vanishing makes the pair a weak differential
     structure; with an exact generator it upgrades to the full one."""
+    if op.parent != t:
+        raise ValueError("parent mismatch")
     labels = list(bigraded_labels(t))
-    tables = _label_tables(t)
-    d, g = _differential(t, "multi"), tables.operator(op.apply)
+    d = _differential(t, "multi")
     witnesses = _first_witnesses(
         labels,
-        commutator=(_lincomb((1, d.apply(g.column(lab))), (1, g.apply(d.column(lab)))) for lab in labels),
-        square=(g.apply(g.column(lab)) for lab in labels),
+        commutator=(_lincomb((1, d.image(op.column(lab))), (1, op.image(d.column(lab)))) for lab in labels),
+        square=(op.image(op.column(lab)) for lab in labels),
     )
     commutes, exact = "commutator" not in witnesses, "square" not in witnesses
     return {"commutes": commutes, "exact": exact, "full_bv": commutes and exact, "witnesses": witnesses}

@@ -21,8 +21,14 @@ replaced by compiled int tables: the dense product of structure
 constants, the dense derivation image, the algebra and derivation
 checks on them, the degree-one Leibniz expansion on algebra elements,
 ``leibniz``, and the rank by row elimination that
-divides by each pivot, ``mat_rank``.  None of this is used by the
-library itself.
+divides by each pivot, ``mat_rank``.  And the two-form operator route
+that ``gerst.GeneratorOp`` replaced: ``ElementOp``, a table from label to
+carrier element applied term by term, the generators of connections and
+their bigraded extensions built as such tables on the element paths of
+the differentials, and ``Columns``, sparse label columns that
+``operator`` reads off any map on carrier elements by sending each label
+element through it and back.  None of this is used by the library
+itself.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from lierine.calgebra import AElem, CommAlg, Derivation
 from lierine.exactla import RatMatrix, _nonzero_rows
-from lierine.gerst import Multivector, _lincomb, _product
+from lierine.gerst import Multivector, TopConnection, _basis_multivectors, _contract, _from_terms, _lincomb, _product
 from lierine.lrcore import (
     AltForm,
     LieRinehart,
@@ -47,7 +53,7 @@ from lierine.lrcore import (
 )
 from lierine.reporting import Violation
 from lierine.signs import sort_with_sign
-from lierine.twilled import AlmostTwilled, Bigraded
+from lierine.twilled import AlmostTwilled, Bigraded, bigraded_labels
 
 
 class LElem:
@@ -518,3 +524,95 @@ def transport_differential(source: LieRinehart, triv: LRModule, target: LieRineh
         df = ce_differential(source, triv, form)
         out = out.add(Multivector(target, {k: v[0] for k, v in df.values.items()}))
     return out
+
+
+class Columns:
+    """A rational-linear operator on a carrier as sparse label columns,
+    each read once per label on first use by read(label) -> label vector
+    and kept."""
+
+    def __init__(self, read) -> None:
+        self.read = read
+        self.columns: Dict = {}
+
+    def column(self, label: Tuple) -> Dict:
+        col = self.columns.get(label)
+        if col is None:
+            col = self.columns[label] = self.read(label)
+        return col
+
+    def apply(self, vec: Dict) -> Dict:
+        return _lincomb(*[(a, self.column(x)) for x, a in vec.items()])
+
+
+def operator(tables, op) -> Columns:
+    """A rational-linear map on carrier elements as label columns, each the
+    image of one label element under op, turned back into a label vector."""
+    return Columns(lambda label: tables.vector(op(tables.label_element(label))))
+
+
+class ElementOp:
+    """An operator tabulated on basis labels as carrier elements: (t, subset)
+    on the multivectors of a structure, (t, outer, inner) on the bigraded
+    carrier of a pair, extended term by term."""
+
+    def __init__(self, parent, table: Dict) -> None:
+        self.parent = parent
+        self.table = {(t, *map(tuple, keys)): val for (t, *keys), val in table.items()}
+
+    def apply(self, u):
+        flat = isinstance(u, Multivector)
+        if (u.lr if flat else u.t) != self.parent:
+            raise ValueError("parent mismatch")
+        out: Dict = {}
+        for key, a in u.values.items():
+            for t, q in enumerate(a.coeffs):
+                entry = self.table.get((t, key) if flat else (t, *key)) if q != 0 else None
+                if entry is None:
+                    continue
+                for k, c in entry.values.items():
+                    out[k] = c * q if k not in out else out[k] + c * q
+        if flat:
+            return Multivector(self.parent, out)
+        return Bigraded(self.parent, u.qdeg, max(u.pdeg - 1, 0), out)
+
+    def inputs(self):
+        return iter(sorted(self.table))
+
+
+def generator_terms(n: int, alg: CommAlg, labels, differential) -> Dict:
+    """D(u) = (-1)^p C^{-1} d C(u) as a term dict on every label (t, outer,
+    inner) of inner degree p, C the contraction with the top."""
+    table: Dict = {}
+    for t, outer, inner in labels:
+        image = differential(_contract(n, {(outer, inner): alg.basis(t)}))
+        table[(t, outer, inner)] = _contract(n, image, -1 if (1 + (len(inner) - 1) * n) % 2 else 1)
+    return table
+
+
+def generator_from_connection(lr: LieRinehart, c: TopConnection) -> ElementOp:
+    """The generator of a connection as a table of multivectors, the line
+    differential run by the element loop ``ce_differential``."""
+    line = c.line_module()
+
+    def differential(terms: Dict) -> Dict:
+        (((), key), a), = terms.items()
+        image = ce_differential(lr, line, AltForm(lr, line, len(key), {key: (a,)}), formal=True)
+        return {((), k): vec[0] for k, vec in image.values.items()}
+
+    labels = [(t, (), key) for t, key in _basis_multivectors(lr, lr.rank)]
+    table = generator_terms(lr.rank, lr.alg, labels, differential)
+    return ElementOp(lr, {(t, key): _from_terms(lr, terms) for (t, _, key), terms in table.items()})
+
+
+def bigraded_generator_extend(t: AlmostTwilled, omega: Sequence[AElem]) -> ElementOp:
+    """The bigraded generator of the connection omega on L' as a table of
+    bigraded elements, d' twisted by omega run on the element path."""
+    def d(terms: Dict) -> Dict:
+        ss, sp = next(iter(terms))
+        return dprime_form(t, Bigraded(t, len(ss), len(sp), terms), omega).values
+
+    table = generator_terms(t.lprime.rank, t.alg, bigraded_labels(t), d)
+    return ElementOp(t, {
+        (ta, ss, sp): Bigraded(t, len(ss), max(len(sp) - 1, 0), terms) for (ta, ss, sp), terms in table.items()
+    })

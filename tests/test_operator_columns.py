@@ -84,7 +84,7 @@ def assert_transported_matches(source: LieRinehart, target: LieRinehart) -> None
     labels of target, against the reference element path; both raise the
     same error when the trivial module of source is not flat."""
     tables = gerst._flat_tables(target)
-    columns = bialg._transported(source)
+    columns = bialg._transported(source, target)
     triv = trivial_coefficients(source)
     for ta, key in gerst._basis_multivectors(target, target.rank):
         label = (ta, (), key)
