@@ -131,14 +131,15 @@ def _transported(source: LieRinehart, target: LieRinehart) -> GeneratorOp:
     `target`, read as forms on `source` through the Kronecker pairing: the
     column of a label (t, (), S) is the kept column (S, 0, t) of
     ``ce_columns`` of `source` with trivial coefficients, read on first
-    use, its rows (S', 0, t') read as labels (t', (), S')."""
+    use, its rows (S', 0, t') read as labels (t', (), S'); it raises the
+    degree by one."""
 
     def read(label: Tuple) -> Dict:
         t, _, key = label
         column = ce_columns(source, trivial_coefficients(source), len(key)).get((key, 0, t), ())
         return {(s, (), row): x for (row, _, s), x in column}
 
-    return GeneratorOp._of(target, {}, read)
+    return GeneratorOp._of(target, {}, read, (0, 1))
 
 
 def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:

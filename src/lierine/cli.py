@@ -599,18 +599,26 @@ def _cmd_generator(inst: InstanceSet, name: str, report: Report) -> None:
     )
 
 
+def _sides_valid(report: Report, first: LieRinehart, second: LieRinehart) -> bool:
+    """Whether both structures satisfy the axioms; otherwise the first
+    violation is reported as the ``lr-axioms`` verdict."""
+    bad = lr_violations(first) or lr_violations(second)
+    if bad:
+        report.verdict("lr-axioms", False, _first_witness(bad))
+    return not bad
+
+
 def _cmd_check_bialgebra(inst: InstanceSet, name: str, max_degree: Optional[int], report: Report) -> None:
     cap = max_degree if max_degree is not None else 3
     if name in inst.bialgebras:
         pair = inst.build_dual_pair(name)
-        bad = lr_violations(pair.l) or lr_violations(pair.d)
-        if bad:
-            report.verdict("lr-axioms", False, _first_witness(bad))
-            return
-        r = bialgebra_check(pair, cap)
-        report.verdict("bialgebra", r.holds, r.witness)
+        if _sides_valid(report, pair.l, pair.d):
+            r = bialgebra_check(pair, cap)
+            report.verdict("bialgebra", r.holds, r.witness)
         return
     t = inst.build_twilled(name)
+    if not _sides_valid(report, t.lprime, t.lsecond):
+        return
     dual = semidirect_duality_check(t, cap)
     report.verdict("bialgebra", dual["bialgebra"], dual["witnesses"].get("bialgebra"))
     dg_wit = dual["witnesses"].get("dg")

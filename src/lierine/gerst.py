@@ -32,11 +32,24 @@ labels in its own order, its label tables and its operator.  Label tables
 (``_LabelTables``) live for one checker call: the bracket and product as
 structure constants on the Q-basis labels (t, outer, inner), filled on
 first use per label pair, each entry read off entries of smaller labels,
-so only atom x atom pairs call ``schouten_bracket`` or ``crossed_bracket``.
-Every operator is one class of sparse label columns, ``GeneratorOp``: a
-generator fills them when built, a cochain differential on first read off
-the columns ``lrcore.ce_columns`` keeps.  Each pair's residual is summed
-in one accumulator straight from table entries and label columns.
+so only atom x atom pairs call ``schouten_bracket`` or ``crossed_bracket``;
+a product entry is read off the compiled products of the base.  Every
+operator is one class of sparse label columns, ``GeneratorOp``, which
+records its bidegree: a generator (0, -1) fills them when built, a cochain
+differential (d'' (1, 0), d' and the transported one (0, 1)) on first read
+off the columns ``lrcore.ce_columns`` keeps.
+
+Both witnesses run one pair loop, ``_pair_witness``.  Every element of a
+carrier is homogeneous in (outer, inner) degree and every operator has a
+bidegree, so the residual of a pair lies in one bidegree, fixed by those
+of its two elements.  The loop pairs each element only with the elements
+for which that bidegree has labels (outer degree at most rank L'', inner
+degree 0..rank L'), keeping the caller's order; the list is made once per
+bidegree class of the first element.  A pair left out has no label to
+put its residual on, so it is zero, and the first failing pair and its
+residual are those of the loop over all pairs.  Each visited pair's
+residual is summed in one accumulator straight from table entries and
+label columns.
 """
 
 from __future__ import annotations
@@ -162,25 +175,31 @@ def wedge(u: Multivector, v: Multivector) -> Multivector:
     return _from_terms(u.lr, _product(_terms(u), _terms(v)))
 
 
+def _merge(left: Tuple, right: Tuple) -> Optional[Tuple[Tuple, int]]:
+    """The key and sign of the product of two terms keyed (outer, inner):
+    the merge signs of both slots times (-1)^{p_left q_right}, the package's
+    one product convention; None when a slot overlaps."""
+    (ss1, sp1), (ss2, sp2) = left, right
+    mo, mi = merge_sign(ss1, ss2), merge_sign(sp1, sp2)
+    if mo is None or mi is None:
+        return None
+    sign = mo[1] * mi[1]
+    return (mo[0], mi[0]), sign if (len(sp1) * len(ss2)) % 2 == 0 else -sign
+
+
 def _product(left: Dict, right: Dict) -> Dict:
     """left . right for term dicts {(outer, inner): coefficient}, each term
-    pair carrying (-1)^{p_left q_right} times the merge signs."""
+    pair signed by ``_merge``."""
     out: Dict = {}
-    for (ss1, sp1), a in left.items():
-        for (ss2, sp2), b in right.items():
-            mo = merge_sign(ss1, ss2)
-            if mo is None:
+    for k1, a in left.items():
+        for k2, b in right.items():
+            merged = _merge(k1, k2)
+            if merged is None:
                 continue
-            mi = merge_sign(sp1, sp2)
-            if mi is None:
-                continue
-            kss, so = mo
-            ksp, si = mi
-            cross = 1 if (len(sp1) * len(ss2)) % 2 == 0 else -1
+            key, sign = merged
             val = a * b
-            key = (kss, ksp)
             cur = out.get(key)
-            add = val if cross * so * si == 1 else -val
+            add = val if sign == 1 else -val
             out[key] = add if cur is None else cur + add
     return out
 
@@ -382,8 +401,17 @@ class _LabelTables:
             row = self.products[x] = {}
         entry = row.get(y)
         if entry is None:
-            entry = row[y] = _vector(_product(self._term(x), self._term(y)))
+            entry = row[y] = self._multiply(x, y)
         return entry
+
+    def _multiply(self, x: Tuple, y: Tuple) -> Dict:
+        """x y off the compiled products of the base, signed by ``_merge``."""
+        merged = _merge(x[1:], y[1:])
+        if merged is None:
+            return _ZERO
+        (outer, inner), sign = merged
+        terms = self.alg._products[x[0]][y[0]]
+        return {(k, outer, inner): m if sign == 1 else -m for k, m in terms} or _ZERO
 
 
 def _flat_tables(lr: LieRinehart) -> _LabelTables:
@@ -428,12 +456,14 @@ def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
         for z, e in br(u, w).items():
             _add(out, -sign * c * e, br(v, z))
 
-    found = _pair_witness(elems, tables, antisymmetry)
+    # residual degrees: |x| + |y| - 1; |u| + |v| + |w| - 1; |u| + |v| + |w| - 2
+    ranks = (0, lr.rank)
+    found = _pair_witness(elems, tables, antisymmetry, ranks, (0, -1))
     if found:
         return [Violation("graded-antisymmetry", found[0] + found[1], "")]
-    for axiom, residual in (("odd-leibniz", leibniz), ("graded-jacobi", jacobi)):
+    for axiom, residual, shift in (("odd-leibniz", leibniz, -1), ("graded-jacobi", jacobi, -2)):
         for l1, (u,), pu in elems:
-            found = _pair_witness(elems, tables, partial(residual, u, pu))
+            found = _pair_witness(elems, tables, partial(residual, u, pu), ranks, (0, pu + shift))
             if found:
                 return [Violation(axiom, l1 + found[0] + found[1], "")]
     return []
@@ -529,6 +559,12 @@ def contraction_inverse(lr: LieRinehart, w: AltForm) -> Multivector:
     return _from_terms(lr, _contract(lr.rank, {((), key): vec[0] for key, vec in w.values.items()}, sign))
 
 
+def _ranks(parent) -> Tuple[int, int]:
+    """The largest outer and inner degree of the carrier of a structure
+    (Lambda L, no outer slots) or of a pair (Alt(L'', Lambda L'))."""
+    return (0, parent.rank) if isinstance(parent, LieRinehart) else (parent.lsecond.rank, parent.lprime.rank)
+
+
 def _subset(key: Tuple, rank: int) -> bool:
     """Whether key is a strictly increasing subset of range(rank)."""
     return all(x in range(rank) for x in key) and all(a < b for a, b in zip(key, key[1:]))
@@ -542,11 +578,10 @@ class GeneratorOp:
     carrier of a pair, each lowering the inner degree by one and keeping
     the outer degree; ``table`` views the columns in that form."""
 
-    __slots__ = ("parent", "columns", "read")
+    __slots__ = ("parent", "columns", "read", "_bidegree")
 
     def __init__(self, parent, table: Dict) -> None:
-        flat = isinstance(parent, LieRinehart)
-        ranks = (0, parent.rank) if flat else (parent.lsecond.rank, parent.lprime.rank)
+        ranks = _ranks(parent)
         columns: Dict = {}
         for (t, *keys), val in table.items():
             label = (t, *map(tuple, keys))
@@ -559,14 +594,15 @@ class GeneratorOp:
             if any(len(o) != len(outer) or len(i) != len(inner) - 1 for o, i in terms):
                 raise ValueError(f"table entry {label} does not lower the inner degree by 1")
             columns[(t, outer, inner)] = _vector(terms)
-        self.parent, self.columns, self.read = parent, columns, None
+        self.parent, self.columns, self.read, self._bidegree = parent, columns, None, (0, -1)
 
     @classmethod
-    def _of(cls, parent, columns: Dict, read=None) -> "GeneratorOp":
-        """The operator of these columns, unchecked; read(label) -> label
-        vector, if given, supplies any other column on first use, kept."""
+    def _of(cls, parent, columns: Dict, read=None, bidegree: Tuple[int, int] = (0, -1)) -> "GeneratorOp":
+        """The operator of these columns, unchecked, moving (outer, inner)
+        degrees by bidegree; read(label) -> label vector, if given, supplies
+        any other column on first use, kept."""
         op = cls.__new__(cls)
-        op.parent, op.columns, op.read = parent, columns, read
+        op.parent, op.columns, op.read, op._bidegree = parent, columns, read, bidegree
         return op
 
     def column(self, label: Tuple) -> Dict:
@@ -663,16 +699,32 @@ def _first_nonzero(images: Iterable[Tuple]) -> Optional[Tuple]:
     return next((label for label, image in images if image), None)
 
 
-def _pair_witness(elems: Sequence[Tuple], tables: _LabelTables, residual) -> Optional[Tuple]:
+def _bidegrees(vec: Dict) -> frozenset:
+    """The bidegrees (outer, inner) of the labels of a label vector."""
+    return frozenset((len(outer), len(inner)) for _, outer, inner in vec)
+
+
+def _pair_witness(elems: Sequence[Tuple], tables: _LabelTables, residual, ranks: Tuple, shift: Tuple) -> Optional[Tuple]:
     """The first pair (label1, label2, residual) of elems, a list of
     (label, label vector, degree), whose residual is nonzero, or None.
-    Each pair's residual is summed in one accumulator, bilinearly over
-    the terms of its two vectors: residual(out, c, s, x, y) adds c times
-    the residual of the labels x, y to out, where s = (-1)^{|u|} for the
-    first element u of the pair."""
-    for label1, u, p in elems:
+    The residual of labels of bidegrees (q1, p1) and (q2, p2) lies in
+    (q1 + q2, p1 + p2) + shift; only the pairs for which that bidegree has
+    labels, outer degree 0..ranks[0] and inner 0..ranks[1], are visited,
+    in the order of elems (see the module docstring).  Each pair's residual
+    is summed in one accumulator, bilinearly over the terms of its two
+    vectors: residual(out, c, s, x, y) adds c times the residual of the
+    labels x, y to out, where s = (-1)^{|u|} for the first element u."""
+    (qtop, ptop), (dq, dp) = ranks, shift
+    degrees = [_bidegrees(v) for _, v, _ in elems]
+    partners: Dict = {}  # bidegree class of the first element -> its second elements
+    for (label1, u, p), du in zip(elems, degrees):
+        if du not in partners:
+            partners[du] = [
+                e for e, dv in zip(elems, degrees)
+                if any(0 <= q1 + q2 + dq <= qtop and 0 <= p1 + p2 + dp <= ptop for q1, p1 in du for q2, p2 in dv)
+            ]
         su = 1 if p % 2 == 0 else -1
-        for label2, v, _ in elems:
+        for label2, v, _ in partners[du]:
             acc: Dict = {}
             for x, a in u.items():
                 for y, b in v.items():
@@ -700,7 +752,8 @@ def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: Generat
         for w, e in column(y).items():
             _add(out, su * c * e, entry(x, w))
 
-    return _pair_witness(elems, tables, residual)
+    dq, dp = d._bidegree
+    return _pair_witness(elems, tables, residual, _ranks(d.parent), (dq, dp - 1))
 
 
 def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: GeneratorOp) -> Optional[Tuple]:
@@ -722,7 +775,7 @@ def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: Generato
         for w, e in column(y).items():
             _add(out, c * e, prod(x, w))
 
-    return _pair_witness(elems, tables, residual)
+    return _pair_witness(elems, tables, residual, _ranks(D.parent), D._bidegree)
 
 
 def generator_validate(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,7 +41,6 @@ from .signs import sort_with_sign
 # compiled basis tables, integral values as int; see _bracket_table, _degree_one_table and _action_table
 Terms = Tuple[Tuple[int, object], ...]
 BracketTable = Dict[Tuple[int, int], List[Tuple[int, List[Terms]]]]
-DegreeOneTable = Dict[Tuple[int, int], List[List[List[Tuple[int, Tuple]]]]]
 ActionTable = List[List[Terms]]
 
 
@@ -87,7 +86,7 @@ class LieRinehart:
         self.anchor = tuple(anchor)
         self._validation: Optional[Tuple[Violation, ...]] = None
         self._brackets: Optional[BracketTable] = None
-        self._ones: Optional[DegreeOneTable] = None
+        self._ones: Optional[_DegreeOneTable] = None
         self._trivial: Optional[LRModule] = None
 
     def __eq__(self, other: object) -> bool:
@@ -468,17 +467,29 @@ def _bracket_table(lr: LieRinehart) -> BracketTable:
     return lr._brackets
 
 
-def _degree_one_table(lr: LieRinehart) -> DegreeOneTable:
-    """The full Leibniz expansion on the Q-basis: ones[(i, j)][s][t] lists the
-    nonzero (k, coefficients) of [a_s e_i, a_t e_j] for every ordered pair,
-    read off the literal table so antisymmetry is not assumed; compiled on
-    first use for ``_bracket_vectors`` and kept on the structure."""
+class _DegreeOneTable(dict):
+    """The full Leibniz expansion on the Q-basis: ones[(i, j, s, t)] lists the
+    nonzero (k, coefficients) of [a_s e_i, a_t e_j] for any ordered pair,
+    read off the literal table so antisymmetry is not assumed; each entry
+    is compiled on its first read and kept."""
+
+    __slots__ = ("lr",)
+
+    def __init__(self, lr: LieRinehart) -> None:
+        super().__init__()
+        self.lr = lr
+
+    def __missing__(self, key: Tuple[int, int, int, int]) -> List[Tuple[int, Tuple]]:
+        lr, (i, j, s, t) = self.lr, key
+        terms = [(k, _sparse(c.coeffs)) for k, c in enumerate(lr.bracket[i][j]) if not c.is_zero()]
+        entry = self[key] = _leibniz(lr, i, s, j, t, terms)
+        return entry
+
+
+def _degree_one_table(lr: LieRinehart) -> _DegreeOneTable:
+    """The degree-one table of ``_bracket_vectors``, kept on the structure."""
     if lr._ones is None:
-        dim = lr.alg.dim
-        lr._ones = {}
-        for i, j in product(range(lr.rank), repeat=2):
-            terms = [(k, _sparse(c.coeffs)) for k, c in enumerate(lr.bracket[i][j]) if not c.is_zero()]
-            lr._ones[(i, j)] = [[_leibniz(lr, i, s, j, t, terms) for t in range(dim)] for s in range(dim)]
+        lr._ones = _DegreeOneTable(lr)
     return lr._ones
 
 
@@ -503,7 +514,6 @@ def _bracket_vectors(
         out = {}
     for i, x in u.items():
         for j, y in v.items():
-            rows = ones[(i, j)]
             for s, xs in enumerate(x):
                 if xs == 0:
                     continue
@@ -511,7 +521,7 @@ def _bracket_vectors(
                     if yt == 0:
                         continue
                     w = xs * yt if sign == 1 else -xs * yt
-                    for k, vec in rows[s][t]:
+                    for k, vec in ones[(i, j, s, t)]:
                         acc = out.get(k)
                         if acc is None:
                             out[k] = [w * c for c in vec]

@@ -341,9 +341,9 @@ def _ce_column(t: AlmostTwilled, kind: str, line: Optional[Sequence[AElem]], lab
 
 
 def _differential(t: AlmostTwilled, kind: str, line: Optional[Sequence[AElem]] = None) -> GeneratorOp:
-    """d' (with an optional line) or one of the two d'' as an operator whose
-    columns are read on first use."""
-    return GeneratorOp._of(t, {}, partial(_ce_column, t, kind, line))
+    """d' (with an optional line, bidegree (0, 1)) or one of the two d''
+    (bidegree (1, 0)) as an operator whose columns are read on first use."""
+    return GeneratorOp._of(t, {}, partial(_ce_column, t, kind, line), (0, 1) if kind == "dprime" else (1, 0))
 
 
 def _ce_bigraded(t: AlmostTwilled, w: Bigraded, kind: str, line: Optional[Sequence[AElem]] = None) -> Bigraded:

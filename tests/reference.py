@@ -7,7 +7,11 @@ checks that the library now reads off the formal square d.d of
 flatness loop of ``module_validate``, here on dense products of basis
 data.  Also the derivation and generator witnesses of ``gerst`` in their
 vector form, each pair's residual a ``_lincomb`` of whole bracket,
-product and operator images.  And the element recursion of the Schouten
+product and operator images, and the dense pair loop, ``pair_witness``,
+which visits every ordered pair where the library visits only those
+whose residual bidegree exists in the carrier; and the label product
+through algebra elements, ``label_product``, which the library reads off
+the compiled products of the base.  And the element recursion of the Schouten
 and crossed brackets, ``bracket_terms``, which splits any pair of terms
 on elements by the biderivation rules with its own sign conventions,
 where the library splits labels only in its label tables.  And the
@@ -40,7 +44,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from lierine.calgebra import AElem, CommAlg, Derivation
 from lierine.exactla import RatMatrix, _nonzero_rows
-from lierine.gerst import Multivector, TopConnection, _basis_multivectors, _contract, _from_terms, _lincomb, _product
+from lierine.gerst import (
+    Multivector,
+    TopConnection,
+    _basis_multivectors,
+    _contract,
+    _from_terms,
+    _lincomb,
+    _product,
+    _vector,
+)
 from lierine.lrcore import (
     AltForm,
     LieRinehart,
@@ -338,6 +351,32 @@ def generator_witness(elems, tables, D):
             if residual:
                 return label1, label2, tables.carrier(residual)
     return None
+
+
+def pair_witness(elems, tables, residual):
+    """The first pair (label1, label2, residual) of elems, a list of
+    (label, label vector, degree), whose residual is nonzero, or None,
+    over all ordered pairs: the dense form of ``gerst._pair_witness``,
+    which visits only the pairs whose residual bidegree exists.
+    residual(out, c, s, x, y) adds c times the residual of the labels
+    x, y to out, with s = (-1)^{|u|} for the first element u."""
+    for label1, u, p in elems:
+        su = 1 if p % 2 == 0 else -1
+        for label2, v, _ in elems:
+            acc: Dict = {}
+            for x, a in u.items():
+                for y, b in v.items():
+                    residual(acc, a * b, su, x, y)
+            if any(acc.values()):
+                return label1, label2, tables.carrier({k: c for k, c in acc.items() if c})
+    return None
+
+
+def label_product(tables, x: Tuple, y: Tuple) -> Dict:
+    """x y of two labels of ``gerst._LabelTables`` as a label vector, through
+    the term dicts of the labels, their product of algebra elements and
+    the label vector of the result."""
+    return _vector(_product(tables._term(x), tables._term(y)))
 
 
 def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:

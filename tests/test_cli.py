@@ -1,6 +1,7 @@
 """Instance file parsing, serialization round-trips, and the command
 line surface: verdicts, exit codes, deterministic output."""
 
+import importlib.util
 import json
 import os
 import re
@@ -20,6 +21,7 @@ from lierine.cli import (
     parse_instance,
     serialize_instance,
 )
+from lierine.gerst import gerstenhaber_validate
 from lierine.instances import book_double, desk_pair, sl2
 
 FIXTURES = (
@@ -70,6 +72,44 @@ end
 bialgebra pair
   l l
   d d
+end
+"""
+
+# a twilled pair whose L' fails Jacobi on (0, 1, 2), with zero actions
+BAD_SIDE_TWILLED = """algebra Q
+  dim 1
+  unit = 1
+  mult 0 0 = 1
+end
+
+lie_rinehart bad
+  algebra Q
+  rank 3
+  bracket 0 1 2 = 1
+  bracket 0 2 2 = 1
+  bracket 1 2 1 = 1
+end
+
+lie_rinehart line
+  algebra Q
+  rank 1
+end
+
+action push
+  source bad
+  target line
+end
+
+action pull
+  source line
+  target bad
+end
+
+twilled pair
+  prime bad
+  second line
+  act_prime_on_second push
+  act_second_on_prime pull
 end
 """
 
@@ -310,6 +350,18 @@ class TestCommands:
         assert "verdict lr-axioms: fail witness=('anchor-derivation', (0,))" in out
         assert "verdict bialgebra" not in out
 
+    def test_check_bialgebra_reports_invalid_side_of_twilled_pair(self, capsys, tmp_path):
+        # the semidirect dual pair of an invalid side is not built
+        path = tmp_path / "bad_side.lri"
+        path.write_text(BAD_SIDE_TWILLED)
+        rc, out = run_cli(capsys, "check-lr", "--input", str(path), "--name", "bad")
+        assert rc == 1
+        assert "verdict jacobi: fail witness=('jacobi', (0, 1, 2))" in out
+        rc, out = run_cli(capsys, "check-bialgebra", "--input", str(path))
+        assert rc == 1
+        assert out.splitlines()[-2:] == ["verdict lr-axioms: fail witness=('jacobi', (0, 1, 2))", "exit: 1"]
+        assert "verdict bialgebra" not in out
+
     @pytest.mark.parametrize("path", ["flat_broken.lri", "sl2.lri", "matched_pair.lri"])
     def test_check_bialgebra_cap_below_one_is_not_usable(self, capsys, path):
         rc = main(["check-bialgebra", "--input", fixture(path), "--max-degree", "0"])
@@ -432,15 +484,17 @@ class TestDeterminism:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+with open(ROOT / "bench" / "golden.json", encoding="utf-8") as fh:
+    GOLDEN = json.load(fh)
+
+
 def golden_fixture_ops():
     """(name, argv, expected) for every fixture operation with a recorded
     report in bench/golden.json; names read `<fixture> <command> [args]`.
     The generated sl2 double has no fixture file, and entries without
-    stdout record library calls, not commands."""
-    with open(ROOT / "bench" / "golden.json", encoding="utf-8") as fh:
-        golden = json.load(fh)
+    stdout record library calls, not commands: both are pinned below."""
     out = []
-    for name, want in sorted(golden.items()):
+    for name, want in sorted(GOLDEN.items()):
         if name == "check-twilled sl2_double" or "stdout" not in want:
             continue
         fixture_name, command, *extra = name.split()
@@ -458,3 +512,30 @@ def test_fixture_reports_match_golden_copy(name, argv, want, capsys, monkeypatch
     rc, out = run_cli(capsys, *argv)
     assert rc == want["exit"]
     assert out == want["stdout"]
+
+
+def load_bench_gen():
+    """The benchmark's input generator, bench/gen.py."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.mark.parametrize("seed", [1, 11, 24, 101])
+def test_generated_sl2_double_report_matches_golden_copy(seed, capsys, monkeypatch, tmp_path):
+    """The double is written at the relative path its golden report names;
+    its report names no basis index, so one copy serves every seed."""
+    want = GOLDEN["check-twilled sl2_double"]
+    path = re.search(r"^input: (.*)$", want["stdout"], re.M).group(1)
+    monkeypatch.chdir(tmp_path)
+    Path(path).parent.mkdir(parents=True)
+    Path(path).write_text(load_bench_gen().sl2_double(seed))
+    rc, out = run_cli(capsys, "check-twilled", "--input", path)
+    assert rc == want["exit"]
+    assert out == want["stdout"]
+
+
+def test_gerstenhaber_validate_matches_golden_copy():
+    derx3 = parse_instance(fixture("derx3.lri")).lr("derx3")
+    assert repr(gerstenhaber_validate(derx3, 2)) == GOLDEN["gerstenhaber_validate derx3 2"]["return"]

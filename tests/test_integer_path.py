@@ -181,7 +181,7 @@ def assert_degree_one_matches_leibniz(lr):
     basis = [lr.alg.basis(t) for t in range(lr.alg.dim)]
     for i, j in product(range(lr.rank), repeat=2):
         for (s, x), (t, y) in product(enumerate(basis), repeat=2):
-            assert ones[(i, j)][s][t] == reference.leibniz(lr, i, x, j, y), (i, s, j, t)
+            assert ones[(i, j, s, t)] == reference.leibniz(lr, i, x, j, y), (i, s, j, t)
 
 
 @pytest.mark.parametrize("name,lr", FIXTURE_STRUCTURES, ids=[n for n, _ in FIXTURE_STRUCTURES])

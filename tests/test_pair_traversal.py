@@ -1,0 +1,267 @@
+"""Degree-bounded pair traversal and label products off the compiled base.
+
+The witness loop of ``gerst`` pairs each element only with the elements
+that reach a bidegree of the carrier; it must return the same
+(label1, label2, residual) as the dense loop over all ordered pairs kept
+in ``reference``, repr-equal, on input whose witnesses are mostly
+nonzero.  The label product reads the compiled products of the base and
+must give the vector of the old route through algebra elements, with the
+same values, value types and key order.
+"""
+
+from fractions import Fraction
+from importlib import resources
+from itertools import product
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from lierine import bialg, cli, gerst
+from lierine.bialg import DualPair, semidirect_dual_pair
+from lierine.calgebra import Derivation
+from lierine.gerst import TopConnection, generator_from_connection
+from lierine.instances import abelian, truncated_poly
+from lierine.lrcore import LieRinehart, lr_validate
+from lierine.twilled import _bigraded_elems, _dg_lie_and_gerstenhaber, _differential, _label_tables, _lie_elems
+from test_atom_tables import (
+    HALVES,
+    SPLIT,
+    bench_sl2_double,
+    perturbed_pairs,
+    random_structure,
+    structures_with_operators,
+)
+
+FIXTURES = resources.files("lierine") / "fixtures"
+
+
+def dense():
+    """Run the witness checkers on the dense loop of ``reference``."""
+    return mock.patch.object(
+        gerst, "_pair_witness", lambda elems, tables, residual, ranks, shift: reference.pair_witness(elems, tables, residual)
+    )
+
+
+def assert_same_as_dense(check, *args):
+    """check(*args) on the bounded loop and on the dense one, repr-equal;
+    returns the bounded result."""
+    bounded = check(*args)
+    with dense():
+        full = check(*args)
+    assert repr(bounded) == repr(full)
+    return bounded
+
+
+def witnesses(elems, make_tables, op):
+    """The derivation and generator witnesses of op on elems, each on
+    fresh tables."""
+    return (
+        gerst._derivation_witness(elems, make_tables(), op),
+        gerst._generator_witness(elems, make_tables(), op),
+    )
+
+
+def fixture_instances():
+    return [cli.parse_instance(str(path)) for path in sorted(FIXTURES.iterdir(), key=lambda p: p.name) if path.name.endswith(".lri")]
+
+
+FIXTURE_LRS = [(f"{name}", inst.lr(name)) for inst in fixture_instances() for name in inst.lrs]
+FIXTURE_PAIRS = [(name, inst.build_twilled(name)) for inst in fixture_instances() for name in inst.twilleds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_pairs())
+def test_bounded_witnesses_match_dense_loop_on_perturbed_pairs(p):
+    """Every operator of the bigraded carrier: d'' on multivectors and on
+    forms (bidegree (1, 0)), d' (bidegree (0, 1)) and an arbitrary degree
+    -1 operator, on the whole carrier and on its inner-degree-1 part."""
+    t, op = p
+    make = lambda: _label_tables(t)
+    found = []
+    for elems in (_bigraded_elems(t), _lie_elems(t)):
+        for kind in ("multi", "form", "dprime"):
+            found.append(assert_same_as_dense(gerst._derivation_witness, elems, make(), _differential(t, kind)))
+        found.append(assert_same_as_dense(witnesses, elems, make, op))
+    assert any(f is not None for f in found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures_with_operators())
+def test_bounded_witnesses_match_dense_loop_on_structures_with_operators(p):
+    """An arbitrary degree -1 operator on basis labels, and on unit vectors
+    1 e_S, which over Q x Q are combinations of two labels."""
+    lr, op = p
+    make = lambda: gerst._flat_tables(lr)
+    labels = gerst._label_elems(lr, lr.rank)
+    units = [(key, gerst._vector({((), key): lr.alg.one()}), len(key)) for t, key in gerst._basis_multivectors(lr, lr.rank) if t == 0]
+    for elems in (labels, units):
+        assert_same_as_dense(witnesses, elems, make, op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIXTURE_LRS), st.data())
+def test_bounded_witnesses_match_dense_loop_on_curved_connections(named, data):
+    """Generators of arbitrary connections on the top power, flat or not,
+    through the public checkers."""
+    lr = named[1]
+    omega = [lr.alg.elem([data.draw(st.sampled_from([0, 1, -1, Fraction(1, 2)])) for _ in range(lr.alg.dim)]) for _ in range(lr.rank)]
+    g = generator_from_connection(lr, TopConnection(lr, omega))
+    assert_same_as_dense(gerst.generator_validate, lr, g)
+    assert_same_as_dense(gerst.generator_derivation_check, lr, g)
+
+
+def transported_witnesses(p: DualPair, max_degree: int):
+    """Both readings of the compatibility of a dual pair: the transported
+    differential of d on the vectors of l, and that of l on the wedges of d."""
+    l, d = p.l, p.d
+    vectors = [(i, gerst._vector({((), (i,)): l.alg.one()}), 1) for i in range(l.rank)]
+    wedges = [(s, gerst._vector({((), s): d.alg.one()}), len(s)) for t, s in gerst._basis_multivectors(d, max_degree) if t == 0]
+    return (
+        gerst._derivation_witness(vectors, gerst._flat_tables(l), bialg._transported(d, l)),
+        gerst._derivation_witness(wedges, gerst._flat_tables(d), bialg._transported(l, d)),
+    )
+
+
+def shipped_dual_pairs():
+    out = [(f"{name}", inst.build_dual_pair(name)) for inst in fixture_instances() for name in inst.bialgebras]
+    for name, t in FIXTURE_PAIRS:
+        try:
+            out.append((f"semidirect {name}", semidirect_dual_pair(t)))
+        except ValueError:  # a non-flat action has no dual here
+            pass
+    return out
+
+
+@pytest.mark.parametrize("name,pair", shipped_dual_pairs(), ids=[n for n, _ in shipped_dual_pairs()])
+def test_bounded_witnesses_match_dense_loop_on_shipped_dual_pairs(name, pair):
+    for cap in range(1, pair.l.rank + 1):
+        assert_same_as_dense(transported_witnesses, pair, cap)
+
+
+@st.composite
+def random_dual_pairs(draw):
+    """Arbitrary bracket tables of equal rank, so the compatibility fails
+    on most draws; zero anchors keep the trivial coefficients flat."""
+    alg = draw(st.sampled_from([SPLIT, HALVES]))
+    n = draw(st.integers(1, 3))
+    zero = [Derivation.zero(alg)] * n
+    return DualPair(*(LieRinehart(alg, n, random_structure(draw, alg, n).bracket, zero) for _ in range(2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_dual_pairs())
+def test_bounded_witnesses_match_dense_loop_on_random_dual_pairs(pair):
+    assert_same_as_dense(transported_witnesses, pair, pair.l.rank)
+
+
+@settings(max_examples=30, deadline=None)
+@given(structures_with_operators())
+def test_gerstenhaber_validate_matches_dense_loop(p):
+    lr = p[0]
+    for cap in range(lr.rank + 1):
+        assert_same_as_dense(gerst.gerstenhaber_validate, lr, cap)
+
+
+def visited_pairs(monkeypatch):
+    """A list that gets, for each run of the witness loop, the set of label
+    pairs whose residual it sums."""
+    runs = []
+    loop = gerst._pair_witness
+
+    def recording_loop(elems, tables, residual, ranks, shift):
+        pairs = set()
+        runs.append(pairs)
+
+        def recording(out, c, su, x, y):
+            pairs.add((x, y))
+            residual(out, c, su, x, y)
+
+        return loop(elems, tables, recording, ranks, shift)
+
+    monkeypatch.setattr(gerst, "_pair_witness", recording_loop)
+    return runs
+
+
+def existing(labels, ranks, shift):
+    """The label pairs whose residual bidegree, (q1 + q2, p1 + p2) + shift,
+    has labels in a carrier of the given outer and inner ranks."""
+    reach = lambda x, y: all(0 <= len(x[k]) + len(y[k]) + shift[k - 1] <= ranks[k - 1] for k in (1, 2))
+    return {(x, y) for x in labels for y in labels if reach(x, y)}
+
+
+def test_witness_loop_visits_the_pairs_of_existing_bidegrees_on_sl2_double(monkeypatch, tmp_path):
+    """d'' has bidegree (1, 0), so the derivation residual of labels of
+    bidegrees (q1, p1), (q2, p2) lies in (q1 + q2 + 1, p1 + p2 - 1); the
+    double is twilled, so no early witness stops the loops."""
+    t = cli.parse_instance(str(bench_sl2_double(tmp_path))).build_twilled("double")
+    runs = visited_pairs(monkeypatch)
+    assert all(r["derivation"] for r in _dg_lie_and_gerstenhaber(t))
+    carriers = [[label for _, vec, _ in elems for label in vec] for elems in (_lie_elems(t), _bigraded_elems(t))]
+    assert runs == [existing(labels, (3, 3), (1, -1)) for labels in carriers]
+    assert [len(pairs) for pairs in runs] == [198, 1232]
+
+
+def test_witness_loop_visits_the_pairs_of_existing_bidegrees_of_generators_and_transports(monkeypatch):
+    """A generator has bidegree (0, -1) and the transported differential
+    (0, 1); on passing input every existing pair is visited."""
+    lr = cli.parse_instance(str(FIXTURES / "derx3.lri")).lr("derx3")
+    g = generator_from_connection(lr, TopConnection(lr, [lr.alg.zero()] * lr.rank))
+    pair = cli.parse_instance(str(FIXTURES / "sl2.lri")).build_dual_pair("std")
+    runs = visited_pairs(monkeypatch)
+    assert gerst.generator_validate(lr, g) == [] and gerst.generator_derivation_check(lr, g) == []
+    assert bialg._compatibility(pair, 3).holds
+    labels = [(t, (), key) for t, key in gerst._basis_multivectors(lr, lr.rank)]
+    vectors = [(0, (), (i,)) for i in range(3)]
+    wedges = [(0, (), key) for _, key in gerst._basis_multivectors(pair.d, 3)]
+    assert runs == [
+        existing(labels, (0, 2), (0, -1)),
+        existing(labels, (0, 2), (0, -2)),
+        existing(vectors, (0, 3), (0, 0)),
+        existing(wedges, (0, 3), (0, 0)),
+    ]
+    assert all(len(pairs) < len(labels) ** 2 for pairs in runs[:2])
+
+
+def assert_products_match(tables, labels):
+    for x, y in product(labels, repeat=2):
+        assert repr(tables.product(x, y)) == repr(reference.label_product(tables, x, y)), (x, y)
+
+
+@pytest.mark.parametrize("name,lr", FIXTURE_LRS, ids=[n for n, _ in FIXTURE_LRS])
+def test_label_products_match_element_route_on_fixture_structures(name, lr):
+    assert_products_match(gerst._flat_tables(lr), [(t, (), key) for t, key in gerst._basis_multivectors(lr, lr.rank)])
+
+
+@pytest.mark.parametrize("name,t", FIXTURE_PAIRS, ids=[n for n, _ in FIXTURE_PAIRS])
+def test_label_products_match_element_route_on_fixture_pairs(name, t):
+    assert_products_match(_label_tables(t), [label for label, _, _ in _bigraded_elems(t)])
+
+
+def test_label_products_match_element_route_on_sl2_double(tmp_path):
+    t = cli.parse_instance(str(bench_sl2_double(tmp_path))).build_twilled("double")
+    assert_products_match(_label_tables(t), [label for label, _, _ in _bigraded_elems(t)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(structures_with_operators())
+def test_label_products_match_element_route_over_split_and_scaled_bases(p):
+    """Over Q x Q on its idempotents and on twice them, and Q[x]/(x^2):
+    products with several terms, and integral and non-integral values."""
+    lr = p[0]
+    assert_products_match(gerst._flat_tables(lr), [(t, (), key) for t, key in gerst._basis_multivectors(lr, lr.rank)])
+
+
+def test_degree_one_table_fills_only_the_entries_read():
+    """Jacobi reads a few entries of the degree-one table; only those are
+    compiled, each on its first read, and each equals the Leibniz
+    expansion on algebra elements."""
+    lr = abelian(truncated_poly(3), 3)
+    assert lr_validate(lr) == []
+    ones = lr._ones
+    assert 0 < len(ones) < lr.rank ** 2 * lr.alg.dim ** 2
+    basis = lr.alg.basis
+    for i, j, s, t in list(ones):
+        assert ones[(i, j, s, t)] == reference.leibniz(lr, i, basis(s), j, basis(t))
