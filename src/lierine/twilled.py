@@ -400,7 +400,7 @@ def _lie_derivative(t: AlmostTwilled, i: int, b: AElem, outer: Tuple[int, ...]) 
     acc: Dict[int, List[Fraction]] = {}
     for s, c in enumerate(b.coeffs):
         if c != 0:
-            for v, x in images[col + s]:
+            for v, x in images.get(col + s, ()):
                 acc.setdefault(v // dim, [Fraction(0)] * dim)[v % dim] += c * x
     return {slots[k]: t.alg.elem(vec) for k, vec in acc.items()}
 

@@ -17,7 +17,9 @@ on elements by the biderivation rules with its own sign conventions,
 where the library splits labels only in its label tables.  And the
 element loop of the cochain differential, ``ce_differential``, which
 evaluates d w one sorted basis tuple at a time with algebra elements,
-where the library sums columns of ``ce_matrix``; the element paths of
+where the library sums columns of ``ce_matrix``, and the tuple-keyed
+build of ``ce_matrix`` and ``ce_columns``, which the library replaced by
+a build on bit masks; the element paths of
 d', d'' on forms and d'' on multivectors of ``twilled`` and of the
 transported differential of ``bialg`` are that loop applied to one
 element read as a form.  And the Fraction arithmetic that the library
@@ -37,13 +39,14 @@ itself.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from lierine.calgebra import AElem, CommAlg, Derivation
-from lierine.exactla import RatMatrix, _nonzero_rows
+from lierine.calgebra import AElem, CommAlg, Derivation, _sparse
+from lierine.exactla import RatMatrix, SparseMatrix, _nonzero_rows
 from lierine.gerst import (
     Multivector,
     TopConnection,
@@ -59,6 +62,8 @@ from lierine.lrcore import (
     LieRinehart,
     LRModule,
     _bracket_vectors,
+    alt_dim,
+    basis_forms,
     dual_module,
     exterior_power,
     tensor_line,
@@ -499,6 +504,73 @@ def _signed_sum(total: Optional[List[AElem]], vec: Sequence[AElem], positive: bo
     if positive:
         return [a + b for a, b in zip(total, vec)]
     return [a - b for a, b in zip(total, vec)]
+
+
+def ce_matrix(lr: LieRinehart, module: LRModule, q: int) -> SparseMatrix:
+    """The formal cochain differential d_q, rows and columns in
+    ``basis_forms`` order, built on sorted index tuples: each row probes
+    every pair of its indices in the bracket table, and each term slices
+    and joins tuples, finds the place of k by bisection and looks its
+    column up by tuple.  The tables are those ``lrcore`` compiled before
+    subsets became bit masks, rebuilt on every call: the bracket as
+    {(i, j): [(k, mul)]} for i < j and the action as every image of the
+    Q-basis of the module, empty ones included."""
+    n, dim = lr.rank, lr.alg.dim
+    width = module.rank * dim
+    basis = [lr.alg.basis(t) for t in range(dim)]
+    brackets = {}
+    for i, j in combinations(range(n), 2):
+        terms = [(k, [_sparse((c * b).coeffs) for b in basis]) for k, c in enumerate(lr.bracket[i][j]) if not c.is_zero()]
+        if terms:
+            brackets[(i, j)] = terms
+    actions = []
+    for x in range(n):
+        images = []
+        for j in range(module.rank):
+            for t in range(dim):
+                vec = [lr.alg.zero()] * module.rank
+                vec[j] = basis[t]
+                images.append(_sparse([c for a in module.act_basis(x, vec) for c in a.coeffs]))
+        actions.append(images)
+    start = {key: pos * width for pos, key in enumerate(combinations(range(n), q))}
+    entries: Dict[Tuple[int, int], Fraction] = {}
+    for rpos, key in enumerate(combinations(range(n), q + 1)):
+        row0 = rpos * width
+        for i, x in enumerate(key):
+            col0 = start[key[:i] + key[i + 1 :]]
+            positive = i % 2 == 0
+            for u, image in enumerate(actions[x]):
+                for v, c in image:
+                    at = (row0 + v, col0 + u)
+                    entries[at] = entries.get(at, 0) + (c if positive else -c)
+        for a, b in combinations(range(q + 1), 2):
+            terms = brackets.get((key[a], key[b]))
+            if terms is None:
+                continue
+            rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
+            for k, mul in terms:
+                if k in rest:
+                    continue
+                p = bisect(rest, k)  # k moves past p indices: sign (-1)^p
+                positive = (a + b + p) % 2 == 0
+                col0 = start[rest[:p] + (k,) + rest[p:]]
+                for j in range(0, width, dim):
+                    for t, image in enumerate(mul):
+                        for s, c in image:
+                            at = (row0 + j + s, col0 + j + t)
+                            entries[at] = entries.get(at, 0) + (c if positive else -c)
+    return SparseMatrix(alt_dim(lr, module, q + 1), alt_dim(lr, module, q), entries)
+
+
+def ce_columns(lr: LieRinehart, module: LRModule, q: int) -> Dict[Tuple, List[Tuple]]:
+    """The columns of ``ce_matrix`` keyed by their ``basis_forms`` label,
+    each a list of (row label, value), read off every entry sorted by
+    (column, row)."""
+    rows, cols = list(basis_forms(lr, module, q + 1)), list(basis_forms(lr, module, q))
+    columns: Dict[Tuple, List[Tuple]] = {}
+    for (r, c), x in sorted(ce_matrix(lr, module, q).entries.items(), key=lambda entry: entry[0][::-1]):
+        columns.setdefault(cols[c], []).append((rows[r], x))
+    return columns
 
 
 def ce_bigraded(t: AlmostTwilled, w: Bigraded, outer: bool, module: LRModule) -> Bigraded:

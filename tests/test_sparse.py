@@ -2,7 +2,8 @@
 label tables of the Schouten bracket and the sparse rank against
 references that compute the same objects another way: the differential
 one basis form at a time through the element loop of
-reference.ce_differential, the bracket through
+reference.ce_differential and whole on sorted index tuples through
+reference.ce_matrix and ce_columns, the bracket through
 the Leibniz expansion of lr_bracket, the label tables through the
 element recursion of reference.bracket_terms and wedge, and dense
 echelon rank."""
@@ -27,6 +28,7 @@ from lierine.lrcore import (
     _bracket_vectors,
     alt_dim,
     basis_forms,
+    ce_columns,
     ce_matrix,
     ce_square_witness,
     dual_module,
@@ -34,6 +36,7 @@ from lierine.lrcore import (
     trivial_coefficients,
 )
 from lierine.twilled import twilled_sum
+import reference
 from reference import LElem, bracket_terms, ce_differential, lr_bracket
 
 
@@ -132,13 +135,21 @@ def sparse_elem(draw, alg):
 
 
 @st.composite
-def random_tables(draw):
+def random_tables(draw, max_rank=3):
     """An arbitrary bracket table, anchor matrices and action table over
-    Q[x]/(x^k); none of the axioms need hold for the formal operator."""
+    Q[x]/(x^k); none of the axioms need hold for the formal operator.
+    Above rank 3 the bracket has at most 2n nonzero coefficients, so the
+    references stay cheap."""
     alg = truncated_poly(draw(st.integers(1, 3)))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_rank))
     r = draw(st.integers(1, 2))
-    bracket = [[[sparse_elem(draw, alg) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    if max_rank <= 3:
+        bracket = [[[sparse_elem(draw, alg) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    else:
+        bracket = [[[alg.zero()] * n for _ in range(n)] for _ in range(n)]
+        index = st.integers(0, n - 1)
+        for i, j, k in draw(st.lists(st.tuples(index, index, index), max_size=2 * n)):
+            bracket[i][j][k] = sparse_elem(draw, alg)
     anchor = [
         Derivation(alg, RatMatrix(alg.dim, alg.dim, [draw(SMALL) for _ in range(alg.dim ** 2)]))
         for _ in range(n)
@@ -153,6 +164,52 @@ def random_tables(draw):
 def test_ce_matrix_matches_reference_on_random_tables(p):
     lr, m = p
     assert_matches_reference(lr, m)
+
+
+def assert_matches_tuple_build(lr, module, degrees):
+    """The bit-mask build against the tuple-keyed build: the same matrix,
+    entries row by row with rows ascending, and the same kept columns in
+    the same key and row order."""
+    for q in degrees:
+        d = ce_matrix(lr, module, q, formal=True)
+        assert d == reference.ce_matrix(lr, module, q), q
+        rows = [r for r, _ in d.entries]
+        assert rows == sorted(rows), q
+        got = ce_columns(lr, module, q, formal=True)
+        assert list(got.items()) == list(reference.ce_columns(lr, module, q).items()), q
+
+
+@pytest.mark.parametrize("kind", ["trivial", "line", "dual", "exterior"])
+@pytest.mark.parametrize("name,lr", FIXTURE_STRUCTURES, ids=[n for n, _ in FIXTURE_STRUCTURES])
+def test_ce_matrix_matches_tuple_build_on_fixtures(name, lr, kind):
+    assert_matches_tuple_build(lr, coefficient_modules(lr)[kind], range(lr.rank + 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_tables(max_rank=7))
+def test_ce_matrix_matches_tuple_build_on_random_tables(p):
+    lr, m = p
+    assert_matches_tuple_build(lr, m, range(lr.rank + 2))
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3, 4, 13, 14, 15, 16])
+def test_ce_matrix_matches_tuple_build_on_gl4(q):
+    # rank 16: rows at q >= 13 have mask bits 13..15 set
+    lr = gl_n(4)
+    assert_matches_tuple_build(lr, trivial_coefficients(lr), [q])
+
+
+def test_ce_matrix_degree_bounds():
+    lr = derx3()
+    m = trivial_coefficients(lr)
+    for build in (ce_matrix, ce_columns):
+        with pytest.raises(ValueError, match="got -1"):
+            build(lr, m, -1)
+    top = ce_matrix(lr, m, lr.rank)
+    assert (top.rows, top.cols, top.entries) == (0, alt_dim(lr, m, lr.rank), {})
+    assert ce_columns(lr, m, lr.rank) == {}
+    past = ce_matrix(lr, m, lr.rank + 1)
+    assert (past.rows, past.cols, past.entries) == (0, 0, {})
 
 
 def assert_degree_one_matches_lr_bracket(lr):
@@ -228,6 +285,13 @@ class TestSquareWitness:
         m = LRModule(lr, 2, [[(z, z), (z, a.basis(1))], [(z, z), (z, z)]])
         assert ce_square_witness(lr, m) == (0, (), 1, 0)
         assert ce_square_witness(lr, m, 0) == (0, (), 1, 0)
+
+    def test_negative_cap_is_refused(self):
+        lr = derx3()
+        m = line_with_connection(lr, [lr.alg.basis(1), lr.alg.zero()])
+        with pytest.raises(ValueError, match="got -1"):
+            ce_square_witness(lr, m, -1)
+        assert ce_square_witness(lr, m, 0) == (0, (), 0, 0)
 
     def test_flat_line_has_none(self):
         lr = derx3()
