@@ -8,7 +8,8 @@ readings, one in degree one on L and one in all degrees on the exterior
 algebra of D; both are computed on every call and must agree, on broken
 input as well as on good input.  Both readings run the derivation
 checker of ``gerst`` on label tables built for each call: the Schouten
-bracket of each side memoised per label pair, and the transported
+bracket of each side memoised per label pair, each atom x atom entry
+``gerst._bracket_terms`` on the two label terms, and the transported
 differential as sparse label columns read off the columns that
 ``lrcore.ce_columns`` keeps for the other side with trivial coefficients,
 shared with the flatness check of that module.
@@ -21,6 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .calgebra import Derivation
 from .gerst import GeneratorOp, _basis_multivectors, _derivation_witness, _flat_tables, _vector
+from .instances import abelian
 from .lrcore import (
     LieRinehart,
     LRModule,
@@ -30,7 +32,7 @@ from .lrcore import (
     require_valid,
     trivial_coefficients,
 )
-from .twilled import AlmostTwilled, dg_gerstenhaber_check, is_twilled
+from .twilled import AlmostTwilled, dg_gerstenhaber_check, is_twilled, twilled_sum
 
 
 class DualPair:
@@ -98,28 +100,16 @@ def dual_module_action(lr: LieRinehart, m: LRModule) -> LRModule:
 
 def semidirect_product(lr: LieRinehart, m: LRModule) -> LieRinehart:
     """Adjoin the module as an abelian ideal: [(x, u), (y, v)] =
-    ([x, y], x.v - y.u), anchor through the first component only."""
+    ([x, y], x.v - y.u), anchor through the first component only.  It is
+    the combined structure (``twilled_sum``) of lr and an abelian structure
+    on the module's basis, lr acting by the module's table and nothing
+    acting back."""
     if m.lr != lr:
         raise ValueError("module parent mismatch")
     if not m.is_flat():
         raise ValueError("semidirect product needs a flat action")
-    n, r = lr.rank, m.rank
-    alg = lr.alg
-    z = alg.zero()
-    total = n + r
-    table = [[None] * total for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = tuple(lr.bracket[i][j]) + (z,) * r
-    for i in range(n):
-        for j in range(r):
-            table[i][n + j] = (z,) * n + tuple(m.action[i][j])
-            table[n + j][i] = (z,) * n + tuple(-c for c in m.action[i][j])
-    for i in range(r):
-        for j in range(r):
-            table[n + i][n + j] = (z,) * total
-    anchors = list(lr.anchor) + [Derivation.zero(alg)] * r
-    out = LieRinehart(alg, total, table, anchors)
+    zero = [[(lr.alg.zero(),) * lr.rank] * lr.rank] * m.rank
+    out = twilled_sum(AlmostTwilled(lr, abelian(lr.alg, m.rank), m.action, zero))
     bad = lr_violations(out)
     if bad:
         raise RuntimeError(f"semidirect product failed validation: {bad[0]}")

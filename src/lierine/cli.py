@@ -254,7 +254,7 @@ def _finish_block(inst: InstanceSet, kind: str, name: str, fields: Dict, start: 
         n = int(rank_tok)
         d = alg.dim
         z = alg.zero()
-        bracket = [[[z] * n for _ in range(n)] for _ in range(n)]
+        bracket: List[List[List[Optional[AElem]]]] = [[[None] * n for _ in range(n)] for _ in range(n)]
         anchors: List[List[Optional[AElem]]] = [[None] * d for _ in range(n)]
         for line, left, right in records:
             if left[0] == "bracket":
@@ -265,6 +265,8 @@ def _finish_block(inst: InstanceSet, kind: str, name: str, fields: Dict, start: 
                     raise ParseError(line, "bracket index out of range")
                 if len(right) != d:
                     raise ParseError(line, f"bracket needs {d} coefficients")
+                if bracket[i][j][k] is not None:
+                    raise ParseError(line, f"duplicate bracket entry ({i},{j},{k})")
                 c = alg.elem([_rational(t, line) for t in right])
                 bracket[i][j][k] = c
                 bracket[j][i][k] = -c
@@ -283,7 +285,7 @@ def _finish_block(inst: InstanceSet, kind: str, name: str, fields: Dict, start: 
         for i in range(n):
             images = [anchors[i][j] if anchors[i][j] is not None else z for j in range(d)]
             ders.append(Derivation.from_images(alg, images))
-        table = [[tuple(bracket[i][j]) for j in range(n)] for i in range(n)]
+        table = [[tuple(z if c is None else c for c in bracket[i][j]) for j in range(n)] for i in range(n)]
         inst.lrs[name] = (alg_name, LieRinehart(alg, n, table, ders))
     elif kind == "action":
         src_name, src_line = _field(fields, "source", start)
@@ -294,7 +296,7 @@ def _finish_block(inst: InstanceSet, kind: str, name: str, fields: Dict, start: 
             raise ParseError(start, "source and target base algebras differ")
         d = src.alg.dim
         z = src.alg.zero()
-        table = [[[z] * tgt.rank for _ in range(tgt.rank)] for _ in range(src.rank)]
+        table = [[[None] * tgt.rank for _ in range(tgt.rank)] for _ in range(src.rank)]
         for line, left, right in records:
             if left[0] != "entry":
                 raise ParseError(line, f"unknown record {left[0]!r} in action block")
@@ -303,11 +305,13 @@ def _finish_block(inst: InstanceSet, kind: str, name: str, fields: Dict, start: 
                 raise ParseError(line, "entry index out of range")
             if len(right) != d:
                 raise ParseError(line, f"entry needs {d} coefficients")
+            if table[i][j][k] is not None:
+                raise ParseError(line, f"duplicate action entry ({i},{j},{k})")
             table[i][j][k] = src.alg.elem([_rational(t, line) for t in right])
         inst.actions[name] = (
             src_name,
             tgt_name,
-            tuple(tuple(tuple(row) for row in rows) for rows in table),
+            tuple(tuple(tuple(z if c is None else c for c in row) for row in rows) for rows in table),
         )
     elif kind == "connection":
         on_name, on_line = _field(fields, "on", start)

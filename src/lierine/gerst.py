@@ -1,6 +1,9 @@
 """Exterior algebra over L, the Schouten bracket, and bracket generators.
 
-Multivectors carry algebra coefficients on sorted basis subsets.  The
+Multivectors carry algebra coefficients on sorted basis subsets, and the
+bigraded elements of a pair (``Bigraded``, used by ``twilled``) on pairs
+of them; both are one element class (``_Element``), whose subclasses
+differ only in their key checks, key shape and constructors.  The
 bracket extends the degree-1 bracket through the biderivation rules
 
     [u ^ v, w] = u ^ [v, w] + (-1)^{|u||v|} v ^ [u, w]
@@ -11,10 +14,12 @@ bracket extends the degree-1 bracket through the biderivation rules
 which both terminate the recursion and pin every sign.  Terms are keyed
 (outer form slots, inner subset), so the same code gives the crossed
 bracket on Alt(L'', Lambda L') of ``twilled``; Lambda L is the case
-L'' = 0, where every outer key is empty.  The only recursion is that of
-the label tables (``_LabelTables._fill``), which split products down to
-atoms (a single vector or a pure form); ``_bracket_terms`` brackets two
-atoms.  Generators are degree -1 operators reproducing the bracket
+L'' = 0, where every outer key is empty; ``_element`` and
+``_Element.terms`` convert between the elements and their term dicts.
+The only recursion is that of the label tables (``_LabelTables._fill``),
+which split products down to atoms (a single vector or a pure form);
+``_bracket_terms`` brackets two atoms, and both public brackets sum
+label-table entries.  Generators are degree -1 operators reproducing the bracket
 through the defect of the Leibniz rule; they correspond to connections
 on the top exterior power via conjugation by the contraction
 isomorphism, one loop (``_generator_table``) for Lambda L and the
@@ -32,8 +37,9 @@ labels in its own order, its label tables and its operator.  Label tables
 (``_LabelTables``) live for one checker call: the bracket and product as
 structure constants on the Q-basis labels (t, outer, inner), filled on
 first use per label pair, each entry read off entries of smaller labels,
-so only atom x atom pairs call ``schouten_bracket`` or ``crossed_bracket``;
-a product entry is read off the compiled products of the base.  Every
+down to atom x atom entries, which are ``_bracket_terms`` on the two
+label terms; a product entry is read off the compiled products of the
+base.  Every
 operator is one class of sparse label columns, ``GeneratorOp``, which
 records its bidegree: a generator (0, -1) fills them when built, a cochain
 differential (d'' (1, 0), d' and the transported one (0, 1)) on first read
@@ -66,31 +72,98 @@ from .lrcore import (
     LRModule,
     _bracket_vectors,
     ce_differential,
+    tensor_line,
+    trivial_coefficients,
 )
-from .instances import line_with_connection
 from .reporting import Violation
 from .signs import merge_sign
 
 
-class Multivector:
+class _Element:
+    """Element of a carrier: keys -> nonzero coefficients in the base
+    algebra of its parent, a structure (``Multivector``) or a pair
+    (``Bigraded``).  A subclass checks its keys in its constructor, which
+    hands them on to this one, and copies itself onto new values with
+    ``_new``; ``_shape`` is the bidegree a bigraded element keeps, (0, 0)
+    on multivectors, whose terms may mix degrees."""
+
+    __slots__ = ("parent", "values")
+    _shape = (0, 0)
+
+    def __init__(self, parent, values: Dict) -> None:
+        for c in values.values():
+            if not isinstance(c, AElem) or c.alg != parent.alg:
+                raise ValueError("coefficients must live in the base algebra")
+        self.parent = parent
+        self.values = {k: c for k, c in values.items() if not c.is_zero()}
+
+    def terms(self) -> Dict:
+        """The terms keyed (outer, inner)."""
+        return self.values
+
+    def add(self, other):
+        self._same(other)
+        if self._shape != other._shape:
+            if self.is_zero():
+                return other
+            if other.is_zero():
+                return self
+            raise ValueError("bidegree mismatch")
+        zero = self.parent.alg.zero()
+        keys = set(self.values) | set(other.values)
+        return self._new({k: self.values.get(k, zero) + other.values.get(k, zero) for k in keys})
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def neg(self):
+        return self._new({k: -c for k, c in self.values.items()})
+
+    def scale(self, c):
+        c = c if isinstance(c, AElem) else _frac(c)
+        return self._new({k: c * v for k, v in self.values.items()})
+
+    def is_zero(self) -> bool:
+        return not self.values
+
+    def _same(self, other: "_Element") -> None:
+        if self.parent != other.parent:
+            raise ValueError("parent mismatch")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Element):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self.parent == other.parent
+            and self._shape == other._shape
+            and self.values == other.values
+        )
+
+
+class Multivector(_Element):
     """Element of the exterior algebra: sorted index subsets -> coefficients."""
 
-    __slots__ = ("lr", "values")
+    __slots__ = ()
 
     def __init__(self, lr: LieRinehart, values: Dict) -> None:
-        norm: Dict[Tuple[int, ...], AElem] = {}
-        for key, c in values.items():
-            k = tuple(key)
+        values = {tuple(key): c for key, c in values.items()}
+        for k in values:
             if list(k) != sorted(k) or len(set(k)) != len(k):
                 raise ValueError(f"subset key {k} must be strictly increasing")
             if any(x < 0 or x >= lr.rank for x in k):
                 raise ValueError(f"index out of range in key {k}")
-            if not isinstance(c, AElem) or c.alg != lr.alg:
-                raise ValueError("coefficients must live in the base algebra")
-            if not c.is_zero():
-                norm[k] = c
-        self.lr = lr
-        self.values = norm
+        super().__init__(lr, values)
+
+    @property
+    def lr(self) -> LieRinehart:
+        return self.parent
+
+    def _new(self, values: Dict) -> "Multivector":
+        return Multivector(self.parent, values)
+
+    def terms(self) -> Dict:
+        return {((), k): c for k, c in self.values.items()}
 
     @classmethod
     def zero(cls, lr: LieRinehart) -> "Multivector":
@@ -122,35 +195,6 @@ class Multivector:
     def component(self, p: int) -> "Multivector":
         return Multivector(self.lr, {k: c for k, c in self.values.items() if len(k) == p})
 
-    def add(self, other: "Multivector") -> "Multivector":
-        self._same(other)
-        keys = set(self.values) | set(other.values)
-        return Multivector(self.lr, {k: self.coeff(k) + other.coeff(k) for k in keys})
-
-    def sub(self, other: "Multivector") -> "Multivector":
-        return self.add(other.neg())
-
-    def neg(self) -> "Multivector":
-        return Multivector(self.lr, {k: -c for k, c in self.values.items()})
-
-    def scale(self, c) -> "Multivector":
-        if isinstance(c, AElem):
-            return Multivector(self.lr, {k: c * v for k, v in self.values.items()})
-        cc = _frac(c)
-        return Multivector(self.lr, {k: v * cc for k, v in self.values.items()})
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def _same(self, other: "Multivector") -> None:
-        if self.lr != other.lr:
-            raise ValueError("parent structure mismatch")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.lr == other.lr and self.values == other.values
-
     def __repr__(self) -> str:
         if not self.values:
             return "Multivector(0)"
@@ -158,21 +202,74 @@ class Multivector:
         return "Multivector(" + ", ".join(parts) + ")"
 
 
-def _terms(u) -> Dict:
-    """The terms of a multivector or a bigraded element keyed (outer,
-    inner); a multivector's outer keys are empty."""
-    if not isinstance(u, Multivector):
-        return u.values
-    return {((), k): c for k, c in u.values.items()}
+class Bigraded(_Element):
+    """Element of bidegree (q, p) of a pair: values on pairs of sorted
+    subsets, the first over the L''-basis, the second over the L'-basis.
+
+    The same storage carries both the form interpretation (inner values
+    are alternating-form values on L') and the multivector one (inner
+    values are exterior coefficients); the operators select the meaning.
+    """
+
+    __slots__ = ("qdeg", "pdeg")
+
+    def __init__(self, t, qdeg: int, pdeg: int, values: Dict) -> None:
+        if qdeg < 0 or pdeg < 0:
+            raise ValueError("bidegree must be nonnegative")
+        values = {(tuple(ss), tuple(sp)): c for (ss, sp), c in values.items()}
+        for kss, ksp in values:
+            if len(kss) != qdeg or list(kss) != sorted(set(kss)):
+                raise ValueError(f"bad outer key {kss}")
+            if len(ksp) != pdeg or list(ksp) != sorted(set(ksp)):
+                raise ValueError(f"bad inner key {ksp}")
+            if any(x < 0 or x >= t.lsecond.rank for x in kss):
+                raise ValueError("outer index out of range")
+            if any(x < 0 or x >= t.lprime.rank for x in ksp):
+                raise ValueError("inner index out of range")
+        self.qdeg = qdeg
+        self.pdeg = pdeg
+        super().__init__(t, values)
+
+    @property
+    def t(self):
+        return self.parent
+
+    @property
+    def _shape(self) -> Tuple[int, int]:
+        return self.qdeg, self.pdeg
+
+    def _new(self, values: Dict) -> "Bigraded":
+        return Bigraded(self.parent, self.qdeg, self.pdeg, values)
+
+    @classmethod
+    def zero(cls, t, qdeg: int, pdeg: int) -> "Bigraded":
+        return cls(t, qdeg, pdeg, {})
+
+    @classmethod
+    def term(cls, t, a: AElem, ss, sp) -> "Bigraded":
+        return cls(t, len(tuple(ss)), len(tuple(sp)), {(tuple(ss), tuple(sp)): a})
+
+    def coeff(self, ss, sp) -> AElem:
+        return self.values.get((tuple(ss), tuple(sp)), self.parent.alg.zero())
+
+    def __repr__(self) -> str:
+        parts = [f"{k}:{c!r}" for k, c in sorted(self.values.items())]
+        return f"Bigraded(q={self.qdeg}, p={self.pdeg}, " + ", ".join(parts) + ")"
 
 
-def _from_terms(lr: LieRinehart, terms: Dict) -> Multivector:
-    return Multivector(lr, {k: c for (_, k), c in terms.items()})
+def _element(parent, terms: Dict, bidegree: Optional[Tuple[int, int]] = None) -> _Element:
+    """The carrier element of a term dict {(outer, inner): coefficient}: a
+    multivector of a structure, or a bigraded element of a pair, of the
+    given bidegree, by default that of its first term."""
+    if isinstance(parent, LieRinehart):
+        return Multivector(parent, {k: c for (_, k), c in terms.items()})
+    ss, sp = next(iter(terms), ((), ()))
+    return Bigraded(parent, *(bidegree or (len(ss), len(sp))), terms)
 
 
 def wedge(u: Multivector, v: Multivector) -> Multivector:
     u._same(v)
-    return _from_terms(u.lr, _product(_terms(u), _terms(v)))
+    return _element(u.lr, _product(u.terms(), v.terms()))
 
 
 def _merge(left: Tuple, right: Tuple) -> Optional[Tuple[Tuple, int]]:
@@ -237,20 +334,10 @@ def _bracket_terms(lr: LieRinehart, left: Dict, right: Dict, lie=None) -> Dict:
     return out
 
 
-def _bracket(lr: LieRinehart, left: Dict, right: Dict, lie, tables) -> Dict:
-    """[left, right] for term dicts: two elements of atoms term by term
-    (``_bracket_terms``), any other pair summed from the entries of
-    tables(), fresh label tables whose entries split down to atom pairs."""
-    if all(_atom(*key) for key in left) and all(_atom(*key) for key in right):
-        return _bracket_terms(lr, left, right, lie)
-    tables, x, y = tables(), _vector(left), _vector(right)
-    return _term_dict(tables.alg, _lincomb(*[(a * b, tables.bracket(k, l)) for k, a in x.items() for l, b in y.items()]))
-
-
 def schouten_bracket(u: Multivector, v: Multivector) -> Multivector:
     """Bracket on the exterior algebra, rational-bilinear over terms."""
     u._same(v)
-    return _from_terms(u.lr, _bracket(u.lr, _terms(u), _terms(v), None, partial(_flat_tables, u.lr)))
+    return _element(u.lr, _flat_tables(u.lr).bracket_terms(u.terms(), v.terms()))
 
 
 def _basis_multivectors(lr: LieRinehart, max_degree: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
@@ -317,15 +404,14 @@ class _LabelTables:
     left label x y splits by [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v];
     an atom u on the left (a single vector or a pure form) splits a right
     label f g by [u, f g] = [u, f] g + (-1)^{(|u|-1)|f|} f [u, g], with the
-    sub-entries kept in the row of u: the package's only splits.  Only
-    atom x atom pairs call the constructor's ``bracket`` (``schouten_bracket``
-    or the crossed bracket, on atoms ``_bracket_terms``).  ``element`` turns
-    a term dict back into a carrier element.
+    sub-entries kept in the row of u: the package's only splits.  An atom x
+    atom entry is ``_bracket_terms`` of lr on the two label terms, the
+    actions on outer slots supplied by lie (see there).
     """
 
-    def __init__(self, alg: CommAlg, element, bracket) -> None:
-        self.alg, self.element, self.base_bracket = alg, element, bracket
-        self.basis = [alg.basis(t) for t in range(alg.dim)]
+    def __init__(self, parent, lr: LieRinehart, lie=None) -> None:
+        self.parent, self.lr, self.lie, self.alg = parent, lr, lie, parent.alg
+        self.basis = [self.alg.basis(t) for t in range(self.alg.dim)]
         self.brackets: Dict = {}
         self.products: Dict = {}
         self.factors: Dict = {}  # label -> its factors (f, g, |f|, |g|) as label vectors, or None
@@ -333,17 +419,15 @@ class _LabelTables:
     def _term(self, label: Tuple) -> Dict:
         return {label[1:]: self.basis[label[0]]}
 
-    def label_element(self, label: Tuple):
-        """The carrier element of one Q-basis label."""
-        return self.element(self._term(label))
-
-    def vector(self, u) -> Dict:
-        """The label vector of a carrier element."""
-        return _vector(_terms(u))
-
-    def carrier(self, vec: Dict):
+    def carrier(self, vec: Dict) -> _Element:
         """The carrier element of a label vector."""
-        return self.element(_term_dict(self.alg, vec))
+        return _element(self.parent, _term_dict(self.alg, vec))
+
+    def bracket_terms(self, left: Dict, right: Dict) -> Dict:
+        """[left, right] for term dicts, summed from the entries of these
+        tables."""
+        x, y = _vector(left), _vector(right)
+        return _term_dict(self.alg, _lincomb(*[(a * b, self.bracket(k, l)) for k, a in x.items() for l, b in y.items()]))
 
     def _factors(self, x: Tuple):
         """x = f g as (f, g, |f|, |g|), label vectors: the outer form times the
@@ -384,7 +468,7 @@ class _LabelTables:
             for z, b in g.items():
                 self._times(out, sign * b, f, self.bracket(x, z))
         else:
-            return self.vector(self.base_bracket(self.label_element(x), self.label_element(y)))
+            return _vector(_bracket_terms(self.lr, self._term(x), self._term(y), self.lie))
         return {k: c for k, c in out.items() if c} or _ZERO
 
     def _times(self, out: Dict, c, u: Dict, v: Dict) -> None:
@@ -416,7 +500,7 @@ class _LabelTables:
 
 def _flat_tables(lr: LieRinehart) -> _LabelTables:
     """Label tables of Lambda L, whose labels carry an empty outer key."""
-    return _LabelTables(lr.alg, partial(_from_terms, lr), schouten_bracket)
+    return _LabelTables(lr, lr)
 
 
 def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
@@ -486,7 +570,7 @@ class TopConnection:
         self.omega = oo
 
     def line_module(self) -> LRModule:
-        return line_with_connection(self.lr, self.omega)
+        return tensor_line(trivial_coefficients(self.lr), self.omega)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TopConnection):
@@ -543,10 +627,10 @@ def contraction_iso(lr: LieRinehart, u: Multivector, module: Optional[LRModule] 
     if p is None and not u.is_zero():
         raise ValueError("contraction needs a pure-degree multivector")
     if module is None:
-        module = line_with_connection(lr, [lr.alg.zero()] * lr.rank)
+        module = trivial_coefficients(lr)
     if module.rank != 1:
         raise ValueError("target module must have rank 1")
-    vals = {key: (a,) for (_, key), a in _contract(lr.rank, _terms(u)).items()}
+    vals = {key: (a,) for (_, key), a in _contract(lr.rank, u.terms()).items()}
     return AltForm(lr, module, lr.rank - (p or 0), vals)
 
 
@@ -556,7 +640,7 @@ def contraction_inverse(lr: LieRinehart, w: AltForm) -> Multivector:
     if w.lr != lr or w.module.rank != 1:
         raise ValueError("expected a rank-1-valued form on the parent")
     sign = -1 if (w.degree * (lr.rank - w.degree)) % 2 else 1
-    return _from_terms(lr, _contract(lr.rank, {((), key): vec[0] for key, vec in w.values.items()}, sign))
+    return _element(lr, _contract(lr.rank, {((), key): vec[0] for key, vec in w.values.items()}, sign))
 
 
 def _ranks(parent) -> Tuple[int, int]:
@@ -588,9 +672,9 @@ class GeneratorOp:
             outer, inner = label[1:] if len(label) == 3 else ((), label[1])
             if t not in range(parent.alg.dim) or not all(map(_subset, (outer, inner), ranks)):
                 raise ValueError(f"table label {label} is not a basis label of the carrier")
-            if (val.lr if isinstance(val, Multivector) else val.t) != parent:
+            if val.parent != parent:
                 raise ValueError("table value parent mismatch")
-            terms = _terms(val)
+            terms = val.terms()
             if any(len(o) != len(outer) or len(i) != len(inner) - 1 for o, i in terms):
                 raise ValueError(f"table entry {label} does not lower the inner degree by 1")
             columns[(t, outer, inner)] = _vector(terms)
@@ -616,30 +700,24 @@ class GeneratorOp:
         """The image of a label vector."""
         return _lincomb(*[(a, self.column(x)) for x, a in vec.items()])
 
-    def _element(self, terms: Dict, qdeg: int, pdeg: int):
-        """The carrier element of a term dict, of bidegree (qdeg, pdeg) on a pair."""
-        if isinstance(self.parent, LieRinehart):
-            return _from_terms(self.parent, terms)
-        from .twilled import Bigraded
-
-        return Bigraded(self.parent, qdeg, pdeg, terms)
+    def _carrier(self, vec: Dict, q: int, p: int) -> _Element:
+        """The carrier element of the image vec of an input of bidegree (q, p)."""
+        dq, dp = self._bidegree
+        return _element(self.parent, _term_dict(self.parent.alg, vec), (q + dq, max(p + dp, 0)))
 
     @property
     def table(self) -> Dict:
         """The columns as carrier elements, keyed as in the constructor."""
         flat, out = isinstance(self.parent, LieRinehart), {}
         for (t, outer, inner), vec in self.columns.items():
-            element = self._element(_term_dict(self.parent.alg, vec), len(outer), max(len(inner) - 1, 0))
-            out[(t, inner) if flat else (t, outer, inner)] = element
+            out[(t, inner) if flat else (t, outer, inner)] = self._carrier(vec, len(outer), len(inner))
         return out
 
-    def apply(self, u):
+    def apply(self, u: _Element) -> _Element:
         """The columns extended rational-linearly over the terms of u."""
-        flat = isinstance(u, Multivector)
-        if (u.lr if flat else u.t) != self.parent:
+        if u.parent != self.parent:
             raise ValueError("parent mismatch")
-        out = _term_dict(self.parent.alg, self.image(_vector(_terms(u))))
-        return self._element(out, 0, 0) if flat else self._element(out, u.qdeg, max(u.pdeg - 1, 0))
+        return self._carrier(self.image(_vector(u.terms())), *u._shape)
 
     def inputs(self) -> Iterator[Tuple]:
         return iter(sorted(self.table))
@@ -810,7 +888,7 @@ def generator_to_connection(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
 def _connection_form(lr: LieRinehart, g: GeneratorOp) -> TopConnection:
     """``generator_to_connection`` on an operator already validated."""
     # D(top) = (-1)^n C^{-1}(d 1), and d 1 is the degree-one form omega
-    omega = _contract(lr.rank, _terms(g.apply(Multivector.top(lr))), -1 if lr.rank % 2 else 1)
+    omega = _contract(lr.rank, g.apply(Multivector.top(lr)).terms(), -1 if lr.rank % 2 else 1)
     return TopConnection(lr, [omega.get(((), (i,)), lr.alg.zero()) for i in range(lr.rank)])
 
 

@@ -11,6 +11,7 @@ from typing import List, Sequence
 
 from .calgebra import AElem, CommAlg, Derivation
 from .lrcore import LieRinehart, LRModule
+from .twilled import AlmostTwilled
 
 
 def rationals() -> CommAlg:
@@ -151,8 +152,6 @@ def _scalar_rows(alg: CommAlg, rows: Sequence[Sequence[Sequence[int]]]):
 
 def direct_sum_pair(alg: CommAlg, rank1: int, rank2: int):
     """Two abelian factors ignoring each other."""
-    from .twilled import AlmostTwilled
-
     zero1 = [[(alg.zero(),) * rank2] * rank2] * rank1
     zero2 = [[(alg.zero(),) * rank1] * rank1] * rank2
     return AlmostTwilled(abelian(alg, rank1), abelian(alg, rank2), zero1, zero2)
@@ -161,8 +160,6 @@ def direct_sum_pair(alg: CommAlg, rank1: int, rank2: int):
 def desk_pair():
     """Two rank-1 abelian factors with e.f = f and f.e = e; the combined
     bracket is [e, f] = f - e."""
-    from .twilled import AlmostTwilled
-
     alg = rationals()
     return AlmostTwilled(
         abelian(alg, 1),
@@ -175,8 +172,6 @@ def desk_pair():
 def book_double():
     """The book algebra paired with its dual through the two coadjoint
     actions; the combined rank-4 bracket satisfies every axiom."""
-    from .twilled import AlmostTwilled
-
     alg = rationals()
     act_p_on_s = _scalar_rows(alg, [[[0, 0], [0, -1]], [[0, 0], [1, 0]]])
     act_s_on_p = _scalar_rows(alg, [[[0, -1], [0, 0]], [[1, 0], [0, 0]]])
@@ -186,8 +181,6 @@ def book_double():
 def book_double_flipped():
     """Same tables with one sign flipped (e0 . f1 = +f1); the combined
     bracket fails the Jacobi identity."""
-    from .twilled import AlmostTwilled
-
     alg = rationals()
     act_p_on_s = _scalar_rows(alg, [[[0, 0], [0, 1]], [[0, 0], [1, 0]]])
     act_s_on_p = _scalar_rows(alg, [[[0, -1], [0, 0]], [[1, 0], [0, 0]]])
@@ -197,8 +190,6 @@ def book_double_flipped():
 def flat_broken():
     """Abelian 2 + 1 with x0 . y = y and y . x1 = x0: both action tables
     are flat, yet the combined bracket fails Jacobi on (x0, x1, y)."""
-    from .twilled import AlmostTwilled
-
     alg = rationals()
     act_p_on_s = _scalar_rows(alg, [[[1]], [[0]]])
     act_s_on_p = _scalar_rows(alg, [[[0, 0], [1, 0]]])

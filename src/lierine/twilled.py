@@ -12,8 +12,10 @@ on a pair of formal differentials d' and d'' acting on bigraded forms,
 and to the crossed bracket on Alt(L'', Lambda L') being compatible with
 d''.  Every equivalence here is checked in both directions on concrete
 instances, never assumed.  The crossed bracket is the Schouten bracket
-of ``gerst`` with outer slots, read off the label tables of the pair for
-non-atoms; with L'' = 0 it is the Schouten bracket of L'.
+of ``gerst`` with outer slots, read off the label tables of the pair;
+with L'' = 0 it is the Schouten bracket of L'.  The bigraded elements,
+``Bigraded``, are defined in ``gerst`` beside the multivectors and
+imported here.
 
 Each differential is lrcore's cochain differential of one constituent,
 applied to a bigraded element read as a form on that constituent with
@@ -37,8 +39,9 @@ calibrates the pair.
 
 The square, derivation and generator checks and the total complex run on
 label tables of ``gerst``, built afresh by each call: the crossed bracket
-and bigraded product per label pair, filled on first use (only pairs of
-two atoms, single vectors or pure forms, call the crossed bracket).  d',
+and bigraded product per label pair, filled on first use (a pair of two
+atoms, single vectors or pure forms, is ``gerst._bracket_terms`` with
+the Lie derivative on outer slots).  d',
 both d'' and the generators are one operator class, ``gerst.GeneratorOp``:
 a generator's label columns are filled when it is built, and those of d'
 and d'' are read off the kept columns on first use.  The dg-Lie and dG
@@ -54,10 +57,11 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem
-from .exactla import SparseMatrix, _frac, mat_rank
+from .exactla import SparseMatrix, mat_rank
 from .gerst import (
+    Bigraded,
     GeneratorOp,
-    _bracket,
+    _element,
     _derivation_witness,
     _first_nonzero,
     _generator_table,
@@ -154,121 +158,24 @@ def twilled_sum(t: AlmostTwilled) -> LieRinehart:
 
 def _build_sum(t: AlmostTwilled) -> LieRinehart:
     np, ns = t.lprime.rank, t.lsecond.rank
-    n = np + ns
-    alg = t.alg
-    z = alg.zero()
-
-    def pad(prime_part: Sequence[AElem], second_part: Sequence[AElem]) -> Tuple[AElem, ...]:
-        return tuple(prime_part) + tuple(second_part)
-
-    table = [[None] * n for _ in range(n)]
+    zp, zs = (t.alg.zero(),) * np, (t.alg.zero(),) * ns
+    table = [[None] * (np + ns) for _ in range(np + ns)]
     for i in range(np):
         for j in range(np):
-            table[i][j] = pad(t.lprime.bracket[i][j], (z,) * ns)
+            table[i][j] = tuple(t.lprime.bracket[i][j]) + zs
     for i in range(ns):
         for j in range(ns):
-            table[np + i][np + j] = pad((z,) * np, t.lsecond.bracket[i][j])
+            table[np + i][np + j] = zp + tuple(t.lsecond.bracket[i][j])
     for i in range(np):
         for j in range(ns):
-            prime_part = tuple(-c for c in t.act_s_on_p[j][i])
-            second_part = t.act_p_on_s[i][j]
-            table[i][np + j] = pad(prime_part, second_part)
+            table[i][np + j] = tuple(-c for c in t.act_s_on_p[j][i]) + tuple(t.act_p_on_s[i][j])
             table[np + j][i] = tuple(-c for c in table[i][np + j])
-    anchors = list(t.lprime.anchor) + list(t.lsecond.anchor)
-    return LieRinehart(alg, n, table, anchors)
+    return LieRinehart(t.alg, np + ns, table, list(t.lprime.anchor) + list(t.lsecond.anchor))
 
 
 def is_twilled(t: AlmostTwilled) -> List[Violation]:
     """Axiom report for the combined bracket; empty iff twilled."""
     return lr_violations(twilled_sum(t))
-
-
-class Bigraded:
-    """Element of bidegree (q, p): values on pairs of sorted subsets,
-    the first over the L''-basis, the second over the L'-basis.
-
-    The same storage carries both the form interpretation (inner values
-    are alternating-form values on L') and the multivector one (inner
-    values are exterior coefficients); the operators select the meaning.
-    """
-
-    __slots__ = ("t", "qdeg", "pdeg", "values")
-
-    def __init__(self, t: AlmostTwilled, qdeg: int, pdeg: int, values: Dict) -> None:
-        if qdeg < 0 or pdeg < 0:
-            raise ValueError("bidegree must be nonnegative")
-        norm: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], AElem] = {}
-        for (ss, sp), c in values.items():
-            kss, ksp = tuple(ss), tuple(sp)
-            if len(kss) != qdeg or list(kss) != sorted(set(kss)):
-                raise ValueError(f"bad outer key {kss}")
-            if len(ksp) != pdeg or list(ksp) != sorted(set(ksp)):
-                raise ValueError(f"bad inner key {ksp}")
-            if any(x < 0 or x >= t.lsecond.rank for x in kss):
-                raise ValueError("outer index out of range")
-            if any(x < 0 or x >= t.lprime.rank for x in ksp):
-                raise ValueError("inner index out of range")
-            if not isinstance(c, AElem) or c.alg != t.alg:
-                raise ValueError("coefficients must live in the base algebra")
-            if not c.is_zero():
-                norm[(kss, ksp)] = c
-        self.t = t
-        self.qdeg = qdeg
-        self.pdeg = pdeg
-        self.values = norm
-
-    @classmethod
-    def zero(cls, t: AlmostTwilled, qdeg: int, pdeg: int) -> "Bigraded":
-        return cls(t, qdeg, pdeg, {})
-
-    @classmethod
-    def term(cls, t: AlmostTwilled, a: AElem, ss, sp) -> "Bigraded":
-        return cls(t, len(tuple(ss)), len(tuple(sp)), {(tuple(ss), tuple(sp)): a})
-
-    def coeff(self, ss, sp) -> AElem:
-        return self.values.get((tuple(ss), tuple(sp)), self.t.alg.zero())
-
-    def add(self, other: "Bigraded") -> "Bigraded":
-        if self.t != other.t:
-            raise ValueError("parent mismatch")
-        if (self.qdeg, self.pdeg) != (other.qdeg, other.pdeg):
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise ValueError("bidegree mismatch")
-        keys = set(self.values) | set(other.values)
-        vals = {k: self.values.get(k, self.t.alg.zero()) + other.values.get(k, self.t.alg.zero()) for k in keys}
-        return Bigraded(self.t, self.qdeg, self.pdeg, vals)
-
-    def sub(self, other: "Bigraded") -> "Bigraded":
-        return self.add(other.neg())
-
-    def neg(self) -> "Bigraded":
-        return Bigraded(self.t, self.qdeg, self.pdeg, {k: -c for k, c in self.values.items()})
-
-    def scale(self, c) -> "Bigraded":
-        if isinstance(c, AElem):
-            return Bigraded(self.t, self.qdeg, self.pdeg, {k: c * v for k, v in self.values.items()})
-        cc = _frac(c)
-        return Bigraded(self.t, self.qdeg, self.pdeg, {k: v * cc for k, v in self.values.items()})
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bigraded):
-            return NotImplemented
-        return (
-            self.t == other.t
-            and self.qdeg == other.qdeg
-            and self.pdeg == other.pdeg
-            and self.values == other.values
-        )
-
-    def __repr__(self) -> str:
-        parts = [f"{k}:{c!r}" for k, c in sorted(self.values.items())]
-        return f"Bigraded(q={self.qdeg}, p={self.pdeg}, " + ", ".join(parts) + ")"
 
 
 def bigraded_labels(t: AlmostTwilled):
@@ -282,22 +189,15 @@ def bigraded_labels(t: AlmostTwilled):
                         yield ta, ss, sp
 
 
-def _from_terms(t: AlmostTwilled, terms: Dict) -> Bigraded:
-    """The bigraded element of a homogeneous term dict."""
-    ss, sp = next(iter(terms), ((), ()))
-    return Bigraded(t, len(ss), len(sp), terms)
-
-
 def _label_tables(t: AlmostTwilled) -> _LabelTables:
     """Label tables of the crossed bracket and bigraded product, for one call."""
-    return _LabelTables(t.alg, partial(_from_terms, t), partial(crossed_bracket, t))
+    return _LabelTables(t, t.lprime, partial(_lie_derivative, t))
 
 
 def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
     """(alpha (x) x)(beta (x) y) = (-1)^{p1 q2} (alpha ^ beta) (x) (x ^ y);
     graded commutative for the total degree."""
-    if u.t != v.t:
-        raise ValueError("parent mismatch")
+    u._same(v)
     return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, _product(u.values, v.values))
 
 
@@ -305,19 +205,14 @@ def _coefficients(t: AlmostTwilled, kind: str, deg: int, line: Optional[Sequence
     """The coefficient module on slot degree deg of d'' on forms ("form"),
     d'' on multivectors ("multi") or d' ("dprime"), as listed in the module
     docstring, built once per pair and kept on it."""
-    if kind == "form":
-        build = lambda: exterior_power(dual_module(t.module_on_prime()), deg)
-    elif kind == "multi":
-        build = lambda: exterior_power(t.module_on_prime(), deg)
-    else:
-
-        def build() -> LRModule:
-            m = exterior_power(dual_module(t.module_on_second()), deg)
-            return m if line is None else tensor_line(m, line)
-
     key = (kind, deg, None if line is None else tuple(line))
     if key not in t._modules:
-        t._modules[key] = build()
+        if kind == "dprime":
+            m = exterior_power(dual_module(t.module_on_second()), deg)
+            t._modules[key] = m if line is None else tensor_line(m, line)
+        else:
+            m = t.module_on_prime()
+            t._modules[key] = exterior_power(dual_module(m) if kind == "form" else m, deg)
     return t._modules[key]
 
 
@@ -411,7 +306,7 @@ def crossed_bracket(t: AlmostTwilled, u: Bigraded, v: Bigraded) -> Bigraded:
     derivative; term by term on atoms, from fresh label tables otherwise."""
     if u.t != t or v.t != t:
         raise ValueError("parent mismatch")
-    out = _bracket(t.lprime, u.values, v.values, partial(_lie_derivative, t), partial(_label_tables, t))
+    out = _label_tables(t).bracket_terms(u.values, v.values)
     return Bigraded(t, u.qdeg + v.qdeg, max(u.pdeg + v.pdeg - 1, 0), out)
 
 
@@ -548,7 +443,7 @@ def bigraded_generator_extend(t: AlmostTwilled, g: GeneratorOp) -> GeneratorOp:
     if g.parent != lp:
         raise ValueError("generator must live on the inner factor")
     omega = generator_to_connection(lp, g).omega
-    d = lambda terms: dprime_form(t, _from_terms(t, terms), omega).values
+    d = lambda terms: dprime_form(t, _element(t, terms), omega).values
     op = GeneratorOp._of(t, _generator_table(lp.rank, t.alg, bigraded_labels(t), d))
     bad = bigraded_generator_validate(t, op)
     if bad:

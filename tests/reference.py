@@ -52,7 +52,7 @@ from lierine.gerst import (
     TopConnection,
     _basis_multivectors,
     _contract,
-    _from_terms,
+    _element,
     _lincomb,
     _product,
     _vector,
@@ -656,10 +656,16 @@ class Columns:
         return _lincomb(*[(a, self.column(x)) for x, a in vec.items()])
 
 
+def label_element(parent, label: Tuple):
+    """The carrier element of one Q-basis label (t, outer, inner)."""
+    return _element(parent, {label[1:]: parent.alg.basis(label[0])})
+
+
 def operator(tables, op) -> Columns:
-    """A rational-linear map on carrier elements as label columns, each the
-    image of one label element under op, turned back into a label vector."""
-    return Columns(lambda label: tables.vector(op(tables.label_element(label))))
+    """A rational-linear map on the carrier of the label tables as label
+    columns, each the image of one label element under op, turned back into
+    a label vector."""
+    return Columns(lambda label: _vector(op(label_element(tables.parent, label)).terms()))
 
 
 class ElementOp:
@@ -713,7 +719,7 @@ def generator_from_connection(lr: LieRinehart, c: TopConnection) -> ElementOp:
 
     labels = [(t, (), key) for t, key in _basis_multivectors(lr, lr.rank)]
     table = generator_terms(lr.rank, lr.alg, labels, differential)
-    return ElementOp(lr, {(t, key): _from_terms(lr, terms) for (t, _, key), terms in table.items()})
+    return ElementOp(lr, {(t, key): _element(lr, terms) for (t, _, key), terms in table.items()})
 
 
 def bigraded_generator_extend(t: AlmostTwilled, omega: Sequence[AElem]) -> ElementOp:

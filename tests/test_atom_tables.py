@@ -1,9 +1,9 @@
 """Label tables filled from atom pairs, and residuals summed per pair.
 
 Every entry of a label table is read off entries of smaller labels on
-both sides, so the carrier's bracket on elements (``schouten_bracket`` or
-``crossed_bracket``) only ever sees an atom, a single vector or a pure
-form, on each side; the tests count that.  The derivation and generator
+both sides, so the base case ``gerst._bracket_terms`` (the Schouten or
+the crossed bracket term by term) only ever sees an atom, a single
+vector or a pure form, on each side; the tests count that.  The derivation and generator
 witnesses sum each pair's residual straight from table entries and
 operator columns; they are compared with the ``_lincomb`` form kept in
 ``reference``, run on the operator's columns read back through the
@@ -77,31 +77,31 @@ def test_crossed_bracket_is_called_on_atoms_only(monkeypatch, tmp_path, name):
     else:
         t = fixture_pair(name)
     calls = []
-    bracket = twilled.crossed_bracket
+    bracket = gerst._bracket_terms
 
-    def counting(pair, u, v):
-        calls.append((u, v))
-        return bracket(pair, u, v)
+    def counting(lr, left, right, lie=None):
+        calls.append((left, right))
+        return bracket(lr, left, right, lie)
 
-    monkeypatch.setattr(twilled, "crossed_bracket", counting)
+    monkeypatch.setattr(gerst, "_bracket_terms", counting)
     dg_gerstenhaber_check(t)
     assert calls
-    assert all(is_atom(u.values) and is_atom(v.values) for u, v in calls)
+    assert all(is_atom(u) and is_atom(v) for u, v in calls)
 
 
 @pytest.mark.parametrize("lr", [derx3(), sl2()], ids=["derx3", "sl2"])
 def test_schouten_bracket_is_called_on_atoms_only(monkeypatch, lr):
     calls = []
-    bracket = gerst.schouten_bracket
+    bracket = gerst._bracket_terms
 
-    def counting(u, v):
-        calls.append((u, v))
-        return bracket(u, v)
+    def counting(lr, left, right, lie=None):
+        calls.append((left, right))
+        return bracket(lr, left, right, lie)
 
-    monkeypatch.setattr(gerst, "schouten_bracket", counting)
+    monkeypatch.setattr(gerst, "_bracket_terms", counting)
     assert gerst.gerstenhaber_validate(lr, lr.rank) == []
     assert calls
-    assert all(is_atom(gerst._terms(u)) and is_atom(gerst._terms(v)) for u, v in calls)
+    assert all(is_atom(u) and is_atom(v) for u, v in calls)
 
 
 def test_check_twilled_fills_each_bracket_entry_once(monkeypatch, tmp_path, capsys):

@@ -193,6 +193,23 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"first index smaller"):
             parse_text(tmp_path, text)
 
+    def test_duplicate_bracket_record_rejected(self, tmp_path, capsys):
+        text = PREFIX + "lie_rinehart L\n  algebra Q\n  rank 2\n  bracket 0 1 1 = 1\n  bracket 0 1 1 = 5\nend\n"
+        with pytest.raises(ParseError, match=r"line 10: duplicate bracket entry \(0,1,1\)"):
+            parse_text(tmp_path, text)
+        path = tmp_path / "dup.lri"
+        path.write_text(text)
+        assert main(["bracket", "--input", str(path)]) == 2
+        assert "duplicate bracket entry" in capsys.readouterr().err
+
+    def test_duplicate_action_entry_rejected(self, tmp_path):
+        text = PREFIX + (
+            "lie_rinehart a\n  algebra Q\n  rank 1\nend\n"
+            "action ab\n  source a\n  target a\n  entry 0 0 0 = 1\n  entry 0 0 0 = 1\nend\n"
+        )
+        with pytest.raises(ParseError, match=r"line 14: duplicate action entry \(0,0,0\)"):
+            parse_text(tmp_path, text)
+
     def test_duplicate_names_rejected(self, tmp_path):
         text = PREFIX + PREFIX
         with pytest.raises(ParseError, match=r"duplicate name 'Q'"):

@@ -144,7 +144,7 @@ def assert_table_operator_matches(parent, table, labels) -> None:
     assert list(op.table) == list(ref.table)
     assert list(op.inputs()) == list(ref.inputs())
     for label in labels:
-        u = tables.label_element(label)
+        u = reference.label_element(parent, label)
         assert op.apply(u) == ref.apply(u), label
 
 

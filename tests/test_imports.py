@@ -54,3 +54,53 @@ def test_checker_flags_unused_and_keeps_used_names():
         "    return sort_with_sign(x)\n"
     )
     assert unused_imports(source) == ["os", "merge_sign", "AltForm"]
+
+
+def function_imports(source: str):
+    """The line numbers of the imports that a module's source makes inside
+    a function body."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted(
+        {inner.lineno for fn in functions for inner in ast.walk(fn) if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_function_level_imports(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_checker_finds_imports_in_nested_functions():
+    source = (
+        "from .lrcore import LieRinehart\n"
+        "def f():\n"
+        "    def g():\n"
+        "        from .twilled import Bigraded\n"
+        "    import os\n"
+    )
+    assert function_imports(source) == [4, 5]
+
+
+def test_package_imports_form_no_cycle():
+    """The modules of the package import one another without a cycle, so
+    each can be imported first."""
+    graph = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        graph[path.stem] = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+    done, active = set(), []
+
+    def visit(name):
+        assert name not in active, " -> ".join(active + [name])
+        if name not in done:
+            active.append(name)
+            for dep in sorted(graph.get(name, ())):
+                visit(dep)
+            active.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)

@@ -566,23 +566,25 @@ class TestDgChecks:
             assert r["equivalent"]
 
     def test_dsecond_applied_once_per_element_and_pair(self, monkeypatch):
-        # L^2 brackets to differentiate, L images shared by every pair and
-        # 2L for the square: d''(v) is not recomputed inside the pair loop
+        # d'' is read as label columns, each label's column once, shared by
+        # every pair and the square: d''(v) is not recomputed inside the
+        # pair loop
         import lierine.twilled as twilled
 
         calls = []
-        original = twilled.dsecond_multi
+        original = twilled._ce_column
 
-        def counting(t, w):
-            calls.append(w)
-            return original(t, w)
+        def counting(t, kind, line, label):
+            calls.append((kind, label))
+            return original(t, kind, line, label)
 
-        monkeypatch.setattr(twilled, "dsecond_multi", counting)
+        monkeypatch.setattr(twilled, "_ce_column", counting)
         t = book_double()
         n = len(list(bigraded_labels(t)))
         r = dg_gerstenhaber_check(t)
         assert r["square"] and r["derivation"]
-        assert len(calls) <= n * n + 3 * n
+        assert 0 < len(calls) <= n * n + 3 * n
+        assert len(set(calls)) == len(calls)
 
     def test_dsecond_tabulated_once_per_label(self, monkeypatch):
         # the square pass and the derivation check share one d'' column
@@ -590,40 +592,42 @@ class TestDgChecks:
         import lierine.twilled as twilled
 
         calls = []
-        original = twilled.dsecond_multi
+        original = twilled._ce_column
 
-        def counting(t, w):
-            calls.append(w)
-            return original(t, w)
+        def counting(t, kind, line, label):
+            calls.append((kind, label))
+            return original(t, kind, line, label)
 
-        monkeypatch.setattr(twilled, "dsecond_multi", counting)
+        monkeypatch.setattr(twilled, "_ce_column", counting)
         t = book_double()
         n = len(list(bigraded_labels(t)))
         r = dg_gerstenhaber_check(t)
         assert r["square"] and r["derivation"]
-        assert len(calls) <= n
+        assert 0 < len(calls) <= n
+        assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("fixture", ["flat_broken", "matched_pair_flipped"])
     def test_witness_at_first_pairs_stays_cheap(self, monkeypatch, fixture):
         # the bracket table is filled on first use, so a witness among the
         # first pairs leaves most of the L^2 entries unfilled; each base
-        # case is one crossed_bracket call, one run of _bracket_terms
+        # case is one run of _bracket_terms
+        import lierine.gerst as gerst
         import lierine.twilled as twilled
 
         inst = parse_instance(str(resources.files("lierine") / "fixtures" / f"{fixture}.lri"))
         t = inst.build_twilled(next(iter(inst.twilleds)))
         made, base_cases = [], []
-        bracket, make_tables = twilled.crossed_bracket, twilled._label_tables
+        bracket, make_tables = gerst._bracket_terms, twilled._label_tables
 
-        def counting(pair, u, v):
-            base_cases.append((u, v))
-            return bracket(pair, u, v)
+        def counting(lr, left, right, lie=None):
+            base_cases.append((left, right))
+            return bracket(lr, left, right, lie)
 
         def recording(pair):
             made.append(make_tables(pair))
             return made[-1]
 
-        monkeypatch.setattr(twilled, "crossed_bracket", counting)
+        monkeypatch.setattr(gerst, "_bracket_terms", counting)
         monkeypatch.setattr(twilled, "_label_tables", recording)
         r = dg_gerstenhaber_check(t)
         n = len(list(bigraded_labels(t)))
