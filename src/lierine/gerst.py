@@ -395,10 +395,10 @@ def _add(out: Dict, c, vec: Dict) -> None:
 
 
 class _LabelTables:
-    """The bracket and product of one carrier on its Q-basis labels
-    (t, outer, inner), memoised per label pair (rows keyed by the left
-    label) and filled on first use.  Built for one checker call and
-    dropped with it.
+    """The bracket and product of the carrier of parent (a structure lr, or
+    a pair whose inner factor is lr) on its Q-basis labels (t, outer,
+    inner), memoised per label pair (rows keyed by the left label) and
+    filled on first use.  Built for one checker call and dropped with it.
 
     Every entry is read off entries of smaller labels (see ``_factors``).  A
     left label x y splits by [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v];
