@@ -9,7 +9,7 @@ algebra of D; both are computed on every call and must agree, on broken
 input as well as on good input.  Both readings run the derivation
 checker of ``gerst`` on label tables built for each call: the Schouten
 bracket of each side memoised per label pair, each atom x atom entry
-``gerst._bracket_terms`` on the two label terms, and the transported
+``schouten_bracket`` on the two label elements, and the transported
 differential as sparse label columns read off the columns that
 ``lrcore.ce_columns`` keeps for the other side with trivial coefficients,
 shared with the flatness check of that module.
@@ -22,7 +22,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .calgebra import Derivation
 from .gerst import GeneratorOp, _basis_multivectors, _derivation_witness, _flat_tables, _vector
-from .instances import abelian
 from .lrcore import (
     LieRinehart,
     LRModule,
@@ -108,8 +107,9 @@ def semidirect_product(lr: LieRinehart, m: LRModule) -> LieRinehart:
         raise ValueError("module parent mismatch")
     if not m.is_flat():
         raise ValueError("semidirect product needs a flat action")
-    zero = [[(lr.alg.zero(),) * lr.rank] * lr.rank] * m.rank
-    out = twilled_sum(AlmostTwilled(lr, abelian(lr.alg, m.rank), m.action, zero))
+    z, n = lr.alg.zero(), m.rank
+    ideal = LieRinehart(lr.alg, n, [[(z,) * n] * n] * n, [Derivation.zero(lr.alg)] * n)
+    out = twilled_sum(AlmostTwilled(lr, ideal, m.action, [[(z,) * lr.rank] * lr.rank] * n))
     bad = lr_violations(out)
     if bad:
         raise RuntimeError(f"semidirect product failed validation: {bad[0]}")

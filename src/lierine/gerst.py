@@ -17,15 +17,17 @@ bracket on Alt(L'', Lambda L') of ``twilled``; Lambda L is the case
 L'' = 0, where every outer key is empty; ``_element`` and
 ``_Element.terms`` convert between the elements and their term dicts.
 The only recursion is that of the label tables (``_LabelTables._fill``),
-which split products down to atoms (a single vector or a pure form);
-``_bracket_terms`` brackets two atoms, and both public brackets sum
-label-table entries.  Generators are degree -1 operators reproducing the bracket
-through the defect of the Leibniz rule; they correspond to connections
-on the top exterior power via conjugation by the contraction
-isomorphism, one loop (``_generator_table``) for Lambda L and the
-bigraded carrier.  The per-degree sign s(p) = (-1)^p in that conjugation
-is forced by the generator identity; the test suite pins it by rescaling
-each degree of a generator's table.
+which split products down to atoms (a single vector or a pure form).
+Both public brackets go through ``_bracket``: on atoms term by term
+(``_bracket_terms``), otherwise summed from label-table entries, whose
+atom x atom entries are the public bracket on two atoms.  Generators
+are degree -1 operators reproducing the bracket through the defect of
+the Leibniz rule; they correspond to connections on the top exterior
+power via conjugation by the contraction isomorphism, one loop
+(``_generator_table``) for Lambda L and the bigraded carrier.  The
+per-degree sign s(p) = (-1)^p in that conjugation is forced by the
+generator identity; the test suite pins it by rescaling each degree of
+a generator's table.
 
 The graded identities are each checked by one loop here, for every
 carrier: ``_derivation_witness`` (d[u,v] = [du,v] - (-1)^{|u|}[u,dv]),
@@ -37,8 +39,8 @@ labels in its own order, its label tables and its operator.  Label tables
 (``_LabelTables``) live for one checker call: the bracket and product as
 structure constants on the Q-basis labels (t, outer, inner), filled on
 first use per label pair, each entry read off entries of smaller labels,
-down to atom x atom entries, which are ``_bracket_terms`` on the two
-label terms; a product entry is read off the compiled products of the
+down to atom x atom entries, which are the public bracket on the two
+label elements; a product entry is read off the compiled products of the
 base.  Every
 operator is one class of sparse label columns, ``GeneratorOp``, which
 records its bidegree: a generator (0, -1) fills them when built, a cochain
@@ -334,10 +336,24 @@ def _bracket_terms(lr: LieRinehart, left: Dict, right: Dict, lie=None) -> Dict:
     return out
 
 
+def _bracket(u: _Element, v: _Element, lr: LieRinehart, tables, lie=None) -> _Element:
+    """[u, v] on the carrier of u and v, bilinear over terms: term by term
+    (``_bracket_terms``) when every term of both is an atom, otherwise
+    summed from the entries of the fresh label tables that tables() makes."""
+    left, right = u.terms(), v.terms()
+    if all(_atom(*key) for key in (*left, *right)):
+        out = _bracket_terms(lr, left, right, lie)
+    else:
+        x, y, br = _vector(left), _vector(right), tables().bracket
+        out = _term_dict(lr.alg, _lincomb(*[(a * b, br(k, l)) for k, a in x.items() for l, b in y.items()]))
+    (q1, p1), (q2, p2) = u._shape, v._shape
+    return _element(u.parent, out, (q1 + q2, max(p1 + p2 - 1, 0)))
+
+
 def schouten_bracket(u: Multivector, v: Multivector) -> Multivector:
     """Bracket on the exterior algebra, rational-bilinear over terms."""
     u._same(v)
-    return _element(u.lr, _flat_tables(u.lr).bracket_terms(u.terms(), v.terms()))
+    return _bracket(u, v, u.lr, partial(_flat_tables, u.lr))
 
 
 def _basis_multivectors(lr: LieRinehart, max_degree: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
@@ -395,39 +411,37 @@ def _add(out: Dict, c, vec: Dict) -> None:
 
 
 class _LabelTables:
-    """The bracket and product of the carrier of parent (a structure lr, or
-    a pair whose inner factor is lr) on its Q-basis labels (t, outer,
-    inner), memoised per label pair (rows keyed by the left label) and
-    filled on first use.  Built for one checker call and dropped with it.
+    """The bracket and product of the carrier of parent (a structure or a
+    pair) on its Q-basis labels (t, outer, inner), memoised per label pair
+    (rows keyed by the left label) and filled on first use.  Built for one
+    checker call and dropped with it.
 
     Every entry is read off entries of smaller labels (see ``_factors``).  A
     left label x y splits by [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v];
     an atom u on the left (a single vector or a pure form) splits a right
     label f g by [u, f g] = [u, f] g + (-1)^{(|u|-1)|f|} f [u, g], with the
     sub-entries kept in the row of u: the package's only splits.  An atom x
-    atom entry is ``_bracket_terms`` of lr on the two label terms, the
-    actions on outer slots supplied by lie (see there).
+    atom entry is bracket, the carrier's public bracket (``schouten_bracket``
+    or the crossed bracket), on the elements of the two labels, each built
+    once per table.
     """
 
-    def __init__(self, parent, lr: LieRinehart, lie=None) -> None:
-        self.parent, self.lr, self.lie, self.alg = parent, lr, lie, parent.alg
-        self.basis = [self.alg.basis(t) for t in range(self.alg.dim)]
+    def __init__(self, parent, bracket) -> None:
+        self.parent, self.atom_bracket, self.alg = parent, bracket, parent.alg
         self.brackets: Dict = {}
         self.products: Dict = {}
         self.factors: Dict = {}  # label -> its factors (f, g, |f|, |g|) as label vectors, or None
+        self.atoms: Dict = {}  # atom label -> its carrier element
 
-    def _term(self, label: Tuple) -> Dict:
-        return {label[1:]: self.basis[label[0]]}
+    def _atom(self, label: Tuple) -> _Element:
+        u = self.atoms.get(label)
+        if u is None:
+            u = self.atoms[label] = _element(self.parent, {label[1:]: self.alg.basis(label[0])})
+        return u
 
     def carrier(self, vec: Dict) -> _Element:
         """The carrier element of a label vector."""
         return _element(self.parent, _term_dict(self.alg, vec))
-
-    def bracket_terms(self, left: Dict, right: Dict) -> Dict:
-        """[left, right] for term dicts, summed from the entries of these
-        tables."""
-        x, y = _vector(left), _vector(right)
-        return _term_dict(self.alg, _lincomb(*[(a * b, self.bracket(k, l)) for k, a in x.items() for l, b in y.items()]))
 
     def _factors(self, x: Tuple):
         """x = f g as (f, g, |f|, |g|), label vectors: the outer form times the
@@ -468,7 +482,7 @@ class _LabelTables:
             for z, b in g.items():
                 self._times(out, sign * b, f, self.bracket(x, z))
         else:
-            return _vector(_bracket_terms(self.lr, self._term(x), self._term(y), self.lie))
+            return _vector(self.atom_bracket(self._atom(x), self._atom(y)).terms())
         return {k: c for k, c in out.items() if c} or _ZERO
 
     def _times(self, out: Dict, c, u: Dict, v: Dict) -> None:
@@ -500,7 +514,7 @@ class _LabelTables:
 
 def _flat_tables(lr: LieRinehart) -> _LabelTables:
     """Label tables of Lambda L, whose labels carry an empty outer key."""
-    return _LabelTables(lr, lr)
+    return _LabelTables(lr, schouten_bracket)
 
 
 def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:

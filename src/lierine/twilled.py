@@ -40,8 +40,9 @@ calibrates the pair.
 The square, derivation and generator checks and the total complex run on
 label tables of ``gerst``, built afresh by each call: the crossed bracket
 and bigraded product per label pair, filled on first use (a pair of two
-atoms, single vectors or pure forms, is ``gerst._bracket_terms`` with
-the Lie derivative on outer slots).  d',
+atoms, single vectors or pure forms, is ``crossed_bracket`` on the two
+label elements, which brackets atoms term by term with the Lie
+derivative on outer slots).  d',
 both d'' and the generators are one operator class, ``gerst.GeneratorOp``:
 a generator's label columns are filled when it is built, and those of d'
 and d'' are read off the kept columns on first use.  The dg-Lie and dG
@@ -67,6 +68,7 @@ from .gerst import (
     _generator_table,
     _generator_witness,
     _LabelTables,
+    _bracket,
     _lincomb,
     _product,
     _term_dict,
@@ -168,8 +170,9 @@ def _build_sum(t: AlmostTwilled) -> LieRinehart:
             table[np + i][np + j] = zp + tuple(t.lsecond.bracket[i][j])
     for i in range(np):
         for j in range(ns):
-            table[i][np + j] = tuple(-c for c in t.act_s_on_p[j][i]) + tuple(t.act_p_on_s[i][j])
-            table[np + j][i] = tuple(-c for c in table[i][np + j])
+            back, fwd = tuple(t.act_s_on_p[j][i]), tuple(t.act_p_on_s[i][j])
+            table[i][np + j] = tuple(-c for c in back) + fwd
+            table[np + j][i] = back + tuple(-c for c in fwd)
     return LieRinehart(t.alg, np + ns, table, list(t.lprime.anchor) + list(t.lsecond.anchor))
 
 
@@ -191,7 +194,7 @@ def bigraded_labels(t: AlmostTwilled):
 
 def _label_tables(t: AlmostTwilled) -> _LabelTables:
     """Label tables of the crossed bracket and bigraded product, for one call."""
-    return _LabelTables(t, t.lprime, partial(_lie_derivative, t))
+    return _LabelTables(t, partial(crossed_bracket, t))
 
 
 def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
@@ -306,8 +309,7 @@ def crossed_bracket(t: AlmostTwilled, u: Bigraded, v: Bigraded) -> Bigraded:
     derivative; term by term on atoms, from fresh label tables otherwise."""
     if u.t != t or v.t != t:
         raise ValueError("parent mismatch")
-    out = _label_tables(t).bracket_terms(u.values, v.values)
-    return Bigraded(t, u.qdeg + v.qdeg, max(u.pdeg + v.pdeg - 1, 0), out)
+    return _bracket(u, v, t.lprime, partial(_label_tables, t), partial(_lie_derivative, t))
 
 
 def _bigraded_elems(t: AlmostTwilled) -> List[Tuple]:

@@ -381,7 +381,7 @@ def label_product(tables, x: Tuple, y: Tuple) -> Dict:
     """x y of two labels of ``gerst._LabelTables`` as a label vector, through
     the term dicts of the labels, their product of algebra elements and
     the label vector of the result."""
-    return _vector(_product(tables._term(x), tables._term(y)))
+    return _vector(_product(label_element(tables.parent, x).terms(), label_element(tables.parent, y).terms()))
 
 
 def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:
@@ -661,11 +661,11 @@ def label_element(parent, label: Tuple):
     return _element(parent, {label[1:]: parent.alg.basis(label[0])})
 
 
-def operator(tables, op) -> Columns:
-    """A rational-linear map on the carrier of the label tables as label
-    columns, each the image of one label element under op, turned back into
-    a label vector."""
-    return Columns(lambda label: _vector(op(label_element(tables.parent, label)).terms()))
+def operator(parent, op) -> Columns:
+    """A rational-linear map on the carrier of parent (a structure or a
+    pair) as label columns, each the image of one label element under op,
+    turned back into a label vector."""
+    return Columns(lambda label: _vector(op(label_element(parent, label)).terms()))
 
 
 class ElementOp:

@@ -1,9 +1,9 @@
 """Label tables filled from atom pairs, and residuals summed per pair.
 
 Every entry of a label table is read off entries of smaller labels on
-both sides, so the base case ``gerst._bracket_terms`` (the Schouten or
-the crossed bracket term by term) only ever sees an atom, a single
-vector or a pure form, on each side; the tests count that.  The derivation and generator
+both sides, so the carrier's bracket on elements (``schouten_bracket`` or
+``crossed_bracket``) only ever sees an atom, a single vector or a pure
+form, on each side; the tests count that.  The derivation and generator
 witnesses sum each pair's residual straight from table entries and
 operator columns; they are compared with the ``_lincomb`` form kept in
 ``reference``, run on the operator's columns read back through the
@@ -77,31 +77,31 @@ def test_crossed_bracket_is_called_on_atoms_only(monkeypatch, tmp_path, name):
     else:
         t = fixture_pair(name)
     calls = []
-    bracket = gerst._bracket_terms
+    bracket = twilled.crossed_bracket
 
-    def counting(lr, left, right, lie=None):
-        calls.append((left, right))
-        return bracket(lr, left, right, lie)
+    def counting(pair, u, v):
+        calls.append((u, v))
+        return bracket(pair, u, v)
 
-    monkeypatch.setattr(gerst, "_bracket_terms", counting)
+    monkeypatch.setattr(twilled, "crossed_bracket", counting)
     dg_gerstenhaber_check(t)
     assert calls
-    assert all(is_atom(u) and is_atom(v) for u, v in calls)
+    assert all(is_atom(u.values) and is_atom(v.values) for u, v in calls)
 
 
 @pytest.mark.parametrize("lr", [derx3(), sl2()], ids=["derx3", "sl2"])
 def test_schouten_bracket_is_called_on_atoms_only(monkeypatch, lr):
     calls = []
-    bracket = gerst._bracket_terms
+    bracket = gerst.schouten_bracket
 
-    def counting(lr, left, right, lie=None):
-        calls.append((left, right))
-        return bracket(lr, left, right, lie)
+    def counting(u, v):
+        calls.append((u, v))
+        return bracket(u, v)
 
-    monkeypatch.setattr(gerst, "_bracket_terms", counting)
+    monkeypatch.setattr(gerst, "schouten_bracket", counting)
     assert gerst.gerstenhaber_validate(lr, lr.rank) == []
     assert calls
-    assert all(is_atom(u) and is_atom(v) for u, v in calls)
+    assert all(is_atom(u.terms()) and is_atom(v.terms()) for u, v in calls)
 
 
 def test_check_twilled_fills_each_bracket_entry_once(monkeypatch, tmp_path, capsys):
@@ -171,11 +171,11 @@ def test_fused_witnesses_match_lincomb_form_on_perturbed_pairs(p):
     tables = _label_tables(t)
     fused = _derivation_witness(elems, tables, _differential(t, "multi"))
     tables = _label_tables(t)
-    assert fused == derivation_witness(elems, tables, operator(tables, partial(dsecond_multi, t)))
+    assert fused == derivation_witness(elems, tables, operator(t, partial(dsecond_multi, t)))
     tables = _label_tables(t)
     fused = _generator_witness(elems, tables, op)
     tables = _label_tables(t)
-    assert fused == generator_witness(elems, tables, operator(tables, op.apply))
+    assert fused == generator_witness(elems, tables, operator(t, op.apply))
 
 
 @st.composite
@@ -211,4 +211,4 @@ def test_fused_witnesses_match_lincomb_form_on_unit_vectors(p):
     for fused, lincomb in ((_derivation_witness, derivation_witness), (_generator_witness, generator_witness)):
         found = fused(elems, gerst._flat_tables(lr), op)
         tables = gerst._flat_tables(lr)
-        assert found == lincomb(elems, tables, operator(tables, op.apply))
+        assert found == lincomb(elems, tables, operator(lr, op.apply))

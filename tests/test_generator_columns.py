@@ -75,7 +75,7 @@ def assert_generator_matches(lr: LieRinehart, c: TopConnection):
     """Columns, table view, inputs and equality, and the square-zero
     verdict with its witness input against D.D on the old columns."""
     g, ref = generator_from_connection(lr, c), reference.generator_from_connection(lr, c)
-    D = reference.operator(gerst._flat_tables(lr), ref.apply)
+    D = reference.operator(lr, ref.apply)
     same_columns(g, D, flat_labels(lr))
     assert list(g.table.items()) == list(ref.table.items())
     assert list(g.inputs()) == list(ref.inputs())
@@ -116,7 +116,7 @@ def assert_extension_matches(t: AlmostTwilled, omega) -> None:
     op = bigraded_generator_extend(t, generator_from_connection(lp, TopConnection(lp, omega)))
     ref = reference.bigraded_generator_extend(t, omega)
     labels = list(bigraded_labels(t))
-    same_columns(op, reference.operator(twilled._label_tables(t), ref.apply), labels)
+    same_columns(op, reference.operator(t, ref.apply), labels)
     assert list(op.table.items()) == list(ref.table.items())
     assert list(op.inputs()) == list(ref.inputs())
 
@@ -138,8 +138,7 @@ def assert_table_operator_matches(parent, table, labels) -> None:
     term: columns, the table view and its key order, the inputs, and the
     image of every label element."""
     op, ref = GeneratorOp(parent, table), reference.ElementOp(parent, table)
-    tables = gerst._flat_tables(parent) if isinstance(parent, LieRinehart) else twilled._label_tables(parent)
-    same_columns(op, reference.operator(tables, ref.apply), labels)
+    same_columns(op, reference.operator(parent, ref.apply), labels)
     assert op.table == table
     assert list(op.table) == list(ref.table)
     assert list(op.inputs()) == list(ref.inputs())
@@ -166,7 +165,6 @@ def assert_differentials_match(t: AlmostTwilled, line) -> None:
     """d' with and without the line and both d'' against the old column
     reader on every label, and against the element path read back through
     the round-trip."""
-    tables = twilled._label_tables(t)
     element_paths = [
         ("dprime", None, lambda w: reference.dprime_form(t, w)),
         ("dprime", line, lambda w: reference.dprime_form(t, w, line)),
@@ -178,7 +176,7 @@ def assert_differentials_match(t: AlmostTwilled, line) -> None:
         op = twilled._differential(t, kind, ln)
         assert isinstance(op, GeneratorOp) and op.parent == t
         same_columns(op, reference.Columns(partial(twilled._ce_column, t, kind, ln)), labels)
-        ref = reference.operator(tables, path)
+        ref = reference.operator(t, path)
         for label in labels:
             assert op.column(label) == ref.column(label), (kind, ln, label)
 
@@ -187,8 +185,7 @@ def assert_transported_match(source: LieRinehart, target: LieRinehart) -> None:
     op = bialg._transported(source, target)
     assert isinstance(op, GeneratorOp) and op.parent == target
     triv = trivial_coefficients(source)
-    tables = gerst._flat_tables(target)
-    ref = reference.operator(tables, partial(reference.transport_differential, source, triv, target))
+    ref = reference.operator(target, partial(reference.transport_differential, source, triv, target))
     for label in flat_labels(target):
         assert op.column(label) == ref.column(label), label
 

@@ -610,24 +610,23 @@ class TestDgChecks:
     def test_witness_at_first_pairs_stays_cheap(self, monkeypatch, fixture):
         # the bracket table is filled on first use, so a witness among the
         # first pairs leaves most of the L^2 entries unfilled; each base
-        # case is one run of _bracket_terms
-        import lierine.gerst as gerst
+        # case is one crossed_bracket call, one run of _bracket_terms
         import lierine.twilled as twilled
 
         inst = parse_instance(str(resources.files("lierine") / "fixtures" / f"{fixture}.lri"))
         t = inst.build_twilled(next(iter(inst.twilleds)))
         made, base_cases = [], []
-        bracket, make_tables = gerst._bracket_terms, twilled._label_tables
+        bracket, make_tables = twilled.crossed_bracket, twilled._label_tables
 
-        def counting(lr, left, right, lie=None):
-            base_cases.append((left, right))
-            return bracket(lr, left, right, lie)
+        def counting(pair, u, v):
+            base_cases.append((u, v))
+            return bracket(pair, u, v)
 
         def recording(pair):
             made.append(make_tables(pair))
             return made[-1]
 
-        monkeypatch.setattr(gerst, "_bracket_terms", counting)
+        monkeypatch.setattr(twilled, "crossed_bracket", counting)
         monkeypatch.setattr(twilled, "_label_tables", recording)
         r = dg_gerstenhaber_check(t)
         n = len(list(bigraded_labels(t)))
