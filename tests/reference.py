@@ -33,7 +33,12 @@ carrier element applied term by term, the generators of connections and
 their bigraded extensions built as such tables on the element paths of
 the differentials, and ``Columns``, sparse label columns that
 ``operator`` reads off any map on carrier elements by sending each label
-element through it and back.  None of this is used by the library
+element through it and back.  And the two loops the library shortened:
+``ce_ranks``, the rank of every d_q that ``cohomology_dims`` builds, where
+the library reads rank d_q = rank d_{n-1-q} off the mirror on unimodular
+Lie algebras with trivial coefficients, and ``lr_validate`` with
+antisymmetry summed in Fractions and the Jacobi loop that brackets the
+inner pairs of every triple afresh.  None of this is used by the library
 itself.
 """
 
@@ -45,6 +50,7 @@ from functools import partial
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from lierine import lrcore
 from lierine.calgebra import AElem, CommAlg, Derivation, _sparse
 from lierine.exactla import RatMatrix, SparseMatrix, _nonzero_rows
 from lierine.gerst import (
@@ -215,6 +221,45 @@ def mat_rank(m) -> int:
                 else:
                     del row[k]
     return len(pivots)
+
+
+def ce_ranks(lr: LieRinehart, module: LRModule, top: int) -> List[int]:
+    """rank d_q for q = 0..top, each d_q built and ranked."""
+    return [lrcore.mat_rank(lrcore.ce_matrix(lr, module, q)) for q in range(top + 1)]
+
+
+def cohomology_dims(lr: LieRinehart, module: LRModule, max_degree: int) -> List[int]:
+    """dim H^q = dim Alt^q - rank d_q - rank d_{q-1} off ``ce_ranks``, for
+    inputs that ``lrcore.cohomology_dims`` accepts."""
+    top = min(max_degree, lr.rank)
+    ranks = ce_ranks(lr, module, top)
+    dims = [alt_dim(lr, module, q) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(top + 1)]
+    return dims + [0] * (max_degree - top)
+
+
+def lr_validate(lr: LieRinehart) -> List[Violation]:
+    """The report of ``lrcore.lr_validate``: antisymmetry summed in
+    Fractions, the library's derivation and anchor-morphism entries, and
+    Jacobi with [e_j, e_k], [e_i, e_j] and [e_i, e_k] bracketed afresh for
+    every triple."""
+    n = lr.rank
+    out: List[Violation] = []
+    for i, j in [(i, i) for i in range(n)] + list(combinations(range(n), 2)):
+        if any(x + y for a, b in zip(lr.bracket[i][j], lr.bracket[j][i]) for x, y in zip(a.coeffs, b.coeffs)):
+            detail = "[e_i,e_i] != 0" if i == j else "[e_i,e_j] != -[e_j,e_i]"
+            out.append(Violation("antisymmetry", (i, j), detail))
+            break
+    out += [v for v in lrcore.lr_validate(lr) if v.axiom in ("anchor-derivation", "anchor-morphism")]
+    e = [{i: lr.alg.unit} for i in range(n)]
+    for i, j, k in combinations(range(n), 3):
+        jac: Dict[int, List[Fraction]] = {}
+        _bracket_vectors(lr, e[i], _bracket_vectors(lr, e[j], e[k]), jac)
+        _bracket_vectors(lr, _bracket_vectors(lr, e[i], e[j]), e[k], jac, -1)
+        _bracket_vectors(lr, e[j], _bracket_vectors(lr, e[i], e[k]), jac, -1)
+        if any(c != 0 for vec in jac.values() for c in vec):
+            out.append(Violation("jacobi", (i, j, k), "Jacobi identity fails"))
+            break
+    return out
 
 
 def from_lelem(u: LElem) -> Multivector:

@@ -310,6 +310,12 @@ class TestCohomology:
         lr = gl_n(4)
         assert cohomology_dims(lr, trivial_coefficients(lr), 3) == [1, 1, 0, 1]
 
+    def test_gl4_koszul_all_degrees(self):
+        # prod (1 + t)(1 + t^3)(1 + t^5)(1 + t^7); the mirror builds 8 of the 17 degrees
+        lr = gl_n(4)
+        want = [1, 1, 0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 0, 1, 1]
+        assert cohomology_dims(lr, trivial_coefficients(lr), 16) == want
+
     def test_heisenberg_dims(self):
         lr = heisenberg()
         assert cohomology_dims(lr, trivial_coefficients(lr), 3) == [1, 2, 2, 1]
