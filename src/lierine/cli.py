@@ -79,21 +79,24 @@ _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 def _rational(tok: str, line: int) -> Fraction:
     if not _RATIONAL.match(tok):
         raise ParseError(line, f"not a rational: {tok!r}")
+    num, _, den = tok.partition("/")
     try:
-        return Fraction(tok)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ParseError(line, f"zero denominator in {tok!r}") from None
 
 
-def _ints(tokens: Sequence[str], n: int, line: int) -> List[int]:
-    if len(tokens) != n:
-        raise ParseError(line, f"expected {n} indices, got {len(tokens)}")
-    out = []
-    for t in tokens:
-        if not t.isdigit():
-            raise ParseError(line, f"not an index: {t!r}")
-        out.append(int(t))
-    return out
+# The fields and the records of each block kind.  A record's shape names
+# the bound of each of its indices: d the algebra dimension, n the rank,
+# s and t the ranks of an action's source and target.
+_BLOCKS = {
+    "algebra": (("dim",), {"unit": "", "mult": "dd"}),
+    "lie_rinehart": (("algebra", "rank"), {"bracket": "nnn", "anchor": "nd"}),
+    "action": (("source", "target"), {"entry": "stt"}),
+    "connection": (("on",), {"omega": "n"}),
+    "twilled": (("prime", "second", "act_prime_on_second", "act_second_on_prime"), {}),
+    "bialgebra": (("l", "d"), {}),
+}
 
 
 class InstanceSet:
@@ -169,7 +172,7 @@ def parse_instance(path: str) -> InstanceSet:
             if len(tokens) != 2:
                 raise ParseError(lineno, f"expected a block header, got {text!r}")
             kind, name = tokens
-            if kind not in ("algebra", "lie_rinehart", "action", "connection", "twilled", "bialgebra"):
+            if kind not in _BLOCKS:
                 raise ParseError(lineno, f"unknown block kind {kind!r}")
             fresh_name(name, lineno)
             block = (kind, name, lineno)
@@ -188,6 +191,8 @@ def parse_instance(path: str) -> InstanceSet:
             if len(tokens) != 2:
                 raise ParseError(lineno, f"expected 'key value', got {text!r}")
             key = tokens[0]
+            if key not in _BLOCKS[block[0]][0]:
+                raise ParseError(lineno, f"unknown field {key!r} in {block[0]} block")
             if key in fields:
                 raise ParseError(lineno, f"duplicate field {key!r}")
             fields[key] = (tokens[1], lineno)
@@ -196,150 +201,107 @@ def parse_instance(path: str) -> InstanceSet:
     return inst
 
 
-def _field(fields: Dict, key: str, start: int) -> Tuple[str, int]:
-    if key not in fields:
-        raise ParseError(start, f"missing field {key!r}")
-    return fields[key]
-
-
 def _ref_lr(inst: InstanceSet, name: str, line: int) -> LieRinehart:
     if name not in inst.lrs:
         raise ParseError(line, f"unknown structure {name!r}")
     return inst.lr(name)
 
 
+def _records(records: List, kind: str, width: int, **bounds: int) -> Dict[str, Dict[Tuple[int, ...], List]]:
+    """A block's records as {record: {indices: coefficients}}, each checked
+    in file order: its kind, the count and range of its indices, the count
+    of its coefficients, and that its indices are new.  A mult record may
+    repeat its entry, or its transpose's, with the same coefficients."""
+    shapes = _BLOCKS[kind][1]
+    out: Dict[str, Dict[Tuple[int, ...], List]] = {rec: {} for rec in shapes}
+    for line, left, right in records:
+        rec = left[0] if left else ""
+        if rec not in shapes:
+            raise ParseError(line, f"unknown record {rec!r} in {kind} block")
+        shape, tokens = shapes[rec], left[1:]
+        if len(tokens) != len(shape):
+            raise ParseError(line, f"expected {len(shape)} indices, got {len(tokens)}")
+        for t in tokens:
+            if not t.isdigit():
+                raise ParseError(line, f"not an index: {t!r}")
+        idx = tuple(map(int, tokens))
+        if rec == "bracket" and idx[0] >= idx[1]:
+            raise ParseError(line, "bracket records need first index smaller")
+        for i, b in zip(idx, shape):
+            if i >= bounds[b]:
+                raise ParseError(line, f"{rec} index out of range")
+        if len(right) != width:
+            raise ParseError(line, f"{rec} needs {width} coefficients")
+        key = tuple(sorted(idx)) if rec == "mult" else idx
+        if rec != "mult" and key in out[rec]:
+            where = f" entry ({','.join(map(str, idx))})" if idx else ""
+            raise ParseError(line, f"duplicate {kind if rec == 'entry' else rec}{where}")
+        vec = [_rational(t, line) for t in right]
+        if out[rec].setdefault(key, vec) != vec:
+            raise ParseError(line, f"conflicting mult entry ({idx[0]},{idx[1]})")
+    return out
+
+
 def _finish_block(inst: InstanceSet, kind: str, name: str, fields: Dict, start: int) -> None:
     records = fields.pop("records")
+    for key in _BLOCKS[kind][0]:
+        if key not in fields:
+            raise ParseError(start, f"missing field {key!r}")
     if kind == "algebra":
-        dim_tok, dim_line = _field(fields, "dim", start)
+        dim_tok, dim_line = fields["dim"]
         if not dim_tok.isdigit() or int(dim_tok) < 1:
             raise ParseError(dim_line, "dim must be a positive integer")
         d = int(dim_tok)
-        unit: Optional[List[Fraction]] = None
-        mult = [[None] * d for _ in range(d)]
-        for line, left, right in records:
-            if left[0] == "unit" and len(left) == 1:
-                if unit is not None:
-                    raise ParseError(line, "duplicate unit")
-                if len(right) != d:
-                    raise ParseError(line, f"unit needs {d} coefficients")
-                unit = [_rational(t, line) for t in right]
-            elif left[0] == "mult":
-                i, j = _ints(left[1:], 2, line)
-                if i >= d or j >= d:
-                    raise ParseError(line, "mult index out of range")
-                if len(right) != d:
-                    raise ParseError(line, f"mult needs {d} coefficients")
-                vec = [_rational(t, line) for t in right]
-                if mult[i][j] is not None and mult[i][j] != vec:
-                    raise ParseError(line, f"conflicting mult entry ({i},{j})")
-                mult[i][j] = vec
-                if mult[j][i] is not None and mult[j][i] != vec:
-                    raise ParseError(line, f"conflicting mult entry ({j},{i})")
-                mult[j][i] = vec
-            else:
-                raise ParseError(line, f"unknown record {left[0]!r} in algebra block")
-        if unit is None:
+        got = _records(records, kind, d, d=d)
+        if () not in got["unit"]:
             raise ParseError(start, "missing unit record")
-        table = [[mult[i][j] if mult[i][j] is not None else [Fraction(0)] * d for j in range(d)] for i in range(d)]
-        inst.algebras[name] = CommAlg(d, table, unit)
+        table = [[[Fraction(0)] * d] * d for _ in range(d)]
+        for (i, j), vec in got["mult"].items():
+            table[i][j] = table[j][i] = vec
+        inst.algebras[name] = CommAlg(d, table, got["unit"][()])
     elif kind == "lie_rinehart":
-        alg_name, alg_line = _field(fields, "algebra", start)
+        alg_name, alg_line = fields["algebra"]
         if alg_name not in inst.algebras:
             raise ParseError(alg_line, f"unknown algebra {alg_name!r}")
         alg = inst.algebras[alg_name]
-        rank_tok, rank_line = _field(fields, "rank", start)
+        rank_tok, rank_line = fields["rank"]
         if not rank_tok.isdigit():
             raise ParseError(rank_line, "rank must be a nonnegative integer")
-        n = int(rank_tok)
-        d = alg.dim
-        z = alg.zero()
-        bracket: List[List[List[Optional[AElem]]]] = [[[None] * n for _ in range(n)] for _ in range(n)]
-        anchors: List[List[Optional[AElem]]] = [[None] * d for _ in range(n)]
-        for line, left, right in records:
-            if left[0] == "bracket":
-                i, j, k = _ints(left[1:], 3, line)
-                if i >= j:
-                    raise ParseError(line, "bracket records need first index smaller")
-                if j >= n or k >= n:
-                    raise ParseError(line, "bracket index out of range")
-                if len(right) != d:
-                    raise ParseError(line, f"bracket needs {d} coefficients")
-                if bracket[i][j][k] is not None:
-                    raise ParseError(line, f"duplicate bracket entry ({i},{j},{k})")
-                c = alg.elem([_rational(t, line) for t in right])
-                bracket[i][j][k] = c
-                bracket[j][i][k] = -c
-            elif left[0] == "anchor":
-                i, j = _ints(left[1:], 2, line)
-                if i >= n or j >= d:
-                    raise ParseError(line, "anchor index out of range")
-                if len(right) != d:
-                    raise ParseError(line, f"anchor needs {d} coefficients")
-                if anchors[i][j] is not None:
-                    raise ParseError(line, f"duplicate anchor entry ({i},{j})")
-                anchors[i][j] = alg.elem([_rational(t, line) for t in right])
-            else:
-                raise ParseError(line, f"unknown record {left[0]!r} in lie_rinehart block")
-        ders = []
-        for i in range(n):
-            images = [anchors[i][j] if anchors[i][j] is not None else z for j in range(d)]
-            ders.append(Derivation.from_images(alg, images))
-        table = [[tuple(z if c is None else c for c in bracket[i][j]) for j in range(n)] for i in range(n)]
-        inst.lrs[name] = (alg_name, LieRinehart(alg, n, table, ders))
+        n, d, z = int(rank_tok), alg.dim, alg.zero()
+        got = _records(records, kind, d, n=n, d=d)
+        table = [[[z] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, k), vec in got["bracket"].items():
+            c = alg.elem(vec)
+            table[i][j][k], table[j][i][k] = c, -c
+        images = [[z] * d for _ in range(n)]
+        for (i, j), vec in got["anchor"].items():
+            images[i][j] = alg.elem(vec)
+        inst.lrs[name] = (alg_name, LieRinehart(alg, n, table, [Derivation.from_images(alg, row) for row in images]))
     elif kind == "action":
-        src_name, src_line = _field(fields, "source", start)
-        tgt_name, tgt_line = _field(fields, "target", start)
+        src_name, src_line = fields["source"]
+        tgt_name, tgt_line = fields["target"]
         src = _ref_lr(inst, src_name, src_line)
         tgt = _ref_lr(inst, tgt_name, tgt_line)
         if src.alg != tgt.alg:
             raise ParseError(start, "source and target base algebras differ")
-        d = src.alg.dim
         z = src.alg.zero()
-        table = [[[None] * tgt.rank for _ in range(tgt.rank)] for _ in range(src.rank)]
-        for line, left, right in records:
-            if left[0] != "entry":
-                raise ParseError(line, f"unknown record {left[0]!r} in action block")
-            i, j, k = _ints(left[1:], 3, line)
-            if i >= src.rank or j >= tgt.rank or k >= tgt.rank:
-                raise ParseError(line, "entry index out of range")
-            if len(right) != d:
-                raise ParseError(line, f"entry needs {d} coefficients")
-            if table[i][j][k] is not None:
-                raise ParseError(line, f"duplicate action entry ({i},{j},{k})")
-            table[i][j][k] = src.alg.elem([_rational(t, line) for t in right])
-        inst.actions[name] = (
-            src_name,
-            tgt_name,
-            tuple(tuple(tuple(z if c is None else c for c in row) for row in rows) for rows in table),
-        )
+        table = [[[z] * tgt.rank for _ in range(tgt.rank)] for _ in range(src.rank)]
+        for (i, j, k), vec in _records(records, kind, src.alg.dim, s=src.rank, t=tgt.rank)["entry"].items():
+            table[i][j][k] = src.alg.elem(vec)
+        inst.actions[name] = (src_name, tgt_name, tuple(tuple(map(tuple, rows)) for rows in table))
     elif kind == "connection":
-        on_name, on_line = _field(fields, "on", start)
+        on_name, on_line = fields["on"]
         lr = _ref_lr(inst, on_name, on_line)
-        d = lr.alg.dim
-        omega: List[Optional[AElem]] = [None] * lr.rank
-        for line, left, right in records:
-            if left[0] != "omega":
-                raise ParseError(line, f"unknown record {left[0]!r} in connection block")
-            (i,) = _ints(left[1:], 1, line)
-            if i >= lr.rank:
-                raise ParseError(line, "omega index out of range")
-            if len(right) != d:
-                raise ParseError(line, f"omega needs {d} coefficients")
-            if omega[i] is not None:
-                raise ParseError(line, f"duplicate omega entry {i}")
-            omega[i] = lr.alg.elem([_rational(t, line) for t in right])
-        inst.connections[name] = (
-            on_name,
-            tuple(w if w is not None else lr.alg.zero() for w in omega),
-        )
+        omega = [lr.alg.zero()] * lr.rank
+        for (i,), vec in _records(records, kind, lr.alg.dim, n=lr.rank)["omega"].items():
+            omega[i] = lr.alg.elem(vec)
+        inst.connections[name] = (on_name, tuple(omega))
     elif kind == "twilled":
-        for line, left, right in records:
-            raise ParseError(line, "twilled blocks take only reference fields")
-        p_name, p_line = _field(fields, "prime", start)
-        s_name, s_line = _field(fields, "second", start)
-        aps_name, aps_line = _field(fields, "act_prime_on_second", start)
-        asp_name, asp_line = _field(fields, "act_second_on_prime", start)
+        _records(records, kind, 0)
+        p_name, p_line = fields["prime"]
+        s_name, s_line = fields["second"]
+        aps_name, aps_line = fields["act_prime_on_second"]
+        asp_name, asp_line = fields["act_second_on_prime"]
         prime = _ref_lr(inst, p_name, p_line)
         second = _ref_lr(inst, s_name, s_line)
         for aname, aline, want_src, want_tgt in (
@@ -355,10 +317,9 @@ def _finish_block(inst: InstanceSet, kind: str, name: str, fields: Dict, start: 
             raise ParseError(start, "constituents use different base algebras")
         inst.twilleds[name] = (p_name, s_name, aps_name, asp_name)
     elif kind == "bialgebra":
-        for line, left, right in records:
-            raise ParseError(line, "bialgebra blocks take only reference fields")
-        l_name, l_line = _field(fields, "l", start)
-        d_name, d_line = _field(fields, "d", start)
+        _records(records, kind, 0)
+        l_name, l_line = fields["l"]
+        d_name, d_line = fields["d"]
         l = _ref_lr(inst, l_name, l_line)
         dd = _ref_lr(inst, d_name, d_line)
         if l.rank != dd.rank:

@@ -6,9 +6,11 @@ matrix types share the attributes ``rows``, ``cols`` and ``entries``:
 ``RatMatrix`` stores every entry row-major as a Fraction,
 ``SparseMatrix`` a dict of its nonzeros, each an int when integral.
 Cochain differentials are a few percent nonzero and reach thousands of
-rows, so they are built sparse, and ``mat_rank`` eliminates fraction-free
-over the nonzeros of either type, on primitive integer rows.  Kernels
-and solutions use dense reduced row echelon form.
+rows, so they are built sparse.  One engine takes either type: it
+eliminates fraction-free over the nonzeros, on primitive integer rows,
+and ``mat_rank`` counts its pivot rows; ``mat_kernel_basis`` and
+``mat_solve`` clear the other pivot columns of each pivot row the same
+way and read the reduced row echelon form off it as ``Fraction(a, b)``.
 """
 
 from __future__ import annotations
@@ -187,19 +189,15 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _nonzero_rows(m: Union[RatMatrix, SparseMatrix]) -> List[Dict[int, Fraction]]:
-    """The nonempty rows of m as {col: value} dicts."""
+def _nonzero_rows(m: Union[RatMatrix, SparseMatrix]) -> Dict[int, Dict[int, Fraction]]:
+    """The nonempty rows of m as {col: value} dicts, keyed by row index."""
     if isinstance(m, SparseMatrix):
         rows: Dict[int, Dict[int, Fraction]] = {}
         for (i, j), e in m.entries.items():
             rows.setdefault(i, {})[j] = e
-        return list(rows.values())
-    out = []
-    for i in range(m.rows):
-        row = {j: e for j, e in enumerate(m.row(i)) if e != 0}
-        if row:
-            out.append(row)
-    return out
+        return rows
+    rows = {i: {j: e for j, e in enumerate(m.row(i)) if e != 0} for i in range(m.rows)}
+    return {i: row for i, row in rows.items() if row}
 
 
 def _primitive(row: Dict[int, int]) -> Dict[int, int]:
@@ -208,17 +206,37 @@ def _primitive(row: Dict[int, int]) -> Dict[int, int]:
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
-def mat_rank(m: Union[RatMatrix, SparseMatrix]) -> int:
-    """Rank by fraction-free row elimination over the nonzeros, on
-    primitive integer rows (Bareiss, Math. Comp. 22, 1968).
+def _clear(row: Dict[int, int], pivot: Dict[int, int], c: int) -> Dict[int, int]:
+    """a row - b pivot, with a and b coprime so that it is zero at column c,
+    divided by its content; it is built in row, which the caller gives up."""
+    p, r = pivot[c], row[c]
+    g = gcd(p, r)
+    a, b = p // g, r // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in pivot.items():
+        e = row.get(k, 0) - b * v
+        if e:
+            row[k] = e
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def _eliminate(rows) -> Dict[int, Dict[int, int]]:
+    """The pivot rows of fraction-free row elimination over the nonzeros,
+    on primitive integer rows (Bareiss, Math. Comp. 22, 1968), keyed by
+    their leading column.
 
     Rows are taken shortest first, to limit fill-in.  Each is reduced by
-    the pivot rows found so far at its leading column, row <- a row - b
-    pivot with a, b coprime, then divided by its content, until it is zero
-    or leads in a new column, where it becomes the pivot row.
+    the pivot rows found so far at its leading column until it is zero or
+    leads in a new column, where it becomes the pivot row.  The leading
+    columns are the pivot columns of the reduced row echelon form.
     """
     pivots: Dict[int, Dict[int, int]] = {}
-    for row in sorted(_nonzero_rows(m), key=len):
+    for row in sorted(rows, key=len):
         den = lcm(*(v.denominator for v in row.values()))
         row = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items()})
         while row:
@@ -227,64 +245,41 @@ def mat_rank(m: Union[RatMatrix, SparseMatrix]) -> int:
             if pivot is None:
                 pivots[c] = row
                 break
-            g = gcd(pivot[c], row[c])
-            a, b = pivot[c] // g, row[c] // g
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, v in pivot.items():
-                e = row.get(k, 0) - b * v
-                if e:
-                    row[k] = e
-                else:
-                    del row[k]
-            row = _primitive(row)
-    return len(pivots)
+            row = _clear(row, pivot, c)
+    return pivots
 
 
-def _echelon(m: RatMatrix) -> Tuple[List[List[Fraction]], List[int]]:
-    """Row-reduce a copy of m; returns (reduced rows, pivot column list).
-
-    Reduction goes all the way to reduced row echelon form; pivoting takes
-    the first row with a nonzero entry in the current column.
-    """
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots: List[int] = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return rows, pivots
+def _reduced(pivots: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """The pivot rows with every other pivot column cleared, fraction-free:
+    row c over its entry at c is row c of the reduced row echelon form."""
+    out: Dict[int, Dict[int, int]] = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k in out]:
+            row = _clear(row, out[k], k)
+        out[c] = row
+    return out
 
 
-def mat_kernel_basis(m: RatMatrix) -> List[RatVec]:
-    """Basis of the right kernel; one vector per free column."""
-    rows, pivots = _echelon(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
+def mat_rank(m: Union[RatMatrix, SparseMatrix]) -> int:
+    """Rank: the number of pivot rows of the fraction-free elimination."""
+    return len(_eliminate(_nonzero_rows(m).values()))
 
 
-def mat_solve(m: RatMatrix, b: Sequence) -> Optional[RatVec]:
+def mat_kernel_basis(m: Union[RatMatrix, SparseMatrix]) -> List[RatVec]:
+    """Basis of the right kernel; one vector per free column, which is 1
+    there and 0 at the other free columns."""
+    pivots = _reduced(_eliminate(_nonzero_rows(m).values()))
+    zero = Fraction(0)
+    basis = {fc: [zero] * fc + [Fraction(1)] + [zero] * (m.cols - fc - 1) for fc in range(m.cols) if fc not in pivots}
+    for c, row in pivots.items():
+        for k, v in row.items():
+            if k != c:
+                basis[k][c] = Fraction(-v, row[c])
+    return [tuple(v) for v in basis.values()]
+
+
+def mat_solve(m: Union[RatMatrix, SparseMatrix], b: Sequence) -> Optional[RatVec]:
     """One exact solution of m x = b, or None when inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
@@ -292,13 +287,14 @@ def mat_solve(m: RatMatrix, b: Sequence) -> Optional[RatVec]:
     bb = [_frac(x) for x in b]
     if len(bb) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    if m.rows == 0:
-        return tuple([Fraction(0)] * m.cols)
-    aug = RatMatrix.from_rows([list(m.row(i)) + [bb[i]] for i in range(m.rows)])
-    rows, pivots = _echelon(aug)
+    rows = _nonzero_rows(m)
+    for i, e in enumerate(bb):
+        if e:
+            rows.setdefault(i, {})[m.cols] = e
+    pivots = _eliminate(rows.values())
     if m.cols in pivots:
         return None
     x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.cols]
+    for c, row in _reduced(pivots).items():
+        x[c] = Fraction(row.get(m.cols, 0), row[c])
     return tuple(x)

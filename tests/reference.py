@@ -26,8 +26,10 @@ element read as a form.  And the Fraction arithmetic that the library
 replaced by compiled int tables: the dense product of structure
 constants, the dense derivation image, the algebra and derivation
 checks on them, the degree-one Leibniz expansion on algebra elements,
-``leibniz``, and the rank by row elimination that
-divides by each pivot, ``mat_rank``.  And the two-form operator route
+``leibniz``, the rank by row elimination that
+divides by each pivot, ``mat_rank``, and the dense reduced row echelon
+form, ``_echelon``, with the kernel and the solve read off it,
+``mat_kernel_basis`` and ``mat_solve``.  And the two-form operator route
 that ``gerst.GeneratorOp`` replaced: ``ElementOp``, a table from label to
 carrier element applied term by term, the generators of connections and
 their bigraded extensions built as such tables on the element paths of
@@ -204,7 +206,7 @@ def mat_rank(m) -> int:
     """Rank by Fraction row elimination over the nonzeros, shortest rows
     first; each new pivot row is divided by its leading entry."""
     pivots: Dict[int, Dict[int, Fraction]] = {}
-    for row in sorted(_nonzero_rows(m), key=len):
+    for row in sorted(_nonzero_rows(m).values(), key=len):
         row = {k: Fraction(v) for k, v in row.items()}
         while row:
             c = min(row)
@@ -221,6 +223,67 @@ def mat_rank(m) -> int:
                 else:
                     del row[k]
     return len(pivots)
+
+
+def _echelon(m: RatMatrix) -> Tuple[List[List[Fraction]], List[int]]:
+    """Row-reduce a copy of m; returns (reduced rows, pivot column list).
+
+    Reduction goes all the way to reduced row echelon form; pivoting takes
+    the first row with a nonzero entry in the current column.
+    """
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots: List[int] = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return rows, pivots
+
+
+def mat_kernel_basis(m: RatMatrix) -> List[Tuple[Fraction, ...]]:
+    """Basis of the right kernel off the dense echelon form; one vector
+    per free column."""
+    rows, pivots = _echelon(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def mat_solve(m: RatMatrix, b: Sequence) -> Optional[Tuple[Fraction, ...]]:
+    """One exact solution of m x = b off the dense echelon form of the
+    augmented matrix, free variables zero, or None when inconsistent."""
+    bb = [Fraction(x) for x in b]
+    if len(bb) != m.rows:
+        raise ValueError("right-hand side length does not match row count")
+    if m.rows == 0:
+        return tuple([Fraction(0)] * m.cols)
+    aug = RatMatrix.from_rows([list(m.row(i)) + [bb[i]] for i in range(m.rows)])
+    rows, pivots = _echelon(aug)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][m.cols]
+    return tuple(x)
 
 
 def ce_ranks(lr: LieRinehart, module: LRModule, top: int) -> List[int]:

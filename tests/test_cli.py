@@ -237,6 +237,83 @@ class TestParsing:
             parse_text(tmp_path, text)
 
 
+# one block of each kind; every line keeps its number when a field line
+# is put right after a block header
+EVERY_BLOCK = PREFIX + (
+    "lie_rinehart a\n  algebra Q\n  rank 1\nend\n"
+    "action aa\n  source a\n  target a\nend\n"
+    "connection c\n  on a\nend\n"
+    "twilled t\n  prime a\n  second a\n  act_prime_on_second aa\n  act_second_on_prime aa\nend\n"
+    "bialgebra p\n  l a\n  d a\nend\n"
+)
+
+
+class TestRecordsAndFields:
+    def test_every_block_kind_parses(self, tmp_path):
+        inst = parse_text(tmp_path, EVERY_BLOCK)
+        assert [kind for kind, _ in inst.order] == [
+            "algebra", "lie_rinehart", "action", "connection", "twilled", "bialgebra"
+        ]
+
+    @pytest.mark.parametrize("kind, field", [
+        ("algebra", "colour blue"),
+        ("lie_rinehart", "anchr 3"),
+        ("action", "sorce a"),
+        ("connection", "omga 1"),
+        ("twilled", "prim a"),
+        ("bialgebra", "dual a"),
+    ])
+    def test_unknown_field_rejected_with_its_line(self, tmp_path, capsys, kind, field):
+        lines = EVERY_BLOCK.splitlines()
+        at = next(n for n, text in enumerate(lines) if text.startswith(kind + " ")) + 1
+        lines.insert(at, "  " + field)
+        text = "\n".join(lines) + "\n"
+        key = field.split()[0]
+        with pytest.raises(ParseError, match=rf"^line {at + 1}: unknown field '{key}' in {kind} block$"):
+            parse_text(tmp_path, text)
+        path = tmp_path / "unknown.lri"
+        path.write_text(text)
+        assert main(["check-lr", "--input", str(path), "--name", "a"]) == 2
+        assert f"unknown field '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record, message", [
+        ("  = 1", "line 5: unknown record '' in algebra block"),
+        ("  unit = 2", "line 5: duplicate unit"),
+        ("  mult 0 = 1", "line 5: expected 2 indices, got 1"),
+        ("  mult 0 x = 1", "line 5: not an index: 'x'"),
+        ("  mult 0 1 = 1", "line 5: mult index out of range"),
+        ("  mult 0 0 = 1 1", "line 5: mult needs 1 coefficients"),
+        ("  mult 0 0 = 1", None),
+        ("  mult 0 0 = 2", "line 5: conflicting mult entry \\(0,0\\)"),
+    ])
+    def test_algebra_records(self, tmp_path, record, message):
+        lines = PREFIX.splitlines()
+        lines.insert(4, record)
+        text = "\n".join(lines) + "\n"
+        if message is None:
+            assert parse_text(tmp_path, text).algebras["Q"].mult == ((((Fraction(1),),),))
+        else:
+            with pytest.raises(ParseError, match=rf"^{message}$"):
+                parse_text(tmp_path, text)
+
+    @pytest.mark.parametrize("kind, records, message", [
+        ("lie_rinehart", ["anchor 0 1 = 1"], "anchor index out of range"),
+        ("lie_rinehart", ["anchor 0 0 = 3", "anchor 0 0 = 1"], "duplicate anchor entry \\(0,0\\)"),
+        ("action", ["entry 0 1 0 = 1"], "entry index out of range"),
+        ("action", ["entry 0 0 0 = 1", "entry 0 0 0 = 1"], "duplicate action entry \\(0,0,0\\)"),
+        ("connection", ["omega 1 = 1"], "omega index out of range"),
+        ("connection", ["omega 0 = 1", "omega 0 = 1/2"], "duplicate omega entry \\(0\\)"),
+        ("twilled", ["omega 0 = 1"], "unknown record 'omega' in twilled block"),
+        ("bialgebra", ["bracket 0 1 0 = 1"], "unknown record 'bracket' in bialgebra block"),
+    ])
+    def test_first_faulty_record_reported_at_its_line(self, tmp_path, kind, records, message):
+        lines = EVERY_BLOCK.splitlines()
+        at = next(n for n, text in enumerate(lines) if text.startswith(kind + " ")) + 1
+        lines[at:at] = ["  " + record for record in records] + ["  bracket 0 0 0 = x"]
+        with pytest.raises(ParseError, match=rf"^line {at + len(records)}: {message}$"):
+            parse_text(tmp_path, "\n".join(lines) + "\n")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_serialize_then_reparse_is_identity(self, name, tmp_path):

@@ -13,8 +13,9 @@ import pytest
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "lierine").glob("*.py"))
 
-# module.function: 1 / x on a Fraction pivot stays exact
-DIVISION_ALLOWED = {"exactla._echelon"}
+# module.function names whose divisions are exempt; none is, since
+# kernels and solutions read Fraction(a, b) off fraction-free rows
+DIVISION_ALLOWED = set()
 
 
 def float_sites(source: str, module: str):
@@ -45,7 +46,7 @@ def test_no_float_reaches_the_arithmetic(path):
     assert float_sites(path.read_text(), path.stem) == []
 
 
-def test_checker_flags_floats_and_unlisted_divisions():
+def test_checker_flags_floats_and_unlisted_divisions(monkeypatch):
     old_rank = (
         "def mat_rank(m):\n"
         "    for row in rows:\n"
@@ -63,10 +64,16 @@ def test_checker_flags_floats_and_unlisted_divisions():
         "        return 1 / x\n"
         "    return 1 / m, 7 // 2, m / 2\n"
     )
-    assert float_sites(source, "exactla") == [
+    flagged = [
         (1, "float literal"),
         (4, "true division"),
         (5, "float call"),
         (5, "float literal"),
+        (8, "true division"),
+        (9, "true division"),
+        (9, "true division"),
     ]
-    assert float_sites(source, "lrcore")[-3:] == [(8, "true division"), (9, "true division"), (9, "true division")]
+    assert float_sites(source, "exactla") == flagged
+    assert float_sites(source, "lrcore") == flagged
+    monkeypatch.setitem(globals(), "DIVISION_ALLOWED", {"exactla._echelon"})
+    assert float_sites(source, "exactla") == flagged[:4]

@@ -104,3 +104,54 @@ def test_package_imports_form_no_cycle():
 
     for name in sorted(graph):
         visit(name)
+
+
+def orphan_privates(sources):
+    """module.name of every private top-level function or class in the
+    sources, a dict from module name to source, that nothing outside its
+    own definition refers to: by name, as an attribute or in an import."""
+    statements = [(module, node) for module, source in sources.items() for node in ast.parse(source).body]
+    refs = []
+    for _, node in statements:
+        names = set()
+        for part in ast.walk(node):
+            if isinstance(part, ast.Name):
+                names.add(part.id)
+            elif isinstance(part, ast.Attribute):
+                names.add(part.attr)
+            elif isinstance(part, ast.alias):
+                names.add(part.name)
+        refs.append((node, names))
+    return [
+        f"{module}.{node.name}"
+        for module, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in names for other, names in refs if other is not node)
+    ]
+
+
+def test_every_private_definition_has_a_caller():
+    assert orphan_privates({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+def test_checker_flags_private_code_with_no_caller():
+    sources = {
+        "exactla": (
+            "def _echelon(m):\n"
+            "    return _echelon(m)\n"
+            "def _primitive(row):\n"
+            "    return row\n"
+            "def _exact(x):\n"
+            "    return x\n"
+            "class _Row:\n"
+            "    pass\n"
+            "def mat_rank(m):\n"
+            "    def _inner():\n"
+            "        return 0\n"
+            "    return _primitive(m)\n"
+        ),
+        "calgebra": "from .exactla import _exact\nimport lierine\nROW = lierine.exactla._Row\n",
+    }
+    assert orphan_privates(sources) == ["exactla._echelon"]

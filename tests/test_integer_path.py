@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 import lierine.cli as cli
 import lierine.gerst as gerst
 from lierine.calgebra import CommAlg, Derivation, alg_validate, derivation_validate
-from lierine.exactla import RatMatrix, SparseMatrix, _echelon, mat_rank
+from lierine.exactla import RatMatrix, SparseMatrix, mat_rank
 from lierine.instances import rationals, truncated_poly
 from lierine.lrcore import LieRinehart, _degree_one_table
 from lierine.reporting import Violation
 import reference
+from reference import _echelon
 from test_sparse import FIXTURE_STRUCTURES, random_tables
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)

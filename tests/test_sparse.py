@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from lierine.calgebra import Derivation
 from lierine.cli import parse_instance
-from lierine.exactla import RatMatrix, SparseMatrix, _echelon, mat_rank
+from lierine.exactla import RatMatrix, SparseMatrix, mat_rank
 from lierine.gerst import Multivector, _basis_multivectors, _flat_tables, wedge
 from lierine.instances import derx3, gl_n, heisenberg, line_with_connection, truncated_poly
 from lierine.lrcore import (
@@ -37,7 +37,7 @@ from lierine.lrcore import (
 )
 from lierine.twilled import twilled_sum
 import reference
-from reference import LElem, bracket_terms, ce_differential, lr_bracket
+from reference import LElem, _echelon, bracket_terms, ce_differential, lr_bracket
 
 
 def reference_matrix(lr, module, q, formal=False) -> RatMatrix:
