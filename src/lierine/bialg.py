@@ -103,13 +103,20 @@ def semidirect_product(lr: LieRinehart, m: LRModule) -> LieRinehart:
     the combined structure (``twilled_sum``) of lr and an abelian structure
     on the module's basis, lr acting by the module's table and nothing
     acting back."""
+    return _semidirect(lr, m, False)
+
+
+def _semidirect(lr: LieRinehart, m: LRModule, ideal_first: bool) -> LieRinehart:
+    """``semidirect_product``, the ideal's block first when ideal_first."""
     if m.lr != lr:
         raise ValueError("module parent mismatch")
     if not m.is_flat():
         raise ValueError("semidirect product needs a flat action")
     z, n = lr.alg.zero(), m.rank
     ideal = LieRinehart(lr.alg, n, [[(z,) * n] * n] * n, [Derivation.zero(lr.alg)] * n)
-    out = twilled_sum(AlmostTwilled(lr, ideal, m.action, [[(z,) * lr.rank] * lr.rank] * n))
+    zero = [[(z,) * lr.rank] * lr.rank] * n
+    sides = (ideal, lr, zero, m.action) if ideal_first else (lr, ideal, m.action, zero)
+    out = twilled_sum(AlmostTwilled(*sides))
     bad = lr_violations(out)
     if bad:
         raise RuntimeError(f"semidirect product failed validation: {bad[0]}")
@@ -171,29 +178,10 @@ def _compatibility(p: DualPair, max_degree: int) -> BialgebraReport:
     return BialgebraReport(False, (1, (i, j), key, diff.values[key]))
 
 
-def _permute_lr(lr: LieRinehart, perm: Sequence[int]) -> LieRinehart:
-    """Relabel the basis: new index i is old index perm[i]."""
-    n = lr.rank
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    inv = [0] * n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    table = [
-        [
-            tuple(lr.bracket[perm[i]][perm[j]][perm[k]] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    anchors = [lr.anchor[perm[i]] for i in range(n)]
-    return LieRinehart(lr.alg, n, table, anchors)
-
-
 def semidirect_dual_pair(t: AlmostTwilled) -> DualPair:
     """L := L' acting on the dual of its action on L'', extended as a
-    semidirect product; D likewise with the roles swapped, then
-    relabeled so the Kronecker pairing lines up with L.  Built once per
+    semidirect product; D likewise with the roles swapped and the ideal's
+    block first, so the Kronecker pairing lines up with L.  Built once per
     pair and kept on it."""
     if t._dual_pair is None:
         t._dual_pair = _build_semidirect_dual_pair(t)
@@ -202,12 +190,9 @@ def semidirect_dual_pair(t: AlmostTwilled) -> DualPair:
 
 def _build_semidirect_dual_pair(t: AlmostTwilled) -> DualPair:
     l = semidirect_product(t.lprime, dual_module_action(t.lprime, t.module_on_second()))
-    d_raw = semidirect_product(t.lsecond, dual_module_action(t.lsecond, t.module_on_prime()))
-    np_, ns = t.lprime.rank, t.lsecond.rank
-    # d_raw basis order: (f''_0..f''_{ns-1}, e'*_0..e'*_{np-1}); the dual
-    # order of l's basis (e'_0.., f''*_0..) is (e'*_0.., f''_0..)
-    perm = list(range(ns, ns + np_)) + list(range(ns))
-    return DualPair(l, _permute_lr(d_raw, perm))
+    # d's basis (e'*_0.., f''_0..) is the dual of l's (e'_0.., f''*_0..)
+    d = _semidirect(t.lsecond, dual_module_action(t.lsecond, t.module_on_prime()), True)
+    return DualPair(l, d)
 
 
 def semidirect_duality_check(t: AlmostTwilled, max_degree: int = 3) -> Dict:

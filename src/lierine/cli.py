@@ -222,7 +222,7 @@ def _records(records: List, kind: str, width: int, **bounds: int) -> Dict[str, D
         if len(tokens) != len(shape):
             raise ParseError(line, f"expected {len(shape)} indices, got {len(tokens)}")
         for t in tokens:
-            if not t.isdigit():
+            if not t.isdecimal():
                 raise ParseError(line, f"not an index: {t!r}")
         idx = tuple(map(int, tokens))
         if rec == "bracket" and idx[0] >= idx[1]:
@@ -249,7 +249,7 @@ def _finish_block(inst: InstanceSet, kind: str, name: str, fields: Dict, start: 
             raise ParseError(start, f"missing field {key!r}")
     if kind == "algebra":
         dim_tok, dim_line = fields["dim"]
-        if not dim_tok.isdigit() or int(dim_tok) < 1:
+        if not dim_tok.isdecimal() or int(dim_tok) < 1:
             raise ParseError(dim_line, "dim must be a positive integer")
         d = int(dim_tok)
         got = _records(records, kind, d, d=d)
@@ -265,7 +265,7 @@ def _finish_block(inst: InstanceSet, kind: str, name: str, fields: Dict, start: 
             raise ParseError(alg_line, f"unknown algebra {alg_name!r}")
         alg = inst.algebras[alg_name]
         rank_tok, rank_line = fields["rank"]
-        if not rank_tok.isdigit():
+        if not rank_tok.isdecimal():
             raise ParseError(rank_line, "rank must be a nonnegative integer")
         n, d, z = int(rank_tok), alg.dim, alg.zero()
         got = _records(records, kind, d, n=n, d=d)
@@ -461,7 +461,7 @@ def _first_witness(violations) -> Optional[Tuple]:
     return (v.axiom, v.witness)
 
 
-def _cmd_check_lr(inst: InstanceSet, name: str, report: Report) -> None:
+def _cmd_check_lr(inst: InstanceSet, name: str, max_degree: Optional[int], report: Report) -> None:
     lr = inst.lr(name)
     alg_bad = alg_validate(lr.alg)
     report.verdict("algebra", not alg_bad, _first_witness(alg_bad))
@@ -476,7 +476,7 @@ def _cmd_check_lr(inst: InstanceSet, name: str, report: Report) -> None:
             report.verdict(axiom, True)
 
 
-def _cmd_check_twilled(inst: InstanceSet, name: str, report: Report) -> None:
+def _cmd_check_twilled(inst: InstanceSet, name: str, max_degree: Optional[int], report: Report) -> None:
     t = inst.build_twilled(name)
     bic = bicomplex_square_check(t)
     report.verdict("twilled", bic["twilled"], bic.get("twilled_witness"))
@@ -528,7 +528,7 @@ def _cmd_cohomology(inst: InstanceSet, name: str, max_degree: Optional[int], rep
     report.dimensions("dims", dims)
 
 
-def _cmd_bracket(inst: InstanceSet, name: str, report: Report) -> None:
+def _cmd_bracket(inst: InstanceSet, name: str, max_degree: Optional[int], report: Report) -> None:
     if name in inst.twilleds:
         lr = twilled_sum(inst.build_twilled(name))
         report.note("structure", "combined sum")
@@ -543,7 +543,7 @@ def _cmd_bracket(inst: InstanceSet, name: str, report: Report) -> None:
                     report.note(f"bracket {i} {j} {k}", _fmt_vec(c.coeffs))
 
 
-def _cmd_generator(inst: InstanceSet, name: str, report: Report) -> None:
+def _cmd_generator(inst: InstanceSet, name: str, max_degree: Optional[int], report: Report) -> None:
     lr, conn = inst.build_connection(name)
     curv = connection_curvature(lr, conn)
     flat = curv.is_zero()
@@ -597,20 +597,19 @@ def _cmd_check_bialgebra(inst: InstanceSet, name: str, max_degree: Optional[int]
     report.verdict("twilled-vs-bialgebra-equivalence", tvb["equivalent"])
 
 
-_COMMANDS = ("check-lr", "check-twilled", "cohomology", "bracket", "generator", "check-bialgebra")
-
-_KINDS_FOR = {
-    "check-lr": ("lie_rinehart",),
-    "check-twilled": ("twilled",),
-    "cohomology": ("twilled", "lie_rinehart"),
-    "bracket": ("twilled", "lie_rinehart"),
-    "generator": ("connection",),
-    "check-bialgebra": ("bialgebra", "twilled"),
+# Each command with the block kinds it runs on, in the order --name
+# defaults are sought, and its handler.
+_COMMANDS = {
+    "check-lr": (("lie_rinehart",), _cmd_check_lr),
+    "check-twilled": (("twilled",), _cmd_check_twilled),
+    "cohomology": (("twilled", "lie_rinehart"), _cmd_cohomology),
+    "bracket": (("twilled", "lie_rinehart"), _cmd_bracket),
+    "generator": (("connection",), _cmd_generator),
+    "check-bialgebra": (("bialgebra", "twilled"), _cmd_check_bialgebra),
 }
 
 
-def _resolve_name(inst: InstanceSet, command: str, name: Optional[str]) -> str:
-    kinds = _KINDS_FOR[command]
+def _resolve_name(inst: InstanceSet, command: str, kinds: Tuple[str, ...], name: Optional[str]) -> str:
     pools = {
         "lie_rinehart": inst.lrs,
         "twilled": inst.twilleds,
@@ -641,26 +640,16 @@ def _base_algebra(inst: InstanceSet, name: str) -> CommAlg:
 
 
 def run_command(command: str, inst: InstanceSet, path: str, name: Optional[str], max_degree: Optional[int]) -> Report:
-    resolved = _resolve_name(inst, command, name)
+    if command not in _COMMANDS:
+        raise KeyError(f"unknown command {command!r}")
+    kinds, handler = _COMMANDS[command]
+    resolved = _resolve_name(inst, command, kinds, name)
     if command != "check-lr":  # check-lr reports the algebra axioms as a verdict
         bad = alg_validate(_base_algebra(inst, resolved))
         if bad:
             raise ValueError(f"base algebra fails validation: {bad[0]}")
     report = Report(command, path, resolved)
-    if command == "check-lr":
-        _cmd_check_lr(inst, resolved, report)
-    elif command == "check-twilled":
-        _cmd_check_twilled(inst, resolved, report)
-    elif command == "cohomology":
-        _cmd_cohomology(inst, resolved, max_degree, report)
-    elif command == "bracket":
-        _cmd_bracket(inst, resolved, report)
-    elif command == "generator":
-        _cmd_generator(inst, resolved, report)
-    elif command == "check-bialgebra":
-        _cmd_check_bialgebra(inst, resolved, max_degree, report)
-    else:
-        raise KeyError(f"unknown command {command!r}")
+    handler(inst, resolved, max_degree, report)
     return report
 
 

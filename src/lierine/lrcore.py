@@ -13,8 +13,8 @@ module flatness, the differential and cohomology dimensions all reduce
 to exact linear algebra on compiled basis tables, in ints when integral.
 
 One builder, ``ce_matrix``, makes the cochain differential on bit-mask
-subsets: 5.9 of 14.5 ms in a traced ``coh-gl3`` pass, where tuple keys took
-10.0 of 19.1 ms (2-core Xeon VM).  Each degree is kept on its module as
+subsets, from bracket and action tables compiled off the products and
+anchor columns of the base.  Each degree is kept on its module as
 label-keyed columns (``ce_columns``), read by ``ce_differential``, the
 squares, ``twilled`` and ``bialg``; ``cohomology_dims`` keeps nothing.
 On a unimodular Lie algebra over Q with trivial coefficients it builds only
@@ -174,11 +174,12 @@ def require_valid(lr: LieRinehart) -> None:
 class LRModule:
     """Free module over the base with an action table for the L-basis.
 
-    action[i][j] is the element e_i . f_j as an m-tuple of AElems.  The
-    table defines at least a connection; ``module_validate`` decides
-    whether it is flat (a genuine module).  The flatness verdict, the
-    compiled action table and the columns of each degree of the cochain
-    differential (``ce_columns``) are computed on first use and kept.
+    action[i][j] is the element e_i . f_j as an m-tuple of AElems; e_i acts
+    on b f_j by rho(e_i)(b) f_j + b (e_i . f_j).  The table defines at
+    least a connection; ``module_validate`` decides whether it is flat (a
+    genuine module).  The flatness verdict, the action table compiled on
+    the Q-basis (``_action_table``) and the columns of each degree of the
+    cochain differential (``ce_columns``) are computed on first use and kept.
     """
 
     __slots__ = ("lr", "rank", "action", "_flat", "_compiled", "_columns")
@@ -208,18 +209,6 @@ class LRModule:
 
     def zero_vec(self) -> Tuple[AElem, ...]:
         return (self.lr.alg.zero(),) * self.rank
-
-    def act_basis(self, i: int, vec: Sequence[AElem]) -> Tuple[AElem, ...]:
-        """e_i . (sum b_j f_j) = sum rho(e_i)(b_j) f_j + b_j (e_i . f_j)."""
-        out = [self.lr.alg.zero()] * self.rank
-        for j, bj in enumerate(vec):
-            if bj.is_zero():
-                continue
-            out[j] = out[j] + self.lr.anchor[i].apply(bj)
-            for k, ck in enumerate(self.action[i][j]):
-                if not ck.is_zero():
-                    out[k] = out[k] + bj * ck
-        return tuple(out)
 
     def is_flat(self) -> bool:
         if self._flat is None:
@@ -449,16 +438,16 @@ def _bracket_table(lr: LieRinehart) -> BracketTable:
     """(bits, pairs): bits[i] = 1 << i, and pairs[i] lists (1 << j, terms) for
     each j > i with [e_i, e_j] != 0, j ascending; terms are its nonzero
     (1 << k, products), products the nonzero (t, s, c) where a_t times the
-    e_k coefficient has c at a_s.  Compiled on first use for ``ce_matrix``
-    and kept on the structure."""
+    e_k coefficient has c at a_s, read off the compiled products of the
+    base.  Compiled on first use for ``ce_matrix`` and kept on the structure."""
     if lr._brackets is None:
-        basis = [lr.alg.basis(t) for t in range(lr.alg.dim)]
+        alg, dim = lr.alg, lr.alg.dim
         pairs: List[List] = [[] for _ in range(lr.rank)]
         for i, j in combinations(range(lr.rank), 2):
+            coeffs = [(k, _sparse(c.coeffs)) for k, c in enumerate(lr.bracket[i][j]) if not c.is_zero()]
             terms = [
-                (1 << k, [(t, s, x) for t, b in enumerate(basis) for s, x in _sparse((c * b).coeffs)])
-                for k, c in enumerate(lr.bracket[i][j])
-                if not c.is_zero()
+                (1 << k, [(t, s, x) for t in range(dim) for s, x in _sparse(alg._times(c, ((t, 1),), [0] * dim))])
+                for k, c in coeffs
             ]
             if terms:
                 pairs[i].append((1 << j, terms))
@@ -531,21 +520,25 @@ def _bracket_vectors(
 
 
 def _action_table(m: LRModule) -> ActionTable:
-    """e_x . (a_t f_j), anchor and action together, on the Q-basis of the
-    module: table[x] maps each u = j * dim + t whose image is nonzero to its
-    nonzero (k * dim + s, c), u ascending.  Compiled once per module."""
+    """e_x . (a_t f_j) = rho(e_x)(a_t) f_j + sum_k (a_t c_k) f_k, c_k the f_k
+    coefficient of e_x . f_j, on the Q-basis of the module: table[x] maps
+    each u = j * dim + t whose image is nonzero to its nonzero
+    (k * dim + s, c), u ascending.  Read off the anchor columns and compiled
+    products of the base, integral values as int; compiled once per module."""
     if m._compiled is None:
-        alg = m.lr.alg
+        alg, dim = m.lr.alg, m.lr.alg.dim
         table = []
-        for x in range(m.lr.rank):
-            images = []
-            for j in range(m.rank):
-                for t in range(alg.dim):
-                    vec = [alg.zero()] * m.rank
-                    vec[j] = alg.basis(t)
-                    coords = [c for a in m.act_basis(x, vec) for c in a.coeffs]
-                    images.append(_sparse(coords))
-            table.append({u: image for u, image in enumerate(images) if image})
+        for x, row in enumerate(m.action):
+            images = {}
+            for j, coeffs in enumerate(row):
+                terms = [(k, _sparse(c.coeffs)) for k, c in enumerate(coeffs) if not c.is_zero()]
+                for t in range(dim):
+                    slots = {k: alg._times(((t, 1),), c, [0] * dim) for k, c in terms}
+                    m.lr.anchor[x]._image(((t, 1),), slots.setdefault(j, [0] * dim))
+                    image = tuple((k * dim + s, c) for k, vec in sorted(slots.items()) for s, c in _sparse(vec))
+                    if image:
+                        images[j * dim + t] = image
+            table.append(images)
         m._compiled = table
     return m._compiled
 
@@ -557,8 +550,7 @@ def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -
     A subset is the bit mask of its indices, so a sign is a popcount.  Row
     (key, j, s) collects each x_i . w(..no x_i..) from the nonempty action
     images and each w([x_i,x_j], ..) from the bracket partners j > i of x_i
-    in the row's mask.  All of d on gl_n(4) builds in 1.1-1.4 s, 2.2-2.3 s
-    with tuple keys (2-core Xeon VM).  A non-flat action table needs formal=True.
+    in the row's mask.  A non-flat action table needs formal=True.
     """
     if module.lr != lr:
         raise ValueError("module parent mismatch")

@@ -26,7 +26,8 @@ element read as a form.  And the Fraction arithmetic that the library
 replaced by compiled int tables: the dense product of structure
 constants, the dense derivation image, the algebra and derivation
 checks on them, the degree-one Leibniz expansion on algebra elements,
-``leibniz``, the rank by row elimination that
+``leibniz``, the action of a basis vector on a module vector,
+``act_basis``, the rank by row elimination that
 divides by each pivot, ``mat_rank``, and the dense reduced row echelon
 form, ``_echelon``, with the kernel and the solve read off it,
 ``mat_kernel_basis`` and ``mat_solve``.  And the two-form operator route
@@ -387,13 +388,26 @@ def lr_bracket(lr: LieRinehart, u: LElem, v: LElem) -> LElem:
     return LElem(lr, out)
 
 
+def act_basis(m: LRModule, i: int, vec: Sequence[AElem]) -> Tuple[AElem, ...]:
+    """e_i . (sum b_j f_j) = sum rho(e_i)(b_j) f_j + b_j (e_i . f_j)."""
+    out = [m.lr.alg.zero()] * m.rank
+    for j, bj in enumerate(vec):
+        if bj.is_zero():
+            continue
+        out[j] = out[j] + m.lr.anchor[i].apply(bj)
+        for k, ck in enumerate(m.action[i][j]):
+            if not ck.is_zero():
+                out[k] = out[k] + bj * ck
+    return tuple(out)
+
+
 def act_lelem(m: LRModule, u: LElem, vec: Sequence[AElem]) -> Tuple[AElem, ...]:
     """(sum a_i e_i) . v = sum a_i (e_i . v)."""
     out = [m.lr.alg.zero()] * m.rank
     for i, ai in enumerate(u.coeffs):
         if ai.is_zero():
             continue
-        step = m.act_basis(i, vec)
+        step = act_basis(m, i, vec)
         for k in range(m.rank):
             out[k] = out[k] + ai * step[k]
     return tuple(out)
@@ -422,8 +436,8 @@ def flatness_violations(lr: LieRinehart, m: LRModule) -> List[Violation]:
             for k in range(m.rank):
                 f = tuple(lr.alg.one() if x == k else lr.alg.zero() for x in range(m.rank))
                 lhs = act_lelem(m, bij, f)
-                rhs = m.act_basis(i, m.act_basis(j, f))
-                rhs2 = m.act_basis(j, m.act_basis(i, f))
+                rhs = act_basis(m, i, act_basis(m, j, f))
+                rhs2 = act_basis(m, j, act_basis(m, i, f))
                 if any(not (a - (b - c)).is_zero() for a, b, c in zip(lhs, rhs, rhs2)):
                     out.append(Violation("flatness", (i, j, k), "curvature acts nontrivially on f_k"))
                     break
@@ -588,7 +602,7 @@ def ce_differential(lr: LieRinehart, module: LRModule, w: AltForm, formal: bool 
         for i, xi in enumerate(key):
             vec = values.get(key[:i] + key[i + 1 :])
             if vec is not None:
-                total = _signed_sum(total, module.act_basis(xi, vec), i % 2 == 0)
+                total = _signed_sum(total, act_basis(module, xi, vec), i % 2 == 0)
         for i in range(q + 1):
             for j in range(i + 1, q + 1):
                 rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
@@ -638,7 +652,7 @@ def ce_matrix(lr: LieRinehart, module: LRModule, q: int) -> SparseMatrix:
             for t in range(dim):
                 vec = [lr.alg.zero()] * module.rank
                 vec[j] = basis[t]
-                images.append(_sparse([c for a in module.act_basis(x, vec) for c in a.coeffs]))
+                images.append(_sparse([c for a in act_basis(module, x, vec) for c in a.coeffs]))
         actions.append(images)
     start = {key: pos * width for pos, key in enumerate(combinations(range(n), q))}
     entries: Dict[Tuple[int, int], Fraction] = {}

@@ -19,6 +19,7 @@ from lierine.cli import (
     ParseError,
     main,
     parse_instance,
+    run_command,
     serialize_instance,
 )
 from lierine.gerst import gerstenhaber_validate
@@ -275,6 +276,24 @@ class TestRecordsAndFields:
         path.write_text(text)
         assert main(["check-lr", "--input", str(path), "--name", "a"]) == 2
         assert f"unknown field '{key}'" in capsys.readouterr().err
+
+    def test_unknown_command_is_a_key_error_naming_it(self):
+        with pytest.raises(KeyError, match=r"unknown command 'nope'"):
+            run_command("nope", InstanceSet(), "case.lri", None, None)
+
+    @pytest.mark.parametrize("text, message", [
+        (PREFIX + "lie_rinehart a\n  algebra Q\n  rank 2\n  bracket 0 1 \u00b2 = 1\nend\n", "line 9: not an index: '\u00b2'"),
+        ("algebra Q\n  dim \u00b2\n  unit = 1\nend\n", "line 2: dim must be a positive integer"),
+        (PREFIX + "lie_rinehart a\n  algebra Q\n  rank \u00b2\nend\n", "line 8: rank must be a nonnegative integer"),
+    ], ids=["index", "dim", "rank"])
+    def test_superscript_digit_rejected_with_its_line(self, tmp_path, capsys, text, message):
+        """A superscript two passes str.isdigit but not int()."""
+        with pytest.raises(ParseError, match=rf"^{message}$"):
+            parse_text(tmp_path, text)
+        path = tmp_path / "superscript.lri"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check-lr", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
 
     @pytest.mark.parametrize("record, message", [
         ("  = 1", "line 5: unknown record '' in algebra block"),

@@ -4,8 +4,10 @@ against Fraction elimination and dense echelon rank, the compiled
 products and derivation columns of calgebra, and the algebra and
 derivation checks that read them, against the dense walk of their
 constants, and the degree-one table against the Leibniz expansion
-on algebra elements.  Also the canonical entries of SparseMatrix, and
-the generator command's single validation."""
+on algebra elements.  The compiled action and bracket tables of lrcore
+are read off those products and columns with no algebra element built.
+Also the canonical entries of SparseMatrix, and the generator command's
+single validation."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,10 +21,19 @@ from hypothesis import strategies as st
 
 import lierine.cli as cli
 import lierine.gerst as gerst
+from lierine import calgebra, lrcore
 from lierine.calgebra import CommAlg, Derivation, alg_validate, derivation_validate
 from lierine.exactla import RatMatrix, SparseMatrix, mat_rank
-from lierine.instances import rationals, truncated_poly
-from lierine.lrcore import LieRinehart, _degree_one_table
+from lierine.instances import derx3, rationals, truncated_poly
+from lierine.lrcore import (
+    LieRinehart,
+    LRModule,
+    _degree_one_table,
+    dual_module,
+    exterior_power,
+    tensor_line,
+    trivial_coefficients,
+)
 from lierine.reporting import Violation
 import reference
 from reference import _echelon
@@ -214,6 +225,43 @@ def test_degree_one_table_matches_leibniz_on_perturbed_fixtures(named, data):
     entries[data.draw(st.integers(0, dim * dim - 1))] += data.draw(st.sampled_from(CONSTANTS))
     anchor[i] = Derivation(alg, RatMatrix(dim, dim, entries))
     assert_degree_one_matches_leibniz(LieRinehart(alg, n, table, anchor))
+
+
+def derx3_modules():
+    """Fresh derx3 with its trivial module, a line twisted by a non-integral
+    connection, and the dual and Lambda^2 of a rank-3 connection."""
+    lr = derx3()
+    alg, half = lr.alg, Fraction(1, 2)
+    triv = trivial_coefficients(lr)
+    m = LRModule(lr, 3, [
+        [(alg.basis(1), alg.zero(), alg.one()), (alg.zero(),) * 3, (alg.zero(), alg.basis(2) * half, alg.zero())],
+        [(alg.zero(),) * 3, (alg.one() * 3, alg.zero(), alg.basis(1)), (alg.zero(),) * 3],
+    ])
+    line = tensor_line(triv, [alg.elem([half, 1, 0]), alg.elem([0, 0, -2])])
+    return lr, {"trivial": triv, "line": line, "dual": dual_module(m), "wedge2": exterior_power(m, 2)}
+
+
+def test_compile_steps_build_no_algebra_elements(monkeypatch):
+    """Neither compile step constructs an AElem or multiplies through
+    ``CommAlg.mul_coeffs``; integral entries are ints, and every degree
+    built on the tables agrees with the element route of ``reference``."""
+    lr, modules = derx3_modules()
+    calls = []
+    init, mul = calgebra.AElem.__init__, calgebra.CommAlg.mul_coeffs
+    monkeypatch.setattr(calgebra.AElem, "__init__", lambda *a: calls.append("AElem") or init(*a))
+    monkeypatch.setattr(calgebra.CommAlg, "mul_coeffs", lambda *a: calls.append("mul_coeffs") or mul(*a))
+    bits, pairs = lrcore._bracket_table(lr)
+    tables = {name: lrcore._action_table(m) for name, m in modules.items()}
+    assert calls == []
+    monkeypatch.undo()
+    values = [c for _, terms in pairs[0] for _, products in terms for _, _, c in products]
+    values += [c for table in tables.values() for images in table for image in images.values() for _, c in image]
+    assert values and all(type(c) is int or c.denominator != 1 for c in values)
+    assert any(type(c) is Fraction for c in values)
+    for name, m in modules.items():
+        for q in range(lr.rank + 1):
+            assert lrcore.ce_matrix(lr, m, q, formal=True) == reference.ce_matrix(lr, m, q), (name, q)
+    assert (bits, pairs) == ([1, 2], [[(2, [(2, [(0, 0, 1), (1, 1, 1), (2, 2, 1)])])], []])
 
 
 def run_cli(argv):
