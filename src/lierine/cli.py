@@ -523,7 +523,7 @@ def _cmd_cohomology(inst: InstanceSet, name: str, max_degree: Optional[int], rep
     if bad:
         report.verdict("lr-axioms", False, _first_witness(bad))
         return
-    top = max_degree if max_degree is not None else lr.rank
+    top = lr.rank if max_degree is None else min(max_degree, lr.rank)
     dims = cohomology_dims(lr, trivial_coefficients(lr), top)
     report.dimensions("dims", dims)
 

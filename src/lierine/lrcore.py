@@ -12,19 +12,17 @@ so a structure is fully determined by its basis tables.  Validation,
 module flatness, the differential and cohomology dimensions all reduce
 to exact linear algebra on compiled basis tables, in ints when integral.
 
-One builder, ``ce_matrix``, makes the cochain differential on bit-mask
-subsets, from bracket and action tables compiled off the products and
-anchor columns of the base.  Each degree is kept on its module as
-label-keyed columns (``ce_columns``), read by ``ce_differential``, the
-squares, ``twilled`` and ``bialg``; ``cohomology_dims`` keeps nothing.
-On a unimodular Lie algebra over Q with trivial coefficients it builds only
-d_q with q <= n-1-q, as rank d_q = rank d_{n-1-q} there (Koszul, Hazewinkel).
+One builder loop, ``_build``, makes the cochain differential on given
+bit-mask subsets from bracket and action tables compiled off the products
+and anchor columns of the base: ``ce_matrix`` on all, which each module
+keeps per degree as label-keyed columns (``ce_columns``) for the squares,
+``twilled`` and ``bialg``, and ``cohomology_dims`` on those of weight 0.
 
 Two axioms are read off the formal square d.d: the anchor is a bracket
 morphism iff d.d = 0 on C^0(L; A), and a connection M is flat iff
 d.d = 0 on C^0(L; M).  Antisymmetry and the anchor's derivation
 property are read off the literal tables, and Jacobi off the degree-one
-Leibniz expansion, because ``ce_matrix`` reads only the i < j half of the
+Leibniz expansion, because ``_build`` reads only the i < j half of the
 bracket table: a one-sided break can leave d.d = 0 on C^1(L; A).
 """
 
@@ -32,8 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from math import comb, lcm
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .calgebra import AElem, CommAlg, Derivation, _sparse, derivation_validate
 from .exactla import SparseMatrix, _exact, _frac, mat_rank
@@ -267,9 +265,8 @@ def dual_module(m: LRModule) -> LRModule:
     assumed or checked about flatness: the dual of a connection is a
     connection, and the dual of a flat table is flat.
     """
-    r = m.rank
-    table = [[tuple(-row[k][j] for k in range(r)) for j in range(r)] for row in m.action]
-    return LRModule(m.lr, r, table)
+    table = [[tuple(-c if any(c.coeffs) else c for c in col) for col in zip(*row)] for row in m.action]
+    return LRModule(m.lr, m.rank, table)
 
 
 def exterior_power(m: LRModule, p: int) -> LRModule:
@@ -392,10 +389,6 @@ class AltForm:
         return f"AltForm(degree={self.degree}, support={sorted(self.values)})"
 
 
-def zero_form(lr: LieRinehart, module: LRModule, degree: int) -> AltForm:
-    return AltForm(lr, module, degree, {})
-
-
 def ce_differential(lr: LieRinehart, module: LRModule, w: AltForm, formal: bool = False) -> AltForm:
     """Cochain differential
 
@@ -430,16 +423,12 @@ def basis_forms(lr: LieRinehart, module: LRModule, q: int):
                 yield key, j, t
 
 
-def alt_dim(lr: LieRinehart, module: LRModule, q: int) -> int:
-    return comb(lr.rank, q) * module.rank * lr.alg.dim
-
-
 def _bracket_table(lr: LieRinehart) -> BracketTable:
     """(bits, pairs): bits[i] = 1 << i, and pairs[i] lists (1 << j, terms) for
     each j > i with [e_i, e_j] != 0, j ascending; terms are its nonzero
     (1 << k, products), products the nonzero (t, s, c) where a_t times the
     e_k coefficient has c at a_s, read off the compiled products of the
-    base.  Compiled on first use for ``ce_matrix`` and kept on the structure."""
+    base.  Compiled on first use for ``_build`` and ``_weights``, and kept."""
     if lr._brackets is None:
         alg, dim = lr.alg, lr.alg.dim
         pairs: List[List] = [[] for _ in range(lr.rank)]
@@ -546,29 +535,34 @@ def _action_table(m: LRModule) -> ActionTable:
 def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -> SparseMatrix:
     """Matrix of the cochain differential d: Alt^q -> Alt^{q+1}, rows and
     columns in ``basis_forms`` order, entries row by row, rows ascending.
-
-    A subset is the bit mask of its indices, so a sign is a popcount.  Row
-    (key, j, s) collects each x_i . w(..no x_i..) from the nonempty action
-    images and each w([x_i,x_j], ..) from the bracket partners j > i of x_i
-    in the row's mask.  A non-flat action table needs formal=True.
-    """
+    A non-flat action table needs formal=True."""
     if module.lr != lr:
         raise ValueError("module parent mismatch")
     if q < 0:
         raise ValueError(f"the form degree must be at least 0, got {q}")
     if not formal and not module.is_flat():
         raise ValueError("action table is not flat; pass formal=True for the formal operator")
-    n, dim, width = lr.rank, lr.alg.dim, module.rank * lr.alg.dim
-    (bits, pairs), actions = _bracket_table(lr), _action_table(module)
-    start = {sum(c): pos * width for pos, c in enumerate(combinations(bits, q))}
-    rows: List[Dict[int, Fraction]] = [{} for _ in range(comb(n, q + 1) * width)]
+    bits = _bracket_table(lr)[0]
+    return _build(lr, module, combinations(bits, q + 1), comb(lr.rank, q + 1), combinations(bits, q))
+
+
+def _build(lr: LieRinehart, module: LRModule, keys: Iterable, size: int, cols: Iterable) -> SparseMatrix:
+    """d from the forms on the subsets cols to those on the size subsets
+    keys, each a tuple of ascending index bits whose sum is its mask, so a
+    sign is a popcount.  Row (key, j, s) collects each x_i . w(..no x_i..)
+    from the action images and each w([x_i,x_j], ..) from the bracket
+    partners j > i of x_i in the row's mask."""
+    dim, width = lr.alg.dim, module.rank * lr.alg.dim
+    pairs, actions = _bracket_table(lr)[1], _action_table(module)
+    start = {sum(c): pos * width for pos, c in enumerate(cols)}
+    rows: List[Dict[int, Fraction]] = [{} for _ in range(size * width)]
     row0 = -width
-    for key in combinations(bits, q + 1):
+    for key in keys:
         row0 += width
         mask = sum(key)
         for a, bx in enumerate(key):
             x = bx.bit_length() - 1
-            col0 = start[mask ^ bx]
+            col0 = start[mask ^ bx] if actions[x] else 0  # mask ^ bx may be off weight 0 without actions
             positive = a % 2 == 0
             for u, image in actions[x].items():
                 for v, c in image:
@@ -590,7 +584,7 @@ def ce_matrix(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -
                             out, col = rows[row0 + j + s], col0 + j + t
                             out[col] = out.get(col, 0) + (c if positive else -c)
     entries = {(r, col): c for r, out in enumerate(rows) if out for col, c in out.items()}
-    return SparseMatrix(alt_dim(lr, module, q + 1), alt_dim(lr, module, q), entries)
+    return SparseMatrix(len(rows), len(start) * width, entries)
 
 
 def ce_columns(lr: LieRinehart, module: LRModule, q: int, formal: bool = False) -> Dict[Tuple, List[Tuple]]:
@@ -648,16 +642,31 @@ def ce_square_witness(lr: LieRinehart, module: LRModule, max_degree: Optional[in
     return None
 
 
-def _unimodular_trivial(lr: LieRinehart, module: LRModule) -> bool:
-    """The base has dimension 1, the module rank 1 with a zero action table,
-    every anchor is zero, and tr ad e_i = sum_k c^k_ik = 0 for every i."""
-    zero, n = Derivation.zero(lr.alg), lr.rank
-    return (
-        lr.alg.dim == module.rank == 1
-        and not any(c.coeffs[0] for row in module.action for (c,) in row)
-        and all(rho == zero for rho in lr.anchor)
-        and not any(sum(lr.bracket[i][k][k].coeffs[0] for k in range(n)) for i in range(n))
-    )
+def _weights(lr: LieRinehart, module: LRModule) -> Tuple[bool, Dict[int, int]]:
+    """For a Lie algebra over Q with trivial coefficients (base dimension 1,
+    a zero action on a rank-1 module, zero anchors): whether every tr ad e_i
+    is 0, and {1 << j: w_j}, w_j packing the weights l_hj of e_j under each
+    diagonal ad e_h != 0, [e_h, e_j] = l_hj e_j: row l_h in integers is one
+    digit in base 2M + 1, M >= sum_j |l_hj|, so a packed sum is 0 exactly
+    when each weight is.  (False, {}) for any other input."""
+    n, over_q = lr.rank, lr.alg.dim == module.rank == 1 and all(rho.matrix.is_zero() for rho in lr.anchor)
+    if not over_q or any(c.coeffs[0] for row in module.action for (c,) in row):
+        return False, {}
+    weight, off = [[0] * n for _ in range(n)], set()  # weight[h][x]: e_x in [e_h, e_x]
+    for i, row in enumerate(_bracket_table(lr)[1]):
+        for bj, terms in row:
+            j = bj.bit_length() - 1
+            for bk, ((_, _, c),) in terms:
+                # [e_i, e_j] = c e_k + ..: diagonal for e_i iff k = j, for e_j iff k = i
+                for h, x, y in ((i, j, c), (j, i, -c)):
+                    if bk == 1 << x:
+                        weight[h][x] = y
+                    else:
+                        off.add(h)
+    rows = [[int(x * lcm(*(y.denominator for y in r))) for x in r] for h, r in enumerate(weight) if h not in off and any(r)]
+    base = 2 * max((sum(map(abs, r)) for r in rows), default=0) + 1
+    packed = {1 << j: sum(r[j] * base**p for p, r in enumerate(rows)) for j in range(n)}
+    return not any(map(sum, weight)), packed if rows else {}
 
 
 def cohomology_dims(lr: LieRinehart, module: LRModule, max_degree: int) -> List[int]:
@@ -666,25 +675,30 @@ def cohomology_dims(lr: LieRinehart, module: LRModule, max_degree: int) -> List[
         dim H^q = dim ker d_q - rank d_{q-1}
                 = dim Alt^q - rank d_q - rank d_{q-1}.
 
-    On a unimodular Lie algebra over Q with trivial coefficients (the four
-    exact conditions of ``_unimodular_trivial``), D = +-C^-1 d C, C the
-    contraction with the top form, is an exact generator and the transpose
-    of d (Koszul, Crochet de Schouten-Nijenhuis et cohomologie, Asterisque
-    hors serie, 1985), so rank d_q = rank d_{n-1-q} (Hazewinkel, Math. USSR
-    Sb. 12, 1970).  Then only d_q with q <= n-1-q is built and ranked.
+    On a Lie algebra over Q with trivial coefficients, a basis vector h with
+    a diagonal ad h acts on e*_S by L_h = d i_h + i_h d (Cartan) with weight
+    -sum_{j in S} l_hj, kept by d and i_h; i_h / mu contracts the forms of
+    weight mu != 0, so d is built only on the forms of weight 0 under every
+    such h (Chevalley and Eilenberg, Trans. AMS 63, 1948; Hochschild and
+    Serre, Ann. Math. 57, 1953).  If every tr ad e_i = 0 too, D = +-C^-1 d C,
+    C the contraction with the top form, is an exact generator and the
+    transpose of d (Koszul, Asterisque hors serie, 1985), so rank d_q =
+    rank d_{n-1-q} (Hazewinkel, Math. USSR Sb. 12, 1970), on weight 0 too,
+    which C keeps as tr ad h = 0: only d_q with q <= n-1-q is built.
     """
     if max_degree < 0:
         raise ValueError(f"the degree cap must be at least 0, got {max_degree}")
     require_valid(lr)
+    if module.lr != lr:
+        raise ValueError("module parent mismatch")
     if not module.is_flat():
         raise ValueError("coefficients are not flat; cohomology undefined")
     n, top = lr.rank, min(max_degree, lr.rank)
-    mirror = _unimodular_trivial(lr, module)
-    ranks: List[int] = []
-    for q in range(top + 1):
-        if mirror and q > n - 1 - q:
-            ranks.append(ranks[n - 1 - q] if q < n else 0)
-        else:
-            ranks.append(mat_rank(ce_matrix(lr, module, q)))
-    dims = [alt_dim(lr, module, q) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(top + 1)]
+    mirror, weights = _weights(lr, module)
+    half = min(top, (n - 1) // 2) if mirror else top  # the last d_q built
+    bits, width = _bracket_table(lr)[0], module.rank * lr.alg.dim
+    levels = [[c for c in combinations(bits, q) if not weights or not sum(map(weights.get, c))] for q in range(half + 2)]
+    ranks = [mat_rank(_build(lr, module, levels[q + 1], len(levels[q + 1]), levels[q])) for q in range(half + 1)]
+    ranks += [ranks[n - 1 - q] if q < n else 0 for q in range(half + 1, top + 1)]
+    dims = [len(levels[min(q, n - q) if mirror else q]) * width - ranks[q] - (ranks[q - 1] if q else 0) for q in range(top + 1)]
     return dims + [0] * (max_degree - top)

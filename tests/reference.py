@@ -51,6 +51,7 @@ from bisect import bisect
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from lierine import lrcore
@@ -71,12 +72,10 @@ from lierine.lrcore import (
     LieRinehart,
     LRModule,
     _bracket_vectors,
-    alt_dim,
     basis_forms,
     dual_module,
     exterior_power,
     tensor_line,
-    zero_form,
 )
 from lierine.reporting import Violation
 from lierine.signs import sort_with_sign
@@ -285,6 +284,15 @@ def mat_solve(m: RatMatrix, b: Sequence) -> Optional[Tuple[Fraction, ...]]:
     for r, pc in enumerate(pivots):
         x[pc] = rows[r][m.cols]
     return tuple(x)
+
+
+def alt_dim(lr: LieRinehart, module: LRModule, q: int) -> int:
+    """The dimension over Q of the degree-q forms."""
+    return comb(lr.rank, q) * module.rank * lr.alg.dim
+
+
+def zero_form(lr: LieRinehart, module: LRModule, degree: int) -> AltForm:
+    return AltForm(lr, module, degree, {})
 
 
 def ce_ranks(lr: LieRinehart, module: LRModule, top: int) -> List[int]:

@@ -389,6 +389,16 @@ class TestCommands:
         assert rc == 0
         assert "dims: 1 0 0\n" in out
 
+    def test_cohomology_stops_at_the_rank_above_it(self, capsys):
+        """No zero is printed past the top degree of a structure or a pair,
+        so a cap far above the rank costs nothing."""
+        rc, out = run_cli(capsys, "cohomology", "--input", fixture("abelian2.lri"), "--max-degree", "1000000")
+        assert rc == 0
+        assert "dims: 1 2 1\n" in out
+        rc, out = run_cli(capsys, "cohomology", "--input", fixture("direct_sum22.lri"), "--max-degree", "1000000")
+        assert rc == 0
+        assert "total_dims: 1 4 6 4 1\n" in out and "sum_dims: 1 4 6 4 1\n" in out
+
     def test_cohomology_total_vs_sum(self, capsys):
         rc, out = run_cli(capsys, "cohomology", "--input", fixture("direct_sum22.lri"))
         assert rc == 0

@@ -23,15 +23,13 @@ from lierine.instances import (
 from lierine.lrcore import (
     AltForm,
     LieRinehart,
-    alt_dim,
     ce_differential,
     ce_square_witness,
     cohomology_dims,
     lr_validate,
     trivial_coefficients,
-    zero_form,
 )
-from reference import LElem, act_lelem, anchor_matrix, basis_l, lr_anchor_apply, lr_bracket
+from reference import LElem, act_lelem, alt_dim, anchor_matrix, basis_l, lr_anchor_apply, lr_bracket, zero_form
 
 
 class TestValidate:

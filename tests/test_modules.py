@@ -43,6 +43,14 @@ class TestDualModule:
         assert not m.is_flat()
         assert dual_module(dual_module(m)).action == m.action
 
+    def test_table_is_the_negated_transpose(self):
+        """Entry (x, j, k) is -(x . f_k)_j, with the repr of the AElem negation
+        also where the entry is zero and kept as it is."""
+        for m in (derx3_connection(), adjoint(sl2()), derx3_flat_sum()):
+            dual, r = dual_module(m), m.rank
+            want = [[tuple(-row[k][j] for k in range(r)) for j in range(r)] for row in m.action]
+            assert repr(dual.action) == repr(tuple(tuple(map(tuple, rows)) for rows in want))
+
     def test_dual_of_flat_is_flat(self):
         assert dual_module(adjoint(sl2())).is_flat()
         assert dual_module(derx3_flat_sum()).is_flat()

@@ -26,7 +26,6 @@ from lierine.lrcore import (
     LieRinehart,
     LRModule,
     _bracket_vectors,
-    alt_dim,
     basis_forms,
     ce_columns,
     ce_matrix,
@@ -37,7 +36,7 @@ from lierine.lrcore import (
 )
 from lierine.twilled import twilled_sum
 import reference
-from reference import LElem, _echelon, bracket_terms, ce_differential, lr_bracket
+from reference import LElem, _echelon, alt_dim, bracket_terms, ce_differential, lr_bracket
 
 
 def reference_matrix(lr, module, q, formal=False) -> RatMatrix:
