@@ -34,6 +34,7 @@ failed check, 2 a parse or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -150,8 +151,8 @@ def parse_instance(path: str) -> InstanceSet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as e:
-        raise ParseError(0, f"cannot read {path}: {e.strerror}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(0, f"cannot read {path}: {e.reason if isinstance(e, UnicodeDecodeError) else e.strerror}")
     inst = InstanceSet()
     block: Optional[Tuple[str, str, int]] = None
     fields: Dict = {}
@@ -653,7 +654,8 @@ def run_command(command: str, inst: InstanceSet, path: str, name: Optional[str],
     return report
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lierine",
         description="exact checks for structures of derivations and their pairings",
@@ -663,10 +665,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--name", help="instance to operate on (default: the only fitting one)")
     parser.add_argument("--max-degree", type=int, dest="max_degree", help="degree cap where applicable")
     parser.add_argument("--format", choices=("text", "json-like"), default="text")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.max_degree is not None and args.max_degree < 0:
-            parser.error(f"--max-degree must be nonnegative, got {args.max_degree}")
+            _parser().error(f"--max-degree must be nonnegative, got {args.max_degree}")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -18,12 +18,12 @@ and anchor columns of the base: ``ce_matrix`` on all, which each module
 keeps per degree as label-keyed columns (``ce_columns``) for the squares,
 ``twilled`` and ``bialg``, and ``cohomology_dims`` on those of weight 0.
 
-Two axioms are read off the formal square d.d: the anchor is a bracket
-morphism iff d.d = 0 on C^0(L; A), and a connection M is flat iff
-d.d = 0 on C^0(L; M).  Antisymmetry and the anchor's derivation
-property are read off the literal tables, and Jacobi off the degree-one
-Leibniz expansion, because ``_build`` reads only the i < j half of the
-bracket table: a one-sided break can leave d.d = 0 on C^1(L; A).
+The anchor is a bracket morphism iff d.d = 0 on C^0(L; A), and M is flat
+iff d.d = 0 on C^0(L; M).  The other axioms read the one sparse literal
+table (``_literal_table``): antisymmetry compares its two sides, Jacobi
+expands it in degree one, since ``_build`` reads only its i < j half and
+a one-sided break can leave d.d = 0 on C^1(L; A); the anchor's derivation
+property is read off its columns.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .exactla import SparseMatrix, _exact, _frac, mat_rank
 from .reporting import Violation
 from .signs import sort_with_sign
 
-# compiled basis tables, integral values as int; see _bracket_table, _degree_one_table and _action_table
+# compiled basis tables, integral values as int; see _literal_table, _bracket_table, _degree_one_table and _action_table
 Terms = Tuple[Tuple[int, object], ...]
 BracketTable = Tuple[List[int], List[List[Tuple[int, List[Tuple[int, List[Tuple[int, int, object]]]]]]]]
 ActionTable = List[Dict[int, Terms]]
@@ -50,11 +50,11 @@ class LieRinehart:
     bracket[i][j] is the coefficient tuple (n AElems) of [e_i, e_j]; the
     table is stored literally, so antisymmetry is a checked axiom, not a
     storage convention.  anchor[i] is the derivation attached to e_i.
-    The axiom report, the two compiled tables and the trivial module are
-    built on first use and kept on the instance.
+    The axiom report, the sparse literal table, the tables compiled off it
+    and the trivial module are built on first use and kept on the instance.
     """
 
-    __slots__ = ("alg", "rank", "bracket", "anchor", "_validation", "_brackets", "_ones", "_trivial")
+    __slots__ = ("alg", "rank", "bracket", "anchor", "_validation", "_literal", "_brackets", "_ones", "_trivial")
 
     def __init__(self, alg: CommAlg, rank: int, bracket: Sequence, anchor: Sequence) -> None:
         if rank < 0:
@@ -82,6 +82,7 @@ class LieRinehart:
         self.bracket = tuple(rows)
         self.anchor = tuple(anchor)
         self._validation: Optional[Tuple[Violation, ...]] = None
+        self._literal: Optional[List[List[Tuple]]] = None
         self._brackets: Optional[BracketTable] = None
         self._ones: Optional[_DegreeOneTable] = None
         self._trivial: Optional[LRModule] = None
@@ -109,8 +110,8 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
     """Axiom check on basis data: antisymmetry, Jacobi after full Leibniz
     expansion, anchor entries are derivations, anchor is a bracket morphism.
 
-    Antisymmetry and the derivation check read the literal tables, Jacobi
-    the degree-one Leibniz expansion.  The anchor-morphism witness is the
+    Antisymmetry compares the sides of ``_literal_table``, Jacobi reads its
+    degree-one Leibniz expansion.  The anchor-morphism witness is the
     first nonzero row (i, j) of the formal d.d on C^0(L; A), which there is
     [rho(e_i), rho(e_j)] - rho([e_i, e_j]) with [e_i, e_j] read at i < j.
     With every anchor zero, d = 0 on C^0(L; A) and the square is not built.
@@ -119,11 +120,11 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
     A-multilinearity of the axioms makes basis tuples sufficient.
     """
     out: List[Violation] = []
-    n = lr.rank
+    n, table = lr.rank, _literal_table(lr)
 
     for i, j in [(i, i) for i in range(n)] + list(combinations(range(n), 2)):
-        sides = zip(lr.bracket[i][j], lr.bracket[j][i])
-        if any((x or y) and x != -y for a, b in sides for x, y in zip(a.coeffs, b.coeffs)):
+        # x = -x only at 0, so one comparison also reads [e_i, e_i] = 0
+        if table[i][j] != tuple((k, tuple((s, -x) for s, x in c)) for k, c in table[j][i]):
             detail = "[e_i,e_i] != 0" if i == j else "[e_i,e_j] != -[e_j,e_i]"
             out.append(Violation("antisymmetry", (i, j), detail))
             break
@@ -134,8 +135,7 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
             out.append(Violation("anchor-derivation", (i,), str(bad[0])))
             break
 
-    zero = Derivation.zero(lr.alg)
-    if any(rho != zero for rho in lr.anchor):
+    if any(any(rho._columns) for rho in lr.anchor):
         rows = [row for _, image in _square(lr, trivial_coefficients(lr), 0) for row in image]
         if rows:
             out.append(Violation("anchor-morphism", min(rows)[0], "rho([e_i,e_j]) != [rho(e_i),rho(e_j)]"))
@@ -423,20 +423,27 @@ def basis_forms(lr: LieRinehart, module: LRModule, q: int):
                 yield key, j, t
 
 
+def _literal_table(lr: LieRinehart) -> List[List[Tuple]]:
+    """[i][j]: the nonzero (k, coefficients) of the literal [e_i, e_j], each ordered pair; compiled once, kept."""
+    if lr._literal is None:
+        lr._literal = [[tuple((k, _sparse(c.coeffs)) for k, c in enumerate(entry) if any(c.coeffs)) for entry in row]
+                       for row in lr.bracket]
+    return lr._literal
+
+
 def _bracket_table(lr: LieRinehart) -> BracketTable:
     """(bits, pairs): bits[i] = 1 << i, and pairs[i] lists (1 << j, terms) for
     each j > i with [e_i, e_j] != 0, j ascending; terms are its nonzero
     (1 << k, products), products the nonzero (t, s, c) where a_t times the
-    e_k coefficient has c at a_s, read off the compiled products of the
-    base.  Compiled on first use for ``_build`` and ``_weights``, and kept."""
+    e_k coefficient has c at a_s, read off ``_literal_table`` and the base
+    products.  Compiled on first use for ``_build`` and ``_weights``, kept."""
     if lr._brackets is None:
-        alg, dim = lr.alg, lr.alg.dim
+        alg, dim, literal = lr.alg, lr.alg.dim, _literal_table(lr)
         pairs: List[List] = [[] for _ in range(lr.rank)]
         for i, j in combinations(range(lr.rank), 2):
-            coeffs = [(k, _sparse(c.coeffs)) for k, c in enumerate(lr.bracket[i][j]) if not c.is_zero()]
             terms = [
                 (1 << k, [(t, s, x) for t in range(dim) for s, x in _sparse(alg._times(c, ((t, 1),), [0] * dim))])
-                for k, c in coeffs
+                for k, c in literal[i][j]
             ]
             if terms:
                 pairs[i].append((1 << j, terms))
@@ -447,7 +454,7 @@ def _bracket_table(lr: LieRinehart) -> BracketTable:
 class _DegreeOneTable(dict):
     """The full Leibniz expansion on the Q-basis: ones[(i, j, s, t)] lists the
     nonzero (k, coefficients) of [a_s e_i, a_t e_j] for any ordered pair,
-    read off the literal table so antisymmetry is not assumed; each entry
+    read off ``_literal_table`` so antisymmetry is not assumed; each entry
     is compiled on its first read and kept."""
 
     __slots__ = ("lr",)
@@ -457,10 +464,8 @@ class _DegreeOneTable(dict):
         self.lr = lr
 
     def __missing__(self, key: Tuple[int, int, int, int]) -> List[Tuple[int, Tuple]]:
-        lr, (i, j, s, t) = self.lr, key
-        terms = [(k, _sparse(c.coeffs)) for k, c in enumerate(lr.bracket[i][j]) if not c.is_zero()]
-        entry = self[key] = _leibniz(lr, i, s, j, t, terms)
-        return entry
+        i, j, s, t = key
+        return self.setdefault(key, _leibniz(self.lr, i, s, j, t, _literal_table(self.lr)[i][j]))
 
 
 def _degree_one_table(lr: LieRinehart) -> _DegreeOneTable:
@@ -470,14 +475,15 @@ def _degree_one_table(lr: LieRinehart) -> _DegreeOneTable:
     return lr._ones
 
 
-def _leibniz(lr: LieRinehart, i: int, s: int, j: int, t: int, terms: List) -> List[Tuple[int, Tuple]]:
+def _leibniz(lr: LieRinehart, i: int, s: int, j: int, t: int, terms: Sequence) -> List[Tuple[int, Tuple]]:
     """[a_s e_i, a_t e_j] = a_s a_t [e_i, e_j] + a_s rho(e_i)(a_t) e_j - a_t rho(e_j)(a_s) e_i,
     with [e_i, e_j] as its nonzero (k, terms), from the compiled products
     and anchor columns of the base."""
     alg = lr.alg
     out = {k: alg._times(alg._products[s][t], c, [0] * alg.dim) for k, c in terms}
-    for k, x, rho, y, sign in ((j, s, lr.anchor[i], t, 1), (i, t, lr.anchor[j], s, -1)):
-        alg._times(((x, sign),), rho._columns[y], out.setdefault(k, [0] * alg.dim))
+    for k, x, column, sign in ((j, s, lr.anchor[i]._columns[t], 1), (i, t, lr.anchor[j]._columns[s], -1)):
+        if column:
+            alg._times(((x, sign),), column, out.setdefault(k, [0] * alg.dim))
     return [(k, tuple(map(_exact, vec))) for k, vec in sorted(out.items()) if any(vec)]
 
 
@@ -486,9 +492,7 @@ def _bracket_vectors(
 ) -> Dict[int, List[Fraction]]:
     """out += sign [u, v] for elements given as {basis index: coefficient
     vector}, summed Q-bilinearly from the compiled degree-one table."""
-    ones = _degree_one_table(lr)
-    if out is None:
-        out = {}
+    ones, out = _degree_one_table(lr), {} if out is None else out
     for i, x in u.items():
         for j, y in v.items():
             for s, xs in enumerate(x):
@@ -520,7 +524,7 @@ def _action_table(m: LRModule) -> ActionTable:
         for x, row in enumerate(m.action):
             images = {}
             for j, coeffs in enumerate(row):
-                terms = [(k, _sparse(c.coeffs)) for k, c in enumerate(coeffs) if not c.is_zero()]
+                terms = [(k, _sparse(c.coeffs)) for k, c in enumerate(coeffs) if any(c.coeffs)]
                 for t in range(dim):
                     slots = {k: alg._times(((t, 1),), c, [0] * dim) for k, c in terms}
                     m.lr.anchor[x]._image(((t, 1),), slots.setdefault(j, [0] * dim))

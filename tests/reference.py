@@ -41,8 +41,10 @@ element through it and back.  And the two loops the library shortened:
 the library reads rank d_q = rank d_{n-1-q} off the mirror on unimodular
 Lie algebras with trivial coefficients, and ``lr_validate`` with
 antisymmetry summed in Fractions and the Jacobi loop that brackets the
-inner pairs of every triple afresh.  None of this is used by the library
-itself.
+inner pairs of every triple afresh.  And the scan of the dense bracket
+table that ``_bracket_table`` replaced by a read of the one sparse literal
+table: ``bracket_table``, which tests every coefficient of each i < j
+entry.  None of this is used by the library itself.
 """
 
 from __future__ import annotations
@@ -200,6 +202,22 @@ def leibniz(lr: LieRinehart, i: int, x: AElem, j: int, y: AElem) -> List[Tuple[i
     out[j] = out[j] + x * lr.anchor[i].apply(y)
     out[i] = out[i] - y * lr.anchor[j].apply(x)
     return [(k, c.coeffs) for k, c in enumerate(out) if not c.is_zero()]
+
+
+def bracket_table(lr: LieRinehart) -> Tuple[List[int], List[List]]:
+    """The (bits, pairs) of ``lrcore._bracket_table``, scanning the dense
+    AElem entry of each pair i < j for its nonzero coefficients."""
+    alg, dim = lr.alg, lr.alg.dim
+    pairs: List[List] = [[] for _ in range(lr.rank)]
+    for i, j in combinations(range(lr.rank), 2):
+        coeffs = [(k, _sparse(c.coeffs)) for k, c in enumerate(lr.bracket[i][j]) if not c.is_zero()]
+        terms = [
+            (1 << k, [(t, s, x) for t in range(dim) for s, x in _sparse(alg._times(c, ((t, 1),), [0] * dim))])
+            for k, c in coeffs
+        ]
+        if terms:
+            pairs[i].append((1 << j, terms))
+    return [1 << i for i in range(lr.rank)], pairs
 
 
 def mat_rank(m) -> int:

@@ -511,6 +511,23 @@ class TestCommands:
         assert rc == 2
         assert "parse error" in err
 
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.lri"
+        path.write_bytes(b"\xff\xfea\x00l\x00g\x00")
+        rc = main(["check-lr", "--input", str(path)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"parse error: cannot read {path}: invalid start byte\n")
+        with pytest.raises(ParseError):
+            parse_instance(str(path))
+
+    def test_parser_is_built_once_and_answers_alike(self, capsys):
+        assert lierine.cli._parser() is lierine.cli._parser()
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            assert capsys.readouterr().out.startswith("usage: lierine ")
+            assert main(["check-lr", "--input", fixture("sl2.lri"), "--max-degree", "-1"]) == 2
+            assert capsys.readouterr().err.endswith("lierine: error: --max-degree must be nonnegative, got -1\n")
+
     def test_bad_flag_is_usage_error(self, capsys):
         rc = main(["check-lr", "--input", fixture("sl2.lri"), "--frob"])
         assert rc == 2
