@@ -37,15 +37,16 @@ bigraded carrier Alt(L'', Lambda L') in ``twilled`` and the exterior
 algebras of a dual pair in ``bialg``; each caller supplies its basis
 labels in its own order, its label tables and its operator.  Label tables
 (``_LabelTables``) live for one checker call: the bracket and product as
-structure constants on the Q-basis labels (t, outer, inner), filled on
-first use per label pair, each entry read off entries of smaller labels,
-down to atom x atom entries, which are the public bracket on the two
-label elements; a product entry is read off the compiled products of the
-base.  Every
-operator is one class of sparse label columns, ``GeneratorOp``, which
-records its bidegree: a generator (0, -1) fills them when built, a cochain
-differential (d'' (1, 0), d' and the transported one (0, 1)) on first read
-off the columns ``lrcore.ce_columns`` keeps.
+structure constants on the Q-basis labels (t, outer, inner), each coded
+as the int t << (ro + ri) | outer mask << ri | inner mask, every entry
+keyed by the code of its label pair in one dict and filled on first use,
+read off entries of smaller labels down to atom x atom entries, the
+public bracket on the two label elements; a product entry is read off
+the compiled products of the base, its sign popcounts of the masks.
+Every operator is one class of sparse label columns, ``GeneratorOp``,
+which records its bidegree: a generator (0, -1) fills them when built, a
+cochain differential (d'' (1, 0), d' and the transported one (0, 1)) on
+first read off the columns ``lrcore.ce_columns`` keeps.
 
 Both witnesses run one pair loop, ``_pair_witness``.  Every element of a
 carrier is homogeneous in (outer, inner) degree and every operator has a
@@ -56,8 +57,10 @@ degree 0..rank L'), keeping the caller's order; the list is made once per
 bidegree class of the first element.  A pair left out has no label to
 put its residual on, so it is zero, and the first failing pair and its
 residual are those of the loop over all pairs.  Each visited pair's
-residual is summed in one accumulator straight from table entries and
-label columns.
+residual is summed on codes in one accumulator straight from table
+entries and operator columns, each column coded once per label and
+checker call; codes decode to labels only for an atom's element, a
+column read and the residual of the witness.
 """
 
 from __future__ import annotations
@@ -344,8 +347,9 @@ def _bracket(u: _Element, v: _Element, lr: LieRinehart, tables, lie=None) -> _El
     if all(_atom(*key) for key in (*left, *right)):
         out = _bracket_terms(lr, left, right, lie)
     else:
-        x, y, br = _vector(left), _vector(right), tables().bracket
-        out = _term_dict(lr.alg, _lincomb(*[(a * b, br(k, l)) for k, a in x.items() for l, b in y.items()]))
+        tables = tables()
+        x, y, br = tables.encode(_vector(left)), tables.encode(_vector(right)), tables.bracket
+        out = _term_dict(lr.alg, tables.decode(_lincomb(*[(a * b, br(k, l)) for k, a in x.items() for l, b in y.items()])))
     (q1, p1), (q2, p2) = u._shape, v._shape
     return _element(u.parent, out, (q1 + q2, max(p1 + p2 - 1, 0)))
 
@@ -410,61 +414,106 @@ def _add(out: Dict, c, vec: Dict) -> None:
         out[k] = c * x if y is None else y + c * x
 
 
+def _product_sign(a: int, b: int, ri: int) -> int:
+    """The sign ``_merge`` gives the product of the labels of masks a, b
+    (outer bits above ri inner bits), 0 when a slot overlaps: the whole
+    masks' inversions, less |outer a| |inner b|, plus |inner a| |outer b|."""
+    if a & b:
+        return 0
+    inner = (1 << ri) - 1
+    n = (a >> ri).bit_count() * (b & inner).bit_count() + (a & inner).bit_count() * (b >> ri).bit_count()
+    while b:
+        low = b & -b
+        n += (a & -low).bit_count()  # the bits of a above this bit of b
+        b ^= low
+    return -1 if n % 2 else 1
+
+
 class _LabelTables:
     """The bracket and product of the carrier of parent (a structure or a
-    pair) on its Q-basis labels (t, outer, inner), memoised per label pair
-    (rows keyed by the left label) and filled on first use.  Built for one
-    checker call and dropped with it.
+    pair) on the codes of its Q-basis labels (see the module docstring), as
+    code vectors keyed by codes, memoised per pair code x << width | y and
+    filled on first use.  Built for one checker call and dropped with it.
 
     Every entry is read off entries of smaller labels (see ``_factors``).  A
     left label x y splits by [x y, v] = x [y, v] + (-1)^{|x||y|} y [x, v];
     an atom u on the left (a single vector or a pure form) splits a right
-    label f g by [u, f g] = [u, f] g + (-1)^{(|u|-1)|f|} f [u, g], with the
-    sub-entries kept in the row of u: the package's only splits.  An atom x
-    atom entry is bracket, the carrier's public bracket (``schouten_bracket``
-    or the crossed bracket), on the elements of the two labels, each built
-    once per table.
+    label f g by [u, f g] = [u, f] g + (-1)^{(|u|-1)|f|} f [u, g]: the
+    package's only splits.  An atom x atom entry is bracket, the carrier's
+    public bracket (``schouten_bracket`` or the crossed bracket), on the
+    elements of the two labels, each built once per table.
     """
 
     def __init__(self, parent, bracket) -> None:
+        ro, self.ri = _ranks(parent)
+        self.shift, self.inner = ro + self.ri, (1 << self.ri) - 1
+        self.low, self.width = (1 << self.shift) - 1, self.shift + parent.alg.dim.bit_length()
         self.parent, self.atom_bracket, self.alg = parent, bracket, parent.alg
+        self.ones = [(t << self.shift, c) for (t, _, _), c in _vector({((), ()): self.alg.one()}).items()]
         self.brackets: Dict = {}
         self.products: Dict = {}
-        self.factors: Dict = {}  # label -> its factors (f, g, |f|, |g|) as label vectors, or None
-        self.atoms: Dict = {}  # atom label -> its carrier element
+        self.factors: Dict = {}  # code -> its factors (f, g, |f|, |g|) as code vectors, or None
+        self.atoms: Dict = {}  # atom code -> its carrier element
 
-    def _atom(self, label: Tuple) -> _Element:
-        u = self.atoms.get(label)
-        if u is None:
-            u = self.atoms[label] = _element(self.parent, {label[1:]: self.alg.basis(label[0])})
-        return u
+    def code(self, label: Tuple) -> int:
+        t, outer, inner = label
+        return t << self.shift | sum(1 << i for i in outer) << self.ri | sum(1 << i for i in inner)
+
+    def label(self, x: int) -> Tuple:
+        bits = lambda m: tuple(i for i in range(m.bit_length()) if m >> i & 1)
+        return x >> self.shift, bits((x & self.low) >> self.ri), bits(x & self.inner)
+
+    def encode(self, vec: Dict) -> Dict:
+        """The code vector of a label vector."""
+        return {self.code(x): c for x, c in vec.items()}
+
+    def decode(self, vec: Dict) -> Dict:
+        """The label vector of a code vector."""
+        return {self.label(x): c for x, c in vec.items()}
 
     def carrier(self, vec: Dict) -> _Element:
-        """The carrier element of a label vector."""
-        return _element(self.parent, _term_dict(self.alg, vec))
+        """The carrier element of a code vector."""
+        return _element(self.parent, _term_dict(self.alg, self.decode(vec)))
 
-    def _factors(self, x: Tuple):
-        """x = f g as (f, g, |f|, |g|), label vectors: the outer form times the
+    def operator(self, op: "GeneratorOp"):
+        """code -> the column of op on its label as a code vector, each
+        converted on first read by this reader."""
+        columns: Dict = {}
+
+        def column(x: int) -> Dict:
+            if x not in columns:
+                columns[x] = self.encode(op.column(self.label(x)))
+            return columns[x]
+
+        return column
+
+    def _atom(self, x: int) -> _Element:
+        u = self.atoms.get(x)
+        if u is None:
+            t, *key = self.label(x)
+            u = self.atoms[x] = _element(self.parent, {tuple(key): self.alg.basis(t)})
+        return u
+
+    def _factors(self, x: int):
+        """x = f g as (f, g, |f|, |g|), code vectors: the outer form times the
         inner wedge, or the first vector times the rest; None for an atom."""
         if x not in self.factors:
-            t, outer, inner = x
-            f, g = ((outer, ()), ((), inner)) if outer else (((), inner[:1]), ((), inner[1:]))
-            self.factors[x] = None if _atom(outer, inner) else (
-                {(t, *f): 1}, _vector({g: self.alg.one()}), len(f[0] + f[1]), len(g[0] + g[1])
+            inner = x & self.inner
+            outer, first = x & self.low ^ inner, inner & -inner
+            f, g = (x ^ inner, inner) if outer else (x ^ inner ^ first, inner ^ first)
+            self.factors[x] = None if not g else (
+                {f: 1}, {t | g: c for t, c in self.ones}, (f & self.low).bit_count(), g.bit_count()
             )
         return self.factors[x]
 
-    def bracket(self, x: Tuple, y: Tuple) -> Dict:
-        """[x, y] of two labels as a label vector."""
-        row = self.brackets.get(x)
-        if row is None:
-            row = self.brackets[x] = {}
-        entry = row.get(y)
+    def bracket(self, x: int, y: int) -> Dict:
+        """[x, y] of two codes as a code vector."""
+        entry = self.brackets.get(key := x << self.width | y)
         if entry is None:
-            entry = row[y] = self._fill(x, y)
+            entry = self.brackets[key] = self._fill(x, y)
         return entry
 
-    def _fill(self, x: Tuple, y: Tuple) -> Dict:
+    def _fill(self, x: int, y: int) -> Dict:
         out: Dict = {}
         split = self._factors(x)
         if split is not None:  # [f g, y] = f [g, y] + (-1)^{|f||g|} g [f, y]
@@ -478,38 +527,35 @@ class _LabelTables:
             f, g, df, _ = self.factors[y]
             for z, a in f.items():
                 self._times(out, a, self.bracket(x, z), g)
-            sign = 1 if ((len(x[1]) + len(x[2]) - 1) * df) % 2 == 0 else -1
+            sign = 1 if (((x & self.low).bit_count() - 1) * df) % 2 == 0 else -1
             for z, b in g.items():
                 self._times(out, sign * b, f, self.bracket(x, z))
         else:
-            return _vector(self.atom_bracket(self._atom(x), self._atom(y)).terms())
+            return self.encode(_vector(self.atom_bracket(self._atom(x), self._atom(y)).terms()))
         return {k: c for k, c in out.items() if c} or _ZERO
 
     def _times(self, out: Dict, c, u: Dict, v: Dict) -> None:
-        """out += c u v for label vectors u, v."""
+        """out += c u v for code vectors u, v."""
         if u and v:
             for x, a in u.items():
                 for y, b in v.items():
                     _add(out, c * a * b, self.product(x, y))
 
-    def product(self, x: Tuple, y: Tuple) -> Dict:
-        """x y of two labels as a label vector."""
-        row = self.products.get(x)
-        if row is None:
-            row = self.products[x] = {}
-        entry = row.get(y)
+    def product(self, x: int, y: int) -> Dict:
+        """x y of two codes as a code vector."""
+        entry = self.products.get(key := x << self.width | y)
         if entry is None:
-            entry = row[y] = self._multiply(x, y)
+            entry = self.products[key] = self._multiply(x, y)
         return entry
 
-    def _multiply(self, x: Tuple, y: Tuple) -> Dict:
-        """x y off the compiled products of the base, signed by ``_merge``."""
-        merged = _merge(x[1:], y[1:])
-        if merged is None:
+    def _multiply(self, x: int, y: int) -> Dict:
+        """x y off the compiled products of the base, signed by popcounts."""
+        a, b = x & self.low, y & self.low
+        sign = _product_sign(a, b, self.ri)
+        if not sign:
             return _ZERO
-        (outer, inner), sign = merged
-        terms = self.alg._products[x[0]][y[0]]
-        return {(k, outer, inner): m if sign == 1 else -m for k, m in terms} or _ZERO
+        terms = self.alg._products[x >> self.shift][y >> self.shift]
+        return {k << self.shift | a | b: m if sign == 1 else -m for k, m in terms} or _ZERO
 
 
 def _flat_tables(lr: LieRinehart) -> _LabelTables:
@@ -526,15 +572,15 @@ def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
     if max_degree < 0:
         raise ValueError(f"the degree cap must be at least 0, got {max_degree}")
     tables = _flat_tables(lr)
-    br, prod = tables.bracket, tables.product
+    br, prod, low = tables.bracket, tables.product, tables.low
     elems = _label_elems(lr, max_degree)
 
-    def antisymmetry(out: Dict, c, _, x: Tuple, y: Tuple) -> None:
+    def antisymmetry(out: Dict, c, _, x: int, y: int) -> None:
         # [x, y] + (-1)^{(|x|-1)(|y|-1)} [y, x]
         _add(out, c, br(x, y))
-        _add(out, c if ((len(x[2]) - 1) * (len(y[2]) - 1)) % 2 == 0 else -c, br(y, x))
+        _add(out, c if (((x & low).bit_count() - 1) * ((y & low).bit_count() - 1)) % 2 == 0 else -c, br(y, x))
 
-    def leibniz(u: Tuple, pu: int, out: Dict, c, sv: int, v: Tuple, w: Tuple) -> None:
+    def leibniz(u: int, pu: int, out: Dict, c, sv: int, v: int, w: int) -> None:
         # [u, v w] - [u, v] w - (-1)^{(|u|-1)|v|} v [u, w]
         sign = 1 if pu % 2 == 1 else sv
         for z, e in prod(v, w).items():
@@ -544,7 +590,7 @@ def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
         for z, e in br(u, w).items():
             _add(out, -sign * c * e, prod(v, z))
 
-    def jacobi(u: Tuple, pu: int, out: Dict, c, sv: int, v: Tuple, w: Tuple) -> None:
+    def jacobi(u: int, pu: int, out: Dict, c, sv: int, v: int, w: int) -> None:
         # [u, [v, w]] - [[u, v], w] - (-1)^{(|u|-1)(|v|-1)} [v, [u, w]]
         sign = 1 if pu % 2 == 1 else -sv
         for z, e in br(v, w).items():
@@ -561,7 +607,7 @@ def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
         return [Violation("graded-antisymmetry", found[0] + found[1], "")]
     for axiom, residual, shift in (("odd-leibniz", leibniz, -1), ("graded-jacobi", jacobi, -2)):
         for l1, (u,), pu in elems:
-            found = _pair_witness(elems, tables, partial(residual, u, pu), ranks, (0, pu + shift))
+            found = _pair_witness(elems, tables, partial(residual, tables.code(u), pu), ranks, (0, pu + shift))
             if found:
                 return [Violation(axiom, l1 + found[0] + found[1], "")]
     return []
@@ -714,6 +760,10 @@ class GeneratorOp:
         """The image of a label vector."""
         return _lincomb(*[(a, self.column(x)) for x, a in vec.items()])
 
+    def _key(self, label: Tuple) -> Tuple:
+        """A label in the constructor's key shape: (t, subset) on multivectors."""
+        return (label[0], label[2]) if isinstance(self.parent, LieRinehart) else label
+
     def _carrier(self, vec: Dict, q: int, p: int) -> _Element:
         """The carrier element of the image vec of an input of bidegree (q, p)."""
         dq, dp = self._bidegree
@@ -722,10 +772,7 @@ class GeneratorOp:
     @property
     def table(self) -> Dict:
         """The columns as carrier elements, keyed as in the constructor."""
-        flat, out = isinstance(self.parent, LieRinehart), {}
-        for (t, outer, inner), vec in self.columns.items():
-            out[(t, inner) if flat else (t, outer, inner)] = self._carrier(vec, len(outer), len(inner))
-        return out
+        return {self._key(label): self._carrier(vec, len(label[1]), len(label[2])) for label, vec in self.columns.items()}
 
     def apply(self, u: _Element) -> _Element:
         """The columns extended rational-linearly over the terms of u."""
@@ -791,11 +838,6 @@ def _first_nonzero(images: Iterable[Tuple]) -> Optional[Tuple]:
     return next((label for label, image in images if image), None)
 
 
-def _bidegrees(vec: Dict) -> frozenset:
-    """The bidegrees (outer, inner) of the labels of a label vector."""
-    return frozenset((len(outer), len(inner)) for _, outer, inner in vec)
-
-
 def _pair_witness(elems: Sequence[Tuple], tables: _LabelTables, residual, ranks: Tuple, shift: Tuple) -> Optional[Tuple]:
     """The first pair (label1, label2, residual) of elems, a list of
     (label, label vector, degree), whose residual is nonzero, or None.
@@ -804,19 +846,21 @@ def _pair_witness(elems: Sequence[Tuple], tables: _LabelTables, residual, ranks:
     labels, outer degree 0..ranks[0] and inner 0..ranks[1], are visited,
     in the order of elems (see the module docstring).  Each pair's residual
     is summed in one accumulator, bilinearly over the terms of its two
-    vectors: residual(out, c, s, x, y) adds c times the residual of the
-    labels x, y to out, where s = (-1)^{|u|} for the first element u."""
+    vectors, on the codes of the tables: residual(out, c, s, x, y) adds c
+    times the residual of the codes x, y to out, where s = (-1)^{|u|} for
+    the first element u."""
     (qtop, ptop), (dq, dp) = ranks, shift
-    degrees = [_bidegrees(v) for _, v, _ in elems]
+    degrees = [frozenset((len(outer), len(inner)) for _, outer, inner in v) for _, v, _ in elems]
+    codes = [(label, tables.encode(v)) for label, v, _ in elems]
     partners: Dict = {}  # bidegree class of the first element -> its second elements
-    for (label1, u, p), du in zip(elems, degrees):
+    for (label1, _, p), (_, u), du in zip(elems, codes, degrees):
         if du not in partners:
             partners[du] = [
-                e for e, dv in zip(elems, degrees)
+                e for e, dv in zip(codes, degrees)
                 if any(0 <= q1 + q2 + dq <= qtop and 0 <= p1 + p2 + dp <= ptop for q1, p1 in du for q2, p2 in dv)
             ]
         su = 1 if p % 2 == 0 else -1
-        for label2, v, _ in partners[du]:
+        for label2, v in partners[du]:
             acc: Dict = {}
             for x, a in u.items():
                 for y, b in v.items():
@@ -834,9 +878,9 @@ def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: Generat
 
     fails, or None.  The residual is read off bracket entries and the
     label columns of d, and returned as a carrier element."""
-    entry, column = tables.bracket, d.column
+    entry, column = tables.bracket, tables.operator(d)
 
-    def residual(out: Dict, c, su: int, x: Tuple, y: Tuple) -> None:
+    def residual(out: Dict, c, su: int, x: int, y: int) -> None:
         for z, e in entry(x, y).items():
             _add(out, c * e, column(z))
         for w, e in column(x).items():
@@ -856,9 +900,9 @@ def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: Generato
 
     fails, or None.  The residual is read off bracket and product entries
     and the label columns of D, and returned as a carrier element."""
-    entry, prod, column = tables.bracket, tables.product, D.column
+    entry, prod, column = tables.bracket, tables.product, tables.operator(D)
 
-    def residual(out: Dict, c, su: int, x: Tuple, y: Tuple) -> None:
+    def residual(out: Dict, c, su: int, x: int, y: int) -> None:
         _add(out, c, entry(x, y))
         for z, e in prod(x, y).items():
             _add(out, -su * c * e, column(z))
@@ -882,11 +926,11 @@ def generator_validate(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:
     return [] if found is None else [Violation("generator-identity", found[0] + found[1], "")]
 
 
-def generator_square(g: GeneratorOp) -> Tuple[bool, Optional[Tuple[int, Tuple[int, ...]]]]:
+def generator_square(g: GeneratorOp) -> Tuple[bool, Optional[Tuple]]:
     """(True, None) when D.D kills every tabulated input, else the first
-    witnessing input label."""
+    witnessing input label, keyed as in the constructor."""
     label = _first_nonzero((label, g.image(g.columns[label])) for label in sorted(g.columns))
-    return label is None, label and (label[0], label[2])
+    return label is None, label and g._key(label)
 
 
 def generator_to_connection(lr: LieRinehart, g: GeneratorOp) -> TopConnection:

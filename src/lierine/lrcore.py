@@ -29,6 +29,7 @@ property is read off its columns.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -277,7 +278,25 @@ def exterior_power(m: LRModule, p: int) -> LRModule:
 
     Lambda^0 is the trivial module and Lambda^1 is m itself.
     """
-    subsets = list(combinations(range(m.rank), p))
+    return _exterior(m, list(combinations(range(m.rank), p)))
+
+
+def exterior_algebra(m: LRModule) -> LRModule:
+    """Lambda of a connection, the sum of its exterior powers, on one f_S
+    per subset S in ``_subsets`` order."""
+    return _exterior(m, _subsets(m.rank)[0])
+
+
+@lru_cache(maxsize=None)
+def _subsets(rank: int) -> Tuple[List[Tuple[int, ...]], Dict[Tuple[int, ...], int]]:
+    """The sorted subsets of range(rank) by size, in ``combinations`` order
+    within a size, and their positions."""
+    out = [s for p in range(rank + 1) for s in combinations(range(rank), p)]
+    return out, {s: pos for pos, s in enumerate(out)}
+
+
+def _exterior(m: LRModule, subsets: List[Tuple[int, ...]]) -> LRModule:
+    """The action of ``exterior_power`` on the f_S of the given subsets."""
     index = {s: pos for pos, s in enumerate(subsets)}
     zero = m.lr.alg.zero()
     table = []

@@ -21,16 +21,16 @@ Each differential is lrcore's cochain differential of one constituent,
 applied to a bigraded element read as a form on that constituent with
 values in a module over it, and is read off the columns of that
 differential that ``lrcore.ce_columns`` keeps on the coefficient module,
-built once per module and form degree:
+one exterior algebra per operator, built once per form degree:
 
-    d'' on forms          L'' with values in Lambda^p(dual of L' over L'')
-    d'' on multivectors   L'' with values in Lambda^p(L' over L'')
-    d'                    L'  with values in Lambda^q(dual of L'' over L'),
+    d'' on forms          L'' with values in Lambda(dual of L' over L'')
+    d'' on multivectors   L'' with values in Lambda(L' over L'')
+    d'                    L'  with values in Lambda(dual of L'' over L'),
                           optionally tensored with a line, times (-1)^q
 
-where p is the inner and q the outer degree.  A label's image is the
-kept column of its form label, the module slot read as a subset of the
-other constituent; an element's image sums the columns of its terms.
+over all slot degrees, q the outer degree.  A label's image is the kept
+column of its form label, the module slot read as a subset of the other
+constituent (``lrcore._subsets``); an element's image sums its columns.
 Conventions fixed by the degenerate cases: with L'' = 0 the operator d'
 is the plain cochain differential of L' (so d' carries the global sign
 (-1)^q past the q external slots), and d'' uses the Lie-derivative
@@ -79,10 +79,11 @@ from .lrcore import (
     LieRinehart,
     LRModule,
     _action_table,
+    _subsets,
     ce_columns,
     cohomology_dims,
     dual_module,
-    exterior_power,
+    exterior_algebra,
     lr_violations,
     tensor_line,
     trivial_coefficients,
@@ -204,18 +205,17 @@ def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
     return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, _product(u.values, v.values))
 
 
-def _coefficients(t: AlmostTwilled, kind: str, deg: int, line: Optional[Sequence[AElem]] = None) -> LRModule:
-    """The coefficient module on slot degree deg of d'' on forms ("form"),
-    d'' on multivectors ("multi") or d' ("dprime"), as listed in the module
-    docstring, built once per pair and kept on it."""
-    key = (kind, deg, None if line is None else tuple(line))
+def _coefficients(t: AlmostTwilled, kind: str, line: Optional[Sequence[AElem]] = None) -> LRModule:
+    """The coefficient module of d'' on forms ("form"), d'' on multivectors
+    ("multi") or d' ("dprime") on every slot degree, as listed in the module
+    docstring, built once per pair and kept on it (a line on the kept one)."""
+    key = (kind, None if line is None else tuple(line))
     if key not in t._modules:
-        if kind == "dprime":
-            m = exterior_power(dual_module(t.module_on_second()), deg)
-            t._modules[key] = m if line is None else tensor_line(m, line)
+        if line is not None:
+            t._modules[key] = tensor_line(_coefficients(t, kind), line)
         else:
-            m = t.module_on_prime()
-            t._modules[key] = exterior_power(dual_module(m) if kind == "form" else m, deg)
+            m = t.module_on_second() if kind == "dprime" else t.module_on_prime()
+            t._modules[key] = exterior_algebra(m if kind == "multi" else dual_module(m))
     return t._modules[key]
 
 
@@ -229,8 +229,8 @@ def _ce_column(t: AlmostTwilled, kind: str, line: Optional[Sequence[AElem]], lab
     outer = kind != "dprime"
     key, slot = (ss, sp) if outer else (sp, ss)
     lr, other = (t.lsecond, t.lprime) if outer else (t.lprime, t.lsecond)
-    slots, index = _slots(other.rank, len(slot))
-    columns = ce_columns(lr, _coefficients(t, kind, len(slot), line), len(key), formal=True)
+    slots, index = _subsets(other.rank)
+    columns = ce_columns(lr, _coefficients(t, kind, line), len(key), formal=True)
     negate = not outer and len(ss) % 2 == 1
     out: Dict = {}
     for (rkey, j, s), x in columns.get((key, index[slot], ta), ()):
@@ -281,19 +281,13 @@ def dsecond_multi(t: AlmostTwilled, w: Bigraded) -> Bigraded:
     return _ce_bigraded(t, w, "multi")
 
 
-def _slots(rank: int, deg: int) -> Tuple[List, Dict]:
-    """The sorted deg-subsets of range(rank) and their positions."""
-    slots = list(combinations(range(rank), deg))
-    return slots, {s: k for k, s in enumerate(slots)}
-
-
 def _lie_derivative(t: AlmostTwilled, i: int, b: AElem, outer: Tuple[int, ...]) -> Dict:
     """e'_i . (b e''*_outer) as {outer subset: coefficient}: the Lie
     derivative of an outer form along a basis vector of L', read off the
     compiled action of the d' coefficient module."""
     dim = t.alg.dim
-    slots, index = _slots(t.lsecond.rank, len(outer))
-    images = _action_table(_coefficients(t, "dprime", len(outer)))[i]
+    slots, index = _subsets(t.lsecond.rank)
+    images = _action_table(_coefficients(t, "dprime"))[i]
     col = index[outer] * dim
     acc: Dict[int, List[Fraction]] = {}
     for s, c in enumerate(b.coeffs):

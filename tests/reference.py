@@ -11,7 +11,9 @@ product and operator images, and the dense pair loop, ``pair_witness``,
 which visits every ordered pair where the library visits only those
 whose residual bidegree exists in the carrier; and the label product
 through algebra elements, ``label_product``, which the library reads off
-the compiled products of the base.  And the element recursion of the Schouten
+the compiled products of the base, and the label tables keyed by tuple
+labels, ``LabelTables``, which the library keys by int codes, its signs
+popcounts of bit masks.  And the element recursion of the Schouten
 and crossed brackets, ``bracket_terms``, which splits any pair of terms
 on elements by the biderivation rules with its own sign conventions,
 where the library splits labels only in its label tables.  And the
@@ -64,8 +66,12 @@ from lierine.gerst import (
     TopConnection,
     _basis_multivectors,
     _contract,
+    _ZERO,
+    _add,
+    _atom,
     _element,
     _lincomb,
+    _merge,
     _product,
     _vector,
 )
@@ -470,22 +476,25 @@ def flatness_violations(lr: LieRinehart, m: LRModule) -> List[Violation]:
     return out
 
 
-def bilinear(entry, u, v):
-    """A label-table operation extended bilinearly to label vectors u, v."""
-    return _lincomb(*[(a * b, entry(x, y)) for x, a in u.items() for y, b in v.items()])
+def bilinear(tables, entry, u, v):
+    """An operation of the label tables on codes extended bilinearly to
+    label vectors u, v: their codes in, the label vector of the result
+    read back through the tables' decoder."""
+    u, v = tables.encode(u), tables.encode(v)
+    return tables.decode(_lincomb(*[(a * b, entry(x, y)) for x, a in u.items() for y, b in v.items()]))
 
 
 def derivation_witness(elems, tables, d):
     """The first (label1, label2, residual) of d[u,v] - [du,v] + (-1)^{|u|} [u,dv]
     over pairs of elems, a list of (label, label vector, degree), or None."""
-    br = partial(bilinear, tables.bracket)
+    br = partial(bilinear, tables, tables.bracket)
     images = [d.apply(u) for _, u, _ in elems]
     for a, (label1, u, p) in enumerate(elems):
         su = 1 if p % 2 == 0 else -1
         for b, (label2, v, _) in enumerate(elems):
             residual = _lincomb((1, d.apply(br(u, v))), (-1, br(images[a], v)), (su, br(u, images[b])))
             if residual:
-                return label1, label2, tables.carrier(residual)
+                return label1, label2, tables.carrier(tables.encode(residual))
     return None
 
 
@@ -493,7 +502,7 @@ def generator_witness(elems, tables, D):
     """The first (label1, label2, residual) of
     [u,v] - (-1)^{|u|} ( D(uv) - (Du)v - (-1)^{|u|} u(Dv) ) over pairs of elems,
     a list of (label, label vector, degree), or None."""
-    br, prod = partial(bilinear, tables.bracket), partial(bilinear, tables.product)
+    br, prod = partial(bilinear, tables, tables.bracket), partial(bilinear, tables, tables.product)
     images = [D.apply(u) for _, u, _ in elems]
     for a, (label1, u, p) in enumerate(elems):
         su = 1 if p % 2 == 0 else -1
@@ -502,7 +511,7 @@ def generator_witness(elems, tables, D):
                 (1, br(u, v)), (-su, D.apply(prod(u, v))), (su, prod(images[a], v)), (1, prod(u, images[b]))
             )
             if residual:
-                return label1, label2, tables.carrier(residual)
+                return label1, label2, tables.carrier(tables.encode(residual))
     return None
 
 
@@ -511,11 +520,13 @@ def pair_witness(elems, tables, residual):
     (label, label vector, degree), whose residual is nonzero, or None,
     over all ordered pairs: the dense form of ``gerst._pair_witness``,
     which visits only the pairs whose residual bidegree exists.
-    residual(out, c, s, x, y) adds c times the residual of the labels
-    x, y to out, with s = (-1)^{|u|} for the first element u."""
+    residual(out, c, s, x, y) adds c times the residual of the codes x, y
+    of the tables to out, with s = (-1)^{|u|} for the first element u."""
     for label1, u, p in elems:
         su = 1 if p % 2 == 0 else -1
+        u = tables.encode(u)
         for label2, v, _ in elems:
+            v = tables.encode(v)
             acc: Dict = {}
             for x, a in u.items():
                 for y, b in v.items():
@@ -526,10 +537,89 @@ def pair_witness(elems, tables, residual):
 
 
 def label_product(tables, x: Tuple, y: Tuple) -> Dict:
-    """x y of two labels of ``gerst._LabelTables`` as a label vector, through
-    the term dicts of the labels, their product of algebra elements and
-    the label vector of the result."""
+    """x y of two labels (t, outer, inner) of the carrier of the label
+    tables as a label vector, through the term dicts of the labels, their
+    product of algebra elements and the label vector of the result."""
     return _vector(_product(label_element(tables.parent, x).terms(), label_element(tables.parent, y).terms()))
+
+
+class LabelTables:
+    """The bracket and product of the carrier of parent on its Q-basis
+    labels (t, outer, inner) as tuples, rows keyed by the left label: the
+    label tables that ``gerst._LabelTables`` replaced by one dict of int
+    codes, with the same splits, fill order and atom x atom entries, and
+    the product signed by ``gerst._merge`` on the tuples."""
+
+    def __init__(self, parent, bracket) -> None:
+        self.parent, self.atom_bracket, self.alg = parent, bracket, parent.alg
+        self.brackets: Dict = {}
+        self.products: Dict = {}
+        self.factors: Dict = {}
+        self.atoms: Dict = {}
+
+    def _atom(self, label: Tuple):
+        u = self.atoms.get(label)
+        if u is None:
+            u = self.atoms[label] = _element(self.parent, {label[1:]: self.alg.basis(label[0])})
+        return u
+
+    def _factors(self, x: Tuple):
+        if x not in self.factors:
+            t, outer, inner = x
+            f, g = ((outer, ()), ((), inner)) if outer else (((), inner[:1]), ((), inner[1:]))
+            self.factors[x] = None if _atom(outer, inner) else (
+                {(t, *f): 1}, _vector({g: self.alg.one()}), len(f[0] + f[1]), len(g[0] + g[1])
+            )
+        return self.factors[x]
+
+    def bracket(self, x: Tuple, y: Tuple) -> Dict:
+        row = self.brackets.setdefault(x, {})
+        entry = row.get(y)
+        if entry is None:
+            entry = row[y] = self._fill(x, y)
+        return entry
+
+    def _fill(self, x: Tuple, y: Tuple) -> Dict:
+        out: Dict = {}
+        split = self._factors(x)
+        if split is not None:
+            f, g, df, dg = split
+            for z, b in g.items():
+                self._times(out, b, f, self.bracket(z, y))
+            sign = 1 if (df * dg) % 2 == 0 else -1
+            for z, a in f.items():
+                self._times(out, sign * a, g, self.bracket(z, y))
+        elif self._factors(y) is not None:
+            f, g, df, _ = self.factors[y]
+            for z, a in f.items():
+                self._times(out, a, self.bracket(x, z), g)
+            sign = 1 if ((len(x[1]) + len(x[2]) - 1) * df) % 2 == 0 else -1
+            for z, b in g.items():
+                self._times(out, sign * b, f, self.bracket(x, z))
+        else:
+            return _vector(self.atom_bracket(self._atom(x), self._atom(y)).terms())
+        return {k: c for k, c in out.items() if c} or _ZERO
+
+    def _times(self, out: Dict, c, u: Dict, v: Dict) -> None:
+        if u and v:
+            for x, a in u.items():
+                for y, b in v.items():
+                    _add(out, c * a * b, self.product(x, y))
+
+    def product(self, x: Tuple, y: Tuple) -> Dict:
+        row = self.products.setdefault(x, {})
+        entry = row.get(y)
+        if entry is None:
+            entry = row[y] = self._multiply(x, y)
+        return entry
+
+    def _multiply(self, x: Tuple, y: Tuple) -> Dict:
+        merged = _merge(x[1:], y[1:])
+        if merged is None:
+            return _ZERO
+        (outer, inner), sign = merged
+        terms = self.alg._products[x[0]][y[0]]
+        return {(k, outer, inner): m if sign == 1 else -m for k, m in terms} or _ZERO
 
 
 def _product_into(left: Dict, right: Dict, sign: int, out: Dict) -> None:

@@ -265,3 +265,27 @@ def test_matched_pair_builds_each_module_and_degree_once(monkeypatch, tmp_path):
     assert bialg.matched_pair_from_bialgebra(g, d.bracket) == inst.build_twilled("double")
     assert len(builds) == 14
     assert_once_per_module_and_degree(builds)
+
+
+@pytest.mark.parametrize("source,count", [("sl2 double", 12), ("matched_pair.lri", 9)])
+def test_check_twilled_builds_one_module_per_operator_kind(monkeypatch, tmp_path, capsys, source, count):
+    """d' and both d'' each read one coefficient module, the exterior
+    algebra over all slot degrees, so a check-twilled makes one build per
+    operator kind and form degree (3 x 4 on the sl2 double, 3 x 3 on the
+    rank-2 pair) and takes one dual_module per kind that has one."""
+    path = bench_sl2_double(tmp_path) if source == "sl2 double" else FIXTURES / source
+    duals, dual = [], twilled.dual_module
+
+    def counting_dual(m):
+        duals.append(m)
+        return dual(m)
+
+    monkeypatch.setattr(twilled, "dual_module", counting_dual)
+    differentials, builds = count_builds(monkeypatch)
+    assert cli.main(["check-twilled", "--input", str(path)]) == 0
+    assert "verdict dg-gerstenhaber: pass" in capsys.readouterr().out
+    assert differentials == []
+    assert len(builds) == count
+    assert_once_per_module_and_degree(builds)
+    assert len({id(m) for m, _ in builds}) == 3
+    assert len(duals) == 2

@@ -167,7 +167,8 @@ def test_gerstenhaber_validate_matches_dense_loop(p):
 
 def visited_pairs(monkeypatch):
     """A list that gets, for each run of the witness loop, the set of label
-    pairs whose residual it sums."""
+    pairs whose residual it sums, each code read back through the tables'
+    decoder."""
     runs = []
     loop = gerst._pair_witness
 
@@ -176,7 +177,7 @@ def visited_pairs(monkeypatch):
         runs.append(pairs)
 
         def recording(out, c, su, x, y):
-            pairs.add((x, y))
+            pairs.add((tables.label(x), tables.label(y)))
             residual(out, c, su, x, y)
 
         return loop(elems, tables, recording, ranks, shift)
@@ -227,7 +228,8 @@ def test_witness_loop_visits_the_pairs_of_existing_bidegrees_of_generators_and_t
 
 def assert_products_match(tables, labels):
     for x, y in product(labels, repeat=2):
-        assert repr(tables.product(x, y)) == repr(reference.label_product(tables, x, y)), (x, y)
+        got = tables.decode(tables.product(tables.code(x), tables.code(y)))
+        assert repr(got) == repr(reference.label_product(tables, x, y)), (x, y)
 
 
 @pytest.mark.parametrize("name,lr", FIXTURE_LRS, ids=[n for n, _ in FIXTURE_LRS])

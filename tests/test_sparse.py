@@ -252,8 +252,9 @@ def assert_label_tables_match_recursion(lr):
         u = Multivector(lr, {x[2]: lr.alg.basis(x[0])})
         v = Multivector(lr, {y[2]: lr.alg.basis(y[0])})
         want = bracket_terms(lr, {x[1:]: lr.alg.basis(x[0])}, {y[1:]: lr.alg.basis(y[0])})
-        assert tables.carrier(tables.bracket(x, y)) == Multivector(lr, {k: c for (_, k), c in want.items()}), (x, y)
-        assert tables.carrier(tables.product(x, y)) == wedge(u, v), (x, y)
+        cx, cy = tables.code(x), tables.code(y)
+        assert tables.carrier(tables.bracket(cx, cy)) == Multivector(lr, {k: c for (_, k), c in want.items()}), (x, y)
+        assert tables.carrier(tables.product(cx, cy)) == wedge(u, v), (x, y)
 
 
 TABLE_STRUCTURES = FIXTURE_STRUCTURES + [("heisenberg", heisenberg()), ("gl2", gl_n(2))]
