@@ -202,7 +202,7 @@ def semidirect_duality_check(t: AlmostTwilled, max_degree: int = 3) -> Dict:
     pair = semidirect_dual_pair(t)
     bial = bialgebra_check(pair, max_degree)
     dg = dg_gerstenhaber_check(t)
-    dg_ok = dg["square"] and dg["derivation"]
+    dg_ok = dg["square"] and dg["derivation"] and dg["flatness"]
     report = {
         "bialgebra": bial.holds,
         "dg": dg_ok,

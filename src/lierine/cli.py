@@ -479,6 +479,8 @@ def _cmd_check_lr(inst: InstanceSet, name: str, max_degree: Optional[int], repor
 
 def _cmd_check_twilled(inst: InstanceSet, name: str, max_degree: Optional[int], report: Report) -> None:
     t = inst.build_twilled(name)
+    if not _sides_valid(report, t.lprime, t.lsecond):
+        return
     bic = bicomplex_square_check(t)
     report.verdict("twilled", bic["twilled"], bic.get("twilled_witness"))
     squares_ok = bic["dprime_square"] and bic["dsecond_square"] and bic["anticommute"]
@@ -490,19 +492,10 @@ def _cmd_check_twilled(inst: InstanceSet, name: str, max_degree: Optional[int], 
     report.verdict("bicomplex-squares", squares_ok, wit)
     report.verdict("bicomplex-equivalence", bic["equivalent"])
     lie, ger = _dg_lie_and_gerstenhaber(t)
-    lie_ok = lie["square"] and lie["derivation"]
-    report.verdict("dg-lie", lie_ok, None if lie_ok else _dg_witness(lie))
-    report.verdict("dg-lie-equivalence", lie["equivalent"])
-    ger_ok = ger["square"] and ger["derivation"]
-    report.verdict("dg-gerstenhaber", ger_ok, None if ger_ok else _dg_witness(ger))
-    report.verdict("dg-gerstenhaber-equivalence", ger["equivalent"])
-
-
-def _dg_witness(r: Dict) -> Tuple:
-    for key in ("square", "derivation"):
-        if not r[key]:
-            return (key, r["witnesses"][key])
-    return ()
+    for check, r in (("dg-lie", lie), ("dg-gerstenhaber", ger)):
+        witness = next(iter(r["witnesses"].items()), None)
+        report.verdict(check, witness is None, witness)
+        report.verdict(f"{check}-equivalence", r["equivalent"])
 
 
 def _cmd_cohomology(inst: InstanceSet, name: str, max_degree: Optional[int], report: Report) -> None:
@@ -587,11 +580,7 @@ def _cmd_check_bialgebra(inst: InstanceSet, name: str, max_degree: Optional[int]
         return
     dual = semidirect_duality_check(t, cap)
     report.verdict("bialgebra", dual["bialgebra"], dual["witnesses"].get("bialgebra"))
-    dg_wit = dual["witnesses"].get("dg")
-    if isinstance(dg_wit, dict):
-        key = "square" if "square" in dg_wit else "derivation"
-        dg_wit = (key, dg_wit[key])
-    report.verdict("dg", dual["dg"], dg_wit)
+    report.verdict("dg", dual["dg"], next(iter(dual["witnesses"].get("dg", {}).items()), None))
     report.verdict("duality-equivalence", dual["equivalent"])
     tvb = twilled_vs_bialgebra_check(t, cap)
     report.verdict("twilled", tvb["twilled"], tvb["witnesses"].get("twilled"))

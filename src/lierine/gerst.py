@@ -19,8 +19,11 @@ L'' = 0, where every outer key is empty; ``_element`` and
 The only recursion is that of the label tables (``_LabelTables._fill``),
 which split products down to atoms (a single vector or a pure form).
 Both public brackets go through ``_bracket``: on atoms term by term
-(``_bracket_terms``), otherwise summed from label-table entries, whose
-atom x atom entries are the public bracket on two atoms.  Generators
+(``_bracket_terms``), otherwise summed from label-table entries by
+``_tabulated``, whose atom x atom entries are the public bracket on two
+atoms.  ``wedge`` and the bigraded product of ``twilled`` are
+``_tabulated`` on product entries, so ``_product_sign`` is the package's
+one exterior product sign.  Generators
 are degree -1 operators reproducing the bracket through the defect of
 the Leibniz rule; they correspond to connections on the top exterior
 power via conjugation by the contraction isomorphism, one loop
@@ -36,7 +39,8 @@ carrier: ``_derivation_witness`` (d[u,v] = [du,v] - (-1)^{|u|}[u,dv]),
 bigraded carrier Alt(L'', Lambda L') in ``twilled`` and the exterior
 algebras of a dual pair in ``bialg``; each caller supplies its basis
 labels in its own order, its label tables and its operator.  Label tables
-(``_LabelTables``) live for one checker call: the bracket and product as
+(``_LabelTables``) live for one checker call, or one call of checkers
+sharing them: the bracket and product as
 structure constants on the Q-basis labels (t, outer, inner), each coded
 as the int t << (ro + ri) | outer mask << ri | inner mask, every entry
 keyed by the code of its label pair in one dict and filled on first use,
@@ -59,7 +63,7 @@ put its residual on, so it is zero, and the first failing pair and its
 residual are those of the loop over all pairs.  Each visited pair's
 residual is summed on codes in one accumulator straight from table
 entries and operator columns, each column coded once per label and
-checker call; codes decode to labels only for an atom's element, a
+set of tables; codes decode to labels only for an atom's element, a
 column read and the residual of the witness.
 """
 
@@ -81,7 +85,6 @@ from .lrcore import (
     trivial_coefficients,
 )
 from .reporting import Violation
-from .signs import merge_sign
 
 
 class _Element:
@@ -274,36 +277,14 @@ def _element(parent, terms: Dict, bidegree: Optional[Tuple[int, int]] = None) ->
 
 def wedge(u: Multivector, v: Multivector) -> Multivector:
     u._same(v)
-    return _element(u.lr, _product(u.terms(), v.terms()))
+    return _element(u.lr, _tabulated(_flat_tables(u.lr), "product", u, v))
 
 
-def _merge(left: Tuple, right: Tuple) -> Optional[Tuple[Tuple, int]]:
-    """The key and sign of the product of two terms keyed (outer, inner):
-    the merge signs of both slots times (-1)^{p_left q_right}, the package's
-    one product convention; None when a slot overlaps."""
-    (ss1, sp1), (ss2, sp2) = left, right
-    mo, mi = merge_sign(ss1, ss2), merge_sign(sp1, sp2)
-    if mo is None or mi is None:
-        return None
-    sign = mo[1] * mi[1]
-    return (mo[0], mi[0]), sign if (len(sp1) * len(ss2)) % 2 == 0 else -sign
-
-
-def _product(left: Dict, right: Dict) -> Dict:
-    """left . right for term dicts {(outer, inner): coefficient}, each term
-    pair signed by ``_merge``."""
-    out: Dict = {}
-    for k1, a in left.items():
-        for k2, b in right.items():
-            merged = _merge(k1, k2)
-            if merged is None:
-                continue
-            key, sign = merged
-            val = a * b
-            cur = out.get(key)
-            add = val if sign == 1 else -val
-            out[key] = add if cur is None else cur + add
-    return out
+def _tabulated(tables: "_LabelTables", entry: str, u: _Element, v: _Element) -> Dict:
+    """The term dict of the label-table entry ("bracket" or "product")
+    extended bilinearly over the terms of u and v."""
+    x, y, f = tables.encode(_vector(u.terms())), tables.encode(_vector(v.terms())), getattr(tables, entry)
+    return _term_dict(tables.alg, tables.decode(_lincomb(*[(a * b, f(k, l)) for k, a in x.items() for l, b in y.items()])))
 
 
 def _atom(outer: Tuple[int, ...], inner: Tuple[int, ...]) -> bool:
@@ -347,9 +328,7 @@ def _bracket(u: _Element, v: _Element, lr: LieRinehart, tables, lie=None) -> _El
     if all(_atom(*key) for key in (*left, *right)):
         out = _bracket_terms(lr, left, right, lie)
     else:
-        tables = tables()
-        x, y, br = tables.encode(_vector(left)), tables.encode(_vector(right)), tables.bracket
-        out = _term_dict(lr.alg, tables.decode(_lincomb(*[(a * b, br(k, l)) for k, a in x.items() for l, b in y.items()])))
+        out = _tabulated(tables(), "bracket", u, v)
     (q1, p1), (q2, p2) = u._shape, v._shape
     return _element(u.parent, out, (q1 + q2, max(p1 + p2 - 1, 0)))
 
@@ -415,8 +394,10 @@ def _add(out: Dict, c, vec: Dict) -> None:
 
 
 def _product_sign(a: int, b: int, ri: int) -> int:
-    """The sign ``_merge`` gives the product of the labels of masks a, b
-    (outer bits above ri inner bits), 0 when a slot overlaps: the whole
+    """The sign of the product of the labels of masks a, b (outer bits
+    above ri inner bits), 0 when a slot overlaps: the package's one product
+    sign, (alpha (x) x)(beta (x) y) = (-1)^{|x||beta|} (alpha ^ beta) (x) (x ^ y)
+    with each wedge signed by the shuffle of its slot.  That is the whole
     masks' inversions, less |outer a| |inner b|, plus |inner a| |outer b|."""
     if a & b:
         return 0
@@ -454,6 +435,7 @@ class _LabelTables:
         self.products: Dict = {}
         self.factors: Dict = {}  # code -> its factors (f, g, |f|, |g|) as code vectors, or None
         self.atoms: Dict = {}  # atom code -> its carrier element
+        self.readers: Dict = {}  # id(op) -> (op, its columns coded so far); op held so its id stays unique
 
     def code(self, label: Tuple) -> int:
         t, outer, inner = label
@@ -476,9 +458,10 @@ class _LabelTables:
         return _element(self.parent, _term_dict(self.alg, self.decode(vec)))
 
     def operator(self, op: "GeneratorOp"):
-        """code -> the column of op on its label as a code vector, each
-        converted on first read by this reader."""
-        columns: Dict = {}
+        """code -> the column of op on its label as a code vector, each coded
+        on first read and kept on the tables, so the checkers sharing them
+        code it once."""
+        _, columns = self.readers.setdefault(id(op), (op, {}))
 
         def column(x: int) -> Dict:
             if x not in columns:

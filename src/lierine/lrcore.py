@@ -17,6 +17,9 @@ bit-mask subsets from bracket and action tables compiled off the products
 and anchor columns of the base: ``ce_matrix`` on all, which each module
 keeps per degree as label-keyed columns (``ce_columns``) for the squares,
 ``twilled`` and ``bialg``, and ``cohomology_dims`` on those of weight 0.
+Exterior powers of a module act on bit-mask subsets too: moving one
+factor f_j to f_k is signed by the parity of the factors strictly between
+j and k.  The product sign of exterior elements is ``gerst._product_sign``.
 
 The anchor is a bracket morphism iff d.d = 0 on C^0(L; A), and M is flat
 iff d.d = 0 on C^0(L; M).  The other axioms read the one sparse literal
@@ -37,7 +40,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .calgebra import AElem, CommAlg, Derivation, _sparse, derivation_validate
 from .exactla import SparseMatrix, _exact, _frac, mat_rank
 from .reporting import Violation
-from .signs import sort_with_sign
 
 # compiled basis tables, integral values as int; see _literal_table, _bracket_table, _degree_one_table and _action_table
 Terms = Tuple[Tuple[int, object], ...]
@@ -296,23 +298,26 @@ def _subsets(rank: int) -> Tuple[List[Tuple[int, ...]], Dict[Tuple[int, ...], in
 
 
 def _exterior(m: LRModule, subsets: List[Tuple[int, ...]]) -> LRModule:
-    """The action of ``exterior_power`` on the f_S of the given subsets."""
-    index = {s: pos for pos, s in enumerate(subsets)}
+    """The action of ``exterior_power`` on the f_S of the given subsets,
+    keyed by bit mask: moving f_j to f_k in f_S passes the factors of S
+    strictly between j and k."""
+    masks = [sum(1 << i for i in s) for s in subsets]
+    index = {mask: pos for pos, mask in enumerate(masks)}
     zero = m.lr.alg.zero()
     table = []
     for row in m.action:
         entries = []
-        for s in subsets:
+        for s, mask in zip(subsets, masks):
             vec = [zero] * len(subsets)
-            for pos, j in enumerate(s):
+            for j in s:
+                rest = mask ^ 1 << j
                 for k, c in enumerate(row[j]):
-                    if c.is_zero():
+                    if c.is_zero() or rest >> k & 1:
                         continue
-                    moved = sort_with_sign(s[:pos] + (k,) + s[pos + 1 :])
-                    if moved is None:
-                        continue
-                    t = index[moved[0]]
-                    vec[t] = vec[t] + c if moved[1] == 1 else vec[t] - c
+                    lo, hi = sorted((j, k))
+                    t = index[rest | 1 << k]
+                    between = rest & (1 << hi) - 1 & ~((2 << lo) - 1)
+                    vec[t] = vec[t] - c if between.bit_count() % 2 else vec[t] + c
             entries.append(vec)
         table.append(entries)
     return LRModule(m.lr, len(subsets), table)
@@ -364,13 +369,13 @@ class AltForm:
         return self.values.get(tuple(key), self.module.zero_vec())
 
     def eval_indices(self, indices: Sequence[int]) -> Tuple[AElem, ...]:
-        """Evaluate on a possibly unsorted basis tuple, with sign."""
-        ss = sort_with_sign(indices)
-        if ss is None:
+        """Evaluate on a possibly unsorted basis tuple, with the sign of the
+        permutation that sorts it: the parity of its inversions."""
+        key = tuple(sorted(indices))
+        if len(set(key)) < len(key):
             return self.module.zero_vec()
-        key, sign = ss
         vec = self.value(key)
-        if sign == 1:
+        if sum(a > b for a, b in combinations(indices, 2)) % 2 == 0:
             return vec
         return tuple(-c for c in vec)
 

@@ -10,8 +10,11 @@ and the pair is called twilled when that sum satisfies the full axiom
 set.  Twilledness is equivalent to square and compatibility conditions
 on a pair of formal differentials d' and d'' acting on bigraded forms,
 and to the crossed bracket on Alt(L'', Lambda L') being compatible with
-d''.  Every equivalence here is checked in both directions on concrete
-instances, never assumed.  The crossed bracket is the Schouten bracket
+d''.  The crossed bracket is a Gerstenhaber bracket only when L' acts
+flatly on L'', so the dg-Lie and dG verdicts include that flatness, read
+as d'^2 on the labels of outer degree 1 and inner degree 0.  Every
+equivalence here is checked in both directions on concrete instances,
+never assumed.  The crossed bracket is the Schouten bracket
 of ``gerst`` with outer slots, read off the label tables of the pair;
 with L'' = 0 it is the Schouten bracket of L'.  The bigraded elements,
 ``Bigraded``, are defined in ``gerst`` beside the multivectors and
@@ -42,7 +45,8 @@ label tables of ``gerst``, built afresh by each call: the crossed bracket
 and bigraded product per label pair, filled on first use (a pair of two
 atoms, single vectors or pure forms, is ``crossed_bracket`` on the two
 label elements, which brackets atoms term by term with the Lie
-derivative on outer slots).  d',
+derivative on outer slots); ``bigraded_product`` of two elements sums
+their product entries, signed as every product of the package.  d',
 both d'' and the generators are one operator class, ``gerst.GeneratorOp``:
 a generator's label columns are filled when it is built, and those of d'
 and d'' are read off the kept columns on first use.  The dg-Lie and dG
@@ -70,7 +74,7 @@ from .gerst import (
     _LabelTables,
     _bracket,
     _lincomb,
-    _product,
+    _tabulated,
     _term_dict,
     _vector,
     generator_to_connection,
@@ -202,7 +206,7 @@ def bigraded_product(u: Bigraded, v: Bigraded) -> Bigraded:
     """(alpha (x) x)(beta (x) y) = (-1)^{p1 q2} (alpha ^ beta) (x) (x ^ y);
     graded commutative for the total degree."""
     u._same(v)
-    return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, _product(u.values, v.values))
+    return Bigraded(u.t, u.qdeg + v.qdeg, u.pdeg + v.pdeg, _tabulated(_label_tables(u.t), "product", u, v))
 
 
 def _coefficients(t: AlmostTwilled, kind: str, line: Optional[Sequence[AElem]] = None) -> LRModule:
@@ -343,21 +347,25 @@ def bicomplex_square_check(t: AlmostTwilled) -> Dict:
 
 def _dg_checks(t: AlmostTwilled, *carriers: List[Tuple]) -> List[Dict]:
     """For each carrier, a list of basis elements (label, label vector,
-    degree): d'' squares to zero and derives the crossed bracket on it,
-    against twilledness.  The carriers share one set of tables and one d'',
-    tabulated once per label."""
+    degree): d'' squares to zero and derives the crossed bracket on it, and
+    L' acts flatly on L'' (the crossed bracket is a Gerstenhaber bracket
+    only then), against twilledness.  Flatness is read as d'^2 on the
+    labels of outer degree 1 and inner degree 0, where it is the curvature
+    of that action, off the columns of d' the bicomplex squares read.  The
+    carriers share one set of tables and one d'', tabulated once per label."""
     tables = _label_tables(t)
-    d = _differential(t, "multi")
+    d, dp = _differential(t, "multi"), _differential(t, "dprime")
+    outer_ones = ((ta, (a,), ()) for a in range(t.lsecond.rank) for ta in range(t.alg.dim))
+    curved = _first_nonzero((lab, dp.image(dp.column(lab))) for lab in outer_ones)
     reports = []
     for elems in carriers:
-        label = _first_nonzero((lab, d.image(d.image(w))) for lab, w, _ in elems)
-        witnesses = {} if label is None else {"square": label}
+        square = _first_nonzero((lab, d.image(d.image(w))) for lab, w, _ in elems)
         found = _derivation_witness(elems, tables, d)
-        if found is not None:
-            witnesses["derivation"] = found[0] + found[1]
-        square, derivation, twilled = "square" not in witnesses, found is None, not is_twilled(t)
-        report = {"square": square, "derivation": derivation, "twilled": twilled}
-        reports.append({**report, "equivalent": (square and derivation) == twilled, "witnesses": witnesses})
+        first = (("square", square), ("derivation", found and found[0] + found[1]), ("flatness", curved))
+        witnesses = {key: label for key, label in first if label is not None}
+        ok = {key: key not in witnesses for key, _ in first}
+        twilled = not is_twilled(t)
+        reports.append({**ok, "twilled": twilled, "equivalent": all(ok.values()) == twilled, "witnesses": witnesses})
     return reports
 
 

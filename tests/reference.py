@@ -13,7 +13,13 @@ whose residual bidegree exists in the carrier; and the label product
 through algebra elements, ``label_product``, which the library reads off
 the compiled products of the base, and the label tables keyed by tuple
 labels, ``LabelTables``, which the library keys by int codes, its signs
-popcounts of bit masks.  And the element recursion of the Schouten
+popcounts of bit masks.  And the sign oracles the library replaced by
+that one popcount sign and by bit masks: the tuple sort
+``sort_with_sign``, the shuffle ``merge_sign``, the product of two
+keyed terms ``_merge`` and the element product ``_product``, which
+``wedge`` and ``bigraded_product`` now read off the label tables, and
+``exterior``, the action of an exterior power by re-sorted tuples.  And
+the element recursion of the Schouten
 and crossed brackets, ``bracket_terms``, which splits any pair of terms
 on elements by the biderivation rules with its own sign conventions,
 where the library splits labels only in its label tables.  And the
@@ -71,8 +77,6 @@ from lierine.gerst import (
     _atom,
     _element,
     _lincomb,
-    _merge,
-    _product,
     _vector,
 )
 from lierine.lrcore import (
@@ -86,7 +90,6 @@ from lierine.lrcore import (
     tensor_line,
 )
 from lierine.reporting import Violation
-from lierine.signs import sort_with_sign
 from lierine.twilled import AlmostTwilled, Bigraded, bigraded_labels
 
 
@@ -536,6 +539,110 @@ def pair_witness(elems, tables, residual):
     return None
 
 
+def sort_with_sign(indices: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """Sort an index tuple, returning (sorted, sign) or None on a repeat.
+
+    The sign is the parity of the permutation that sorts the sequence,
+    which is what evaluating an alternating form on permuted arguments
+    picks up.
+    """
+    items = list(indices)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+        if j > 0 and items[j - 1] == items[j]:
+            return None
+    return tuple(items), sign
+
+
+def merge_sign(left: Sequence[int], right: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """Merge two sorted disjoint index tuples, with the shuffle sign.
+
+    Returns (merged, sign) where sign is the parity of the permutation
+    taking the concatenation left+right to sorted order, or None when the
+    tuples overlap.  This is the sign of e_left wedge e_right relative to
+    the sorted basis monomial.
+    """
+    if set(left) & set(right):
+        return None
+    merged = []
+    sign = 1
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if left[i] < right[j]:
+            merged.append(left[i])
+            i += 1
+        else:
+            # right[j] jumps over the remaining entries of left
+            if (len(left) - i) % 2:
+                sign = -sign
+            merged.append(right[j])
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return tuple(merged), sign
+
+
+def _merge(left: Tuple, right: Tuple) -> Optional[Tuple[Tuple, int]]:
+    """The key and sign of the product of two terms keyed (outer, inner):
+    the merge signs of both slots times (-1)^{p_left q_right}; None when a
+    slot overlaps."""
+    (ss1, sp1), (ss2, sp2) = left, right
+    mo, mi = merge_sign(ss1, ss2), merge_sign(sp1, sp2)
+    if mo is None or mi is None:
+        return None
+    sign = mo[1] * mi[1]
+    return (mo[0], mi[0]), sign if (len(sp1) * len(ss2)) % 2 == 0 else -sign
+
+
+def _product(left: Dict, right: Dict) -> Dict:
+    """left . right for term dicts {(outer, inner): coefficient}, each term
+    pair signed by ``_merge``: the element product that ``gerst.wedge`` and
+    ``twilled.bigraded_product`` read off the label tables."""
+    out: Dict = {}
+    for k1, a in left.items():
+        for k2, b in right.items():
+            merged = _merge(k1, k2)
+            if merged is None:
+                continue
+            key, sign = merged
+            val = a * b
+            cur = out.get(key)
+            add = val if sign == 1 else -val
+            out[key] = add if cur is None else cur + add
+    return out
+
+
+def exterior(m: LRModule, subsets: List[Tuple[int, ...]]) -> LRModule:
+    """The action of a connection on the f_S of the given sorted subsets,
+    moving one factor at a time and re-sorting the tuple with
+    ``sort_with_sign``: the expansion that ``lrcore._exterior`` replaced by
+    a sign read off the bit mask of S."""
+    index = {s: pos for pos, s in enumerate(subsets)}
+    zero = m.lr.alg.zero()
+    table = []
+    for row in m.action:
+        entries = []
+        for s in subsets:
+            vec = [zero] * len(subsets)
+            for pos, j in enumerate(s):
+                for k, c in enumerate(row[j]):
+                    if c.is_zero():
+                        continue
+                    moved = sort_with_sign(s[:pos] + (k,) + s[pos + 1 :])
+                    if moved is None:
+                        continue
+                    t = index[moved[0]]
+                    vec[t] = vec[t] + c if moved[1] == 1 else vec[t] - c
+            entries.append(vec)
+        table.append(entries)
+    return LRModule(m.lr, len(subsets), table)
+
+
 def label_product(tables, x: Tuple, y: Tuple) -> Dict:
     """x y of two labels (t, outer, inner) of the carrier of the label
     tables as a label vector, through the term dicts of the labels, their
@@ -548,7 +655,7 @@ class LabelTables:
     labels (t, outer, inner) as tuples, rows keyed by the left label: the
     label tables that ``gerst._LabelTables`` replaced by one dict of int
     codes, with the same splits, fill order and atom x atom entries, and
-    the product signed by ``gerst._merge`` on the tuples."""
+    the product signed by ``_merge`` on the tuples."""
 
     def __init__(self, parent, bracket) -> None:
         self.parent, self.atom_bracket, self.alg = parent, bracket, parent.alg

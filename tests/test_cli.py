@@ -115,6 +115,82 @@ end
 """
 
 
+# L' fails Jacobi at (0, 1, 2); L'' is a line and both actions are empty
+BAD_PRIME_TWILLED = """algebra Q
+  dim 1
+  unit = 1
+  mult 0 0 = 1
+end
+
+lie_rinehart bad
+  algebra Q
+  rank 3
+  bracket 0 1 0 = 1
+  bracket 1 2 1 = 1
+end
+
+lie_rinehart line
+  algebra Q
+  rank 1
+end
+
+action push
+  source bad
+  target line
+end
+
+action pull
+  source line
+  target bad
+end
+
+twilled pair
+  prime bad
+  second line
+  act_prime_on_second push
+  act_second_on_prime pull
+end
+"""
+
+# L' acts on L'' with curvature at (0, 1) on f_1, L'' acts flatly on L'
+CURVED_TWILLED = """algebra Q
+  dim 1
+  unit = 1
+  mult 0 0 = 1
+end
+
+lie_rinehart lp
+  algebra Q
+  rank 2
+  bracket 0 1 1 = 2
+end
+
+lie_rinehart ls
+  algebra Q
+  rank 2
+end
+
+action push
+  source lp
+  target ls
+  entry 1 1 0 = 2
+end
+
+action pull
+  source ls
+  target lp
+  entry 1 0 1 = 1/2
+end
+
+twilled pair
+  prime lp
+  second ls
+  act_prime_on_second push
+  act_second_on_prime pull
+end
+"""
+
+
 class TestParsing:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_every_shipped_fixture_parses(self, name):
@@ -376,6 +452,38 @@ class TestCommands:
         assert "verdict twilled: fail witness=('jacobi', (0, 1, 3))" in out
         assert "verdict bicomplex-equivalence: pass" in out
         assert "verdict dg-lie-equivalence: pass" in out
+
+    def test_check_twilled_validates_both_sides_first(self, capsys, tmp_path):
+        # a side that fails the axioms stops the checks, as in check-bialgebra
+        path = tmp_path / "bad_prime.lri"
+        path.write_text(BAD_PRIME_TWILLED)
+        rc, out = run_cli(capsys, "check-twilled", "--input", str(path))
+        assert rc == 1
+        assert out == (
+            f"command: check-twilled\ninput: {path}\nname: pair\n"
+            "verdict lr-axioms: fail witness=('jacobi', (0, 1, 2))\n"
+            "exit: 1\n"
+        )
+
+    def test_check_twilled_dg_verdicts_need_a_flat_action(self, capsys, tmp_path):
+        # d'' is a square-zero derivation of the crossed bracket, but L' acts
+        # on L'' with curvature, so the G-algebra is not one and the pair is
+        # not twilled: both dG verdicts fail on flatness and stay equivalent
+        path = tmp_path / "curved.lri"
+        path.write_text(CURVED_TWILLED)
+        rc, out = run_cli(capsys, "check-twilled", "--input", str(path))
+        assert rc == 1
+        assert out == (
+            f"command: check-twilled\ninput: {path}\nname: pair\n"
+            "verdict twilled: fail witness=('jacobi', (0, 1, 3))\n"
+            "verdict bicomplex-squares: fail witness=('dprime_square', (0, (0,), ()))\n"
+            "verdict bicomplex-equivalence: pass\n"
+            "verdict dg-lie: fail witness=('flatness', (0, (0,), ()))\n"
+            "verdict dg-lie-equivalence: pass\n"
+            "verdict dg-gerstenhaber: fail witness=('flatness', (0, (0,), ()))\n"
+            "verdict dg-gerstenhaber-equivalence: pass\n"
+            "exit: 1\n"
+        )
 
     def test_cohomology_sl2(self, capsys):
         rc, out = run_cli(capsys, "cohomology", "--input", fixture("sl2.lri"), "--name", "sl2")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lierine.exactla import RatMatrix, mat_kernel_basis, mat_rank, mat_solve
-from lierine.signs import merge_sign, sort_with_sign
+from reference import merge_sign, sort_with_sign
 
 
 def F(x):

@@ -58,6 +58,7 @@ def test_dg_checks_on_curved_action():
     assert dg_lie_check(t) == {
         "square": False,
         "derivation": True,
+        "flatness": True,
         "twilled": False,
         "equivalent": True,
         "witnesses": {"square": (0, (), 0)},
@@ -65,6 +66,7 @@ def test_dg_checks_on_curved_action():
     assert dg_gerstenhaber_check(t) == {
         "square": False,
         "derivation": True,
+        "flatness": True,
         "twilled": False,
         "equivalent": True,
         "witnesses": {"square": (0, (), (0,))},
@@ -76,11 +78,16 @@ def test_dg_checks_on_curved_action():
 def test_witness_order_when_every_identity_fails():
     t = tangled_pair()
     lie = dg_lie_check(t)
-    assert list(lie["witnesses"].items()) == [("square", (0, (), 1)), ("derivation", (0, (), 0, 0, (), 1))]
+    assert list(lie["witnesses"].items()) == [
+        ("square", (0, (), 1)),
+        ("derivation", (0, (), 0, 0, (), 1)),
+        ("flatness", (0, (0,), ())),
+    ]
     ger = dg_gerstenhaber_check(t)
     assert list(ger["witnesses"].items()) == [
         ("square", (0, (), (1,))),
         ("derivation", (0, (), (0,), 0, (), (1,))),
+        ("flatness", (0, (0,), ())),
     ]
     bic = bicomplex_square_check(t)
     assert list(bic["witnesses"].items()) == [

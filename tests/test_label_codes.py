@@ -5,9 +5,10 @@ int, t << (ro + ri) | outer mask << ri | inner mask, keys each entry by
 the code of its pair and signs each product by popcounts.  Decoded, every
 bracket and product entry must be the entry of the tuple-label tables
 kept in ``reference`` (``LabelTables``), repr-equal and with the same key
-order; the popcount sign must be ``signs.merge_sign`` in both slots times
-the cross sign (-1)^{|inner x| |outer y|} of ``gerst._merge``.  Also the
-square witness of an operator on a pair, which names its whole label.
+order; the popcount sign must be ``reference.merge_sign`` in both slots
+times the cross sign (-1)^{|inner x| |outer y|} of ``reference._merge``.
+Also the square witness of an operator on a pair, which names its whole
+label.
 """
 
 from functools import partial
@@ -20,7 +21,7 @@ import reference
 from lierine import cli, gerst, twilled
 from lierine.gerst import GeneratorOp, generator_square
 from lierine.instances import abelian, gl_n, heisenberg, truncated_poly
-from lierine.signs import merge_sign
+from reference import merge_sign
 from lierine.twilled import AlmostTwilled, Bigraded, bigraded_labels
 from test_atom_tables import bench_sl2_double, perturbed_pairs
 from test_pair_traversal import FIXTURE_LRS, FIXTURE_PAIRS, FIXTURES
