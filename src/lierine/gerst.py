@@ -38,7 +38,14 @@ carrier: ``_derivation_witness`` (d[u,v] = [du,v] - (-1)^{|u|}[u,dv]),
 (square-zero and commutator checks).  They serve Lambda L here, the
 bigraded carrier Alt(L'', Lambda L') in ``twilled`` and the exterior
 algebras of a dual pair in ``bialg``; each caller supplies its basis
-labels in its own order, its label tables and its operator.  Label tables
+labels in its own order, its label tables and its operator.  The
+residual d[u,v] - [du,v] + (-1)^{|u|}[u,dv] of a d that derives the
+product is a biderivation when the bracket is one, so it vanishes once
+it does on the pairs of table atoms, which generate the carrier; d''
+derives the product where every anchor is a derivation, and ``twilled``
+runs that atom pass first.  A generator is second order, ``bialg``'s
+two readings would agree by construction and ``gerstenhaber_validate``
+checks the bracket itself: they keep the full loop.  Label tables
 (``_LabelTables``) live for one checker call, or one call of checkers
 sharing them: the bracket and product as
 structure constants on the Q-basis labels (t, outer, inner), each coded
@@ -860,7 +867,9 @@ def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: Generat
         d[u,v] = [du,v] - (-1)^{|u|} [u,dv]
 
     fails, or None.  The residual is read off bracket entries and the
-    label columns of d, and returned as a carrier element."""
+    label columns of d, and returned as a carrier element.  Run on the
+    table atoms alone, it decides every pair when d derives the product
+    and the bracket is a biderivation (see the module docstring)."""
     entry, column = tables.bracket, tables.operator(d)
 
     def residual(out: Dict, c, su: int, x: int, y: int) -> None:

@@ -23,7 +23,7 @@ from lierine import bialg, cli, gerst
 from lierine.bialg import DualPair, semidirect_dual_pair
 from lierine.calgebra import Derivation
 from lierine.gerst import TopConnection, generator_from_connection
-from lierine.instances import abelian, truncated_poly
+from lierine.instances import abelian, book_double_flipped, truncated_poly
 from lierine.lrcore import LieRinehart, lr_validate
 from lierine.twilled import _bigraded_elems, _dg_lie_and_gerstenhaber, _differential, _label_tables, _lie_elems
 from test_atom_tables import (
@@ -196,13 +196,32 @@ def existing(labels, ranks, shift):
 def test_witness_loop_visits_the_pairs_of_existing_bidegrees_on_sl2_double(monkeypatch, tmp_path):
     """d'' has bidegree (1, 0), so the derivation residual of labels of
     bidegrees (q1, p1), (q2, p2) lies in (q1 + q2 + 1, p1 + p2 - 1); the
-    double is twilled, so no early witness stops the loops."""
+    double is twilled, so the one loop, over its 11 atoms (the 8 pure
+    forms and the 3 vectors), visits each of their existing pairs and
+    decides both carriers."""
     t = cli.parse_instance(str(bench_sl2_double(tmp_path))).build_twilled("double")
     runs = visited_pairs(monkeypatch)
     assert all(r["derivation"] for r in _dg_lie_and_gerstenhaber(t))
+    atoms = [label for label, _, _ in _bigraded_elems(t) if gerst._atom(*label[1:])]
+    assert len(atoms) == 11
+    assert runs == [existing(atoms, (3, 3), (1, -1))]
+    assert [len(pairs) for pairs in runs] == [51]
+
+
+def test_witness_loops_after_a_failing_atom_pass_visit_the_pairs_of_the_whole_carriers(monkeypatch):
+    """On a pair that is not twilled the atom pass fails, and each carrier
+    then runs its own loop, visiting the pairs its loop visits without the
+    atom pass, up to the same witness."""
+    t = book_double_flipped()
+    runs = visited_pairs(monkeypatch)
+    reports = _dg_lie_and_gerstenhaber(t)
+    alone = []
+    for elems in (_lie_elems(t), _bigraded_elems(t)):
+        alone.append(gerst._derivation_witness(elems, _label_tables(t), _differential(t, "multi")))
+    assert [r["witnesses"]["derivation"] for r in reports] == [found[0] + found[1] for found in alone]
+    assert runs[1:3] == runs[3:] and len(runs) == 5
     carriers = [[label for _, vec, _ in elems for label in vec] for elems in (_lie_elems(t), _bigraded_elems(t))]
-    assert runs == [existing(labels, (3, 3), (1, -1)) for labels in carriers]
-    assert [len(pairs) for pairs in runs] == [198, 1232]
+    assert all(pairs <= existing(labels, (2, 2), (1, -1)) for pairs, labels in zip(runs[1:3], carriers))
 
 
 def test_witness_loop_visits_the_pairs_of_existing_bidegrees_of_generators_and_transports(monkeypatch):
