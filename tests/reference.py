@@ -6,8 +6,10 @@ checks that the library now reads off the formal square d.d of
 ``ce_matrix``: the anchor-morphism loop of ``lr_validate`` and the
 flatness loop of ``module_validate``, here on dense products of basis
 data.  Also the derivation and generator witnesses of ``gerst`` in their
-vector form, each pair's residual a ``_lincomb`` of whole bracket,
-product and operator images, and the dense pair loop, ``pair_witness``,
+vector form, and the product rule of an operator on the label tables,
+``product_derivation_witness``, each pair's residual a ``_lincomb`` of
+whole bracket, product and operator images, and the dense pair loop,
+``pair_witness``,
 which visits every ordered pair where the library visits only those
 whose residual bidegree exists in the carrier; and the label product
 through algebra elements, ``label_product``, which the library reads off
@@ -498,6 +500,22 @@ def derivation_witness(elems, tables, d):
             residual = _lincomb((1, d.apply(br(u, v))), (-1, br(images[a], v)), (su, br(u, images[b])))
             if residual:
                 return label1, label2, tables.carrier(tables.encode(residual))
+    return None
+
+
+def product_derivation_witness(labels, tables, d):
+    """The first (x, y, residual) of d(xy) - (dx)y - (-1)^{|x|} x(dy) over
+    pairs of labels (t, outer, inner), the product that of the label
+    tables and d read off its label columns, or None."""
+    prod = partial(bilinear, tables, tables.product)
+    image = lambda vec: _lincomb(*[(a, d.column(x)) for x, a in vec.items()])
+    for x in labels:
+        sx = 1 if (len(x[1]) + len(x[2])) % 2 == 0 else -1
+        for y in labels:
+            u, v = {x: 1}, {y: 1}
+            residual = _lincomb((1, image(prod(u, v))), (-1, prod(d.column(x), v)), (-sx, prod(u, d.column(y))))
+            if residual:
+                return x, y, residual
     return None
 
 

@@ -22,7 +22,6 @@ import reference
 from lierine import gerst
 from lierine.calgebra import Derivation
 from lierine.cli import parse_instance
-from lierine.gerst import _lincomb
 from lierine.instances import book_double, book_double_flipped, truncated_poly, x2_del, x_del
 from lierine.lrcore import LieRinehart
 from lierine.twilled import (
@@ -37,24 +36,13 @@ from lierine.twilled import (
     is_twilled,
 )
 from test_atom_tables import SPLIT, bench_sl2_double
-from test_twilled import SHIPPED_PAIRS
+from test_twilled import SHIPPED_PAIRS, perturbed_pairs, random_anchor
 
 
-def product_derivation_witness(t):
-    """The first label pair (x, y) with d(xy) != (dx)y + (-1)^{|x|} x(dy)
-    for d'' on multivectors and the label-table product, with the
-    residual, or None."""
-    tables, d = _label_tables(t), _differential(t, "multi")
-    prod = partial(reference.bilinear, tables, tables.product)
-    labels = list(bigraded_labels(t))
-    for x in labels:
-        sx = 1 if (len(x[1]) + len(x[2])) % 2 == 0 else -1
-        for y in labels:
-            u, v = {x: 1}, {y: 1}
-            residual = _lincomb((1, d.image(prod(u, v))), (-1, prod(d.column(x), v)), (-sx, prod(u, d.column(y))))
-            if residual:
-                return x, y, residual
-    return None
+def product_witness(t):
+    """The first label pair on which d'' on multivectors fails the product
+    rule for the label-table product, with the residual, or None."""
+    return reference.product_derivation_witness(list(bigraded_labels(t)), _label_tables(t), _differential(t, "multi"))
 
 
 PAIRS = SHIPPED_PAIRS + [("bench_sl2_double", None)]
@@ -64,7 +52,7 @@ PAIRS = SHIPPED_PAIRS + [("bench_sl2_double", None)]
 def test_dsecond_derives_the_product_on_fixture_pairs(name, t, tmp_path):
     if t is None:
         t = parse_instance(str(bench_sl2_double(tmp_path))).build_twilled("double")
-    assert product_derivation_witness(t) is None
+    assert product_witness(t) is None
 
 
 def sparse_elem(draw, alg):
@@ -72,12 +60,9 @@ def sparse_elem(draw, alg):
     return alg.elem([draw(values) for _ in range(alg.dim)])
 
 
-def anchor(draw, alg, derivation: bool) -> Derivation:
-    """A derivation of the base (c x d/dx + c' x^2 d/dx on Q[x]/(x^k), zero
-    on Q x Q), or an arbitrary linear map when derivation is False."""
-    if not derivation:
-        values = st.sampled_from([0, 0, 1, -1])
-        return Derivation.from_images(alg, [alg.elem([draw(values) for _ in range(alg.dim)]) for _ in range(alg.dim)])
+def derivation_anchor(draw, alg) -> Derivation:
+    """A derivation of the base: c x d/dx + c' x^2 d/dx on Q[x]/(x^k), zero
+    on Q x Q."""
     if alg is SPLIT:
         return Derivation.zero(alg)
     c, c2 = (draw(st.sampled_from([0, 1, -1, Fraction(1, 2)])) for _ in range(2))
@@ -85,29 +70,17 @@ def anchor(draw, alg, derivation: bool) -> Derivation:
     return Derivation.from_images(alg, images)
 
 
-@st.composite
-def pairs(draw, derivations=st.booleans()):
-    """Two structures with arbitrary brackets and action tables, sparse, so
-    that some atom passes are clean; the actions may be curved and the
-    brackets fail Jacobi.  The anchors are derivations of the base when
-    derivations draws True, arbitrary linear maps otherwise."""
-    alg = draw(st.sampled_from([truncated_poly(1), truncated_poly(2), truncated_poly(3), SPLIT]))
-    derivation = draw(derivations)
-
-    def structure(n):
-        bracket = [[[sparse_elem(draw, alg) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        return LieRinehart(alg, n, bracket, [anchor(draw, alg, derivation) for _ in range(n)])
-
-    lp, ls = structure(draw(st.integers(1, 2))), structure(draw(st.integers(1, 2)))
-    act_p_on_s = [[[sparse_elem(draw, alg) for _ in range(ls.rank)] for _ in range(ls.rank)] for _ in range(lp.rank)]
-    act_s_on_p = [[[sparse_elem(draw, alg) for _ in range(lp.rank)] for _ in range(lp.rank)] for _ in range(ls.rank)]
-    return AlmostTwilled(lp, ls, act_p_on_s, act_s_on_p)
+# Arbitrary brackets and (curved) actions, sparse, so that some atom passes
+# are clean; the anchors are derivations of the base or arbitrary maps.
+pairs = partial(
+    perturbed_pairs, st.sampled_from([truncated_poly(1), truncated_poly(2), truncated_poly(3), SPLIT]), elem=sparse_elem
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(pairs(derivations=st.just(True)))
+@given(pairs(anchors=st.just(derivation_anchor)))
 def test_dsecond_derives_the_product_on_perturbed_pairs(t):
-    assert product_derivation_witness(t) is None
+    assert product_witness(t) is None
 
 
 def test_dsecond_derives_the_product_only_with_derivation_anchors(monkeypatch):
@@ -119,7 +92,7 @@ def test_dsecond_derives_the_product_only_with_derivation_anchors(monkeypatch):
     lp = LieRinehart(alg, 1, zero, [Derivation.zero(alg)])
     ls = LieRinehart(alg, 1, zero, [Derivation.from_images(alg, [alg.one()])])
     t = AlmostTwilled(lp, ls, zero, zero)
-    assert product_derivation_witness(t)[:2] == ((0, (), ()), (0, (), ()))
+    assert product_witness(t)[:2] == ((0, (), ()), (0, (), ()))
     assert [v.axiom for v in is_twilled(t)] == ["anchor-derivation"]
     runs, loop = [], gerst._pair_witness
     monkeypatch.setattr(gerst, "_pair_witness", lambda elems, *args: runs.append(elems) or loop(elems, *args))
@@ -137,7 +110,7 @@ def test_atom_pass_decides_both_carriers_and_failing_atoms_give_the_reference_wi
     @settings(max_examples=80, deadline=None)
     @example(book_double())
     @example(book_double_flipped())
-    @given(pairs())
+    @given(pairs(anchors=st.sampled_from([derivation_anchor, random_anchor])))
     def check(t):
         d = reference.operator(t, partial(dsecond_multi, t))
         for report, elems in zip(_dg_lie_and_gerstenhaber(t), (_lie_elems(t), _bigraded_elems(t))):

@@ -193,35 +193,51 @@ def existing(labels, ranks, shift):
     return {(x, y) for x in labels for y in labels if reach(x, y)}
 
 
+def existing_up_to(elems, found, ranks, shift):
+    """The existing pairs of the labels of elems whose two elements come,
+    in the order of elems, no later than those of the witness found."""
+    index = {label: n for n, (label, _, _) in enumerate(elems)}
+    owner = {x: index[label] for label, vec, _ in elems for x in vec}
+    last = (index[found[0]], index[found[1]])
+    return {(x, y) for x, y in existing(list(owner), ranks, shift) if (owner[x], owner[y]) <= last}
+
+
 def test_witness_loop_visits_the_pairs_of_existing_bidegrees_on_sl2_double(monkeypatch, tmp_path):
     """d'' has bidegree (1, 0), so the derivation residual of labels of
-    bidegrees (q1, p1), (q2, p2) lies in (q1 + q2 + 1, p1 + p2 - 1); the
-    double is twilled, so the one loop, over its 11 atoms (the 8 pure
-    forms and the 3 vectors), visits each of their existing pairs and
-    decides both carriers."""
+    bidegrees (q1, p1), (q2, p2) lies in (q1 + q2 + 1, p1 + p2 - 1).  The
+    double is twilled, so the dG checks run one loop, over its 11 atoms
+    (the 8 pure forms and the 3 vectors), which visits each of their
+    existing pairs and decides both carriers; the loop over a whole
+    carrier, which finds no witness there, visits each existing pair."""
     t = cli.parse_instance(str(bench_sl2_double(tmp_path))).build_twilled("double")
     runs = visited_pairs(monkeypatch)
     assert all(r["derivation"] for r in _dg_lie_and_gerstenhaber(t))
     atoms = [label for label, _, _ in _bigraded_elems(t) if gerst._atom(*label[1:])]
     assert len(atoms) == 11
     assert runs == [existing(atoms, (3, 3), (1, -1))]
-    assert [len(pairs) for pairs in runs] == [51]
+    carriers = (_lie_elems(t), _bigraded_elems(t))
+    for elems in carriers:
+        assert gerst._derivation_witness(elems, _label_tables(t), _differential(t, "multi")) is None
+    labels = [[label for _, vec, _ in elems for label in vec] for elems in carriers]
+    assert runs[1:] == [existing(carrier, (3, 3), (1, -1)) for carrier in labels]
+    assert [len(pairs) for pairs in runs] == [51, 198, 1232]
 
 
 def test_witness_loops_after_a_failing_atom_pass_visit_the_pairs_of_the_whole_carriers(monkeypatch):
     """On a pair that is not twilled the atom pass fails, and each carrier
-    then runs its own loop, visiting the pairs its loop visits without the
-    atom pass, up to the same witness."""
+    then runs its own loop: each of the three loops visits every existing
+    pair of its elements up to its witness, which is the witness of the
+    carrier's loop run alone."""
     t = book_double_flipped()
+    d = _differential(t, "multi")
+    elems = [e for e in _bigraded_elems(t) if gerst._atom(*e[0][1:])], _lie_elems(t), _bigraded_elems(t)
+    alone = [gerst._derivation_witness(e, _label_tables(t), d) for e in elems]
+    assert None not in alone
     runs = visited_pairs(monkeypatch)
     reports = _dg_lie_and_gerstenhaber(t)
-    alone = []
-    for elems in (_lie_elems(t), _bigraded_elems(t)):
-        alone.append(gerst._derivation_witness(elems, _label_tables(t), _differential(t, "multi")))
-    assert [r["witnesses"]["derivation"] for r in reports] == [found[0] + found[1] for found in alone]
-    assert runs[1:3] == runs[3:] and len(runs) == 5
-    carriers = [[label for _, vec, _ in elems for label in vec] for elems in (_lie_elems(t), _bigraded_elems(t))]
-    assert all(pairs <= existing(labels, (2, 2), (1, -1)) for pairs, labels in zip(runs[1:3], carriers))
+    assert [r["witnesses"]["derivation"] for r in reports] == [found[0] + found[1] for found in alone[1:]]
+    assert runs == [existing_up_to(e, found, (2, 2), (1, -1)) for e, found in zip(elems, alone)]
+    assert [len(pairs) for pairs in runs] == [6, 3, 14]
 
 
 def test_witness_loop_visits_the_pairs_of_existing_bidegrees_of_generators_and_transports(monkeypatch):

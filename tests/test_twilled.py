@@ -390,22 +390,28 @@ def random_elem(draw, alg):
     return alg.elem([draw(values) for _ in range(alg.dim)])
 
 
-def random_structure(draw, alg, n):
-    bracket = [[[random_elem(draw, alg) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+def random_anchor(draw, alg):
+    """An arbitrary linear map of the base, entries in {0, 1, -1}."""
     values = st.sampled_from([0, 1, -1])
-    anchor = [Derivation(alg, RatMatrix(alg.dim, alg.dim, [draw(values) for _ in range(alg.dim ** 2)])) for _ in range(n)]
-    return LieRinehart(alg, n, bracket, anchor)
+    return Derivation(alg, RatMatrix(alg.dim, alg.dim, [draw(values) for _ in range(alg.dim ** 2)]))
+
+
+def random_structure(draw, alg, n, anchor=random_anchor, elem=random_elem):
+    bracket = [[[elem(draw, alg) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return LieRinehart(alg, n, bracket, [anchor(draw, alg) for _ in range(n)])
 
 
 @st.composite
-def perturbed_pairs(draw):
-    """Two arbitrary structures over Q[x]/(x^k) with arbitrary action
-    tables: none of the twilled conditions need hold."""
-    alg = truncated_poly(draw(st.integers(1, 2)))
-    lp = random_structure(draw, alg, draw(st.integers(1, 2)))
-    ls = random_structure(draw, alg, draw(st.integers(1, 2)))
-    act_p_on_s = [[[random_elem(draw, alg) for _ in range(ls.rank)] for _ in range(ls.rank)] for _ in range(lp.rank)]
-    act_s_on_p = [[[random_elem(draw, alg) for _ in range(lp.rank)] for _ in range(lp.rank)] for _ in range(ls.rank)]
+def perturbed_pairs(draw, algebras=st.integers(1, 2).map(truncated_poly), anchors=st.just(random_anchor), elem=random_elem):
+    """Two arbitrary structures over an algebra of algebras (Q[x]/(x^k)
+    by default), anchored by one anchor function drawn from anchors, with
+    arbitrary action tables, entries drawn by elem: none of the twilled
+    conditions need hold."""
+    alg, anchor = draw(algebras), draw(anchors)
+    lp = random_structure(draw, alg, draw(st.integers(1, 2)), anchor, elem)
+    ls = random_structure(draw, alg, draw(st.integers(1, 2)), anchor, elem)
+    act_p_on_s = [[[elem(draw, alg) for _ in range(ls.rank)] for _ in range(ls.rank)] for _ in range(lp.rank)]
+    act_s_on_p = [[[elem(draw, alg) for _ in range(lp.rank)] for _ in range(lp.rank)] for _ in range(ls.rank)]
     return AlmostTwilled(lp, ls, act_p_on_s, act_s_on_p)
 
 
