@@ -513,9 +513,7 @@ def _cmd_cohomology(inst: InstanceSet, name: str, max_degree: Optional[int], rep
         report.verdict("total-vs-sum", r["equal"])
         return
     lr = inst.lr(name)
-    bad = lr_violations(lr)
-    if bad:
-        report.verdict("lr-axioms", False, _first_witness(bad))
+    if not _sides_valid(report, lr):
         return
     top = lr.rank if max_degree is None else min(max_degree, lr.rank)
     dims = cohomology_dims(lr, trivial_coefficients(lr), top)
@@ -539,6 +537,8 @@ def _cmd_bracket(inst: InstanceSet, name: str, max_degree: Optional[int], report
 
 def _cmd_generator(inst: InstanceSet, name: str, max_degree: Optional[int], report: Report) -> None:
     lr, conn = inst.build_connection(name)
+    if not _sides_valid(report, lr):
+        return
     curv = connection_curvature(lr, conn)
     flat = curv.is_zero()
     g = generator_from_connection(lr, conn)
@@ -558,13 +558,15 @@ def _cmd_generator(inst: InstanceSet, name: str, max_degree: Optional[int], repo
     )
 
 
-def _sides_valid(report: Report, first: LieRinehart, second: LieRinehart) -> bool:
-    """Whether both structures satisfy the axioms; otherwise the first
+def _sides_valid(report: Report, *sides: LieRinehart) -> bool:
+    """Whether every structure satisfies the axioms; otherwise the first
     violation is reported as the ``lr-axioms`` verdict."""
-    bad = lr_violations(first) or lr_violations(second)
-    if bad:
-        report.verdict("lr-axioms", False, _first_witness(bad))
-    return not bad
+    for lr in sides:
+        bad = lr_violations(lr)
+        if bad:
+            report.verdict("lr-axioms", False, _first_witness(bad))
+            return False
+    return True
 
 
 def _cmd_check_bialgebra(inst: InstanceSet, name: str, max_degree: Optional[int], report: Report) -> None:

@@ -3,23 +3,21 @@
 Values are Python ints where integral and ``fractions.Fraction``
 otherwise; there is no floating point anywhere in the library.  Two
 matrix types share the attributes ``rows``, ``cols`` and ``entries``:
-``RatMatrix`` stores every entry row-major as a Fraction,
-``SparseMatrix`` a dict of its nonzeros, each an int when integral.
-Cochain differentials are a few percent nonzero and reach thousands of
-rows, so they are built sparse.  One engine takes either type: it
-eliminates fraction-free over the nonzeros, on primitive integer rows,
-and ``mat_rank`` counts its pivot rows; ``mat_kernel_basis`` and
-``mat_solve`` clear the other pivot columns of each pivot row the same
-way and read the reduced row echelon form off it as ``Fraction(a, b)``.
+``RatMatrix`` stores every entry row-major as a Fraction and only holds
+the matrix of a derivation, ``SparseMatrix`` a dict of its nonzeros,
+each an int when integral.  Cochain differentials are a few percent
+nonzero and reach thousands of rows, so they are built sparse, and the
+one engine takes a ``SparseMatrix`` only: it eliminates fraction-free
+over the nonzeros, on primitive integer rows, and ``mat_rank`` counts
+its pivot rows; ``mat_kernel_basis`` and ``mat_solve`` clear the other
+pivot columns of each pivot row the same way and read the reduced row
+echelon form off it as ``Fraction(a, b)``.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-Rat = Fraction
 
 RatVec = Tuple[Fraction, ...]
 
@@ -58,76 +56,14 @@ class RatMatrix:
         self.entries = ents
 
     @classmethod
-    def from_rows(cls, row_data: Sequence[Sequence]) -> "RatMatrix":
-        rows = len(row_data)
-        cols = len(row_data[0]) if rows else 0
-        flat: List[Fraction] = []
-        for r in row_data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(_frac(e) for e in r)
-        return cls(rows, cols, flat)
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        ents = [Fraction(0)] * (n * n)
-        for i in range(n):
-            ents[i * n + i] = Fraction(1)
-        return cls(n, n, ents)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> RatVec:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def mul_vec(self, v: Sequence) -> RatVec:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        vv = [_frac(x) for x in v]
-        return tuple(
-            sum((self.entry(i, j) * vv[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                out.append(
-                    sum(
-                        (self.entry(i, k) * other.entry(k, j) for k in range(self.cols)),
-                        Fraction(0),
-                    )
-                )
-        return RatMatrix(self.rows, other.cols, out)
-
-    def add(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def sub(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def scale(self, c) -> "RatMatrix":
-        cc = _frac(c)
-        return RatMatrix(self.rows, self.cols, [cc * e for e in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
@@ -168,18 +104,6 @@ class SparseMatrix:
         self.cols = cols
         self.entries = ents
 
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        by_row: Dict[int, List[Tuple[int, Fraction]]] = {}
-        for (k, j), b in other.entries.items():
-            by_row.setdefault(k, []).append((j, b))
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                out[(i, j)] = out.get((i, j), 0) + a * b
-        return SparseMatrix(self.rows, other.cols, out)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
@@ -189,15 +113,14 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _nonzero_rows(m: Union[RatMatrix, SparseMatrix]) -> Dict[int, Dict[int, Fraction]]:
+def _nonzero_rows(m: SparseMatrix) -> Dict[int, Dict[int, Fraction]]:
     """The nonempty rows of m as {col: value} dicts, keyed by row index."""
-    if isinstance(m, SparseMatrix):
-        rows: Dict[int, Dict[int, Fraction]] = {}
-        for (i, j), e in m.entries.items():
-            rows.setdefault(i, {})[j] = e
-        return rows
-    rows = {i: {j: e for j, e in enumerate(m.row(i)) if e != 0} for i in range(m.rows)}
-    return {i: row for i, row in rows.items() if row}
+    if not isinstance(m, SparseMatrix):
+        raise TypeError(f"the elimination takes a SparseMatrix, not {type(m).__name__}")
+    rows: Dict[int, Dict[int, Fraction]] = {}
+    for (i, j), e in m.entries.items():
+        rows.setdefault(i, {})[j] = e
+    return rows
 
 
 def _primitive(row: Dict[int, int]) -> Dict[int, int]:
@@ -221,8 +144,7 @@ def _clear(row: Dict[int, int], pivot: Dict[int, int], c: int) -> Dict[int, int]
             row[k] = e
         else:
             del row[k]
-    g = gcd(*row.values())
-    return row if g == 1 else {k: v // g for k, v in row.items()}
+    return _primitive(row)
 
 
 def _eliminate(rows) -> Dict[int, Dict[int, int]]:
@@ -261,12 +183,12 @@ def _reduced(pivots: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
     return out
 
 
-def mat_rank(m: Union[RatMatrix, SparseMatrix]) -> int:
+def mat_rank(m: SparseMatrix) -> int:
     """Rank: the number of pivot rows of the fraction-free elimination."""
     return len(_eliminate(_nonzero_rows(m).values()))
 
 
-def mat_kernel_basis(m: Union[RatMatrix, SparseMatrix]) -> List[RatVec]:
+def mat_kernel_basis(m: SparseMatrix) -> List[RatVec]:
     """Basis of the right kernel; one vector per free column, which is 1
     there and 0 at the other free columns."""
     pivots = _reduced(_eliminate(_nonzero_rows(m).values()))
@@ -279,15 +201,15 @@ def mat_kernel_basis(m: Union[RatMatrix, SparseMatrix]) -> List[RatVec]:
     return [tuple(v) for v in basis.values()]
 
 
-def mat_solve(m: Union[RatMatrix, SparseMatrix], b: Sequence) -> Optional[RatVec]:
+def mat_solve(m: SparseMatrix, b: Sequence) -> Optional[RatVec]:
     """One exact solution of m x = b, or None when inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
     """
+    rows = _nonzero_rows(m)
     bb = [_frac(x) for x in b]
     if len(bb) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    rows = _nonzero_rows(m)
     for i, e in enumerate(bb):
         if e:
             rows.setdefault(i, {})[m.cols] = e

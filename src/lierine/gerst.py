@@ -632,20 +632,15 @@ class TopConnection:
 
 
 def connection_curvature(lr: LieRinehart, c: TopConnection) -> AltForm:
-    """F(e_i, e_j) = e_i(omega_j) - e_j(omega_i) - omega([e_i, e_j]);
-    zero exactly when the line module is flat."""
+    """F(e_i, e_j) = e_i(omega_j) - e_j(omega_i) - omega([e_i, e_j]), which
+    is d omega for omega a 1-form on A, restated on the line module; zero
+    exactly when that module is flat.  The differential is formal, so an
+    anchor that is not a bracket morphism still has a curvature."""
     if c.lr != lr:
         raise ValueError("parent mismatch")
-    m = c.line_module()
-    vals: Dict[Tuple[int, ...], Tuple[AElem, ...]] = {}
-    for i in range(lr.rank):
-        for j in range(i + 1, lr.rank):
-            f = lr.anchor[i].apply(c.omega[j]) - lr.anchor[j].apply(c.omega[i])
-            for k, ck in enumerate(lr.bracket[i][j]):
-                if not ck.is_zero():
-                    f = f - ck * c.omega[k]
-            vals[(i, j)] = (f,)
-    return AltForm(lr, m, 2, vals)
+    a = trivial_coefficients(lr)
+    omega = AltForm(lr, a, 1, {(i,): (w,) for i, w in enumerate(c.omega)})
+    return AltForm(lr, c.line_module(), 2, ce_differential(lr, a, omega, formal=True).values)
 
 
 def _complement(n: int, key: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:

@@ -368,17 +368,6 @@ class AltForm:
     def value(self, key: Tuple[int, ...]) -> Tuple[AElem, ...]:
         return self.values.get(tuple(key), self.module.zero_vec())
 
-    def eval_indices(self, indices: Sequence[int]) -> Tuple[AElem, ...]:
-        """Evaluate on a possibly unsorted basis tuple, with the sign of the
-        permutation that sorts it: the parity of its inversions."""
-        key = tuple(sorted(indices))
-        if len(set(key)) < len(key):
-            return self.module.zero_vec()
-        vec = self.value(key)
-        if sum(a > b for a, b in combinations(indices, 2)) % 2 == 0:
-            return vec
-        return tuple(-c for c in vec)
-
     def add(self, other: "AltForm") -> "AltForm":
         if (self.lr, self.module, self.degree) != (other.lr, other.module, other.degree):
             raise ValueError("form mismatch")
@@ -677,7 +666,7 @@ def _weights(lr: LieRinehart, module: LRModule) -> Tuple[bool, Dict[int, int]]:
     diagonal ad e_h != 0, [e_h, e_j] = l_hj e_j: row l_h in integers is one
     digit in base 2M + 1, M >= sum_j |l_hj|, so a packed sum is 0 exactly
     when each weight is.  (False, {}) for any other input."""
-    n, over_q = lr.rank, lr.alg.dim == module.rank == 1 and all(rho.matrix.is_zero() for rho in lr.anchor)
+    n, over_q = lr.rank, lr.alg.dim == module.rank == 1 and not any(any(rho._columns) for rho in lr.anchor)
     if not over_q or any(c.coeffs[0] for row in module.action for (c,) in row):
         return False, {}
     weight, off = [[0] * n for _ in range(n)], set()  # weight[h][x]: e_x in [e_h, e_x]

@@ -54,7 +54,12 @@ antisymmetry summed in Fractions and the Jacobi loop that brackets the
 inner pairs of every triple afresh.  And the scan of the dense bracket
 table that ``_bracket_table`` replaced by a read of the one sparse literal
 table: ``bracket_table``, which tests every coefficient of each i < j
-entry.  None of this is used by the library itself.
+entry.  And the dense matrix algebra that the library no longer has,
+``from_rows``, ``mul_vec``, ``matmul``, ``add`` and ``scale``, with
+``dense`` and ``to_sparse`` between the two matrix types, and the pair
+loop of ``connection_curvature``, which the library reads off the
+cochain differential as d omega.  None of this is used by the library
+itself.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from lierine import lrcore
 from lierine.calgebra import AElem, CommAlg, Derivation, _sparse
-from lierine.exactla import RatMatrix, SparseMatrix, _nonzero_rows
+from lierine.exactla import RatMatrix, SparseMatrix
 from lierine.gerst import (
     Multivector,
     TopConnection,
@@ -163,7 +168,7 @@ def mul_coeffs(alg: CommAlg, a: Sequence[Fraction], b: Sequence[Fraction]) -> Tu
 
 def derivation_apply(d: Derivation, a: AElem) -> AElem:
     """D(a) as the dense matrix-vector product of D's matrix."""
-    return AElem(d.alg, d.matrix.mul_vec(a.coeffs))
+    return AElem(d.alg, mul_vec(d.matrix, a.coeffs))
 
 
 def alg_violations(alg: CommAlg) -> List[Violation]:
@@ -231,12 +236,12 @@ def bracket_table(lr: LieRinehart) -> Tuple[List[int], List[List]]:
     return [1 << i for i in range(lr.rank)], pairs
 
 
-def mat_rank(m) -> int:
+def mat_rank(m: RatMatrix) -> int:
     """Rank by Fraction row elimination over the nonzeros, shortest rows
     first; each new pivot row is divided by its leading entry."""
     pivots: Dict[int, Dict[int, Fraction]] = {}
-    for row in sorted(_nonzero_rows(m).values(), key=len):
-        row = {k: Fraction(v) for k, v in row.items()}
+    rows = ({j: e for j, e in enumerate(m.row(i)) if e} for i in range(m.rows))
+    for row in sorted(filter(None, rows), key=len):
         while row:
             c = min(row)
             pivot = pivots.get(c)
@@ -281,6 +286,57 @@ def _echelon(m: RatMatrix) -> Tuple[List[List[Fraction]], List[int]]:
     return rows, pivots
 
 
+def from_rows(row_data: Sequence[Sequence]) -> RatMatrix:
+    """The dense matrix with the given rows."""
+    cols = len(row_data[0]) if row_data else 0
+    if any(len(r) != cols for r in row_data):
+        raise ValueError("ragged rows")
+    return RatMatrix(len(row_data), cols, [e for r in row_data for e in r])
+
+
+def dense(m) -> RatMatrix:
+    """m as a RatMatrix; the missing entries of a SparseMatrix are 0."""
+    if isinstance(m, RatMatrix):
+        return m
+    return RatMatrix(m.rows, m.cols, [m.entries.get((i, j), 0) for i in range(m.rows) for j in range(m.cols)])
+
+
+def to_sparse(m: RatMatrix) -> SparseMatrix:
+    """m as a SparseMatrix, which keeps only its nonzeros."""
+    return SparseMatrix(m.rows, m.cols, {(i, j): m.entry(i, j) for i in range(m.rows) for j in range(m.cols)})
+
+
+def mul_vec(m, v: Sequence) -> Tuple[Fraction, ...]:
+    """m v, summed over every entry of m."""
+    m = dense(m)
+    if len(v) != m.cols:
+        raise ValueError("vector length does not match column count")
+    return tuple(sum((m.entry(i, j) * Fraction(v[j]) for j in range(m.cols)), Fraction(0)) for i in range(m.rows))
+
+
+def matmul(a, b) -> RatMatrix:
+    """a b, each entry summed over the inner index."""
+    a, b = dense(a), dense(b)
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions do not match")
+    return RatMatrix(a.rows, b.cols, [
+        sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)), Fraction(0))
+        for i in range(a.rows) for j in range(b.cols)
+    ])
+
+
+def add(a: RatMatrix, b: RatMatrix, sign: int = 1) -> RatMatrix:
+    """a + sign b, entry by entry."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return RatMatrix(a.rows, a.cols, [x + sign * y for x, y in zip(a.entries, b.entries)])
+
+
+def scale(m: RatMatrix, c) -> RatMatrix:
+    """c m, entry by entry."""
+    return RatMatrix(m.rows, m.cols, [Fraction(c) * e for e in m.entries])
+
+
 def mat_kernel_basis(m: RatMatrix) -> List[Tuple[Fraction, ...]]:
     """Basis of the right kernel off the dense echelon form; one vector
     per free column."""
@@ -305,7 +361,7 @@ def mat_solve(m: RatMatrix, b: Sequence) -> Optional[Tuple[Fraction, ...]]:
         raise ValueError("right-hand side length does not match row count")
     if m.rows == 0:
         return tuple([Fraction(0)] * m.cols)
-    aug = RatMatrix.from_rows([list(m.row(i)) + [bb[i]] for i in range(m.rows)])
+    aug = from_rows([list(m.row(i)) + [bb[i]] for i in range(m.rows)])
     rows, pivots = _echelon(aug)
     if m.cols in pivots:
         return None
@@ -377,7 +433,7 @@ def der_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     """Commutator of two derivations; again a derivation when the inputs are."""
     if d1.alg != d2.alg:
         raise ValueError("parent algebra mismatch")
-    m = d1.matrix.matmul(d2.matrix).sub(d2.matrix.matmul(d1.matrix))
+    m = add(matmul(d1.matrix, d2.matrix), matmul(d2.matrix, d1.matrix), -1)
     return Derivation(d1.alg, m)
 
 
@@ -397,7 +453,7 @@ def anchor_matrix(lr: LieRinehart, u: LElem) -> RatMatrix:
     m = RatMatrix.zero(lr.alg.dim, lr.alg.dim)
     for k, uk in enumerate(u.coeffs):
         if not uk.is_zero():
-            m = m.add(mult_matrix(lr.alg, uk).matmul(lr.anchor[k].matrix))
+            m = add(m, matmul(mult_matrix(lr.alg, uk), lr.anchor[k].matrix))
     return m
 
 
@@ -1058,6 +1114,19 @@ class ElementOp:
 
     def inputs(self):
         return iter(sorted(self.table))
+
+
+def connection_curvature(lr: LieRinehart, c: TopConnection) -> AltForm:
+    """F(e_i, e_j) = e_i(omega_j) - e_j(omega_i) - omega([e_i, e_j]) on the
+    line module, one pair i < j at a time with algebra elements."""
+    vals: Dict[Tuple[int, ...], Tuple[AElem, ...]] = {}
+    for i, j in combinations(range(lr.rank), 2):
+        f = lr.anchor[i].apply(c.omega[j]) - lr.anchor[j].apply(c.omega[i])
+        for k, ck in enumerate(lr.bracket[i][j]):
+            if not ck.is_zero():
+                f = f - ck * c.omega[k]
+        vals[(i, j)] = (f,)
+    return AltForm(lr, c.line_module(), 2, vals)
 
 
 def generator_terms(n: int, alg: CommAlg, labels, differential) -> Dict:

@@ -152,6 +152,27 @@ twilled pair
 end
 """
 
+# [e0, e1] = e1, [e0, e2] = e2, [e1, e2] = e0 fails Jacobi at (0, 1, 2)
+NON_JACOBI_CONNECTION = """algebra Q
+  dim 1
+  unit = 1
+  mult 0 0 = 1
+end
+
+lie_rinehart bad
+  algebra Q
+  rank 3
+  bracket 0 1 1 = 1
+  bracket 0 2 2 = 1
+  bracket 1 2 0 = 1
+end
+
+connection line
+  on bad
+  omega 0 = 1
+end
+"""
+
 # L' acts on L'' with curvature at (0, 1) on f_1, L'' acts flatly on L'
 CURVED_TWILLED = """algebra Q
   dim 1
@@ -547,6 +568,18 @@ class TestCommands:
         assert "flat: false" in out
         assert "exact: false" in out
         assert "verdict square-iff-flat: pass" in out
+
+    def test_generator_reports_an_invalid_structure(self, capsys, tmp_path):
+        # the generator of a connection is checked only on a valid structure
+        path = tmp_path / "non_jacobi.lri"
+        path.write_text(NON_JACOBI_CONNECTION)
+        rc, out = run_cli(capsys, "generator", "--input", str(path))
+        assert rc == 1
+        assert out == (
+            f"command: generator\ninput: {path}\nname: line\n"
+            "verdict lr-axioms: fail witness=('jacobi', (0, 1, 2))\n"
+            "exit: 1\n"
+        )
 
     def test_check_bialgebra_on_matched_pair(self, capsys):
         rc, out = run_cli(capsys, "check-bialgebra", "--input", fixture("matched_pair.lri"))

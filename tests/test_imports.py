@@ -3,9 +3,13 @@
 The check reads the source with the standard-library ast module: a name
 counts as used when it appears anywhere in the module, inside a string
 annotation such as "Multivector" too, or when it is listed in the
-module's __all__.  Imports from __future__ are exempt."""
+module's __all__.  Imports from __future__ are exempt.  Also, the modules
+import one another without a cycle and never inside a function, and every
+private function, method and class is referred to somewhere in the
+package outside its own definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -106,30 +110,41 @@ def test_package_imports_form_no_cycle():
         visit(name)
 
 
+def references(node) -> Counter:
+    """How often each name occurs under node: by name, as an attribute or
+    in an import."""
+    out: Counter = Counter()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            out[part.id] += 1
+        elif isinstance(part, ast.Attribute):
+            out[part.attr] += 1
+        elif isinstance(part, ast.alias):
+            out[part.name] += 1
+    return out
+
+
 def orphan_privates(sources):
-    """module.name of every private top-level function or class in the
-    sources, a dict from module name to source, that nothing outside its
-    own definition refers to: by name, as an attribute or in an import."""
-    statements = [(module, node) for module, source in sources.items() for node in ast.parse(source).body]
-    refs = []
-    for _, node in statements:
-        names = set()
-        for part in ast.walk(node):
-            if isinstance(part, ast.Name):
-                names.add(part.id)
-            elif isinstance(part, ast.Attribute):
-                names.add(part.attr)
-            elif isinstance(part, ast.alias):
-                names.add(part.name)
-        refs.append((node, names))
-    return [
-        f"{module}.{node.name}"
-        for module, node in statements
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and not any(node.name in names for other, names in refs if other is not node)
-    ]
+    """module.qualified name of every private function, method or class in
+    the sources, a dict from module name to source, that nothing outside
+    its own definition refers to."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum(map(references, trees.values()), Counter())
+    orphans = []
+
+    def visit(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, prefix)
+                continue
+            name = child.name
+            if name.startswith("_") and not name.startswith("__") and references(child)[name] == total[name]:
+                orphans.append(f"{module}.{prefix}{name}")
+            visit(module, child, f"{prefix}{name}.")
+
+    for module, tree in trees.items():
+        visit(module, tree, "")
+    return orphans
 
 
 def test_every_private_definition_has_a_caller():
@@ -146,12 +161,19 @@ def test_checker_flags_private_code_with_no_caller():
             "def _exact(x):\n"
             "    return x\n"
             "class _Row:\n"
-            "    pass\n"
+            "    def _used(self):\n"
+            "        return self._unused\n"
+            "    def _unused(self):\n"
+            "        return self._unused()\n"
+            "    def _spare(self):\n"
+            "        return self._used()\n"
             "def mat_rank(m):\n"
             "    def _inner():\n"
             "        return 0\n"
-            "    return _primitive(m)\n"
+            "    def _called():\n"
+            "        return 1\n"
+            "    return _primitive(m) + _called()\n"
         ),
         "calgebra": "from .exactla import _exact\nimport lierine\nROW = lierine.exactla._Row\n",
     }
-    assert orphan_privates(sources) == ["exactla._echelon"]
+    assert orphan_privates(sources) == ["exactla._echelon", "exactla._Row._spare", "exactla.mat_rank._inner"]

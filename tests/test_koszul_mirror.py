@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lierine import cli, lrcore
-from lierine.exactla import RatMatrix, mat_solve
+from lierine.exactla import mat_solve
 from lierine.instances import (
     abelian,
     book,
@@ -149,7 +149,7 @@ def change_basis(lr, p):
     c = [[[lr.bracket[i][j][k].coeffs[0] for k in range(n)] for j in range(n)] for i in range(n)]
     pairs = [(i, j) for i, j in combinations(range(n), 2) if any(c[i][j])]
     table = [[[alg.zero()] * n for _ in range(n)] for _ in range(n)]
-    basis = RatMatrix.from_rows(p)
+    basis = reference.to_sparse(reference.from_rows(p))
     for a, b in combinations(range(n), 2):
         image = [Fraction(0)] * n
         for i, j in pairs:

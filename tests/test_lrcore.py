@@ -29,7 +29,7 @@ from lierine.lrcore import (
     lr_validate,
     trivial_coefficients,
 )
-from reference import LElem, act_lelem, alt_dim, anchor_matrix, basis_l, lr_anchor_apply, lr_bracket, zero_form
+from reference import LElem, act_lelem, alt_dim, anchor_matrix, basis_l, lr_anchor_apply, lr_bracket, mul_vec, zero_form
 
 
 class TestValidate:
@@ -111,7 +111,7 @@ class TestBracketExpansion:
         u = LElem(lr, [alg.basis(1), alg.scalar(2)])
         a = alg.elem([Fraction(1), Fraction(-2), Fraction(5)])
         m = anchor_matrix(lr, u)
-        assert m.mul_vec(a.coeffs) == lr_anchor_apply(lr, u, a).coeffs
+        assert mul_vec(m, a.coeffs) == lr_anchor_apply(lr, u, a).coeffs
 
 
 @st.composite
@@ -257,11 +257,19 @@ def test_d_linear(p, q):
 
 class TestAltForm:
     def test_eval_sign(self):
-        lr = sl2()
+        """With [x0, x1] = x1 and [x0, x2] = x2, the term w([x0, x2], x1)
+        of dw(x0, x1, x2) reads w = f^1 f^2 on the unsorted pair (2, 1):
+        dw(x0, x1, x2) = -w(x1, x2) + w(x2, x1) = -2, and 0 if that
+        read lost its sign."""
+        alg = rationals()
+        zero, one = alg.zero(), alg.one()
+        table = [[(zero, zero, zero)] * 3 for _ in range(3)]
+        table[0][1], table[1][0] = (zero, one, zero), (zero, -one, zero)
+        table[0][2], table[2][0] = (zero, zero, one), (zero, zero, -one)
+        lr = LieRinehart(alg, 3, table, [Derivation.zero(alg)] * 3)
         m = trivial_coefficients(lr)
-        w = AltForm(lr, m, 2, {(1, 2): (lr.alg.one(),)})
-        assert w.eval_indices((2, 1)) == (-lr.alg.one(),)
-        assert w.eval_indices((1, 1)) == (lr.alg.zero(),)
+        w = AltForm(lr, m, 2, {(1, 2): (one,)})
+        assert ce_differential(lr, m, w) == AltForm(lr, m, 3, {(0, 1, 2): (alg.scalar(-2),)})
 
     def test_zero_values_dropped(self):
         lr = sl2()

@@ -190,7 +190,7 @@ def flat_pairs(draw):
         if nonzero:
             c[0] = 1
         zero = [[[alg.zero()] * n for _ in range(n)] for _ in range(n)]
-        return LieRinehart(alg, n, zero, [Derivation(alg, d.matrix.scale(ck)) for ck in c]), c
+        return LieRinehart(alg, n, zero, [Derivation(alg, reference.scale(d.matrix, ck)) for ck in c]), c
 
     def action(c, r):
         a = [[draw(st.sampled_from([0, 0, 1, -1])) for _ in range(r)] for _ in range(r)]

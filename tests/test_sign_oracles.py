@@ -1,10 +1,10 @@
-"""The exterior signs the library reads off bit masks and inversion counts,
-against the tuple sort of ``reference.sort_with_sign``.
+"""The exterior signs the library reads off bit masks, against the tuple
+sort of ``reference.sort_with_sign``.
 
 ``lrcore._exterior`` signs the move f_j -> f_k in f_S by the parity of the
-factors of S strictly between j and k, and ``AltForm.eval_indices`` by the
-parity of the inversions of its argument; ``reference.exterior`` moves one
-factor at a time and re-sorts the tuple."""
+factors of S strictly between j and k; ``reference.exterior`` moves one
+factor at a time and re-sorts the tuple.  ``gerst.wedge`` signs the product
+of two multivectors by the popcount rule of ``gerst._product_sign``."""
 
 from itertools import combinations, product
 
@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from lierine.gerst import Multivector, wedge
 from lierine.instances import abelian, truncated_poly
-from lierine.lrcore import AltForm, LRModule, _subsets, exterior_algebra, exterior_power, trivial_coefficients
+from lierine.lrcore import LRModule, _subsets, exterior_algebra, exterior_power
 from test_atom_tables import random_elem
 
 
@@ -46,18 +47,18 @@ def test_exterior_powers_match_sorted_tuple_expansion(m):
 
 
 def test_eval_indices_signs_every_tuple_by_its_sort():
-    """Every tuple over range(4) of length at most 4, repeats included, on
-    a form whose values tell the sorted keys apart."""
+    """The wedge of the basis vectors e_i in the order of each tuple over
+    range(4) of length at most 4, repeats included, is e_sorted times the
+    sign of the sort, and zero on a repeat."""
     lr = abelian(truncated_poly(1), 4)
-    module = trivial_coefficients(lr)
     for n in range(5):
-        keys = list(combinations(range(4), n))
-        w = AltForm(lr, module, n, {key: (lr.alg.scalar(pos + 1),) for pos, key in enumerate(keys)})
         for indices in product(range(4), repeat=n):
+            got = Multivector.from_scalar(lr, lr.alg.one())
+            for i in indices:
+                got = wedge(got, Multivector.basis(lr, i))
             sorted_ = reference.sort_with_sign(indices)
             if sorted_ is None:
-                want = module.zero_vec()
+                assert got.is_zero(), indices
             else:
                 key, sign = sorted_
-                want = tuple(c if sign == 1 else -c for c in w.value(key))
-            assert w.eval_indices(indices) == want, indices
+                assert got == Multivector(lr, {key: lr.alg.scalar(sign)}), indices

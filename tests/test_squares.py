@@ -3,7 +3,10 @@
 ``lr_validate`` reads the anchor morphism and ``module_validate`` reads
 flatness off the formal square of the kept columns of ``ce_matrix``; both
 are compared here with the dense loops of ``reference``.  Jacobi is not read off a square,
-and a test below pins why.  The split compiled tables are checked by
+and a test below pins why.  The curvature of a connection on the top
+power, d omega on C^1(L; A) read formally, is compared with the pair loop
+of ``reference.connection_curvature``, on anchors that are not bracket
+morphisms too.  The split compiled tables are checked by
 counting: the degree-one Leibniz table is built only when Jacobi or the
 Schouten bracket needs it.
 """
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from lierine import lrcore
 from lierine.calgebra import CommAlg, Derivation
 from lierine.exactla import RatMatrix
+from lierine.gerst import TopConnection, connection_curvature
 from lierine.instances import derx3, gl_n, line_with_connection, sl2, truncated_poly, x2_del, x_del
 from lierine.lrcore import (
     LieRinehart,
@@ -27,7 +31,8 @@ from lierine.lrcore import (
     module_validate,
     trivial_coefficients,
 )
-from reference import anchor_morphism_violations, flatness_violations
+import reference
+from reference import anchor_morphism_violations, flatness_violations, matmul
 
 # Q x Q on its two idempotents: the unit (1, 1) is not a basis vector
 SPLIT = CommAlg(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
@@ -90,6 +95,37 @@ def test_flatness_matches_dense_reference(p):
     assert module_validate(lr, m) == flatness_violations(lr, m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(structures(), st.data())
+def test_curvature_matches_pair_loop(lr, data):
+    c = TopConnection(lr, [elem(data.draw, lr.alg) for _ in range(lr.rank)])
+    assert connection_curvature(lr, c) == reference.connection_curvature(lr, c)
+
+
+def test_curvature_where_the_anchor_is_no_morphism():
+    """On derx3 with x d/dx on both vectors, rho([e_0, e_1]) = x d/dx is not
+    [rho(e_0), rho(e_1)] = 0.  On Q[x]/(x^2) with zero bracket, rho(e_0):
+    1 -> x and rho(e_1): x -> 1 are not even derivations, and A is not a
+    flat module, so only the formal differential reads the curvature."""
+    lr = derx3()
+    one, x = lr.alg.one(), lr.alg.basis(1)
+    bad = LieRinehart(lr.alg, 2, lr.bracket, [x_del(lr.alg)] * 2)
+    assert [v.axiom for v in lr_validate(bad)] == ["anchor-morphism"]
+    c = TopConnection(bad, [x, one])
+    assert connection_curvature(bad, c) == reference.connection_curvature(bad, c)
+    # x d/dx (1) - x d/dx (x) - omega(e_1) = -x - 1
+    assert connection_curvature(bad, c).value((0, 1)) == (-one - x,)
+
+    alg = truncated_poly(2)
+    zero = [[[alg.zero()] * 2 for _ in range(2)] for _ in range(2)]
+    bad = LieRinehart(alg, 2, zero, [Derivation(alg, RatMatrix(2, 2, [0, 0, 1, 0])), Derivation(alg, RatMatrix(2, 2, [0, 1, 0, 0]))])
+    assert not trivial_coefficients(bad).is_flat()
+    c = TopConnection(bad, [alg.basis(1), alg.one()])
+    assert connection_curvature(bad, c) == reference.connection_curvature(bad, c)
+    # rho(e_0)(1) - rho(e_1)(x) = x - 1
+    assert connection_curvature(bad, c).value((0, 1)) == (alg.basis(1) - alg.one(),)
+
+
 def test_jacobi_is_not_read_from_the_square():
     """ce_matrix reads only the i < j half of the bracket table.  Raising
     the e_0 coefficient of the literal [e_2, e_1] of gl_2 breaks
@@ -103,8 +139,8 @@ def test_jacobi_is_not_read_from_the_square():
         ("jacobi", (1, 2, 3)),
     ]
     m = trivial_coefficients(bad)
-    square = ce_matrix(bad, m, 2, formal=True).matmul(ce_matrix(bad, m, 1, formal=True))
-    assert square.entries == {}
+    square = matmul(ce_matrix(bad, m, 2, formal=True), ce_matrix(bad, m, 1, formal=True))
+    assert not any(square.entries)
 
 
 def test_column_labels_follow_basis_forms():
