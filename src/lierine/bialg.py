@@ -3,30 +3,39 @@ and the compatibility condition tying a bracket to a cobracket.
 
 A pair (L, D) of equal-rank structures in Kronecker duality is
 compatible when the differential induced by D acts as a degree-one
-derivation of the bracket of L.  The condition has two equivalent
-readings, one in degree one on L and one in all degrees on the exterior
-algebra of D; both are computed on every call and must agree, on broken
-input as well as on good input.  Both readings run the derivation
-checker of ``gerst`` on label tables built for each call: the Schouten
-bracket of each side memoised per label pair, each atom x atom entry
-``schouten_bracket`` on the two label elements, and the transported
-differential as sparse label columns read off the columns that
-``lrcore.ce_columns`` keeps for the other side with trivial coefficients,
-shared with the flatness check of that module.
+derivation of the bracket of L.  ``bialgebra_check`` computes the
+condition in its two equivalent readings, one in degree one on L and one
+in all degrees on the exterior algebra of D; both are computed on every
+call and must agree, on broken input as well as on good input.  Both
+readings run the derivation checker of ``gerst`` on label tables built
+for each call: the Schouten bracket of each side memoised per label
+pair, each atom x atom entry ``schouten_bracket`` on the two label
+elements, and the transported differential as sparse label columns read
+off the columns that ``lrcore.ce_columns`` keeps for the other side with
+trivial coefficients, shared with the flatness check of that module.
+
+``matched_pair_from_bialgebra`` takes a Lie algebra over Q and a
+cobracket and builds no dual pair: there compatibility is Drinfeld's
+cocycle condition, one ``ce_differential`` of the cobracket in degree one
+with values in Lambda^2 of the adjoint module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .calgebra import Derivation
 from .gerst import GeneratorOp, _basis_multivectors, _derivation_witness, _flat_tables, _vector
 from .lrcore import (
+    AltForm,
     LieRinehart,
     LRModule,
     ce_columns,
+    ce_differential,
     dual_module,
+    exterior_power,
     lr_violations,
     require_valid,
     trivial_coefficients,
@@ -236,36 +245,43 @@ def twilled_vs_bialgebra_check(t: AlmostTwilled, max_degree: int = 3) -> Dict:
 
 
 def matched_pair_from_bialgebra(g: LieRinehart, cobracket: Sequence) -> AlmostTwilled:
-    """Pair a structure over the rationals with a cobracket given as the
-    structure constants of a bracket on the dual basis.
+    """Pair a Lie algebra over Q with a cobracket, given as the structure
+    constants of a bracket on the dual basis, each side acting on the
+    other by its coadjoint action.
 
-    The dual table must define a valid structure itself, and the
-    resulting pair of coadjoint-type actions must satisfy the combined
-    compatibility; either failure rejects the input with the witness.
+    g and the dual table must each be valid, and the pair twilled.
+    Compatibility is Drinfeld's cocycle condition: the cobracket, read as
+    the degree-one form delta: e_k -> sum_{i<j} cobracket[i][j][k]
+    e_i ^ e_j with values in Lambda^2 of the adjoint module, must have
+    d(delta) = 0, that is delta[x, y] = x . delta(y) - y . delta(x).  Over
+    Q this is what ``bialgebra_check`` decides on the semidirect dual
+    pair, which is not built here.  Each failure rejects the input with
+    its witness; that of the cocycle is the first nonzero (i, j) of
+    d(delta), its first wedge and their coefficient.
     """
     if g.alg.dim != 1:
         raise ValueError("only the rational base is supported here")
+    require_valid(g)
     n = g.rank
     dual = LieRinehart(g.alg, n, cobracket, [Derivation.zero(g.alg)] * n)
     bad = lr_violations(dual)
     if bad:
         raise ValueError(f"cobracket is not a valid bracket on the dual: {bad[0]}")
-    act_p_on_s = [
-        [
-            tuple(-g.bracket[i][m][j] for m in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    act_s_on_p = [
-        [
-            tuple(-dual.bracket[j][m][i] for m in range(n))
-            for i in range(n)
-        ]
-        for j in range(n)
-    ]
-    t = AlmostTwilled(g, dual, act_p_on_s, act_s_on_p)
-    r = twilled_vs_bialgebra_check(t, max_degree=2)
-    if not (r["twilled"] and r["bialgebra"]):
-        raise ValueError(f"bracket and cobracket are not compatible: {r['witnesses']}")
+    adjoint = LRModule(g, n, g.bracket)
+    t = AlmostTwilled(g, dual, dual_module(adjoint).action, dual_module(LRModule(dual, n, dual.bracket)).action)
+    witnesses = {}
+    bad = is_twilled(t)
+    if bad:
+        witnesses["twilled"] = (bad[0].axiom, bad[0].witness)
+    # g is valid, so its adjoint module and Lambda^2 of it are flat
+    wedges = list(combinations(range(n), 2))
+    module = exterior_power(adjoint, 2)
+    delta = AltForm(g, module, 1, {(k,): [dual.bracket[i][j][k] for i, j in wedges] for k in range(n)})
+    residual = ce_differential(g, module, delta, formal=True).values
+    if residual:
+        pair = min(residual)
+        pos = next(pos for pos, c in enumerate(residual[pair]) if not c.is_zero())
+        witnesses["bialgebra"] = (1, pair, wedges[pos], residual[pair][pos])
+    if witnesses:
+        raise ValueError(f"bracket and cobracket are not compatible: {witnesses}")
     return t

@@ -1,6 +1,11 @@
 """Duality, semidirect products, and bracket/cobracket compatibility."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lierine.bialg import (
     BialgebraReport,
@@ -13,6 +18,7 @@ from lierine.bialg import (
     semidirect_product,
     twilled_vs_bialgebra_check,
 )
+from lierine.calgebra import Derivation
 from lierine.cli import parse_instance
 from lierine.instances import (
     abelian,
@@ -22,12 +28,17 @@ from lierine.instances import (
     derx2,
     desk_pair,
     flat_broken,
+    heisenberg,
     line_with_connection,
     rationals,
     sl2,
+    truncated_poly,
+    x_del,
 )
-from lierine.lrcore import LRModule, lr_validate, trivial_coefficients
+from lierine.lrcore import LieRinehart, LRModule, lr_validate, lr_violations, trivial_coefficients
 from lierine.twilled import AlmostTwilled
+from test_derivation_on_atoms import derivation_anchor, sparse_elem
+from test_twilled import perturbed_pairs
 
 
 # l over Q[x]/(x^2) with an anchor sending 1 to x, paired with an abelian d
@@ -317,6 +328,13 @@ class TestMatchedPairFromBialgebra:
         assert "not compatible" in str(e.value)
         assert "AElem(4)" in str(e.value)
 
+    def test_sl2_flipped_cobracket_witness_is_the_first_row_of_d_delta(self):
+        # d(delta)(e, f) has 4 on e ^ f; the combined bracket fails Jacobi
+        flip = dual_table(rationals(), {(0, 1): [0, 1, 0], (0, 2): [0, 0, -1]}, 3)
+        with pytest.raises(ValueError) as e:
+            matched_pair_from_bialgebra(sl2(), flip)
+        assert str(e.value).endswith("{'twilled': ('jacobi', (1, 2, 4)), 'bialgebra': (1, (1, 2), (1, 2), AElem(4))}")
+
     def test_non_cojacobi_cobracket_rejected(self):
         alg = rationals()
         bad = dual_table(alg, {(0, 1): [0, 1, 0], (1, 2): [1, 0, 0]}, 3)
@@ -324,7 +342,117 @@ class TestMatchedPairFromBialgebra:
             matched_pair_from_bialgebra(sl2(), bad)
         assert "not a valid bracket" in str(e.value)
 
+    def test_invalid_g_rejected_with_its_violation(self):
+        # [e0, e1] = e1, [e0, e2] = e1 + e2, [e1, e2] = e0 fails Jacobi
+        alg = rationals()
+        g = LieRinehart(alg, 3, dual_table(alg, {(0, 1): [0, 1, 0], (0, 2): [0, 1, 1], (1, 2): [1, 0, 0]}, 3),
+                        [Derivation.zero(alg)] * 3)
+        with pytest.raises(ValueError) as e:
+            matched_pair_from_bialgebra(g, [[(alg.zero(),) * 3] * 3] * 3)
+        assert "structure fails validation" in str(e.value)
+        assert str(lr_violations(g)[0]) in str(e.value)
+        assert lr_violations(g)[0].axiom == "jacobi"
+
     def test_non_rational_base_rejected(self):
         d2 = derx2()
         with pytest.raises(ValueError):
             matched_pair_from_bialgebra(d2, [[(d2.alg.zero(),)]])
+
+
+def three_dim(entries):
+    alg = rationals()
+    return LieRinehart(alg, 3, dual_table(alg, entries, 3), [Derivation.zero(alg)] * 3)
+
+
+# abelian, h3, sl2, aff + R and [e0, e1] = e1, [e0, e2] = e2
+THREE_DIM = [abelian(rationals(), 3), heisenberg(), sl2(), three_dim({(0, 1): [0, 1, 0]}),
+             three_dim({(0, 1): [0, 1, 0], (0, 2): [0, 0, 1]})]
+
+
+@st.composite
+def cobrackets(draw):
+    """One of THREE_DIM and a cobracket with one or two nonzero structure
+    constants [e*_i, e*_j]_k, i < j, each in {+-1, +-2, 1/2}."""
+    slots = [(pair, k) for pair in combinations(range(3), 2) for k in range(3)]
+    entries = {}
+    for pair, k in draw(st.lists(st.sampled_from(slots), min_size=1, max_size=2, unique=True)):
+        entries.setdefault(pair, [0, 0, 0])[k] = draw(st.sampled_from([1, -1, 2, -2, Fraction(1, 2)]))
+    return draw(st.sampled_from(THREE_DIM)), dual_table(rationals(), entries, 3)
+
+
+def coadjoint_pair(g, dual):
+    """g and its dual acting on each other, written out index by index:
+    e_i . e*_j = -sum_m [e_i, e_m]_j e*_m and e*_j . e_i = -sum_m
+    [e*_j, e*_m]_i e_m."""
+    n = g.rank
+    return AlmostTwilled(
+        g,
+        dual,
+        [[tuple(-g.bracket[i][m][j] for m in range(n)) for j in range(n)] for i in range(n)],
+        [[tuple(-dual.bracket[j][m][i] for m in range(n)) for i in range(n)] for j in range(n)],
+    )
+
+
+def test_cocycle_verdict_is_that_of_twilledness_and_semidirect_compatibility():
+    """On cobrackets whose dual table is a Lie bracket, the cocycle test of
+    matched_pair_from_bialgebra accepts exactly when the coadjoint pair is
+    twilled and its semidirect dual pair compatible, and then returns that
+    pair; each of the two parts of a rejection is named exactly when its
+    own verdict fails.  Compatible and incompatible draws both occur."""
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(cobrackets())
+    def check(case):
+        g, cobracket = case
+        dual = LieRinehart(g.alg, 3, cobracket, [Derivation.zero(g.alg)] * 3)
+        assume(not lr_violations(dual))
+        t = coadjoint_pair(g, dual)
+        want = twilled_vs_bialgebra_check(t, max_degree=2)
+        try:
+            assert matched_pair_from_bialgebra(g, cobracket) == t
+            named = set()
+        except ValueError as e:
+            assert "not compatible" in str(e)
+            named = {part for part in ("twilled", "bialgebra") if repr(part) in str(e)}
+        assert named == {part for part in ("twilled", "bialgebra") if not want[part]}
+        verdicts.add(not named)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def incompatible_pair_over_x2():
+    """Over Q[x]/(x^2): L' of rank 1, abelian and unanchored; L'' of rank 2
+    with [f0, f1] = x f1 and f1 anchored by -x d/dx; e'.f1 = f0 + (x/2) f1,
+    f0.e' = (1/2 + x) e' and f1.e' = (1 + x) e'.  Both sides are valid and
+    both actions flat, and the semidirect dual pair is not compatible."""
+    alg = truncated_poly(2)
+    z, x, half = alg.zero(), alg.elem([0, 1]), Fraction(1, 2)
+    lp = LieRinehart(alg, 1, [[[z]]], [Derivation.zero(alg)])
+    minus_x_del = Derivation.from_images(alg, [-x_del(alg).apply(b) for b in map(alg.basis, range(2))])
+    ls = LieRinehart(alg, 2, [[[z, z], [z, x]], [[z, -x], [z, z]]], [Derivation.zero(alg), minus_x_del])
+    on_second = [[[z, z], [alg.one(), alg.elem([0, half])]]]
+    on_prime = [[[alg.elem([half, 1])]], [[alg.elem([1, 1])]]]
+    return AlmostTwilled(lp, ls, on_second, on_prime)
+
+
+def test_both_compatibility_readings_agree_beyond_q():
+    """The two readings of bialgebra_check agree, so no RuntimeError, on the
+    semidirect dual pairs of pairs over Q[x]/(x^k), k <= 3, whose sides are
+    valid with derivation anchors and whose two actions are flat; degree-0
+    elements of the base enter through the anchors and the tables."""
+    kept = []
+
+    @settings(max_examples=300, deadline=None)
+    @example(incompatible_pair_over_x2())
+    @given(perturbed_pairs(st.sampled_from([truncated_poly(k) for k in (1, 2, 3)]), st.just(derivation_anchor), sparse_elem))
+    def check(t):
+        if lr_violations(t.lprime) or lr_violations(t.lsecond):
+            return
+        if not (t.module_on_second().is_flat() and t.module_on_prime().is_flat()):
+            return
+        kept.append(bialgebra_check(semidirect_dual_pair(t), 3).holds)
+
+    check()
+    assert False in kept and True in kept
