@@ -6,10 +6,12 @@ compatible when the differential induced by D acts as a degree-one
 derivation of the bracket of L.  ``bialgebra_check`` computes the
 condition in its two equivalent readings, one in degree one on L and one
 in all degrees on the exterior algebra of D; both are computed on every
-call and must agree, on broken input as well as on good input.  Both
-readings run the derivation checker of ``gerst`` on label tables built
-for each call: the Schouten bracket of each side memoised per label
-pair, each atom x atom entry ``schouten_bracket`` on the two label
+call and must agree, on broken input as well as on good input.  With
+both sides valid the residual of the second is a biderivation (see
+``gerst``), so it runs on the unit wedges of degree at most 1 whatever the
+cap.  Both readings run the derivation checker of ``gerst`` on label
+tables built for each call: the Schouten bracket of each side memoised per
+label pair, each atom x atom entry ``schouten_bracket`` on the two label
 elements, and the transported differential as sparse label columns read
 off the columns that ``lrcore.ce_columns`` keeps for the other side with
 trivial coefficients, shared with the flatness check of that module.
@@ -46,9 +48,9 @@ from .twilled import AlmostTwilled, dg_gerstenhaber_check, is_twilled, twilled_s
 class DualPair:
     """Equal-rank structures identified by the Kronecker pairing: basis
     vector i of d is the coordinate form of basis vector i of l.  The
-    compatibility report of each degree cap is kept once computed."""
+    compatibility report, one for every cap, is kept once computed."""
 
-    __slots__ = ("l", "d", "_reports")
+    __slots__ = ("l", "d", "_report")
 
     def __init__(self, l: LieRinehart, d: LieRinehart) -> None:
         if l.rank != d.rank:
@@ -57,7 +59,7 @@ class DualPair:
             raise ValueError("base algebra mismatch")
         self.l = l
         self.d = d
-        self._reports: Dict[int, "BialgebraReport"] = {}
+        self._report: Optional["BialgebraReport"] = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DualPair):
@@ -153,27 +155,28 @@ def bialgebra_check(p: DualPair, max_degree: int) -> BialgebraReport:
 
     Degree-one form, on basis pairs of l: the transported differential of
     d applied to a bracket equals the sum of brackets with differentiated
-    slots.  All-degrees form, on basis wedges of d up to max_degree, with
-    the sign (-1)^degree on the second slot.  The two verdicts must
-    coincide; a disagreement is an internal error, not a report.  The
-    report is computed once per pair and degree cap.  A cap below 1, with
-    no wedges to test, or an invalid l or d is rejected.
+    slots.  All-degrees form, on the unit wedges of d, with the sign
+    (-1)^degree on the second slot, decided on those of degree at most 1
+    (see the module docstring), so the report does not depend on the cap.
+    The two verdicts must coincide; a disagreement is an internal error,
+    not a report.  The report is computed once per pair.  A cap below 1
+    or an invalid l or d is rejected.
     """
     if max_degree < 1:
         raise ValueError(f"the degree cap must be at least 1, got {max_degree}")
     require_valid(p.l)
     require_valid(p.d)
-    report = p._reports.get(max_degree)
-    if report is None:
-        report = p._reports[max_degree] = _compatibility(p, max_degree)
-    return report
+    if p._report is None:
+        p._report = _compatibility(p)
+    return p._report
 
 
-def _compatibility(p: DualPair, max_degree: int) -> BialgebraReport:
+def _compatibility(p: DualPair) -> BialgebraReport:
+    """Both readings, the second on the unit wedges of degree at most 1."""
     l, d = p.l, p.d
     vectors = [(i, _vector({((), (i,)): l.alg.one()}), 1) for i in range(l.rank)]
     found = _derivation_witness(vectors, _flat_tables(l), _transported(d, l))
-    wedges = [(s, _vector({((), s): d.alg.one()}), len(s)) for t, s in _basis_multivectors(d, max_degree) if t == 0]
+    wedges = [(s, _vector({((), s): d.alg.one()}), len(s)) for t, s in _basis_multivectors(d, 1) if t == 0]
     holds1 = found is None
     holds2 = _derivation_witness(wedges, _flat_tables(d), _transported(l, d)) is None
     if holds1 != holds2:
@@ -191,8 +194,10 @@ def semidirect_dual_pair(t: AlmostTwilled) -> DualPair:
     """L := L' acting on the dual of its action on L'', extended as a
     semidirect product; D likewise with the roles swapped and the ideal's
     block first, so the Kronecker pairing lines up with L.  Built once per
-    pair and kept on it."""
+    pair and kept on it; an invalid side is rejected first."""
     if t._dual_pair is None:
+        require_valid(t.lprime)
+        require_valid(t.lsecond)
         t._dual_pair = _build_semidirect_dual_pair(t)
     return t._dual_pair
 
@@ -207,7 +212,9 @@ def _build_semidirect_dual_pair(t: AlmostTwilled) -> DualPair:
 def semidirect_duality_check(t: AlmostTwilled, max_degree: int = 3) -> Dict:
     """Compatibility of the semidirect dual pair against the derivation
     property of the outer differential on the crossed bracket; the two
-    sides are computed independently and compared."""
+    sides are computed independently and compared.  They are equivalent
+    only where the combined bracket meets the anchor-morphism axiom: the
+    semidirect reading does not see that axiom, and the dG side does."""
     pair = semidirect_dual_pair(t)
     bial = bialgebra_check(pair, max_degree)
     dg = dg_gerstenhaber_check(t)
@@ -227,7 +234,9 @@ def semidirect_duality_check(t: AlmostTwilled, max_degree: int = 3) -> Dict:
 
 def twilled_vs_bialgebra_check(t: AlmostTwilled, max_degree: int = 3) -> Dict:
     """Twilledness of the pair against compatibility of its semidirect
-    dual pair; both verdicts reported with witnesses."""
+    dual pair; both verdicts reported with witnesses.  They are equivalent
+    only where the combined bracket meets the anchor-morphism axiom, which
+    the semidirect reading does not see."""
     bad = is_twilled(t)
     pair = semidirect_dual_pair(t)
     bial = bialgebra_check(pair, max_degree)

@@ -38,16 +38,19 @@ carrier: ``_derivation_witness`` (d[u,v] = [du,v] - (-1)^{|u|}[u,dv]),
 (square-zero and commutator checks).  They serve Lambda L here, the
 bigraded carrier Alt(L'', Lambda L') in ``twilled`` and the exterior
 algebras of a dual pair in ``bialg``; each caller supplies its basis
-labels in its own order, its label tables and its operator.  The
-residual d[u,v] - [du,v] + (-1)^{|u|}[u,dv] of a d that derives the
-product is a biderivation when the bracket is one, so it vanishes once
-it does on the pairs of table atoms, which generate the carrier; d''
-derives the product where every anchor is a derivation, and ``twilled``
-runs that atom pass first.  A generator is second order, ``bialg``'s
-two readings would agree by construction and ``gerstenhaber_validate``
-checks the bracket itself: they keep the full loop.  Label tables
-(``_LabelTables``) live for one checker call, or one call of checkers
-sharing them: the bracket and product as
+labels in its own order, its label tables and its operator.  The labels
+of degree at most 1 generate each carrier, and a residual that derives
+the product in each slot vanishes once it does on them (Koszul 1985;
+Kosmann-Schwarzbach 1995): d[u,v] - [du,v] + (-1)^{|u|}[u,dv] when d
+derives the product and the bracket is a biderivation, and the square of
+an odd derivation.  d' and both d'' derive it where every anchor is a
+derivation, as does the transported differential of a valid side, and
+the label tables build every bracket from atoms by the biderivation
+rules, so ``twilled``, ``bialg``'s second reading and
+``gerstenhaber_validate`` run such a generator pass first, and an ordered
+loop only for a witness.  The generator identity, second order, keeps
+the full loop.  Label tables (``_LabelTables``) live for one checker
+call, or one call of checkers sharing them: the bracket and product as
 structure constants on the Q-basis labels (t, outer, inner), each coded
 as the int t << (ro + ri) | outer mask << ri | inner mask, every entry
 keyed by the code of its label pair in one dict and filled on first use,
@@ -555,15 +558,22 @@ def _flat_tables(lr: LieRinehart) -> _LabelTables:
 
 def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
     """Graded antisymmetry, odd Leibniz, and graded Jacobi on all rational
-    basis multivectors through the degree cap.  One witness per axiom.
-    Does not require a valid parent: a corrupted bracket table shows up
-    here as a Jacobi witness.  A negative cap is rejected.
+    basis multivectors through the degree cap, decided on those of degree
+    at most 1 (see the module docstring).  One witness per axiom.  Does
+    not require a valid parent: a corrupted bracket table shows up here as
+    a Jacobi witness.  A negative cap is rejected.
     """
     if max_degree < 0:
         raise ValueError(f"the degree cap must be at least 0, got {max_degree}")
     tables = _flat_tables(lr)
+    if max_degree > 1 and not _gerstenhaber_violations(tables, _label_elems(lr, 1)):
+        return []
+    return _gerstenhaber_violations(tables, _label_elems(lr, max_degree))
+
+
+def _gerstenhaber_violations(tables: _LabelTables, elems: Sequence[Tuple]) -> List[Violation]:
+    """The first failing axiom of ``gerstenhaber_validate`` on elems, or []."""
     br, prod, low = tables.bracket, tables.product, tables.low
-    elems = _label_elems(lr, max_degree)
 
     def antisymmetry(out: Dict, c, _, x: int, y: int) -> None:
         # [x, y] + (-1)^{(|x|-1)(|y|-1)} [y, x]
@@ -591,7 +601,7 @@ def gerstenhaber_validate(lr: LieRinehart, max_degree: int) -> List[Violation]:
             _add(out, -sign * c * e, br(v, z))
 
     # residual degrees: |x| + |y| - 1; |u| + |v| + |w| - 1; |u| + |v| + |w| - 2
-    ranks = (0, lr.rank)
+    ranks = _ranks(tables.parent)
     found = _pair_witness(elems, tables, antisymmetry, ranks, (0, -1))
     if found:
         return [Violation("graded-antisymmetry", found[0] + found[1], "")]
@@ -863,8 +873,9 @@ def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: Generat
 
     fails, or None.  The residual is read off bracket entries and the
     label columns of d, and returned as a carrier element.  Run on the
-    table atoms alone, it decides every pair when d derives the product
-    and the bracket is a biderivation (see the module docstring)."""
+    labels of degree at most 1 alone, it decides every pair when d derives
+    the product and the bracket is a biderivation (see the module
+    docstring)."""
     entry, column = tables.bracket, tables.operator(d)
 
     def residual(out: Dict, c, su: int, x: int, y: int) -> None:

@@ -66,7 +66,6 @@ from .exactla import SparseMatrix, mat_rank
 from .gerst import (
     Bigraded,
     GeneratorOp,
-    _atom,
     _element,
     _derivation_witness,
     _first_nonzero,
@@ -324,20 +323,30 @@ def _first_witnesses(labels: List[Tuple], **images) -> Dict[str, Tuple]:
     return dict(sorted(found, key=lambda item: labels.index(item[1])))
 
 
+def _anchors_derive(t: AlmostTwilled) -> bool:
+    """Whether every anchor derives A, so d' and both d'' derive the bigraded product."""
+    return not any(derivation_validate(t.alg, rho) for rho in (*t.lprime.anchor, *t.lsecond.anchor))
+
+
 def bicomplex_square_check(t: AlmostTwilled) -> Dict:
     """Squares and anticommutation of d', d'' on every basis form,
     against twilledness of the sum; the two sides of the equivalence are
-    computed independently."""
+    computed independently.  Where ``_anchors_derive``, each identity is
+    decided on the generators first, and only one failing there runs over
+    every label, for its witness."""
     labels = list(bigraded_labels(t))
     dp, ds = _differential(t, "dprime"), _differential(t, "form")
-    witnesses = _first_witnesses(
-        labels,
-        dprime_square=(dp.image(dp.column(lab)) for lab in labels),
-        dsecond_square=(ds.image(ds.column(lab)) for lab in labels),
-        anticommute=(_lincomb((1, dp.image(ds.column(lab))), (1, ds.image(dp.column(lab)))) for lab in labels),
-    )
+    squares = {
+        "dprime_square": lambda lab: dp.image(dp.column(lab)),
+        "dsecond_square": lambda lab: ds.image(ds.column(lab)),
+        "anticommute": lambda lab: _lincomb((1, dp.image(ds.column(lab))), (1, ds.image(dp.column(lab)))),
+    }
+    gens = [lab for lab in labels if len(lab[1]) + len(lab[2]) <= 1] if _anchors_derive(t) else labels
+    witnesses = _first_witnesses(gens, **{key: map(f, gens) for key, f in squares.items()})
+    if witnesses and gens is not labels:
+        witnesses = _first_witnesses(labels, **{key: map(f, labels) for key, f in squares.items() if key in witnesses})
     twilled = is_twilled(t)
-    report = {key: key not in witnesses for key in ("dprime_square", "dsecond_square", "anticommute")}
+    report = {key: key not in witnesses for key in squares}
     report["twilled"] = not twilled
     report["witnesses"] = witnesses
     report["equivalent"] = (not witnesses) == report["twilled"]
@@ -355,20 +364,20 @@ def _dg_checks(t: AlmostTwilled, *carriers: List[Tuple]) -> List[Dict]:
     of that action, off the columns of d' the bicomplex squares read.  The
     carriers share one set of tables and one d'', tabulated once per label.
 
-    Where every anchor is a derivation of A, the derivation residual is a
-    biderivation (see ``gerst``): a clean pass over the pairs of table atoms
-    decides every carrier, and only a failing one sends each carrier
-    through its ordered loop, for its witness."""
+    Where ``_anchors_derive``, the square and the derivation residual are
+    each decided on the generators first (see ``gerst``), and only a
+    failing pass sends each carrier through its ordered loop, for its
+    witness."""
     tables = _label_tables(t)
     d, dp = _differential(t, "multi"), _differential(t, "dprime")
     outer_ones = ((ta, (a,), ()) for a in range(t.lsecond.rank) for ta in range(t.alg.dim))
     curved = _first_nonzero((lab, dp.image(dp.column(lab))) for lab in outer_ones)
-    derives = not any(derivation_validate(t.alg, rho) for rho in (*t.lprime.anchor, *t.lsecond.anchor))
-    atoms = [e for e in _bigraded_elems(t) if _atom(*e[0][1:])]
-    clean = derives and _derivation_witness(atoms, tables, d) is None
+    gens = [e for e in _bigraded_elems(t) if e[2] <= 1] if _anchors_derive(t) else None
+    squares = gens is not None and _first_nonzero((lab, d.image(d.image(w))) for lab, w, _ in gens) is None
+    clean = gens is not None and _derivation_witness(gens, tables, d) is None
     reports = []
     for elems in carriers:
-        square = _first_nonzero((lab, d.image(d.image(w))) for lab, w, _ in elems)
+        square = None if squares else _first_nonzero((lab, d.image(d.image(w))) for lab, w, _ in elems)
         found = None if clean else _derivation_witness(elems, tables, d)
         first = (("square", square), ("derivation", found and found[0] + found[1]), ("flatness", curved))
         witnesses = {key: label for key, label in first if label is not None}

@@ -38,6 +38,7 @@ from lierine.instances import (
 from lierine.lrcore import LieRinehart, LRModule, lr_validate, lr_violations, trivial_coefficients
 from lierine.twilled import AlmostTwilled
 from test_derivation_on_atoms import derivation_anchor, sparse_elem
+from test_pair_traversal import assert_report_is_dense_readings
 from test_twilled import perturbed_pairs
 
 
@@ -441,7 +442,9 @@ def test_both_compatibility_readings_agree_beyond_q():
     """The two readings of bialgebra_check agree, so no RuntimeError, on the
     semidirect dual pairs of pairs over Q[x]/(x^k), k <= 3, whose sides are
     valid with derivation anchors and whose two actions are flat; degree-0
-    elements of the base enter through the anchors and the tables."""
+    elements of the base enter through the anchors and the tables.  At
+    every cap the report is that of the dense loops over every unit wedge
+    through the cap, where the check reads the wedges of degree at most 1."""
     kept = []
 
     @settings(max_examples=300, deadline=None)
@@ -452,7 +455,48 @@ def test_both_compatibility_readings_agree_beyond_q():
             return
         if not (t.module_on_second().is_flat() and t.module_on_prime().is_flat()):
             return
-        kept.append(bialgebra_check(semidirect_dual_pair(t), 3).holds)
+        pair = semidirect_dual_pair(t)
+        kept.append(bialgebra_check(pair, 3).holds)
+        assert assert_report_is_dense_readings(pair) == kept[-1]
 
     check()
     assert False in kept and True in kept
+
+
+def test_an_invalid_side_is_rejected_before_the_semidirect_pair_is_built():
+    """L' of rank 1 with [e, e] = e over Q[x]/(x^2), both actions zero: each
+    entry point reports the side's own violation as bad input, where the
+    semidirect product used to raise an internal RuntimeError."""
+    alg = truncated_poly(2)
+    z = alg.zero()
+    t = AlmostTwilled(LieRinehart(alg, 1, [[[alg.one()]]], [Derivation.zero(alg)]), abelian(alg, 1), [[[z]]], [[[z]]])
+    for check in (semidirect_dual_pair, semidirect_duality_check, twilled_vs_bialgebra_check):
+        with pytest.raises(ValueError, match=r"^structure fails validation: antisymmetry at \(0,0\)"):
+            check(t)
+
+
+def test_semidirect_reading_does_not_see_the_anchor_morphism_axiom():
+    """A known gap of the stated equivalence: L' and L'' abelian of rank 1
+    over Q[x]/(x^2), e' anchored by x d/dx, e'.f = f/2 and f.e' = e'.  Both
+    sides are valid and both actions flat; the combined bracket fails only
+    the anchor-morphism axiom, which the dG side sees and the semidirect
+    dual pair does not."""
+    alg = truncated_poly(2)
+    z = alg.zero()
+    lp = LieRinehart(alg, 1, [[[z]]], [x_del(alg)])
+    ls = LieRinehart(alg, 1, [[[z]]], [Derivation.zero(alg)])
+    t = AlmostTwilled(lp, ls, [[[alg.elem([Fraction(1, 2), 0])]]], [[[alg.one()]]])
+    assert not lr_violations(lp) and not lr_violations(ls)
+    assert t.module_on_second().is_flat() and t.module_on_prime().is_flat()
+    assert twilled_vs_bialgebra_check(t) == {
+        "twilled": False,
+        "bialgebra": True,
+        "equivalent": False,
+        "witnesses": {"twilled": ("anchor-morphism", (0, 1))},
+    }
+    assert semidirect_duality_check(t) == {
+        "bialgebra": True,
+        "dg": False,
+        "equivalent": False,
+        "witnesses": {"dg": {"derivation": (1, (), (), 0, (), (0,))}},
+    }

@@ -4,9 +4,12 @@ The witness loop of ``gerst`` pairs each element only with the elements
 that reach a bidegree of the carrier; it must return the same
 (label1, label2, residual) as the dense loop over all ordered pairs kept
 in ``reference``, repr-equal, on input whose witnesses are mostly
-nonzero.  The label product reads the compiled products of the base and
-must give the vector of the old route through algebra elements, with the
-same values, value types and key order.
+nonzero.  ``gerstenhaber_validate`` and the all-degrees reading of the
+compatibility decide on the labels of degree at most 1 first; at every
+cap their reports must be those of the dense loops over every label
+through the cap.  The label product reads the compiled products of the
+base and must give the vector of the old route through algebra elements,
+with the same values, value types and key order.
 """
 
 from fractions import Fraction
@@ -23,7 +26,8 @@ from lierine import bialg, cli, gerst
 from lierine.bialg import DualPair, semidirect_dual_pair
 from lierine.calgebra import Derivation
 from lierine.gerst import TopConnection, generator_from_connection
-from lierine.instances import abelian, book_double_flipped, truncated_poly
+from lierine.exactla import RatMatrix
+from lierine.instances import abelian, book, book_double_flipped, derx2, derx3, gl_n, heisenberg, sl2, truncated_poly
 from lierine.lrcore import LieRinehart, lr_validate
 from lierine.twilled import _bigraded_elems, _dg_lie_and_gerstenhaber, _differential, _label_tables, _lie_elems
 from test_atom_tables import (
@@ -139,6 +143,20 @@ def shipped_dual_pairs():
 def test_bounded_witnesses_match_dense_loop_on_shipped_dual_pairs(name, pair):
     for cap in range(1, pair.l.rank + 1):
         assert_same_as_dense(transported_witnesses, pair, cap)
+    assert_report_is_dense_readings(pair)
+
+
+def assert_report_is_dense_readings(pair: DualPair) -> bool:
+    """The compatibility report of a pair with valid sides is that of both
+    readings on the dense loop at every cap, the all-degrees one over
+    every unit wedge through the cap, which agree; returns its verdict."""
+    report = bialg._compatibility(pair)
+    for cap in range(1, pair.l.rank + 1):
+        with dense():
+            degree_one, all_degrees = transported_witnesses(pair, cap)
+        assert report.holds == (degree_one is None) == (all_degrees is None)
+        assert report.holds or report.witness[1] == degree_one[:2]
+    return report.holds
 
 
 @st.composite
@@ -157,12 +175,67 @@ def test_bounded_witnesses_match_dense_loop_on_random_dual_pairs(pair):
     assert_same_as_dense(transported_witnesses, pair, pair.l.rank)
 
 
+def dense_gerstenhaber(lr, cap):
+    """The loops of ``gerstenhaber_validate`` over every label through the
+    cap, on the dense loop: no generator pass."""
+    with dense():
+        return gerst._gerstenhaber_violations(gerst._flat_tables(lr), gerst._label_elems(lr, cap))
+
+
+def generator_pass_fails(lr):
+    """Whether the loops of ``gerstenhaber_validate`` find a witness on
+    the labels of degree at most 1."""
+    return bool(gerst._gerstenhaber_violations(gerst._flat_tables(lr), gerst._label_elems(lr, 1)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(structures_with_operators())
 def test_gerstenhaber_validate_matches_dense_loop(p):
     lr = p[0]
     for cap in range(lr.rank + 1):
-        assert_same_as_dense(gerst.gerstenhaber_validate, lr, cap)
+        assert repr(gerst.gerstenhaber_validate(lr, cap)) == repr(dense_gerstenhaber(lr, cap))
+
+
+VALID_STRUCTURES = [sl2(), gl_n(2), heisenberg(), derx2(), derx3(), book(), abelian(truncated_poly(2), 2)]
+VALUES = st.sampled_from([0, 0, 1, -1, Fraction(1, 2)])
+
+
+@st.composite
+def near_valid_structures(draw):
+    """A valid structure with one perturbation: one bracket entry
+    replaced, c added to [e_i, e_j] and taken from [e_j, e_i], or one
+    anchor replaced by an arbitrary linear map of the base."""
+    lr = draw(st.sampled_from(VALID_STRUCTURES))
+    alg, n = lr.alg, lr.rank
+    bracket, anchor = [[list(entry) for entry in row] for row in lr.bracket], list(lr.anchor)
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    c = alg.elem([draw(VALUES) for _ in range(alg.dim)])
+    kind = draw(st.sampled_from(["entry", "pair", "anchor"]))
+    if kind == "entry":
+        bracket[i][j][k] = c
+    elif kind == "pair":
+        bracket[i][j][k], bracket[j][i][k] = bracket[i][j][k] + c, bracket[j][i][k] - c
+    else:
+        anchor[i] = Derivation(alg, RatMatrix(alg.dim, alg.dim, [draw(VALUES) for _ in range(alg.dim ** 2)]))
+    return LieRinehart(alg, n, bracket, anchor)
+
+
+def test_gerstenhaber_validate_matches_dense_loop_on_near_valid_structures():
+    """One perturbation of a valid structure mostly breaks an axiom on a
+    few labels, or none: the generator pass is clean on some draws and
+    fails on others, and at every cap the report is that of the loops over
+    every label through the cap."""
+    branches = set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(near_valid_structures())
+    def check(lr):
+        for cap in range(lr.rank + 1):
+            assert repr(gerst.gerstenhaber_validate(lr, cap)) == repr(dense_gerstenhaber(lr, cap))
+        branches.add(generator_pass_fails(lr))
+
+    check()
+    assert branches == {True, False}
 
 
 def visited_pairs(monkeypatch):
@@ -205,32 +278,33 @@ def existing_up_to(elems, found, ranks, shift):
 def test_witness_loop_visits_the_pairs_of_existing_bidegrees_on_sl2_double(monkeypatch, tmp_path):
     """d'' has bidegree (1, 0), so the derivation residual of labels of
     bidegrees (q1, p1), (q2, p2) lies in (q1 + q2 + 1, p1 + p2 - 1).  The
-    double is twilled, so the dG checks run one loop, over its 11 atoms
-    (the 8 pure forms and the 3 vectors), which visits each of their
-    existing pairs and decides both carriers; the loop over a whole
-    carrier, which finds no witness there, visits each existing pair."""
+    double is twilled, so the dG checks run one loop, over its 7
+    generators (the unit, the 3 outer one-forms and the 3 vectors), which
+    visits each of their existing pairs and decides both carriers; the
+    loop over a whole carrier, which finds no witness there, visits each
+    existing pair."""
     t = cli.parse_instance(str(bench_sl2_double(tmp_path))).build_twilled("double")
     runs = visited_pairs(monkeypatch)
     assert all(r["derivation"] for r in _dg_lie_and_gerstenhaber(t))
-    atoms = [label for label, _, _ in _bigraded_elems(t) if gerst._atom(*label[1:])]
-    assert len(atoms) == 11
-    assert runs == [existing(atoms, (3, 3), (1, -1))]
+    generators = [label for label, _, degree in _bigraded_elems(t) if degree <= 1]
+    assert len(generators) == 7
+    assert runs == [existing(generators, (3, 3), (1, -1))]
     carriers = (_lie_elems(t), _bigraded_elems(t))
     for elems in carriers:
         assert gerst._derivation_witness(elems, _label_tables(t), _differential(t, "multi")) is None
     labels = [[label for _, vec, _ in elems for label in vec] for elems in carriers]
     assert runs[1:] == [existing(carrier, (3, 3), (1, -1)) for carrier in labels]
-    assert [len(pairs) for pairs in runs] == [51, 198, 1232]
+    assert [len(pairs) for pairs in runs] == [33, 198, 1232]
 
 
-def test_witness_loops_after_a_failing_atom_pass_visit_the_pairs_of_the_whole_carriers(monkeypatch):
-    """On a pair that is not twilled the atom pass fails, and each carrier
-    then runs its own loop: each of the three loops visits every existing
-    pair of its elements up to its witness, which is the witness of the
-    carrier's loop run alone."""
+def test_witness_loops_after_a_failing_generator_pass_visit_the_pairs_of_the_whole_carriers(monkeypatch):
+    """On a pair that is not twilled the generator pass fails, and each
+    carrier then runs its own loop: each of the three loops visits every
+    existing pair of its elements up to its witness, which is the witness
+    of the carrier's loop run alone."""
     t = book_double_flipped()
     d = _differential(t, "multi")
-    elems = [e for e in _bigraded_elems(t) if gerst._atom(*e[0][1:])], _lie_elems(t), _bigraded_elems(t)
+    elems = [e for e in _bigraded_elems(t) if e[2] <= 1], _lie_elems(t), _bigraded_elems(t)
     alone = [gerst._derivation_witness(e, _label_tables(t), d) for e in elems]
     assert None not in alone
     runs = visited_pairs(monkeypatch)
@@ -242,16 +316,18 @@ def test_witness_loops_after_a_failing_atom_pass_visit_the_pairs_of_the_whole_ca
 
 def test_witness_loop_visits_the_pairs_of_existing_bidegrees_of_generators_and_transports(monkeypatch):
     """A generator has bidegree (0, -1) and the transported differential
-    (0, 1); on passing input every existing pair is visited."""
+    (0, 1); on passing input every existing pair is visited.  The
+    all-degrees reading of the compatibility runs on the unit wedges of
+    degree at most 1 only."""
     lr = cli.parse_instance(str(FIXTURES / "derx3.lri")).lr("derx3")
     g = generator_from_connection(lr, TopConnection(lr, [lr.alg.zero()] * lr.rank))
     pair = cli.parse_instance(str(FIXTURES / "sl2.lri")).build_dual_pair("std")
     runs = visited_pairs(monkeypatch)
     assert gerst.generator_validate(lr, g) == [] and gerst.generator_derivation_check(lr, g) == []
-    assert bialg._compatibility(pair, 3).holds
+    assert bialg._compatibility(pair).holds
     labels = [(t, (), key) for t, key in gerst._basis_multivectors(lr, lr.rank)]
     vectors = [(0, (), (i,)) for i in range(3)]
-    wedges = [(0, (), key) for _, key in gerst._basis_multivectors(pair.d, 3)]
+    wedges = [(0, (), key) for _, key in gerst._basis_multivectors(pair.d, 1)]
     assert runs == [
         existing(labels, (0, 2), (0, -1)),
         existing(labels, (0, 2), (0, -2)),
@@ -259,6 +335,7 @@ def test_witness_loop_visits_the_pairs_of_existing_bidegrees_of_generators_and_t
         existing(wedges, (0, 3), (0, 0)),
     ]
     assert all(len(pairs) < len(labels) ** 2 for pairs in runs[:2])
+    assert [len(pairs) for pairs in runs[2:]] == [9, 16]
 
 
 def assert_products_match(tables, labels):

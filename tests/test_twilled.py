@@ -798,9 +798,10 @@ def test_square_and_dg_checks_are_equivalent_to_twilledness(t):
 
 def test_dg_checks_code_each_dsecond_column_once(tmp_path, monkeypatch):
     """The dg-Lie and dG checks of one check-twilled share their tables and
-    their d'', so each column of d'' is coded once per tables: 10 codings on
-    the sl2 double, whose clean atom pass decides both checks (56 when both
-    carriers ran their loops, 77 with a reader per checker)."""
+    their d'', so each column of d'' is coded once per tables: 7 codings on
+    the sl2 double, whose clean generator pass decides both checks (10 with
+    a pass over the 11 table atoms, 56 when both carriers ran their loops,
+    77 with a reader per checker)."""
     import lierine.gerst as gerst
     import lierine.twilled as twilled
 
@@ -823,4 +824,4 @@ def test_dg_checks_code_each_dsecond_column_once(tmp_path, monkeypatch):
     monkeypatch.setattr(gerst._LabelTables, "encode", counting)
     lie, ger = twilled._dg_lie_and_gerstenhaber(t)
     assert lie["equivalent"] and ger["equivalent"]
-    assert len(codings) == len({id(vec) for vec in codings}) == 10
+    assert len(codings) == len({id(vec) for vec in codings}) == 7
