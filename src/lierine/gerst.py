@@ -70,25 +70,32 @@ for which that bidegree has labels (outer degree at most rank L'', inner
 degree 0..rank L'), keeping the caller's order; the list is made once per
 bidegree class of the first element.  A pair left out has no label to
 put its residual on, so it is zero, and the first failing pair and its
-residual are those of the loop over all pairs.  Each visited pair's
-residual is summed on codes in one accumulator straight from table
-entries and operator columns, each column coded once per label and
-set of tables; codes decode to labels only for an atom's element, a
-column read and the residual of the witness.
+residual are those of the loop over all pairs.  Where R(v, u) = +-R(u, v),
+each list starts at the element's own position: the first failing pair
+(u, v) has u no later than v, or (v, u) fails first; the first failing
+Jacobi triple is sorted.  ``_LabelTables.symmetric`` reads the gates: the
+product is graded commutative over a commutative base, the bracket
+graded antisymmetric where the base is also associative with unit and
+the literal table antisymmetric; then so are atom x atom entries, and the
+splits sum the Koszul-signed biderivation expansion over the atoms of
+each label, which swaps term by term.  Residuals are summed on codes from
+table entries and operator columns, each coded once per label and set of
+tables, decoded only for an atom, a column read and the witness.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import combinations
+from functools import cached_property, partial
+from itertools import combinations, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .calgebra import AElem, CommAlg
+from .calgebra import AElem, CommAlg, alg_validate
 from .exactla import _frac
 from .lrcore import (
     AltForm,
     LieRinehart,
     LRModule,
+    _antisymmetry_witness,
     _bracket_vectors,
     ce_differential,
     tensor_line,
@@ -447,6 +454,13 @@ class _LabelTables:
         self.atoms: Dict = {}  # atom code -> its carrier element
         self.readers: Dict = {}  # id(op) -> (op, its columns coded so far); op held so its id stays unique
 
+    @cached_property
+    def symmetric(self) -> Tuple[bool, bool]:
+        """The gates of the module docstring: whether the product, and whether also the bracket, is graded symmetric."""
+        broken = {v.axiom for v in alg_validate(self.alg)}
+        side = self.parent if isinstance(self.parent, LieRinehart) else self.parent.lprime
+        return "commutativity" not in broken, not broken and _antisymmetry_witness(side) is None
+
     def code(self, label: Tuple) -> int:
         t, outer, inner = label
         return t << self.shift | sum(1 << i for i in outer) << self.ri | sum(1 << i for i in inner)
@@ -601,13 +615,14 @@ def _gerstenhaber_violations(tables: _LabelTables, elems: Sequence[Tuple]) -> Li
             _add(out, -sign * c * e, br(v, z))
 
     # residual degrees: |x| + |y| - 1; |u| + |v| + |w| - 1; |u| + |v| + |w| - 2
-    ranks = _ranks(tables.parent)
-    found = _pair_witness(elems, tables, antisymmetry, ranks, (0, -1))
+    ranks, (commutative, antisymmetric) = _ranks(tables.parent), tables.symmetric
+    found = _pair_witness(elems, tables, antisymmetry, ranks, (0, -1), 0)
     if found:
         return [Violation("graded-antisymmetry", found[0] + found[1], "")]
-    for axiom, residual, shift in (("odd-leibniz", leibniz, -1), ("graded-jacobi", jacobi, -2)):
-        for l1, (u,), pu in elems:
-            found = _pair_witness(elems, tables, partial(residual, tables.code(u), pu), ranks, (0, pu + shift))
+    for axiom, residual, shift, sym in (("odd-leibniz", leibniz, -1, commutative), ("graded-jacobi", jacobi, -2, antisymmetric)):
+        for pos, (l1, (u,), pu) in enumerate(elems):
+            first = (pos if residual is jacobi else 0) if sym else None
+            found = _pair_witness(elems, tables, partial(residual, tables.code(u), pu), ranks, (0, pu + shift), first)
             if found:
                 return [Violation(axiom, l1 + found[0] + found[1], "")]
     return []
@@ -833,29 +848,33 @@ def _first_nonzero(images: Iterable[Tuple]) -> Optional[Tuple]:
     return next((label for label, image in images if image), None)
 
 
-def _pair_witness(elems: Sequence[Tuple], tables: _LabelTables, residual, ranks: Tuple, shift: Tuple) -> Optional[Tuple]:
+def _pair_witness(elems: Sequence[Tuple], tables: _LabelTables, residual, ranks: Tuple, shift: Tuple,
+                  first: Optional[int] = None) -> Optional[Tuple]:
     """The first pair (label1, label2, residual) of elems, a list of
     (label, label vector, degree), whose residual is nonzero, or None.
     The residual of labels of bidegrees (q1, p1) and (q2, p2) lies in
     (q1 + q2, p1 + p2) + shift; only the pairs for which that bidegree has
     labels, outer degree 0..ranks[0] and inner 0..ranks[1], are visited,
-    in the order of elems (see the module docstring).  Each pair's residual
-    is summed in one accumulator, bilinearly over the terms of its two
-    vectors, on the codes of the tables: residual(out, c, s, x, y) adds c
-    times the residual of the codes x, y to out, where s = (-1)^{|u|} for
-    the first element u."""
+    in the order of elems; with first given, only those with first <= pos
+    u <= pos v, where R(v, u) = eR(u, v) and no pair before first fails:
+    e = -(-1)^{(|u|-1)(|v|-1)} for the derivation, generator and Jacobi (in
+    u, v and in v, w) residuals of an antisymmetric bracket, (-1)^{|v||w|}
+    for Leibniz (in v, w) of a commutative product, -e for antisymmetry.
+    Each pair's residual is summed bilinearly over the codes of its two
+    vectors: residual(out, c, s, x, y) adds c times the residual of the
+    codes x, y to out, where s = (-1)^{|u|} for the first element u."""
     (qtop, ptop), (dq, dp) = ranks, shift
     degrees = [frozenset((len(outer), len(inner)) for _, outer, inner in v) for _, v, _ in elems]
     codes = [(label, tables.encode(v)) for label, v, _ in elems]
-    partners: Dict = {}  # bidegree class of the first element -> its second elements
-    for (label1, _, p), (_, u), du in zip(elems, codes, degrees):
+    partners: Dict = {}  # bidegree class of the first element -> (position, label, code vector) of its second elements
+    for i, ((label1, _, p), (_, u), du) in islice(enumerate(zip(elems, codes, degrees)), first or 0, None):
         if du not in partners:
             partners[du] = [
-                e for e, dv in zip(codes, degrees)
+                (j, *e) for j, (e, dv) in enumerate(zip(codes, degrees))
                 if any(0 <= q1 + q2 + dq <= qtop and 0 <= p1 + p2 + dp <= ptop for q1, p1 in du for q2, p2 in dv)
             ]
         su = 1 if p % 2 == 0 else -1
-        for label2, v in partners[du]:
+        for _, label2, v in partners[du] if first is None else [e for e in partners[du] if e[0] >= i]:
             acc: Dict = {}
             for x, a in u.items():
                 for y, b in v.items():
@@ -887,7 +906,7 @@ def _derivation_witness(elems: Sequence[Tuple], tables: _LabelTables, d: Generat
             _add(out, su * c * e, entry(x, w))
 
     dq, dp = d._bidegree
-    return _pair_witness(elems, tables, residual, _ranks(d.parent), (dq, dp - 1))
+    return _pair_witness(elems, tables, residual, _ranks(d.parent), (dq, dp - 1), 0 if tables.symmetric[1] else None)
 
 
 def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: GeneratorOp) -> Optional[Tuple]:
@@ -909,7 +928,7 @@ def _generator_witness(elems: Sequence[Tuple], tables: _LabelTables, D: Generato
         for w, e in column(y).items():
             _add(out, c * e, prod(x, w))
 
-    return _pair_witness(elems, tables, residual, _ranks(D.parent), D._bidegree)
+    return _pair_witness(elems, tables, residual, _ranks(D.parent), D._bidegree, 0 if tables.symmetric[1] else None)
 
 
 def generator_validate(lr: LieRinehart, g: GeneratorOp) -> List[Violation]:

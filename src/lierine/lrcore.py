@@ -123,14 +123,9 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
     A-multilinearity of the axioms makes basis tuples sufficient.
     """
     out: List[Violation] = []
-    n, table = lr.rank, _literal_table(lr)
-
-    for i, j in [(i, i) for i in range(n)] + list(combinations(range(n), 2)):
-        # x = -x only at 0, so one comparison also reads [e_i, e_i] = 0
-        if table[i][j] != tuple((k, tuple((s, -x) for s, x in c)) for k, c in table[j][i]):
-            detail = "[e_i,e_i] != 0" if i == j else "[e_i,e_j] != -[e_j,e_i]"
-            out.append(Violation("antisymmetry", (i, j), detail))
-            break
+    n, bad = lr.rank, _antisymmetry_witness(lr)
+    if bad:
+        out.append(Violation("antisymmetry", bad, "[e_i,e_i] != 0" if bad[0] == bad[1] else "[e_i,e_j] != -[e_j,e_i]"))
 
     for i in range(n):
         bad = derivation_validate(lr.alg, lr.anchor[i])
@@ -156,6 +151,12 @@ def lr_validate(lr: LieRinehart) -> List[Violation]:
             break
 
     return out
+
+
+def _antisymmetry_witness(lr: LieRinehart) -> Optional[Tuple[int, int]]:
+    """The first (i, i), then i < j, whose literal [e_i, e_j] is not -[e_j, e_i] (x = -x only at 0), or None."""
+    t, pairs = _literal_table(lr), [(i, i) for i in range(lr.rank)] + list(combinations(range(lr.rank), 2))
+    return next(((i, j) for i, j in pairs if t[i][j] != tuple((k, tuple((s, -x) for s, x in c)) for k, c in t[j][i])), None)
 
 
 def lr_violations(lr: LieRinehart) -> List[Violation]:

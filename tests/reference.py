@@ -11,7 +11,9 @@ vector form, and the product rule of an operator on the label tables,
 whole bracket, product and operator images, and the dense pair loop,
 ``pair_witness``,
 which visits every ordered pair where the library visits only those
-whose residual bidegree exists in the carrier; and the label product
+whose residual bidegree exists in the carrier, and an unordered one once
+where it reads the residual as graded symmetric, with ``pair_residuals``,
+the residual of every ordered pair, to test that reading; and the label product
 through algebra elements, ``label_product``, which the library reads off
 the compiled products of the base, and the label tables keyed by tuple
 labels, ``LabelTables``, which the library keys by int codes, its signs
@@ -611,6 +613,22 @@ def pair_witness(elems, tables, residual):
             if any(acc.values()):
                 return label1, label2, tables.carrier({k: c for k, c in acc.items() if c})
     return None
+
+
+def pair_residuals(elems, tables, residual):
+    """The residual of every ordered pair of elems as in ``pair_witness``,
+    keyed by the positions of the two elements, each a code vector with
+    zeros dropped: the dense loop without its stop at the first nonzero one."""
+    out = {}
+    for a, (_, u, p) in enumerate(elems):
+        su = 1 if p % 2 == 0 else -1
+        for b, (_, v, _) in enumerate(elems):
+            acc: Dict = {}
+            for x, c in tables.encode(u).items():
+                for y, e in tables.encode(v).items():
+                    residual(acc, c * e, su, x, y)
+            out[(a, b)] = {k: c for k, c in acc.items() if c}
+    return out
 
 
 def sort_with_sign(indices: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], int]]:

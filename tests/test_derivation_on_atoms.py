@@ -183,17 +183,38 @@ def squares_reference(t, labels):
     return sorted(((key, lab) for key, lab in first.items() if lab is not None), key=lambda item: labels.index(item[1]))
 
 
+def curved_abelian_pair():
+    """Abelian rank 2 and rank 2 over Q, L'' acting on L' with curvature:
+    e''_0 . e'_1 = e'_0 and e''_1 . e'_0 = e'_1, every other entry zero.
+    Its d''^2 generator pass fails, at (0, (), (0,))."""
+    q = truncated_poly(1)
+    z, one = q.zero(), q.one()
+    zeros = [[[z, z], [z, z]]] * 2
+    abelian = LieRinehart(q, 2, zeros, [Derivation.zero(q)] * 2)
+    return AlmostTwilled(abelian, abelian, zeros, [[[z, z], [one, z]], [[z, one], [z, z]]])
+
+
+def test_curved_abelian_pair_fails_the_dsecond_square_on_its_generators():
+    t = curved_abelian_pair()
+    assert bicomplex_square_check(t)["witnesses"] == {"dsecond_square": (0, (), (0,))}
+    assert [r["witnesses"] for r in _dg_lie_and_gerstenhaber(t)] == [{"square": (0, (), 0)}, {"square": (0, (), (0,))}]
+
+
 def test_generator_passes_decide_every_carrier_and_failing_passes_give_the_reference_witnesses():
     """On every drawn pair the square and derivation verdicts and witnesses
     of both dG carriers, and the three bicomplex identities, are those of
     the dense loops over each whole carrier.  Among the pairs with
-    derivation anchors, each generator pass is clean on some draws (the
-    twilled book double among them) and fails on others (its flipped form)."""
+    derivation anchors, each generator pass is clean on some draws and
+    fails on others, and the examples see each both ways: the twilled book
+    double is clean, its flipped form fails the derivation, d'^2 and
+    anticommutation passes, and the curved abelian pair the two d''^2
+    passes."""
     branches = {key: set() for key in ("square", "derivation", *SQUARES)}
 
     @settings(max_examples=80, deadline=None)
     @example(book_double())
     @example(book_double_flipped())
+    @example(curved_abelian_pair())
     @given(pairs(anchors=st.sampled_from([derivation_anchor, random_anchor])))
     def check(t):
         d = reference.operator(t, partial(dsecond_multi, t))
